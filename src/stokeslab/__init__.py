@@ -26,10 +26,9 @@ from .cases import (
 )
 from .driver import SolutionField, solve_case
 from .formulations import (
-    CondensationCache,
     DofMap,
+    FineBlocks,
     FormulationConfig,
-    TauEval,
     assemble,
     assemble_enriched,
     assemble_enriched_full,

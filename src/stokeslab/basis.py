@@ -42,7 +42,6 @@ class BasisEval:
     N: np.ndarray        # (nen,)
     DN: np.ndarray       # (nen, dim)
     D2N: np.ndarray      # (nen, dim*dim)
-    evaluated_at: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -103,7 +102,7 @@ def eval_basis(kind: ElementKind, xi) -> BasisEval:
                 prod = np.prod(factors[:, others], axis=1) if others else 1.0
                 D2N[:, m, s] = scale * corners[:, m] * corners[:, s] * prod
         D2N = D2N.reshape(nen, d * d)
-    return BasisEval(N=N, DN=DN, D2N=D2N, evaluated_at=xi)
+    return BasisEval(N=N, DN=DN, D2N=D2N)
 
 
 def eval_bubble(kind: ElementKind, xi) -> BubbleEval:
@@ -230,52 +229,59 @@ def basis_table(kind: ElementKind, rule) -> BasisTable:
 
 @dataclass(frozen=True)
 class ElementGeometry:
-    """Per-quadrature-point geometric quantities for one element."""
+    """Per-quadrature-point geometric quantities of one element, or of a
+    stack of elements; a stack adds its leading axes to every field."""
 
-    detJ: np.ndarray      # (np,)
-    Jinv: np.ndarray      # (np, dim, dim)
-    divJinv: np.ndarray   # (np, dim)
-    G: np.ndarray         # (np, dim, nen) physical shape gradients
-    lapN: np.ndarray      # (np, nen) physical shape Laplacians
-    gb: np.ndarray        # (np, dim) physical bubble gradient
-    lapb: np.ndarray      # (np,) physical bubble Laplacian
-    x: np.ndarray         # (np, dim) mapped quadrature points
-    wdet: np.ndarray      # (np,) weight * detJ
+    detJ: np.ndarray      # (..., np)
+    Jinv: np.ndarray      # (..., np, dim, dim)
+    divJinv: np.ndarray   # (..., np, dim)
+    G: np.ndarray         # (..., np, dim, nen) physical shape gradients
+    lapN: np.ndarray      # (..., np, nen) physical shape Laplacians
+    gb: np.ndarray        # (..., np, dim) physical bubble gradient
+    lapb: np.ndarray      # (..., np) physical bubble Laplacian
+    x: np.ndarray         # (..., np, dim) mapped quadrature points
+    wdet: np.ndarray      # (..., np) weight * detJ
+
+
+def integrate(wdet, values) -> np.ndarray:
+    """Quadrature sum of values (..., np) with weights wdet (..., np), one
+    per element.  A stacked matmul makes each element's sum the same dot
+    product as for a lone element."""
+    return np.matmul(wdet[..., None, :], values[..., :, None])[..., 0, 0]
 
 
 def element_geometry(table: BasisTable, coords) -> ElementGeometry:
-    """Evaluate Jacobian calculus at every tabulated point of one element."""
+    """Evaluate Jacobian calculus at every tabulated point of one element,
+    coords (nen, dim), or of a stack of elements, coords (..., nen, dim).
+
+    Each element's values are the same whether it is evaluated alone or in
+    a stack.
+    """
     coords = np.asarray(coords, dtype=float)
-    J = np.einsum("ni,pnm->pim", coords, table.DN)
+    J = np.einsum("...ni,pnm->...pim", coords, table.DN)
     detJ = np.linalg.det(J)
-    if np.any(detJ <= 0):
+    bad = ~(np.isfinite(detJ) & (detJ > 0))  # NaN fails detJ > 0 too
+    if np.any(bad):
+        where = ""
+        if bad.ndim > 1:
+            where = f" in element {int(np.argmax(bad.reshape(-1, bad.shape[-1]).any(axis=1)))}"
         raise SingularJacobianError(
-            f"non-positive Jacobian (min detJ={detJ.min():.3e})"
+            f"non-positive or non-finite Jacobian{where} (min detJ={np.min(detJ):.3e})"
         )
     Jinv = np.linalg.inv(J)
-    JJT = np.einsum("pik,pjk->pij", Jinv, Jinv)
-    C = np.einsum("ni,pnms->pims", coords, table.D2N)
-    divJinv = -np.einsum("pqi,pims,pms->pq", Jinv, C, JJT)
-    G = np.einsum("pmi,pnm->pin", Jinv, table.DN)
-    lapN = np.einsum("pnms,pms->pn", table.D2N, JJT) + np.einsum(
-        "pnm,pm->pn", table.DN, divJinv
+    JJT = np.einsum("...pik,...pjk->...pij", Jinv, Jinv)
+    C = np.einsum("...ni,pnms->...pims", coords, table.D2N)
+    divJinv = -np.einsum("...pqi,...pims,...pms->...pq", Jinv, C, JJT)
+    G = np.einsum("...pmi,pnm->...pin", Jinv, table.DN)
+    lapN = np.einsum("pnms,...pms->...pn", table.D2N, JJT) + np.einsum(
+        "pnm,...pm->...pn", table.DN, divJinv
     )
-    gb = np.einsum("pki,pk->pi", Jinv, table.gb)
-    lapb = np.einsum("pms,pms->p", table.Hb, JJT) + np.einsum(
-        "pm,pm->p", table.gb, divJinv
+    gb = np.einsum("...pki,pk->...pi", Jinv, table.gb)
+    lapb = np.einsum("pms,...pms->...p", table.Hb, JJT) + np.einsum(
+        "pm,...pm->...p", table.gb, divJinv
     )
-    x = np.einsum("pn,ni->pi", table.N, coords)
+    x = np.einsum("pn,...ni->...pi", table.N, coords)
     return ElementGeometry(
         detJ=detJ, Jinv=Jinv, divJinv=divJinv, G=G, lapN=lapN,
         gb=gb, lapb=lapb, x=x, wdet=table.weights * detJ,
     )
-
-
-def kron(A, B) -> np.ndarray:
-    """Kronecker product with a_ij-scaled blocks of B."""
-    return np.kron(np.asarray(A), np.asarray(B))
-
-
-def vec(A) -> np.ndarray:
-    """Stack the rows of A into a single vector (row-major)."""
-    return np.asarray(A).reshape(-1)

@@ -1,5 +1,11 @@
 """Benchmark problems: boundary data, body forces, exact solutions.
 
+Every case callable takes an array of points, shape (..., dim), and returns
+the values at all of them at once: shape (..., dim) for the Dirichlet data,
+the body force, the exact velocity and the exact pressure gradient, and
+shape (...) for the exact pressure.  A single point (dim,) is the case
+with no leading axes.
+
 Dirichlet data may constrain a subset of velocity components at a node by
 returning ``nan`` for the free components.  Tags are applied in declaration
 order and later tags override earlier ones at shared nodes, which is how the
@@ -37,9 +43,9 @@ class TestCase:
         return self.exact_velocity is not None
 
 
-def _const(vec):
-    vec = np.asarray(vec, dtype=float)
-    return lambda x: vec
+def _const(value):
+    value = np.asarray(value, dtype=float)
+    return lambda x: np.broadcast_to(value, np.shape(x)[:-1] + value.shape)
 
 
 def patch_constant(dim: int) -> TestCase:
@@ -56,7 +62,7 @@ def patch_constant(dim: int) -> TestCase:
         pressure_pin=(np.zeros(dim), 10.0),
         nu=1.0,
         exact_velocity=_const(vel),
-        exact_pressure=lambda x: 10.0,
+        exact_pressure=_const(10.0),
         exact_pressure_grad=_const(np.zeros(dim)),
     )
 
@@ -102,7 +108,7 @@ def lid_cavity(dim: int) -> TestCase:
 
 
 def _bf_body(x):
-    X, y = x
+    X, y = x[..., 0], x[..., 1]
     b1 = ((12 - 24 * y) * X**4 + (-24 + 48 * y) * X**3
           + (-48 * y + 72 * y**2 - 48 * y**3 + 12) * X**2
           + (-2 + 24 * y - 72 * y**2 + 48 * y**3) * X
@@ -110,14 +116,14 @@ def _bf_body(x):
     b2 = ((8 - 48 * y + 48 * y**2) * X**3 + (-12 + 72 * y - 72 * y**2) * X**2
           + (4 - 24 * y + 48 * y**2 - 48 * y**3 + 24 * y**4) * X
           - 12 * y**2 + 24 * y**3 - 12 * y**4)
-    return np.array([b1, b2])
+    return np.stack([b1, b2], axis=-1)
 
 
 def _bf_velocity(x):
-    X, y = x
-    return np.array(
+    X, y = x[..., 0], x[..., 1]
+    return np.stack(
         [X**2 * (1 - X) ** 2 * (2 * y - 6 * y**2 + 4 * y**3),
-         -(y**2) * (1 - y) ** 2 * (2 * X - 6 * X**2 + 4 * X**3)]
+         -(y**2) * (1 - y) ** 2 * (2 * X - 6 * X**2 + 4 * X**3)], axis=-1
     )
 
 
@@ -136,8 +142,9 @@ def body_force_cavity() -> TestCase:
         pressure_pin=(np.zeros(2), 0.0),
         nu=0.5,
         exact_velocity=_bf_velocity,
-        exact_pressure=lambda x: x[0] * (1 - x[0]),
-        exact_pressure_grad=lambda x: np.array([1 - 2 * x[0], 0.0]),
+        exact_pressure=lambda x: x[..., 0] * (1 - x[..., 0]),
+        exact_pressure_grad=lambda x: np.stack(
+            [1 - 2 * x[..., 0], np.zeros_like(x[..., 0])], axis=-1),
     )
 
 
@@ -164,17 +171,14 @@ def case_constraints(case: TestCase, mesh: Mesh, dofmap: DofMap) -> dict:
     """Dirichlet velocity constraints plus the pressure pin, as dof -> value."""
     if case.dim != mesh.dim:
         raise ValueError(f"case is {case.dim}-D but mesh is {mesh.dim}-D")
-    nodal = {}  # (node, comp) -> value; later tags override
+    constraints = {}  # velocity dof -> value; later tags override
     for tag, fn in case.dirichlet.items():
-        for node in mesh.nodeset(tag):
-            val = np.asarray(fn(mesh.nodes[node]), dtype=float)
-            for comp in range(mesh.dim):
-                if np.isnan(val[comp]):
-                    continue
-                nodal[(node, comp)] = float(val[comp])
-    constraints = {
-        dofmap.vdof(node, comp): value for (node, comp), value in nodal.items()
-    }
+        nodes = np.array(sorted(mesh.nodeset(tag)), dtype=np.intp)
+        vals = np.asarray(fn(mesh.nodes[nodes]), dtype=float)
+        vals = np.broadcast_to(vals, (nodes.size, mesh.dim))
+        dofs = dofmap.velocity_dofs(nodes)
+        given = ~np.isnan(vals.ravel())
+        constraints.update(zip(dofs[given].tolist(), vals.ravel()[given].tolist()))
     constraints[dofmap.pdof(pin_node(case, mesh))] = float(case.pressure_pin[1])
     return constraints
 

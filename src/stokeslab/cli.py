@@ -195,8 +195,6 @@ def build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="solve one case and export fields")
     run.add_argument("--case", required=True)
     run.add_argument("--mesh", required=True)
-    run.add_argument("--element", default=None, help="informational; the "
-                     "element kind comes from the mesh spec")
     run.add_argument("--out", default=None, help="VTK output path")
     run.add_argument("--pivot-rtol", dest="pivot_rtol", type=float, default=1e-14)
     run.add_argument("--residual-rtol", dest="residual_rtol", type=float,

@@ -49,20 +49,19 @@ def solve_case(case: TestCase, mesh: Mesh, scheme: str, *,
         bp_epsilon=bp_epsilon,
         body_force=case.body_force,
     )
-    caches = None
+    fine_blocks = None
     if scheme == "enriched":
-        system, caches = assemble_enriched(mesh, config, dofmap)
+        system, fine_blocks = assemble_enriched(mesh, config, dofmap)
     else:
         system = assemble(mesh, config, dofmap)
     constrained = apply_case(case, mesh, dofmap, system)
-    x = solve_direct(constrained, pivot_rtol=pivot_rtol,
-                     residual_rtol=residual_rtol)
-    A, b = constrained.matrix, constrained.rhs
-    denom = A.norm_inf() * np.abs(x).max() + np.abs(b).max()
-    res = float(np.abs(A.matvec(x) - b).max() / denom) if denom > 0 else 0.0
+    x, res = solve_direct(constrained, pivot_rtol=pivot_rtol,
+                          residual_rtol=residual_rtol)
     velocity = x[: dofmap.n_velocity].reshape(mesh.n_nodes, mesh.dim)
     pressure = x[dofmap.n_velocity:]
-    fine = recover_fine(x, caches, mesh, dofmap) if caches else None
+    fine = None
+    if fine_blocks is not None:
+        fine = recover_fine(x, fine_blocks, mesh, dofmap)
     return SolutionField(
         case=case, scheme=scheme, mesh=mesh, dofmap=dofmap, values=x,
         velocity=velocity, pressure=pressure, fine=fine, residual=res,

@@ -23,31 +23,17 @@ matching the sign of the condensed enriched block -K_pf K_ff^-1 K_fp.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import basis_table, element_geometry, eval_bubble
+from .basis import basis_table, element_geometry, eval_bubble, integrate
 from .kinds import ElementKind
-from .linalg import LinearSystem, SparseMatrix, dense_inverse
+from .linalg import LinearSystem, SingularMatrixError, assemble_blocks, assemble_vector
 from .mesh import LOCAL_FACETS, Mesh
 from .quadrature import facet_rule, rule_for
 
 SCHEMES = ("galerkin", "wvm", "svm", "enriched")
-
-_CHUNK = 64  # elements per assembly chunk; fixed so results are
-             # independent of the thread count
-
-
-def _thread_cap() -> int:
-    raw = os.environ.get("STOKESLAB_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ValueError(f"STOKESLAB_THREADS must be an integer, got {raw!r}") from None
-    return max(1, n)
 
 
 @dataclass(frozen=True)
@@ -55,15 +41,15 @@ class FormulationConfig:
     scheme: str
     nu: float = 1.0
     bp_epsilon: float = 0.0
-    body_force: object = None  # callable x -> vector, or None for zero
+    body_force: object = None  # callable (..., dim) points -> (..., dim), or None
 
     def __post_init__(self):
         if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}; valid: {SCHEMES}")
-        if self.nu <= 0:
-            raise ValueError("nu must be positive")
-        if self.bp_epsilon < 0:
-            raise ValueError("bp_epsilon must be >= 0")
+        if not (np.isfinite(self.nu) and self.nu > 0):
+            raise ValueError(f"nu must be positive and finite, got {self.nu!r}")
+        if not (np.isfinite(self.bp_epsilon) and self.bp_epsilon >= 0):
+            raise ValueError(f"bp_epsilon must be finite and >= 0, got {self.bp_epsilon!r}")
         if self.bp_epsilon > 0 and self.scheme in ("wvm", "svm"):
             raise ValueError("bp_epsilon applies to galerkin/enriched schemes only")
 
@@ -95,8 +81,10 @@ class DofMap:
         return self.n_velocity + node
 
     def velocity_dofs(self, nodes) -> np.ndarray:
+        """Velocity dofs of nodes (..., n), node-major: (..., n * dim)."""
         nodes = np.asarray(nodes, dtype=np.intp)
-        return (nodes[:, None] * self.dim + np.arange(self.dim)).ravel()
+        dofs = nodes[..., None] * self.dim + np.arange(self.dim)
+        return dofs.reshape(*nodes.shape[:-1], -1)
 
     def pressure_dofs(self, nodes) -> np.ndarray:
         return self.n_velocity + np.asarray(nodes, dtype=np.intp)
@@ -107,33 +95,30 @@ def build_dofmap(mesh: Mesh) -> DofMap:
 
 
 @dataclass(frozen=True)
-class TauEval:
-    value: float
-    scheme: str
+class FineBlocks:
+    """Fine-scale (bubble) blocks of the enriched scheme, stacked over the
+    elements, from which the condensed bubble coefficients are recovered.
+
+    Element e has the fine block kff[e] * I, velocity coupling
+    K_cf = s[e] (x) I and pressure coupling K_pf = kpf[e].
+    """
+
+    kff: np.ndarray    # (n_el,)
+    s: np.ndarray      # (n_el, nen)
+    kpf: np.ndarray    # (n_el, nen, dim)
+    f_f: np.ndarray    # (n_el, dim)
 
 
-@dataclass(frozen=True)
-class CondensationCache:
-    """Per-element data needed to recover fine-scale coefficients."""
-
-    element: int
-    Kff: np.ndarray       # (dim, dim)
-    Kfc: np.ndarray       # (dim, nen*dim)
-    Kfp: np.ndarray       # (dim, nen)
-    f_f: np.ndarray       # (dim,)
-
-
-def _wvm_coefficient(kind: ElementKind, geom) -> float:
-    """Element-level int(b) / int(|grad_x b|^2) over the mapped element."""
-    table = basis_table(kind, rule_for(kind))
-    int_b = float(geom.wdet @ table.b)
-    int_g2 = float(geom.wdet @ np.einsum("pi,pi->p", geom.gb, geom.gb))
-    if int_g2 <= 0:
+def _wvm_coefficient(table, geom) -> np.ndarray:
+    """Element-level int(b) / int(|grad_x b|^2) over each mapped element."""
+    int_b = integrate(geom.wdet, table.b)
+    int_g2 = integrate(geom.wdet, np.einsum("...pi,...pi->...p", geom.gb, geom.gb))
+    if np.any(~(int_g2 > 0)):
         raise ValueError("degenerate element: zero bubble energy")
     return int_b / int_g2
 
 
-def tau_at(scheme: str, kind: ElementKind, node_coords, xi) -> TauEval:
+def tau_at(scheme: str, kind: ElementKind, node_coords, xi) -> float:
     """Stabilization parameter at a reference point of one element."""
     if scheme not in ("wvm", "svm"):
         raise ValueError(f"tau is defined for wvm/svm, not {scheme!r}")
@@ -141,47 +126,50 @@ def tau_at(scheme: str, kind: ElementKind, node_coords, xi) -> TauEval:
     geom = element_geometry(table, node_coords)
     bub = eval_bubble(kind, xi)
     if scheme == "wvm":
-        return TauEval(value=bub.b * _wvm_coefficient(kind, geom), scheme=scheme)
+        return bub.b * float(_wvm_coefficient(table, geom))
     # pointwise geometry for the Laplacian at xi
     from .basis import jacobian_calc, laplacian_physical
 
     jac = jacobian_calc(kind, node_coords, xi)
-    lapb = laplacian_physical(bub.grad_xi, bub.hess_xi, jac)
-    return TauEval(value=bub.b / lapb, scheme=scheme)
+    return bub.b / laplacian_physical(bub.grad_xi, bub.hess_xi, jac)
 
 
-def _body_at(config, x):
-    """Evaluate the body force at the mapped quadrature points, (np, dim)."""
-    if config.body_force is None:
-        return np.zeros_like(x)
-    return np.array([np.asarray(config.body_force(xi), dtype=float) for xi in x])
+def _kron_eye(A, dim) -> np.ndarray:
+    """A (x) I_dim for a stack A (n_el, m, n): (n_el, m * dim, n * dim)."""
+    n_el, m, n = A.shape
+    out = A[:, :, None, :, None] * np.eye(dim)[:, None, :]
+    return out.reshape(n_el, m * dim, n * dim)
 
 
-def _local_blocks(mesh, config, table, conn, condensed=True):
-    """Element matrices for one element.
+def _element_stacks(mesh, config, condensed=True):
+    """Element matrices and loads of every element of the mesh at once.
 
-    Returns (K_local, f_local) in the local dof order
+    Returns K (n_el, nl, nl) and f (n_el, nl) in the local dof order
     [velocity (node-major), pressure] for galerkin/wvm/svm and for the
     condensed enriched scheme; for ``condensed=False`` with the enriched
-    scheme the fine dofs are appended uncondensed.  The second return value
-    carries the CondensationCache for the enriched scheme (else None).
+    scheme the fine dofs are appended uncondensed.  The third return value
+    is the FineBlocks of the enriched scheme (else None).
     """
     kind, dim = mesh.kind, mesh.dim
-    nen = kind.nodes_per_element
+    n_el, nen = mesh.elements.shape
     nd = nen * dim
-    coords = mesh.nodes[conn]
-    geom = element_geometry(table, coords)
+    table = basis_table(kind, rule_for(kind))
+    geom = element_geometry(table, mesh.nodes[mesh.elements])
     nu = config.nu
     wdet, G, N = geom.wdet, geom.G, table.N
-    bf = _body_at(config, geom.x)
+    if config.body_force is None:
+        bf = np.zeros_like(geom.x)
+    else:
+        bf = np.broadcast_to(np.asarray(config.body_force(geom.x), dtype=float),
+                             geom.x.shape)
 
-    Kvv = 2.0 * nu * np.einsum("p,pia,pib->ab", wdet, G, G)
-    Gvp = np.einsum("p,pia,pb->iab", wdet, G, N)
-    Kvp = -Gvp.transpose(1, 0, 2).reshape(nd, nen)
-    Kpv = Kvp.T.copy()
-    Kpp = np.zeros((nen, nen))
-    fv = np.einsum("p,pa,pi->ai", wdet, N, bf)
-    fp = np.zeros(nen)
+    Kvv = 2.0 * nu * np.einsum("ep,epia,epib->eab", wdet, G, G)
+    Gvp = np.einsum("ep,epia,pb->eiab", wdet, G, N)
+    Kvp = -Gvp.transpose(0, 2, 1, 3).reshape(n_el, nd, nen)
+    Kpv = Kvp.transpose(0, 2, 1).copy()
+    Kpp = np.zeros((n_el, nen, nen))
+    fv = np.einsum("ep,pa,epi->eai", wdet, N, bf)
+    fp = np.zeros((n_el, nen))
 
     if config.scheme in ("wvm", "svm"):
         # Substituting v' = (1/2nu)*tau_eff*r into the coarse-scale problem
@@ -190,140 +178,107 @@ def _local_blocks(mesh, config, table, conn, condensed=True):
         # of tau differs.  The resulting pp block is symmetric NSD.
         lapN = geom.lapN
         if config.scheme == "wvm":
-            tau_eff = table.b * _wvm_coefficient(kind, geom)
+            tau_eff = table.b * _wvm_coefficient(table, geom)[:, None]
         else:
             tau_eff = -(table.b / geom.lapb)
         tw = wdet * tau_eff
-        Kvv -= 2.0 * nu * np.einsum("p,pa,pb->ab", tw, lapN, lapN)
-        M_vp = np.einsum("p,pa,pib->iab", tw, lapN, G)
-        Kvp += M_vp.transpose(1, 0, 2).reshape(nd, nen)
-        M_pv = np.einsum("p,pja,pb->abj", tw, G, lapN)
-        Kpv += M_pv.reshape(nen, nd)
-        Kpp -= (1.0 / (2.0 * nu)) * np.einsum("p,pia,pib->ab", tw, G, G)
-        fv += np.einsum("p,pa,pi->ai", tw, lapN, bf)
-        fp -= (1.0 / (2.0 * nu)) * np.einsum("p,pia,pi->a", tw, G, bf)
+        Kvv -= 2.0 * nu * np.einsum("ep,epa,epb->eab", tw, lapN, lapN)
+        M_vp = np.einsum("ep,epa,epib->eiab", tw, lapN, G)
+        Kvp += M_vp.transpose(0, 2, 1, 3).reshape(n_el, nd, nen)
+        M_pv = np.einsum("ep,epja,epb->eabj", tw, G, lapN)
+        Kpv += M_pv.reshape(n_el, nen, nd)
+        Kpp -= (1.0 / (2.0 * nu)) * np.einsum("ep,epia,epib->eab", tw, G, G)
+        fv += np.einsum("ep,epa,epi->eai", tw, lapN, bf)
+        fp -= (1.0 / (2.0 * nu)) * np.einsum("ep,epia,epi->ea", tw, G, bf)
 
     if config.bp_epsilon > 0.0:
         # pressure-Laplacian stabilization, eps ~ h^2; negative because the
         # continuity row here carries b(v;q) = -(div v, q)
         eps = config.bp_epsilon * geom.detJ ** (2.0 / dim)
-        Kpp -= np.einsum("p,pia,pib->ab", wdet * eps, G, G)
+        Kpp -= np.einsum("ep,epia,epib->eab", wdet * eps, G, G)
 
-    cache = None
+    fine = None
     if config.scheme == "enriched":
         gb, b = geom.gb, table.b
-        s = 2.0 * nu * np.einsum("p,pia,pi->a", wdet, G, gb)
-        kff = 2.0 * nu * float(wdet @ np.einsum("pi,pi->p", gb, gb))
-        Kpf = -np.einsum("p,pa,pi->ai", wdet, N, gb)
-        f_f = np.einsum("p,p,pi->i", wdet, b, bf)
-        Kcf = np.kron(s.reshape(-1, 1), np.eye(dim))  # (nd, dim)
-        Kff = kff * np.eye(dim)
-        cache = CondensationCache(
-            element=-1, Kff=Kff, Kfc=Kcf.T.copy(), Kfp=Kpf.T.copy(), f_f=f_f
-        )
+        s = 2.0 * nu * np.einsum("ep,epia,epi->ea", wdet, G, gb)
+        kff = 2.0 * nu * integrate(wdet, np.einsum("epi,epi->ep", gb, gb))
+        Kpf = -np.einsum("ep,pa,epi->eai", wdet, N, gb)
+        f_f = np.einsum("ep,p,epi->ei", wdet, b, bf)
+        bad = ~(np.isfinite(kff) & (kff > 0))
+        if np.any(bad):
+            e = int(np.argmax(bad))
+            raise SingularMatrixError(
+                f"singular fine block in element {e} (kff={kff[e]:.3e}); "
+                "degenerate element"
+            )
+        fine = FineBlocks(kff=kff, s=s, kpf=Kpf, f_f=f_f)
         if not condensed:
             nl = nd + nen + dim
-            K = np.zeros((nl, nl))
-            K[:nd, :nd] = np.kron(Kvv, np.eye(dim))
-            K[:nd, nd:nd + nen] = Kvp
-            K[nd:nd + nen, :nd] = Kpv
-            K[nd:nd + nen, nd:nd + nen] = Kpp
-            K[:nd, nd + nen:] = Kcf
-            K[nd + nen:, :nd] = Kcf.T
-            K[nd:nd + nen, nd + nen:] = Kpf
-            K[nd + nen:, nd:nd + nen] = Kpf.T
-            K[nd + nen:, nd + nen:] = Kff
-            f = np.concatenate([fv.reshape(-1), fp, f_f])
-            return K, f, cache
-        Kff_inv = dense_inverse(Kff)
-        # scalar condensation: Kcf Kff^-1 Kfc = (s s^T / kff) (x) I
-        Kvv -= np.outer(s, s) / kff
-        Kvp -= (Kcf @ Kff_inv) @ Kpf.T
-        Kpv -= Kpf @ Kff_inv @ Kcf.T
-        Kpp -= Kpf @ Kff_inv @ Kpf.T
-        fv -= ((Kcf @ Kff_inv) @ f_f).reshape(nen, dim)
-        fp -= Kpf @ Kff_inv @ f_f
+            Kcf = _kron_eye(s[:, :, None], dim)  # (n_el, nd, dim)
+            K = np.zeros((n_el, nl, nl))
+            K[:, :nd, :nd] = _kron_eye(Kvv, dim)
+            K[:, :nd, nd:nd + nen] = Kvp
+            K[:, nd:nd + nen, :nd] = Kpv
+            K[:, nd:nd + nen, nd:nd + nen] = Kpp
+            K[:, :nd, nd + nen:] = Kcf
+            K[:, nd + nen:, :nd] = Kcf.transpose(0, 2, 1)
+            K[:, nd:nd + nen, nd + nen:] = Kpf
+            K[:, nd + nen:, nd:nd + nen] = Kpf.transpose(0, 2, 1)
+            K[:, nd + nen:, nd + nen:] = kff[:, None, None] * np.eye(dim)
+            f = np.concatenate([fv.reshape(n_el, nd), fp, f_f], axis=1)
+            return K, f, fine
+        # the fine block is kff * I, so condensation is scalar:
+        # K_cf K_ff^-1 K_fc = (s s^T / kff) (x) I
+        inv = 1.0 / kff
+        s_inv = s * inv[:, None]
+        Kpf_inv = Kpf * inv[:, None, None]
+        Kvv -= s[:, :, None] * s[:, None, :] / kff[:, None, None]
+        Kvp -= (s_inv[:, :, None, None]
+                * Kpf.transpose(0, 2, 1)[:, None, :, :]).reshape(n_el, nd, nen)
+        Kpv -= (Kpf_inv[:, :, None, :] * s[:, None, :, None]).reshape(n_el, nen, nd)
+        Kpp -= np.matmul(Kpf_inv, Kpf.transpose(0, 2, 1))
+        fv -= s_inv[:, :, None] * f_f[:, None, :]
+        fp -= np.matmul(Kpf_inv, f_f[:, :, None])[:, :, 0]
 
     nl = nd + nen
-    K = np.zeros((nl, nl))
-    K[:nd, :nd] = np.kron(Kvv, np.eye(dim))
-    K[:nd, nd:] = Kvp
-    K[nd:, :nd] = Kpv
-    K[nd:, nd:] = Kpp
-    f = np.concatenate([fv.reshape(-1), fp])
-    return K, f, cache
+    K = np.zeros((n_el, nl, nl))
+    K[:, :nd, :nd] = _kron_eye(Kvv, dim)
+    K[:, :nd, nd:] = Kvp
+    K[:, nd:, :nd] = Kpv
+    K[:, nd:, nd:] = Kpp
+    f = np.concatenate([fv.reshape(n_el, nd), fp], axis=1)
+    return K, f, fine
 
 
-def _scatter(dofmap, conn, extra=None):
-    """Global dof indices for one element's local ordering."""
-    idx = [dofmap.velocity_dofs(conn), dofmap.pressure_dofs(conn)]
-    if extra is not None:
-        idx.append(extra)
-    return np.concatenate(idx)
-
-
-def _assemble_chunks(mesh, config, dofmap, total, fine_offset=None, condensed=True):
-    kind = mesh.kind
-    table = basis_table(kind, rule_for(kind))
-    dim = mesh.dim
-
-    def do_chunk(e0):
-        rows, cols, vals = [], [], []
-        rhs = np.zeros(total)
-        caches = []
-        for e in range(e0, min(e0 + _CHUNK, mesh.n_elements)):
-            conn = mesh.elements[e]
-            K, f, cache = _local_blocks(mesh, config, table, conn, condensed=condensed)
-            extra = None
-            if fine_offset is not None:
-                extra = fine_offset + e * dim + np.arange(dim)
-            idx = _scatter(dofmap, conn, extra)
-            rows.append(np.repeat(idx, idx.size))
-            cols.append(np.tile(idx, idx.size))
-            vals.append(K.ravel())
-            np.add.at(rhs, idx, f)
-            if cache is not None:
-                caches.append(
-                    CondensationCache(element=e, Kff=cache.Kff, Kfc=cache.Kfc,
-                                      Kfp=cache.Kfp, f_f=cache.f_f)
-                )
-        return rows, cols, vals, rhs, caches
-
-    starts = list(range(0, mesh.n_elements, _CHUNK))
-    n_threads = min(_thread_cap(), len(starts)) or 1
-    if n_threads > 1:
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            results = list(pool.map(do_chunk, starts))
-    else:
-        results = [do_chunk(s) for s in starts]
-
-    rows = np.concatenate([r for res in results for r in res[0]])
-    cols = np.concatenate([c for res in results for c in res[1]])
-    vals = np.concatenate([v for res in results for v in res[2]])
-    rhs = np.zeros(total)
-    for res in results:
-        rhs += res[3]
-    caches = [c for res in results for c in res[4]]
-    matrix = SparseMatrix.from_triplets(total, total, rows, cols, vals)
-    return LinearSystem(matrix, rhs), caches
+def _assemble(mesh, config, dofmap, condensed=True):
+    """Global system from the element stacks; each of the matrix and the
+    right-hand side is scattered in one call."""
+    K, f, fine = _element_stacks(mesh, config, condensed=condensed)
+    elements = mesh.elements
+    idx = [dofmap.velocity_dofs(elements), dofmap.pressure_dofs(elements)]
+    total = dofmap.total
+    if not condensed:
+        n_fine = mesh.n_elements * mesh.dim
+        idx.append(total + np.arange(n_fine).reshape(mesh.n_elements, mesh.dim))
+        total += n_fine
+    idx = np.concatenate(idx, axis=1)
+    system = LinearSystem(assemble_blocks(total, idx, K), assemble_vector(total, idx, f))
+    return system, fine
 
 
 def assemble(mesh: Mesh, config: FormulationConfig, dofmap: DofMap = None) -> LinearSystem:
     """Assemble the global (unconstrained) system for the configured scheme."""
     dofmap = dofmap or build_dofmap(mesh)
-    if config.scheme == "enriched":
-        system, _ = assemble_enriched(mesh, config, dofmap)
-        return system
-    system, _ = _assemble_chunks(mesh, config, dofmap, dofmap.total)
+    system, _ = _assemble(mesh, config, dofmap)
     return system
 
 
 def assemble_enriched(mesh: Mesh, config: FormulationConfig, dofmap: DofMap = None):
-    """Condensed enriched system plus per-element condensation caches."""
+    """Condensed enriched system plus the stacked fine-scale blocks."""
     dofmap = dofmap or build_dofmap(mesh)
     if config.scheme != "enriched":
         raise ValueError("assemble_enriched requires scheme='enriched'")
-    return _assemble_chunks(mesh, config, dofmap, dofmap.total)
+    return _assemble(mesh, config, dofmap)
 
 
 def assemble_enriched_full(mesh: Mesh, config: FormulationConfig, dofmap: DofMap = None):
@@ -334,24 +289,19 @@ def assemble_enriched_full(mesh: Mesh, config: FormulationConfig, dofmap: DofMap
     dofmap = dofmap or build_dofmap(mesh)
     if config.scheme != "enriched":
         raise ValueError("assemble_enriched_full requires scheme='enriched'")
-    total = dofmap.total + mesh.n_elements * mesh.dim
-    system, _ = _assemble_chunks(
-        mesh, config, dofmap, total, fine_offset=dofmap.total, condensed=False
-    )
+    system, _ = _assemble(mesh, config, dofmap, condensed=False)
     return system
 
 
-def recover_fine(solution, caches, mesh: Mesh, dofmap: DofMap) -> np.ndarray:
+def recover_fine(solution, fine: FineBlocks, mesh: Mesh, dofmap: DofMap) -> np.ndarray:
     """Fine-scale coefficients beta per element from the condensed solution."""
     solution = np.asarray(solution, dtype=float)
-    out = np.zeros((mesh.n_elements, mesh.dim))
-    for cache in caches:
-        conn = mesh.elements[cache.element]
-        v_e = solution[dofmap.velocity_dofs(conn)]
-        p_e = solution[dofmap.pressure_dofs(conn)]
-        rhs = cache.f_f - cache.Kfc @ v_e - cache.Kfp @ p_e
-        out[cache.element] = dense_inverse(cache.Kff) @ rhs
-    return out
+    v = solution[dofmap.velocity_dofs(mesh.elements)].reshape(
+        mesh.n_elements, -1, mesh.dim)
+    p = solution[dofmap.pressure_dofs(mesh.elements)]
+    rhs = (fine.f_f - np.einsum("ea,eai->ei", fine.s, v)
+           - np.einsum("eai,ea->ei", fine.kpf, p))
+    return rhs / fine.kff[:, None]
 
 
 def add_traction(system: LinearSystem, mesh: Mesh, tag: str, traction,

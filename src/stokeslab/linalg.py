@@ -70,19 +70,39 @@ class SparseMatrix:
         return A
 
     def matvec(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        out = np.zeros(self.n_rows)
-        np.add.at(out, self.rows, self.vals * x[self.cols])
-        return out
+        return self.to_scipy() @ np.asarray(x, dtype=float)
 
     def dense_block(self, row_idx, col_idx) -> np.ndarray:
         """Dense submatrix for the given row/column index arrays."""
         return self.to_scipy()[np.ix_(np.asarray(row_idx), np.asarray(col_idx))].toarray()
 
     def norm_inf(self) -> float:
-        out = np.zeros(self.n_rows)
-        np.add.at(out, self.rows, np.abs(self.vals))
-        return float(out.max()) if out.size else 0.0
+        if not self.n_rows:
+            return 0.0
+        # row sums as a product with ones: each row adds in column order
+        return float((abs(self.to_scipy()) @ np.ones(self.n_cols)).max())
+
+
+def assemble_blocks(n, idx, blocks) -> SparseMatrix:
+    """n x n matrix summed from dense blocks (n_blocks, k, k), block b
+    placed on the rows and columns idx[b] (idx is (n_blocks, k))."""
+    k = idx.shape[1]
+    rows = np.repeat(idx, k, axis=1)
+    cols = np.tile(idx, k)
+    return SparseMatrix.from_triplets(n, n, rows.ravel(), cols.ravel(), blocks.ravel())
+
+
+def assemble_vector(n, idx, values) -> np.ndarray:
+    """Length-n vector summed from values at the indices idx (same shape).
+
+    The sum goes through the sorted reduction of from_triplets, so the order
+    of the entries cannot change the result's bytes.
+    """
+    col = SparseMatrix.from_triplets(n, 1, idx.ravel(),
+                                     np.zeros(idx.size, dtype=np.intp), values.ravel())
+    out = np.zeros(n)
+    out[col.rows] += col.vals  # adding to +0.0 also turns a -0.0 sum into +0.0
+    return out
 
 
 @dataclass
@@ -128,8 +148,12 @@ def apply_constraints(system: LinearSystem) -> LinearSystem:
 
 
 def solve_direct(system: LinearSystem, pivot_rtol: float = 1e-14,
-                 residual_rtol: float = 1e-10) -> np.ndarray:
+                 residual_rtol: float = 1e-10) -> tuple[np.ndarray, float]:
     """Direct sparse-LU solve with a residual check.
+
+    Returns the solution x and its relative residual
+    max|A x - b| / (|A|_inf max|x| + max|b|), the quantity checked against
+    residual_rtol (0 when the denominator is 0).
 
     Raises SingularMatrixError when a pivot falls below pivot_rtol times the
     largest pivot: the signature of a missing pressure constraint or of an
@@ -160,13 +184,12 @@ def solve_direct(system: LinearSystem, pivot_rtol: float = 1e-14,
     if pivots.min() >= 1e-14 * scale:
         x = x + lu.solve(b - A.matvec(x))
     denom = A.norm_inf() * np.abs(x).max() + np.abs(b).max()
-    if denom > 0:
-        res = np.abs(A.matvec(x) - b).max() / denom
-        if res > residual_rtol:
-            raise SolveAccuracyError(
-                f"solve residual {res:.3e} exceeds {residual_rtol:.1e}"
-            )
-    return x
+    res = float(np.abs(A.matvec(x) - b).max() / denom) if denom > 0 else 0.0
+    if res > residual_rtol:
+        raise SolveAccuracyError(
+            f"solve residual {res:.3e} exceeds {residual_rtol:.1e}"
+        )
+    return x, res
 
 
 def dense_inverse(A) -> np.ndarray:
@@ -185,49 +208,12 @@ def dense_inverse(A) -> np.ndarray:
     return inv
 
 
-def _jacobi_eig_sym(A, max_sweeps=100, rtol=1e-12):
-    """Cyclic Jacobi diagonalization of a symmetric matrix."""
-    A = np.array(A, dtype=float)
-    n = A.shape[0]
-    V = np.eye(n)
-    normF = np.linalg.norm(A)
-    if normF == 0.0:
-        return np.zeros(n), V
-    for _ in range(max_sweeps):
-        off = np.sqrt(max(np.sum(A**2) - np.sum(np.diag(A) ** 2), 0.0))
-        if off <= rtol * normF:
-            break
-        thresh = off / n
-        for p in range(n - 1):
-            row = A[p, p + 1:]
-            for q in (np.nonzero(np.abs(row) > 0.1 * thresh)[0] + p + 1):
-                apq = A[p, q]
-                if apq == 0.0:
-                    continue
-                theta = 0.5 * (A[q, q] - A[p, p]) / apq
-                t = np.sign(theta) / (abs(theta) + np.hypot(1.0, theta))
-                if theta == 0.0:
-                    t = 1.0
-                c = 1.0 / np.hypot(1.0, t)
-                s = t * c
-                rp, rq = A[p, :].copy(), A[q, :].copy()
-                A[p, :] = c * rp - s * rq
-                A[q, :] = s * rp + c * rq
-                cp, cq = A[:, p].copy(), A[:, q].copy()
-                A[:, p] = c * cp - s * cq
-                A[:, q] = s * cp + c * cq
-                vp, vq = V[:, p].copy(), V[:, q].copy()
-                V[:, p] = c * vp - s * vq
-                V[:, q] = s * vp + c * vq
-    return np.diag(A).copy(), V
-
-
 def eig_sym_generalized(S, M):
     """Solve S q = lambda M q for symmetric S and SPD M.
 
-    Uses the Cholesky reduction M = L L^T followed by cyclic Jacobi on
-    L^-1 S L^-T.  Returns eigenvalues in ascending order and the matrix of
-    M-orthonormal eigenvectors (one per column).
+    Uses the Cholesky reduction M = L L^T followed by LAPACK's symmetric
+    eigensolver on L^-1 S L^-T.  Returns eigenvalues in ascending order and
+    the matrix of M-orthonormal eigenvectors (one per column).
     """
     S = np.asarray(S, dtype=float)
     M = np.asarray(M, dtype=float)
@@ -244,8 +230,6 @@ def eig_sym_generalized(S, M):
     Linv_S = np.linalg.solve(L, S)
     C = np.linalg.solve(L, Linv_S.T).T  # L^-1 S L^-T
     C = 0.5 * (C + C.T)
-    lam, U = _jacobi_eig_sym(C)
-    order = np.argsort(lam)
-    lam = lam[order]
-    Q = np.linalg.solve(L.T, U[:, order])
+    lam, U = np.linalg.eigh(C)
+    Q = np.linalg.solve(L.T, U)
     return lam, Q

@@ -67,6 +67,10 @@ class Mesh:
             raise MeshError(f"dim {self.dim} inconsistent with kind {self.kind.value}")
         if self.nodes.ndim != 2 or self.nodes.shape[1] != self.dim:
             raise MeshError("nodes must be (n_nodes, dim)")
+        finite = np.isfinite(self.nodes).all(axis=1)
+        if not finite.all():
+            n = int(np.argmin(finite))
+            raise MeshError(f"node {n} has a non-finite coordinate {self.nodes[n].tolist()}")
         nen = self.kind.nodes_per_element
         if self.elements.ndim != 2 or self.elements.shape[1] != nen:
             raise MeshError(f"elements must have {nen} nodes for {self.kind.value}")
@@ -83,8 +87,9 @@ class Mesh:
         coords = self.nodes[self.elements]  # (nel, nen, dim)
         J = np.einsum("eni,pnm->epim", coords, table.DN)
         dets = np.linalg.det(J)
-        if np.any(dets <= 0):
-            e = int(np.nonzero(np.any(dets <= 0, axis=1))[0][0])
+        bad = ~(dets > 0)  # also catches NaN
+        if np.any(bad):
+            e = int(np.nonzero(np.any(bad, axis=1))[0][0])
             raise MeshError(
                 f"element {e} is inverted (min detJ={dets[e].min():.3e})"
             )

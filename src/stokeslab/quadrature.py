@@ -93,15 +93,13 @@ def _tet_conical(n: int) -> QuadratureRule:
 
 
 @lru_cache(maxsize=None)
-def rule_for(kind: ElementKind, formulation_needs: str = "stabilized") -> QuadratureRule:
+def rule_for(kind: ElementKind) -> QuadratureRule:
     """Return the quadrature rule used for a given element kind.
 
-    The high-order rule is the default for every formulation: it integrates
-    every bubble/stabilization integrand exactly (|grad b|^2 is degree 4 on
-    T3, degree 6 on TET4, degree (2,4) on Q4 factors).
+    One high-order rule serves every formulation: it integrates every
+    bubble/stabilization integrand exactly (|grad b|^2 is degree 4 on T3,
+    degree 6 on TET4, degree (2,4) on Q4 factors).
     """
-    if formulation_needs not in ("galerkin", "stabilized", "enriched"):
-        raise ValueError(f"unknown formulation_needs {formulation_needs!r}")
     if kind is ElementKind.Q4:
         return _tensor_gauss(2, 3)
     if kind is ElementKind.B8:

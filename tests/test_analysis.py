@@ -84,12 +84,13 @@ def test_linear_fields_reproduced_exactly():
     case = type(base)(
         name="linear", dim=2, dirichlet=base.dirichlet, body_force=None,
         pressure_pin=base.pressure_pin, nu=1.0,
-        exact_velocity=lambda x: np.array([2 * x[0] - x[1], x[0] + 3 * x[1]]),
-        exact_pressure=lambda x: 1.0 + 4 * x[0] - 2 * x[1],
-        exact_pressure_grad=lambda x: np.array([4.0, -2.0]),
+        exact_velocity=lambda x: np.stack(
+            [2 * x[..., 0] - x[..., 1], x[..., 0] + 3 * x[..., 1]], axis=-1),
+        exact_pressure=lambda x: 1.0 + 4 * x[..., 0] - 2 * x[..., 1],
+        exact_pressure_grad=lambda x: np.broadcast_to([4.0, -2.0], x.shape),
     )
-    v = np.array([case.exact_velocity(x) for x in mesh.nodes])
-    p = np.array([case.exact_pressure(x) for x in mesh.nodes])
+    v = case.exact_velocity(mesh.nodes)
+    p = case.exact_pressure(mesh.nodes)
     rep = error_norms(_field(mesh, v, p, case), case, mesh)
     assert rep.velocity_l2 < 1e-12
     assert rep.pressure_h1semi < 1e-12

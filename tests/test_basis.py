@@ -11,10 +11,8 @@ from stokeslab.basis import (
     eval_basis,
     eval_bubble,
     jacobian_calc,
-    kron,
     laplacian_physical,
     shape_laplacians,
-    vec,
 )
 from stokeslab.kinds import ElementKind
 from stokeslab.quadrature import rule_for
@@ -284,18 +282,16 @@ def test_element_geometry_matches_pointwise_calculus(kind, rng):
         )
 
 
-# ------------------------------------------------------------------ kron / vec
-
-def test_vec_row_major():
-    assert np.array_equal(vec([[1, 2], [3, 4]]), [1, 2, 3, 4])
-
-
-def test_kron_identity():
-    assert np.array_equal(kron(np.eye(2), np.eye(2)), np.eye(4))
-
-
-def test_kron_vector_identity_blocks():
-    g = np.array([[2.0], [3.0]])
-    B = kron(g, np.eye(2))
-    assert np.array_equal(B, [[2, 0], [0, 2], [3, 0], [0, 3]])
-    assert np.allclose(B.T @ B, (4 + 9) * np.eye(2))
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_element_geometry_of_a_stack_matches_each_element(kind, rng):
+    coords = np.stack([distorted_element(kind, rng, amount=0.1) for _ in range(5)])
+    table = basis_table(kind, rule_for(kind))
+    stack = element_geometry(table, coords)
+    for e in range(len(coords)):
+        alone = element_geometry(table, coords[e])
+        for name in ("detJ", "Jinv", "divJinv", "G", "lapN", "gb", "lapb", "x", "wdet"):
+            assert getattr(stack, name)[e].tobytes() == getattr(alone, name).tobytes()
+    coords[3, 0, 0] = np.nan
+    with np.errstate(invalid="ignore"), pytest.raises(SingularJacobianError,
+                                                      match="element 3"):
+        element_geometry(table, coords)

@@ -71,6 +71,28 @@ def test_bad_mesh_spec_is_usage_error():
                  "--mesh", "/no/such/file.mesh"]) == 2
 
 
+def test_non_finite_mesh_coordinate_is_usage_error(tmp_path, capsys):
+    from stokeslab.kinds import ElementKind
+    from stokeslab.mesh import generate_grid, write_mesh
+
+    path = tmp_path / "nan.mesh"
+    write_mesh(generate_grid(ElementKind.Q4, 2), path)
+    lines = path.read_text().splitlines()
+    lines[lines.index("nodes 9") + 5] = "nan 0.5"  # node 4, the centre
+    path.write_text("\n".join(lines) + "\n")
+    code = main(["run", "--case", "patch", "--formulation", "svm",
+                 "--mesh", str(path)])
+    assert code == 2
+    assert "node 4" in capsys.readouterr().err
+
+
+def test_non_finite_viscosity_is_usage_error(capsys):
+    code = main(["run", "--case", "patch", "--formulation", "svm",
+                 "--mesh", "grid:Q4:4x4", "--nu", "nan"])
+    assert code == 2
+    assert "nu" in capsys.readouterr().err
+
+
 def test_singular_solve_is_numerical_failure(capsys):
     # equal-order Galerkin on a square grid retains a checkerboard mode:
     # the pinned system is singular

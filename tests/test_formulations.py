@@ -16,8 +16,14 @@ from stokeslab.formulations import (
     tau_at,
 )
 from stokeslab.kinds import ElementKind
-from stokeslab.linalg import LinearSystem, SparseMatrix, apply_constraints, solve_direct
-from stokeslab.mesh import generate_grid
+from stokeslab.linalg import (
+    LinearSystem,
+    SingularMatrixError,
+    SparseMatrix,
+    apply_constraints,
+    solve_direct,
+)
+from stokeslab.mesh import Mesh, generate_grid
 
 
 # -------------------------------------------------------------------- config
@@ -31,6 +37,14 @@ def test_config_validation():
         FormulationConfig(scheme="galerkin", bp_epsilon=-1.0)
     with pytest.raises(ValueError, match="bp_epsilon"):
         FormulationConfig(scheme="svm", bp_epsilon=0.1)
+    with pytest.raises(ValueError, match="nu"):
+        FormulationConfig(scheme="galerkin", nu=float("nan"))
+    with pytest.raises(ValueError, match="nu"):
+        FormulationConfig(scheme="galerkin", nu=float("inf"))
+    with pytest.raises(ValueError, match="bp_epsilon"):
+        FormulationConfig(scheme="galerkin", bp_epsilon=float("nan"))
+    with pytest.raises(ValueError, match="bp_epsilon"):
+        FormulationConfig(scheme="galerkin", bp_epsilon=float("inf"))
     FormulationConfig(scheme="enriched", bp_epsilon=0.1)  # allowed
 
 
@@ -52,16 +66,16 @@ def test_dofmap_dense_and_disjoint():
 def test_tau_reference_square():
     coords = REFERENCE_CORNERS[ElementKind.Q4]
     wvm = tau_at("wvm", ElementKind.Q4, coords, (0.0, 0.0))
-    assert wvm.value == pytest.approx((16.0 / 9.0) / (256.0 / 45.0), rel=1e-13)
-    assert wvm.value == pytest.approx(0.3125, rel=1e-13)
+    assert wvm == pytest.approx((16.0 / 9.0) / (256.0 / 45.0), rel=1e-13)
+    assert wvm == pytest.approx(0.3125, rel=1e-13)
     svm = tau_at("svm", ElementKind.Q4, coords, (0.0, 0.0))
-    assert svm.value == pytest.approx(-0.25, rel=1e-13)
+    assert svm == pytest.approx(-0.25, rel=1e-13)
 
 
 def test_tau_unit_right_triangle_centroid():
     coords = REFERENCE_CORNERS[ElementKind.T3]
     svm = tau_at("svm", ElementKind.T3, coords, (1 / 3, 1 / 3))
-    assert svm.value == pytest.approx(-1.0 / 36.0, rel=1e-13)
+    assert svm == pytest.approx(-1.0 / 36.0, rel=1e-13)
 
 
 @pytest.mark.parametrize("kind", list(ElementKind))
@@ -71,8 +85,8 @@ def test_tau_signs_at_interior_points(kind, rng):
     coords = REFERENCE_CORNERS[kind]
     for _ in range(10):
         xi = random_interior_point(kind, rng)
-        assert tau_at("wvm", kind, coords, xi).value > 0
-        assert tau_at("svm", kind, coords, xi).value < 0
+        assert tau_at("wvm", kind, coords, xi) > 0
+        assert tau_at("svm", kind, coords, xi) < 0
 
 
 def test_tau_requires_stabilized_scheme():
@@ -84,8 +98,8 @@ def test_tau_requires_stabilized_scheme():
 def test_svm_tau_scales_with_squared_element_size(kind):
     coords = REFERENCE_CORNERS[kind]
     xi = np.full(kind.dim, 0.1)
-    t1 = tau_at("svm", kind, coords, xi).value
-    t2 = tau_at("svm", kind, 2.0 * coords, xi).value
+    t1 = tau_at("svm", kind, coords, xi)
+    t2 = tau_at("svm", kind, 2.0 * coords, xi)
     assert t2 / t1 == pytest.approx(4.0, abs=1e-9)
 
 
@@ -195,23 +209,31 @@ def test_brezzi_pitkaranta_block_negative_semidefinite():
 
 def test_enriched_fine_block_reference_square():
     mesh = generate_grid(ElementKind.Q4, 1, extent=((-1, -1), (1, 1)))
-    _, caches = assemble_enriched(mesh, FormulationConfig(scheme="enriched"))
-    assert len(caches) == 1
-    assert np.allclose(caches[0].Kff, (512.0 / 45.0) * np.eye(2), rtol=1e-13)
+    _, fine = assemble_enriched(mesh, FormulationConfig(scheme="enriched"))
+    assert fine.kff.shape == (1,)
+    assert fine.kff[0] == pytest.approx(512.0 / 45.0, rel=1e-13)
 
 
 def test_enriched_zero_body_force_gives_zero_fine_rhs():
     mesh = generate_grid(ElementKind.Q4, 2)
-    _, caches = assemble_enriched(mesh, FormulationConfig(scheme="enriched"))
-    for cache in caches:
-        assert np.allclose(cache.f_f, 0.0)
+    _, fine = assemble_enriched(mesh, FormulationConfig(scheme="enriched"))
+    assert fine.f_f.shape == (mesh.n_elements, 2)
+    assert np.allclose(fine.f_f, 0.0)
+
+
+def test_enriched_non_finite_fine_block_names_the_element():
+    mesh = generate_grid(ElementKind.Q4, 2)
+    config = FormulationConfig(scheme="enriched", nu=1e308)  # 2 * nu overflows
+    with np.errstate(all="ignore"), pytest.raises(SingularMatrixError,
+                                                  match="fine block in element 0"):
+        assemble_enriched(mesh, config)
 
 
 def test_enriched_zero_data_recovers_zero_fine_field():
     mesh = generate_grid(ElementKind.Q4, 2)
     dofmap = build_dofmap(mesh)
-    _, caches = assemble_enriched(mesh, FormulationConfig(scheme="enriched"), dofmap)
-    beta = recover_fine(np.zeros(dofmap.total), caches, mesh, dofmap)
+    _, fine = assemble_enriched(mesh, FormulationConfig(scheme="enriched"), dofmap)
+    beta = recover_fine(np.zeros(dofmap.total), fine, mesh, dofmap)
     assert np.allclose(beta, 0.0)
 
 
@@ -222,15 +244,15 @@ def _solve_condensed_and_full(mesh, bp_epsilon):
     dofmap = build_dofmap(mesh)
     config = FormulationConfig(scheme="enriched", nu=case.nu,
                                bp_epsilon=bp_epsilon, body_force=case.body_force)
-    cond, caches = assemble_enriched(mesh, config, dofmap)
+    cond, fine = assemble_enriched(mesh, config, dofmap)
     cons = case_constraints(case, mesh, dofmap)
     cond.constraints = cons
-    x_cond = solve_direct(apply_constraints(cond))
-    beta = recover_fine(x_cond, caches, mesh, dofmap)
+    x_cond, _ = solve_direct(apply_constraints(cond))
+    beta = recover_fine(x_cond, fine, mesh, dofmap)
 
     full = assemble_enriched_full(mesh, config, dofmap)
     full.constraints = dict(cons)
-    x_full = solve_direct(apply_constraints(full))
+    x_full, _ = solve_direct(apply_constraints(full))
     return x_cond, beta, x_full, dofmap
 
 
@@ -265,24 +287,22 @@ def test_assemble_enriched_rejects_other_schemes():
         assemble_enriched_full(mesh, FormulationConfig(scheme="galerkin"))
 
 
-# ----------------------------------------------------------- thread determinism
+# ------------------------------------------------------ element-order determinism
 
-def test_assembly_independent_of_thread_count(monkeypatch):
+def test_assembly_independent_of_element_order(rng):
     mesh = generate_grid(ElementKind.Q4, 7)
-    config = FormulationConfig(scheme="svm")
-    monkeypatch.setenv("STOKESLAB_THREADS", "1")
+    shuffled = Mesh(dim=mesh.dim, nodes=mesh.nodes,
+                    elements=mesh.elements[rng.permutation(mesh.n_elements)],
+                    kind=mesh.kind, boundary_sets=mesh.boundary_sets)
+    config = FormulationConfig(scheme="svm", nu=0.5,
+                               body_force=case_by_name("body_force_cavity").body_force)
     one = assemble(mesh, config)
-    monkeypatch.setenv("STOKESLAB_THREADS", "4")
-    four = assemble(mesh, config)
-    assert one.matrix.vals.tobytes() == four.matrix.vals.tobytes()
-    assert np.array_equal(one.rhs, four.rhs)
-
-
-def test_bad_thread_env_rejected(monkeypatch):
-    mesh = generate_grid(ElementKind.Q4, 2)
-    monkeypatch.setenv("STOKESLAB_THREADS", "lots")
-    with pytest.raises(ValueError, match="STOKESLAB_THREADS"):
-        assemble(mesh, FormulationConfig(scheme="galerkin"))
+    two = assemble(shuffled, config)
+    assert np.array_equal(one.matrix.rows, two.matrix.rows)
+    assert np.array_equal(one.matrix.cols, two.matrix.cols)
+    assert one.matrix.vals.tobytes() == two.matrix.vals.tobytes()
+    assert np.abs(one.rhs).max() > 0
+    assert one.rhs.tobytes() == two.rhs.tobytes()
 
 
 # -------------------------------------------------------------------- traction

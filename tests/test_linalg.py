@@ -93,7 +93,7 @@ def test_constraining_dof_to_exact_value_preserves_solution(rng):
     x_exact = rng.standard_normal(n)
     b = A @ x_exact
     sys0 = _system_from_dense(A, b, {3: float(x_exact[3])})
-    x = solve_direct(apply_constraints(sys0))
+    x, _ = solve_direct(apply_constraints(sys0))
     assert np.allclose(x, x_exact, atol=1e-10)
 
 
@@ -101,7 +101,8 @@ def test_apply_constraints_marks_system_applied():
     sys0 = _system_from_dense(np.eye(2), [0.0, 0.0], {0: 1.0})
     out = apply_constraints(sys0)
     assert out.constraints_applied
-    assert solve_direct(out)[0] == 1.0
+    x, _ = solve_direct(out)
+    assert x[0] == 1.0
 
 
 def test_solve_requires_constraints_applied():
@@ -113,12 +114,13 @@ def test_solve_requires_constraints_applied():
 # ----------------------------------------------------------------- direct solve
 
 def test_identity_solve():
-    x = solve_direct(_system_from_dense(np.eye(3), [1.0, 0.0, 0.0]))
+    x, res = solve_direct(_system_from_dense(np.eye(3), [1.0, 0.0, 0.0]))
+    assert res == 0.0
     assert np.allclose(x, [1.0, 0.0, 0.0])
 
 
 def test_small_hand_solved_system():
-    x = solve_direct(_system_from_dense([[2.0, 1.0], [1.0, 3.0]], [3.0, 5.0]))
+    x, _ = solve_direct(_system_from_dense([[2.0, 1.0], [1.0, 3.0]], [3.0, 5.0]))
     assert np.allclose(x, [0.8, 1.4], atol=1e-14)
 
 
@@ -127,10 +129,11 @@ def test_random_spd_residual(rng):
     A = rng.standard_normal((n, n))
     A = A.T @ A + np.eye(n)
     b = rng.standard_normal(n)
-    x = solve_direct(_system_from_dense(A, b))
+    x, reported = solve_direct(_system_from_dense(A, b))
     res = np.abs(A @ x - b).max() / (np.abs(A).sum(axis=1).max() * np.abs(x).max()
                                      + np.abs(b).max())
     assert res < 1e-10
+    assert 0.0 <= reported < 1e-10
 
 
 def test_singular_matrix_detected():
@@ -146,7 +149,7 @@ def test_pivot_escape_hatch_with_relaxed_residual():
     sys0 = _system_from_dense(A, [1.0, 0.0])
     with pytest.raises(SingularMatrixError):
         solve_direct(sys0)
-    x = solve_direct(sys0, pivot_rtol=0.0, residual_rtol=np.inf)
+    x, _ = solve_direct(sys0, pivot_rtol=0.0, residual_rtol=np.inf)
     assert x[0] == pytest.approx(1.0)
 
 

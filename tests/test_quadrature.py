@@ -83,11 +83,6 @@ def test_triangle_bubble_integral():
     assert val == pytest.approx(1.0 / 120.0, rel=1e-13)
 
 
-def test_unknown_formulation_needs_rejected():
-    with pytest.raises(ValueError, match="formulation_needs"):
-        rule_for(ElementKind.Q4, "bogus")
-
-
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_facet_rule_measures(kind):
     rule = facet_rule(kind)
