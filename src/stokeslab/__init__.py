@@ -45,6 +45,7 @@ from .linalg import (
     apply_constraints,
     eig_sym_generalized,
     solve_direct,
+    solve_schur,
 )
 from .mesh import Mesh, MeshError, generate_grid, load_mesh, write_mesh, wct_fixture_path
 from .quadrature import QuadratureRule, facet_rule, rule_for

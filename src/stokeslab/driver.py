@@ -15,7 +15,7 @@ from .formulations import (
     build_dofmap,
     recover_fine,
 )
-from .linalg import solve_direct
+from .linalg import solve_direct, solve_schur
 from .mesh import Mesh
 
 
@@ -30,6 +30,8 @@ class SolutionField:
     pressure: np.ndarray    # (n_nodes,)
     fine: np.ndarray | None  # (n_elements, dim) bubble coefficients
     residual: float
+    solver: str             # "schur-cg" or "lu"
+    iterations: int         # CG iterations (0 for lu)
 
 
 def solve_case(case: TestCase, mesh: Mesh, scheme: str, *,
@@ -37,6 +39,13 @@ def solve_case(case: TestCase, mesh: Mesh, scheme: str, *,
                pivot_rtol: float = 1e-14,
                residual_rtol: float = 1e-10) -> SolutionField:
     """Assemble, constrain, and solve one benchmark problem.
+
+    wvm and svm systems are solved by CG on the pressure Schur complement
+    (``linalg.solve_schur``); where that route refuses the system (an
+    indefinite velocity block, no convergence, a residual above
+    ``residual_rtol``), and always for galerkin and enriched, whose pivot
+    diagnostics matter, the sparse LU of ``linalg.solve_direct`` solves it.
+    ``solver`` and ``iterations`` on the result say which one ran.
 
     ``pivot_rtol=0`` lets exactly singular-but-consistent systems (the
     enriched Q4/B8 patch test) run to completion so the unstable pressure
@@ -55,8 +64,17 @@ def solve_case(case: TestCase, mesh: Mesh, scheme: str, *,
     else:
         system = assemble(mesh, config, dofmap)
     constrained = apply_case(case, mesh, dofmap, system)
-    x, res = solve_direct(constrained, pivot_rtol=pivot_rtol,
-                          residual_rtol=residual_rtol)
+    solved = None
+    if scheme in ("wvm", "svm"):
+        solved = solve_schur(constrained, dofmap.n_velocity, mesh.dim,
+                             residual_rtol=residual_rtol, pivot_rtol=pivot_rtol)
+    if solved is None:
+        x, res = solve_direct(constrained, pivot_rtol=pivot_rtol,
+                              residual_rtol=residual_rtol)
+        solver, iterations = "lu", 0
+    else:
+        x, res, iterations = solved
+        solver = "schur-cg"
     velocity = x[: dofmap.n_velocity].reshape(mesh.n_nodes, mesh.dim)
     pressure = x[dofmap.n_velocity:]
     fine = None
@@ -65,4 +83,5 @@ def solve_case(case: TestCase, mesh: Mesh, scheme: str, *,
     return SolutionField(
         case=case, scheme=scheme, mesh=mesh, dofmap=dofmap, values=x,
         velocity=velocity, pressure=pressure, fine=fine, residual=res,
+        solver=solver, iterations=iterations,
     )

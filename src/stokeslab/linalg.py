@@ -1,4 +1,5 @@
-"""Sparse assembly, direct solves, and a generalized symmetric eigensolver.
+"""Sparse assembly, direct and Schur-complement solves, and a generalized
+symmetric eigensolver.
 
 The triplet accumulation is deterministic and permutation-invariant: entries
 are sorted by (row, col, value) before duplicate summation, so shuffled
@@ -14,12 +15,18 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 
+# solve_schur: CG stops when its residual falls to CG_RTOL times the reduced
+# right-hand side, and gives up after CG_MAXITER iterations
+CG_RTOL = 1e-13
+CG_MAXITER = 1000
+
+
 class SingularMatrixError(RuntimeError):
     """Raised when a factorization meets a (near-)zero pivot."""
 
 
 class SolveAccuracyError(RuntimeError):
-    """Raised when a direct solve fails its residual check."""
+    """Raised when a solve fails its residual check or is not finite."""
 
 
 @dataclass(frozen=True)
@@ -51,6 +58,11 @@ class SparseMatrix:
             starts = np.nonzero(new_group)[0]
             vals = np.add.reduceat(vals, starts)
             rows, cols = rows[starts], cols[starts]
+        return cls._canonical(n_rows, n_cols, rows, cols, vals)
+
+    @classmethod
+    def _canonical(cls, n_rows, n_cols, rows, cols, vals) -> "SparseMatrix":
+        """Matrix from triplets already sorted by (row, col) and unique."""
         for a in (rows, cols, vals):
             a.setflags(write=False)
         return cls(n_rows=n_rows, n_cols=n_cols, rows=rows, cols=cols, vals=vals)
@@ -77,10 +89,20 @@ class SparseMatrix:
         return self.to_scipy()[np.ix_(np.asarray(row_idx), np.asarray(col_idx))].toarray()
 
     def norm_inf(self) -> float:
-        if not self.n_rows:
-            return 0.0
-        # row sums as a product with ones: each row adds in column order
-        return float((abs(self.to_scipy()) @ np.ones(self.n_cols)).max())
+        return _norm_inf(self.to_scipy())
+
+
+def _norm_inf(csr) -> float:
+    if not csr.shape[0]:
+        return 0.0
+    # row sums as a product with ones: each row adds in column order
+    return float((abs(csr) @ np.ones(csr.shape[1])).max())
+
+
+def _residual(csr, x, b) -> float:
+    """max|A x - b| / (|A|_inf max|x| + max|b|), 0 when the denominator is 0."""
+    denom = _norm_inf(csr) * np.abs(x).max() + np.abs(b).max()
+    return float(np.abs(csr @ x - b).max() / denom) if denom > 0 else 0.0
 
 
 def assemble_blocks(n, idx, blocks) -> SparseMatrix:
@@ -139,11 +161,15 @@ def apply_constraints(system: LinearSystem) -> LinearSystem:
     np.add.at(rhs, A.rows[col_con], -A.vals[col_con] * cvals[A.cols[col_con]])
 
     con_idx = np.nonzero(is_con)[0]
-    rows = np.concatenate([A.rows[keep], con_idx])
-    cols = np.concatenate([A.cols[keep], con_idx])
-    vals = np.concatenate([A.vals[keep], np.ones(con_idx.size)])
+    rows, cols, vals = A.rows[keep], A.cols[keep], A.vals[keep]
+    # the kept entries are still sorted and unique; the identity entries go
+    # in at their sorted places, so the result needs no new sort
+    at = np.searchsorted(rows * n + cols, con_idx * n + con_idx)
+    rows = np.insert(rows, at, con_idx)
+    cols = np.insert(cols, at, con_idx)
+    vals = np.insert(vals, at, 1.0)
     rhs[con_idx] = cvals[con_idx]
-    matrix = SparseMatrix.from_triplets(A.n_rows, A.n_cols, rows, cols, vals)
+    matrix = SparseMatrix._canonical(A.n_rows, A.n_cols, rows, cols, vals)
     return LinearSystem(matrix, rhs, dict(system.constraints), constraints_applied=True)
 
 
@@ -158,16 +184,17 @@ def solve_direct(system: LinearSystem, pivot_rtol: float = 1e-14,
     Raises SingularMatrixError when a pivot falls below pivot_rtol times the
     largest pivot: the signature of a missing pressure constraint or of an
     exactly singular (unstable) formulation.  Set pivot_rtol=0 to attempt the
-    back-substitution anyway and observe the unstable solution.
+    back-substitution anyway and observe the unstable solution.  Raises
+    SolveAccuracyError when x is not finite or its residual is too large.
     """
-    A = system.matrix
-    if A.n_rows != A.n_cols:
+    if system.matrix.n_rows != system.matrix.n_cols:
         raise ValueError("matrix must be square")
     if system.constraints and not system.constraints_applied:
         raise ValueError("apply_constraints before solving")
+    A = system.matrix.to_scipy()  # one CSR for the factor, matvecs and norm
     b = np.asarray(system.rhs, dtype=float)
     try:
-        lu = spla.splu(A.to_scipy().tocsc())
+        lu = spla.splu(A.tocsc())
     except RuntimeError as exc:
         raise SingularMatrixError(str(exc)) from exc
     pivots = np.abs(lu.U.diagonal())
@@ -182,9 +209,10 @@ def solve_direct(system: LinearSystem, pivot_rtol: float = 1e-14,
     # factorization is numerically singular (pivot_rtol = 0 escape hatch),
     # where the correction would only add arbitrary null-space content
     if pivots.min() >= 1e-14 * scale:
-        x = x + lu.solve(b - A.matvec(x))
-    denom = A.norm_inf() * np.abs(x).max() + np.abs(b).max()
-    res = float(np.abs(A.matvec(x) - b).max() / denom) if denom > 0 else 0.0
+        x = x + lu.solve(b - A @ x)
+    if not np.all(np.isfinite(x)):
+        raise SolveAccuracyError("solution is not finite")
+    res = _residual(A, x, b)
     if res > residual_rtol:
         raise SolveAccuracyError(
             f"solve residual {res:.3e} exceeds {residual_rtol:.1e}"
@@ -192,20 +220,116 @@ def solve_direct(system: LinearSystem, pivot_rtol: float = 1e-14,
     return x, res
 
 
-def dense_inverse(A) -> np.ndarray:
-    """Inverse of a small dense block (per-element fine-scale block)."""
-    A = np.asarray(A, dtype=float)
-    n = A.shape[0]
-    try:
-        inv = np.linalg.inv(A)
-    except np.linalg.LinAlgError as exc:
-        raise SingularMatrixError(f"singular fine block: {exc}") from exc
-    resid = np.abs(A @ inv - np.eye(n)).max()
-    if not np.isfinite(resid) or resid > 1e-12 * max(1.0, np.abs(A).max()):
-        raise SingularMatrixError(
-            f"fine block inversion residual {resid:.3e}; degenerate element"
-        )
-    return inv
+def solve_schur(system: LinearSystem, n_velocity: int, dim: int,
+                residual_rtol: float = 1e-10, pivot_rtol: float = 1e-14):
+    """Solve a stabilized saddle-point system by CG on its pressure Schur
+    complement, or return None where that route does not apply.
+
+    The first n_velocity unknowns are velocities, node-major with dim
+    components; the rest are pressures.  On the free (unconstrained) dofs
+    the system reads [V G; B K_pp] [v; p] = [f_v; f_p], where V must be
+    block-diagonal by velocity component.  Each component block is factored
+    once as an LDL^T (no row pivoting); preconditioned CG then solves
+    S p = B V^-1 f_v - f_p with S = B V^-1 G - K_pp and the preconditioner
+    diag(B diag(V)^-1 B^T) - diag(K_pp), and v = V^-1 (f_v - G p).
+
+    Returns (x, residual, cg_iterations), the residual as in solve_direct.
+    Returns None when a velocity entry couples two components, a component
+    factor pivoted rows or has a pivot <= pivot_rtol times its largest (V is
+    not positive definite), the preconditioner or q^T S q is not positive,
+    CG has not converged after CG_MAXITER iterations, x is not finite, or
+    the residual exceeds residual_rtol.
+    """
+    if system.constraints and not system.constraints_applied:
+        raise ValueError("apply_constraints before solving")
+    A = system.matrix.to_scipy()
+    b = np.asarray(system.rhs, dtype=float)
+    Avv = A[:n_velocity, :n_velocity].tocoo()
+    if np.any((Avv.row % dim != Avv.col % dim) & (Avv.data != 0)):
+        return None
+    free = np.ones(A.shape[0], dtype=bool)
+    free[list(system.constraints)] = False
+    # free dofs of each velocity component that has any
+    comps = [c + dim * np.flatnonzero(free[c:n_velocity:dim]) for c in range(dim)]
+    comps = [c for c in comps if c.size]
+    pf = n_velocity + np.flatnonzero(free[n_velocity:])
+    if not comps or pf.size == 0:
+        return None
+    blocks = [A[c][:, c].tocsc() for c in comps]
+    # components with the same free nodes have the same block (the velocity
+    # block is K (x) I): then one factor serves them all
+    shared = all(np.array_equal(comps[0] // dim, c // dim)
+                 and all(np.array_equal(getattr(blocks[0], a), getattr(k, a))
+                         for a in ("indptr", "indices", "data"))
+                 for c, k in zip(comps[1:], blocks[1:]))
+    lus = []
+    for k in blocks[:1] if shared else blocks:
+        try:
+            lu = spla.splu(k, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                           options=dict(SymmetricMode=True))
+        except RuntimeError:
+            return None
+        pivots = lu.U.diagonal()  # D of the LDL^T, whose signs are V's inertia
+        if (not np.array_equal(lu.perm_r, lu.perm_c)
+                or not pivots.min() > pivot_rtol * pivots.max()):
+            return None
+        lus.append(lu)
+    if shared:
+        def v_solve(y):
+            return lus[0].solve(y.reshape(len(comps), -1).T).T.ravel()
+    else:
+        cuts = np.cumsum([c.size for c in comps])[:-1]
+
+        def v_solve(y):
+            return np.concatenate([lu.solve(part)
+                                   for lu, part in zip(lus, np.split(y, cuts))])
+
+    vf = np.concatenate(comps)
+    Ap = A[pf]
+    B, Kpp = Ap[:, vf], Ap[:, pf]
+    G = A[vf][:, pf]
+    d = B.multiply(B) @ (1.0 / A.diagonal()[vf]) - Kpp.diagonal()
+    if not np.all(d > 0):
+        return None
+    f_v, f_p = b[vf], b[pf]
+    cg = _pcg(lambda q: B @ v_solve(G @ q) - Kpp @ q, B @ v_solve(f_v) - f_p, 1.0 / d)
+    if cg is None:
+        return None
+    p, iterations = cg
+    x = b.copy()  # constrained rows are identity rows
+    x[pf] = p
+    x[vf] = v_solve(f_v - G @ p)
+    if not np.all(np.isfinite(x)):
+        return None
+    res = _residual(A, x, b)
+    if res > residual_rtol:
+        return None
+    return x, res, iterations
+
+
+def _pcg(apply_S, g, d_inv):
+    """Preconditioned CG on S p = g from p = 0.  Returns (p, iterations), or
+    None when q^T S q <= 0 or when |r| > CG_RTOL |g| after CG_MAXITER steps."""
+    p, r = np.zeros_like(g), g
+    g_norm = np.linalg.norm(g)
+    if g_norm == 0:
+        return p, 0
+    z = d_inv * r
+    q, rz = z, r @ z
+    for it in range(1, CG_MAXITER + 1):
+        Sq = apply_S(q)
+        qSq = q @ Sq
+        if not qSq > 0:
+            return None
+        alpha = rz / qSq
+        p = p + alpha * q
+        r = r - alpha * Sq
+        if np.linalg.norm(r) <= CG_RTOL * g_norm:
+            return p, it
+        z = d_inv * r
+        rz, rz_old = r @ z, rz
+        q = z + (rz / rz_old) * q
+    return None
 
 
 def eig_sym_generalized(S, M):

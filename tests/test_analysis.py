@@ -24,7 +24,7 @@ def _field(mesh, velocity, pressure, case):
     values = np.concatenate([velocity.reshape(-1), pressure])
     return SolutionField(case=case, scheme="galerkin", mesh=mesh, dofmap=dofmap,
                         values=values, velocity=velocity, pressure=pressure,
-                        fine=None, residual=0.0)
+                        fine=None, residual=0.0, solver="lu", iterations=0)
 
 
 def test_mesh_size_uniform_square_grid():

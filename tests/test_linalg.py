@@ -11,9 +11,9 @@ from stokeslab.linalg import (
     SolveAccuracyError,
     SparseMatrix,
     apply_constraints,
-    dense_inverse,
     eig_sym_generalized,
     solve_direct,
+    solve_schur,
 )
 
 
@@ -97,6 +97,30 @@ def test_constraining_dof_to_exact_value_preserves_solution(rng):
     assert np.allclose(x, x_exact, atol=1e-10)
 
 
+@settings(max_examples=30, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_constraint_folding_matches_from_triplets(seed):
+    # the folded matrix is built without a sort; it must equal, byte for
+    # byte, the canonical matrix of the same entries from from_triplets
+    rng = np.random.default_rng(seed)
+    n = 15
+    m = rng.integers(1, 120)
+    A = SparseMatrix.from_triplets(n, n, rng.integers(0, n, m), rng.integers(0, n, m),
+                                   rng.standard_normal(m))
+    con = rng.choice(n, rng.integers(1, n), replace=False)
+    out = apply_constraints(LinearSystem(A, np.zeros(n), dict.fromkeys(con.tolist(), 1.0)))
+    is_con = np.zeros(n, dtype=bool)
+    is_con[con] = True
+    keep = ~(is_con[A.rows] | is_con[A.cols])
+    ref = SparseMatrix.from_triplets(
+        n, n, np.concatenate([A.rows[keep], con]), np.concatenate([A.cols[keep], con]),
+        np.concatenate([A.vals[keep], np.ones(con.size)]))
+    assert out.matrix.rows.tobytes() == ref.rows.tobytes()
+    assert out.matrix.cols.tobytes() == ref.cols.tobytes()
+    assert out.matrix.vals.tobytes() == ref.vals.tobytes()
+    assert not out.matrix.vals.flags.writeable
+
+
 def test_apply_constraints_marks_system_applied():
     sys0 = _system_from_dense(np.eye(2), [0.0, 0.0], {0: 1.0})
     out = apply_constraints(sys0)
@@ -166,25 +190,40 @@ def test_non_square_rejected():
         solve_direct(LinearSystem(sp, np.zeros(2)))
 
 
-# ---------------------------------------------------------------- dense inverse
+# ----------------------------------------------------------- schur-complement CG
 
-def test_dense_inverse_diagonal():
-    assert np.allclose(dense_inverse(np.diag([2.0, 2.0])), np.diag([0.5, 0.5]))
-
-
-def test_dense_inverse_rotation_like():
-    A = np.array([[0.0, -1.0], [1.0, 0.0]])
-    assert np.allclose(dense_inverse(A), [[0.0, 1.0], [-1.0, 0.0]])
+# two velocity components (one dof each) and one pressure dof
+SADDLE = [[2.0, 0.0, 1.0],
+          [0.0, 3.0, -1.0],
+          [1.0, -1.0, -0.5]]
 
 
-def test_dense_inverse_fine_block_scale():
-    A = (2.0 * 256.0 / 45.0) * np.eye(2)
-    assert np.allclose(dense_inverse(A), (45.0 / 512.0) * np.eye(2), rtol=1e-14)
+def test_schur_small_saddle_point_system():
+    b = [1.0, 2.0, 0.5]
+    x, res, iterations = solve_schur(_system_from_dense(SADDLE, b), 2, 2)
+    assert np.allclose(x, np.linalg.solve(SADDLE, b), rtol=1e-13, atol=0)
+    assert res < 1e-15
+    assert iterations == 1
 
 
-def test_dense_inverse_singular_rejected():
-    with pytest.raises(SingularMatrixError):
-        dense_inverse(np.zeros((2, 2)))
+def test_schur_refuses_coupled_velocity_components():
+    A = np.array(SADDLE)
+    A[0, 1] = A[1, 0] = 0.5
+    assert solve_schur(_system_from_dense(A, [1.0, 2.0, 0.5]), 2, 2) is None
+
+
+def test_schur_refuses_indefinite_velocity_block():
+    A = np.array(SADDLE)
+    A[1, 1] = -3.0
+    assert solve_schur(_system_from_dense(A, [1.0, 2.0, 0.5]), 2, 2) is None
+
+
+@pytest.mark.parametrize("rhs", [[np.nan, 1.0], [1.0, np.nan]])
+def test_nan_rhs_is_refused_by_both_solvers(rhs):
+    system = _system_from_dense([[2.0, 1.0], [1.0, -1.0]], rhs)
+    with pytest.raises(SolveAccuracyError, match="not finite"):
+        solve_direct(system)
+    assert solve_schur(system, 1, 1) is None
 
 
 # ------------------------------------------------------------------ eigensolver
