@@ -127,7 +127,7 @@ def main():
             tris[k] = (a, c, b)
     boundary_sets = {"all": np.nonzero(on_boundary)[0]}
     mesh = Mesh(dim=2, nodes=verts, elements=tris, kind=ElementKind.T3,
-                boundary_sets=boundary_sets, boundary_faces={})
+                boundary_sets=boundary_sets)
     angles = triangle_angles(mesh)
     print(f"{mesh.n_elements} triangles, max angle {np.degrees(angles.max()):.6f} deg")
     assert np.degrees(angles.max()) < 90.0

@@ -304,50 +304,53 @@ def recover_fine(solution, fine: FineBlocks, mesh: Mesh, dofmap: DofMap) -> np.n
     return rhs / fine.kff[:, None]
 
 
+def _facet_shapes(kind: ElementKind, points):
+    """Shape functions (n_q, nfn) of a kind's facet at facet rule points, and
+    their derivatives along the facet's reference coordinates (n_q, fdim, nfn).
+    """
+    n_q = len(points)
+    if kind is ElementKind.T3:  # 2-node edge on t in [0, 1]
+        t = points[:, 0]
+        return np.stack([1 - t, t], -1), np.broadcast_to([[-1.0, 1.0]], (n_q, 1, 2))
+    if kind is ElementKind.Q4:  # 2-node edge on t in [-1, 1]
+        t = points[:, 0]
+        return (np.stack([(1 - t) / 2, (1 + t) / 2], -1),
+                np.broadcast_to([[-0.5, 0.5]], (n_q, 1, 2)))
+    u, v = points.T
+    if kind is ElementKind.TET4:  # linear triangle
+        return (np.stack([1 - u - v, u, v], -1),
+                np.broadcast_to([[-1.0, 1.0, 0.0], [-1.0, 0.0, 1.0]], (n_q, 2, 3)))
+    # B8: bilinear quadrilateral on [-1, 1]^2
+    shp = 0.25 * np.stack([(1 - u) * (1 - v), (1 + u) * (1 - v),
+                           (1 + u) * (1 + v), (1 - u) * (1 + v)], -1)
+    du = 0.25 * np.stack([-(1 - v), (1 - v), (1 + v), -(1 + v)], -1)
+    dv = 0.25 * np.stack([-(1 - u), -(1 + u), (1 + u), (1 - u)], -1)
+    return shp, np.stack([du, dv], 1)
+
+
 def add_traction(system: LinearSystem, mesh: Mesh, tag: str, traction,
                  dofmap: DofMap) -> None:
-    """Add the facet traction term int(w . t) over a tagged boundary."""
+    """Add the facet traction term int(w . t) over a tagged boundary.
+
+    traction follows the case-callable contract: it is called once with the
+    (n_facets, n_q, dim) quadrature points and returns (..., dim) values.
+    """
     pairs = mesh.boundary_faces.get(tag)
     if pairs is None:
         valid = ", ".join(sorted(mesh.boundary_faces))
         raise ValueError(f"unknown face tag {tag!r}; have: {valid}")
-    kind, dim = mesh.kind, mesh.dim
-    frule = facet_rule(kind)
-    rhs = system.rhs
-    for elem, lf in pairs:
-        facet = LOCAL_FACETS[kind][lf]
-        fcoords = mesh.nodes[mesh.elements[elem][list(facet)]]
-        for t_ref, w in zip(frule.points, frule.weights):
-            if dim == 2:
-                # 2-node segment; T3 edges use t in [0,1], Q4 edges [-1,1]
-                t = float(t_ref[0])
-                if kind is ElementKind.T3:
-                    shp = np.array([1 - t, t])
-                    dshp = np.array([-1.0, 1.0])
-                else:
-                    shp = np.array([(1 - t) / 2, (1 + t) / 2])
-                    dshp = np.array([-0.5, 0.5])
-                x = shp @ fcoords
-                jac = np.linalg.norm(dshp @ fcoords)
-            elif kind is ElementKind.B8:
-                u, v = t_ref
-                shp = 0.25 * np.array(
-                    [(1 - u) * (1 - v), (1 + u) * (1 - v),
-                     (1 + u) * (1 + v), (1 - u) * (1 + v)]
-                )
-                du = 0.25 * np.array([-(1 - v), (1 - v), (1 + v), -(1 + v)])
-                dv = 0.25 * np.array([-(1 - u), -(1 + u), (1 + u), (1 - u)])
-                x = shp @ fcoords
-                jac = np.linalg.norm(np.cross(du @ fcoords, dv @ fcoords))
-            else:  # TET4 face: linear triangle
-                u, v = t_ref
-                shp = np.array([1 - u - v, u, v])
-                x = shp @ fcoords
-                e1 = fcoords[1] - fcoords[0]
-                e2 = fcoords[2] - fcoords[0]
-                jac = np.linalg.norm(np.cross(e1, e2))
-            tval = np.asarray(traction(x), dtype=float)
-            for a, node in enumerate(facet):
-                gnode = mesh.elements[elem][node]
-                for i in range(dim):
-                    rhs[dofmap.vdof(gnode, i)] += w * jac * shp[a] * tval[i]
+    frule = facet_rule(mesh.kind)
+    shp, dshp = _facet_shapes(mesh.kind, frule.points)
+    local = np.array(LOCAL_FACETS[mesh.kind])
+    fnodes = mesh.elements[pairs[:, :1], local[pairs[:, 1]]]  # (n_f, nfn)
+    coords = mesh.nodes[fnodes]
+    x = np.einsum("qa,fai->fqi", shp, coords)
+    tangents = np.einsum("qka,fai->fqki", dshp, coords)
+    if mesh.dim == 2:
+        jac = np.linalg.norm(tangents[:, :, 0], axis=-1)
+    else:
+        jac = np.linalg.norm(np.cross(tangents[:, :, 0], tangents[:, :, 1]), axis=-1)
+    t = np.broadcast_to(np.asarray(traction(x), dtype=float), x.shape)
+    values = np.einsum("fq,qa,fqi->fai", frule.weights * jac, shp, t)
+    system.rhs += assemble_vector(system.rhs.size, dofmap.velocity_dofs(fnodes),
+                                  values.reshape(len(fnodes), -1))

@@ -81,15 +81,9 @@ class SparseMatrix:
         np.add.at(A, (self.rows, self.cols), self.vals)
         return A
 
-    def matvec(self, x) -> np.ndarray:
-        return self.to_scipy() @ np.asarray(x, dtype=float)
-
     def dense_block(self, row_idx, col_idx) -> np.ndarray:
         """Dense submatrix for the given row/column index arrays."""
         return self.to_scipy()[np.ix_(np.asarray(row_idx), np.asarray(col_idx))].toarray()
-
-    def norm_inf(self) -> float:
-        return _norm_inf(self.to_scipy())
 
 
 def _norm_inf(csr) -> float:

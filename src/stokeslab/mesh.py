@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from importlib import resources
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -12,8 +14,8 @@ from .basis import basis_table
 from .kinds import ElementKind, kind_from_name
 from .quadrature import rule_for
 
-_FACE_TAGS_2D = ("left", "right", "bottom", "top")
-_FACE_TAGS_3D = ("left", "right", "bottom", "top", "front", "back")
+# Boundary tags of a box: the low and the high side of each axis.
+_AXIS_TAGS = (("left", "right"), ("bottom", "top"), ("front", "back"))
 
 # Local facets (edges in 2-D, faces in 3-D), corner indices per kind.
 LOCAL_FACETS = {
@@ -26,12 +28,16 @@ LOCAL_FACETS = {
     ],
 }
 
-# Kuhn 6-tet split of a hexahedron (VTK corner order); every tet contains
-# the 0-6 main diagonal so shared faces between translated cells conform.
-_KUHN_TETS = [
-    (0, 1, 2, 6), (0, 2, 3, 6), (0, 3, 7, 6),
-    (0, 7, 4, 6), (0, 4, 5, 6), (0, 5, 1, 6),
-]
+# Simplices of a grid cell, by cell corner (VTK order), each positively
+# oriented.  The hexahedron uses the Kuhn 6-tet split: every tet contains the
+# 0-6 main diagonal so shared faces between translated cells conform.
+_SIMPLEX_SPLIT = {
+    ElementKind.T3: [(0, 1, 2), (0, 2, 3)],
+    ElementKind.TET4: [
+        (0, 1, 2, 6), (0, 2, 3, 6), (0, 3, 7, 6),
+        (0, 7, 4, 6), (0, 4, 5, 6), (0, 5, 1, 6),
+    ],
+}
 
 
 class MeshError(ValueError):
@@ -42,8 +48,9 @@ class MeshError(ValueError):
 class Mesh:
     """Immutable finite element mesh.
 
-    boundary_sets maps tag names to node-index sets; boundary_faces maps tag
-    names to (element, local-facet) pairs for traction application.
+    boundary_sets maps tag names to node-index sets; boundary_faces, derived
+    from them and the element topology, maps the same tags to facets for
+    traction application.
     """
 
     dim: int
@@ -51,7 +58,6 @@ class Mesh:
     elements: np.ndarray    # (n_elements, nodes_per_element)
     kind: ElementKind
     boundary_sets: dict = field(default_factory=dict)
-    boundary_faces: dict = field(default_factory=dict)
 
     def __post_init__(self):
         nodes = np.ascontiguousarray(np.asarray(self.nodes, dtype=float))
@@ -75,24 +81,52 @@ class Mesh:
         if self.elements.ndim != 2 or self.elements.shape[1] != nen:
             raise MeshError(f"elements must have {nen} nodes for {self.kind.value}")
         n = self.n_nodes
-        for e, conn in enumerate(self.elements):
-            if conn.min() < 0 or conn.max() >= n:
-                raise MeshError(
-                    f"element {e} references node {conn.max()} of {n}"
-                )
-            if len(set(conn.tolist())) != nen:
+        outside = (self.elements < 0) | (self.elements >= n)
+        conn = np.sort(self.elements, axis=1)
+        repeated = (conn[:, 1:] == conn[:, :-1]).any(axis=1)
+        bad = outside.any(axis=1) | repeated
+        if bad.any():
+            e = int(np.argmax(bad))
+            if not outside[e].any():
                 raise MeshError(f"element {e} has repeated node indices")
-        rule = rule_for(self.kind)
-        table = basis_table(self.kind, rule)
-        coords = self.nodes[self.elements]  # (nel, nen, dim)
-        J = np.einsum("eni,pnm->epim", coords, table.DN)
-        dets = np.linalg.det(J)
+            node = self.elements[e][outside[e]][0]
+            raise MeshError(f"element {e} references node {node} of {n}")
+        dets = self._jacobian_dets()
         bad = ~(dets > 0)  # also catches NaN
         if np.any(bad):
             e = int(np.nonzero(np.any(bad, axis=1))[0][0])
             raise MeshError(
                 f"element {e} is inverted (min detJ={dets[e].min():.3e})"
             )
+
+    def _jacobian_dets(self) -> np.ndarray:
+        """detJ of every element at each of its quadrature points."""
+        table = basis_table(self.kind, rule_for(self.kind))
+        J = np.einsum("eni,pnm->epim", self.nodes[self.elements], table.DN)
+        return np.linalg.det(J)
+
+    @cached_property
+    def boundary_faces(self) -> dict:
+        """Boundary facets of each tag of boundary_sets, as (n, 2) rows of
+        (element, local facet) in element order.
+
+        A facet is on the boundary when exactly one element has it; a tag
+        keeps the boundary facets whose nodes are all in its set.
+        """
+        local = np.array(LOCAL_FACETS[self.kind])
+        facets = self.elements[:, local].reshape(-1, local.shape[1])
+        _, which, count = np.unique(np.sort(facets, axis=1), axis=0,
+                                    return_inverse=True, return_counts=True)
+        boundary = np.nonzero(count[which.reshape(-1)] == 1)[0]
+        pairs = np.stack(np.divmod(boundary, len(local)), axis=1)
+        facets = facets[boundary]
+        faces = {}
+        for tag, nset in self.boundary_sets.items():
+            inside = np.zeros(self.n_nodes, dtype=bool)
+            inside[np.fromiter(nset, dtype=np.intp, count=len(nset))] = True
+            faces[tag] = pairs[inside[facets].all(axis=1)]
+            faces[tag].setflags(write=False)
+        return faces
 
     @property
     def n_nodes(self) -> int:
@@ -110,11 +144,7 @@ class Mesh:
             raise MeshError(f"unknown boundary tag {tag!r}; have: {valid}") from None
 
     def element_volumes(self) -> np.ndarray:
-        rule = rule_for(self.kind)
-        table = basis_table(self.kind, rule)
-        coords = self.nodes[self.elements]
-        J = np.einsum("eni,pnm->epim", coords, table.DN)
-        return np.linalg.det(J) @ rule.weights
+        return self._jacobian_dets() @ rule_for(self.kind).weights
 
 
 def _box_extent(extent, dim):
@@ -128,40 +158,24 @@ def _box_extent(extent, dim):
     return lo, hi
 
 
-def _face_tag_sets(nodes, lo, hi, dim, tol=1e-12):
+def _face_tag_sets(nodes, lo, hi, tol=1e-12):
     span = hi - lo
-    planes = {
-        "left": (0, lo[0]), "right": (0, hi[0]),
-        "bottom": (1, lo[1]), "top": (1, hi[1]),
-    }
-    if dim == 3:
-        planes.update({"front": (2, lo[2]), "back": (2, hi[2])})
     sets = {}
-    for tag, (axis, value) in planes.items():
-        mask = np.abs(nodes[:, axis] - value) <= tol * max(span[axis], 1.0)
-        sets[tag] = frozenset(np.nonzero(mask)[0].tolist())
+    for axis, tags in enumerate(_AXIS_TAGS[:nodes.shape[1]]):
+        for tag, value in zip(tags, (lo[axis], hi[axis])):
+            mask = np.abs(nodes[:, axis] - value) <= tol * max(span[axis], 1.0)
+            sets[tag] = frozenset(np.nonzero(mask)[0].tolist())
     sets["all"] = frozenset().union(*sets.values())
     return sets
-
-
-def _face_pair_sets(mesh_nodes, elements, kind, tag_sets):
-    facets = LOCAL_FACETS[kind]
-    out = {tag: [] for tag in tag_sets if tag != "all"}
-    for e, conn in enumerate(elements):
-        for lf, facet in enumerate(facets):
-            fnodes = set(int(conn[i]) for i in facet)
-            for tag, nset in tag_sets.items():
-                if tag != "all" and fnodes <= nset:
-                    out[tag].append((e, lf))
-    return {tag: tuple(pairs) for tag, pairs in out.items()}
 
 
 def generate_grid(kind: ElementKind, divisions, extent=None) -> Mesh:
     """Generate a structured grid on an axis-aligned box.
 
-    divisions is an int (uniform) or a per-axis tuple.  T3/TET4 meshes are
-    produced by splitting each quad into 2 triangles / each hex into 6
-    tetrahedra (Kuhn split, conforming across cells).
+    divisions is an int (uniform) or a per-axis tuple.  Nodes are numbered
+    with x fastest, and so are the cells.  T3/TET4 meshes are produced by
+    splitting each quad into 2 triangles / each hex into 6 tetrahedra (Kuhn
+    split, conforming across cells).
     """
     dim = kind.dim
     if np.isscalar(divisions):
@@ -174,64 +188,23 @@ def generate_grid(kind: ElementKind, divisions, extent=None) -> Mesh:
     lo, hi = _box_extent(extent, dim)
 
     axes = [np.linspace(lo[a], hi[a], divisions[a] + 1) for a in range(dim)]
+    grids = np.meshgrid(*axes, indexing="ij")
+    nodes = np.stack([g.ravel(order="F") for g in grids], axis=-1)
+
+    # corners of the unit cell in VTK order, and each corner's id offset
+    corners = np.array([square + lift for lift in product((0, 1), repeat=dim - 2)
+                        for square in ((0, 0), (1, 0), (1, 1), (0, 1))])
     shape = tuple(d + 1 for d in divisions)
-
-    if dim == 2:
-        nx, ny = divisions
-        X, Y = np.meshgrid(axes[0], axes[1], indexing="ij")
-        nodes = np.stack([X.ravel(order="F"), Y.ravel(order="F")], axis=-1)
-
-        def nid(i, j):
-            return j * (nx + 1) + i
-
-        quads = []
-        for j in range(ny):
-            for i in range(nx):
-                quads.append((nid(i, j), nid(i + 1, j), nid(i + 1, j + 1), nid(i, j + 1)))
-        if kind is ElementKind.Q4:
-            elements = np.array(quads)
-        else:
-            elements = np.array(
-                [t for a, b, c, d in quads for t in ((a, b, c), (a, c, d))]
-            )
+    ids = np.arange(nodes.shape[0]).reshape(shape, order="F")
+    first = ids[tuple(slice(d) for d in divisions)].ravel(order="F")
+    cells = first[:, None] + corners @ np.cumprod((1,) + shape[:-1])
+    if kind.is_simplex:
+        elements = cells[:, _SIMPLEX_SPLIT[kind]].reshape(-1, dim + 1)
     else:
-        nx, ny, nz = divisions
-        X, Y, Z = np.meshgrid(axes[0], axes[1], axes[2], indexing="ij")
-        nodes = np.stack(
-            [X.ravel(order="F"), Y.ravel(order="F"), Z.ravel(order="F")], axis=-1
-        )
+        elements = cells
 
-        def nid(i, j, k):
-            return (k * (ny + 1) + j) * (nx + 1) + i
-
-        hexes = []
-        for k in range(nz):
-            for j in range(ny):
-                for i in range(nx):
-                    hexes.append((
-                        nid(i, j, k), nid(i + 1, j, k),
-                        nid(i + 1, j + 1, k), nid(i, j + 1, k),
-                        nid(i, j, k + 1), nid(i + 1, j, k + 1),
-                        nid(i + 1, j + 1, k + 1), nid(i, j + 1, k + 1),
-                    ))
-        if kind is ElementKind.B8:
-            elements = np.array(hexes)
-        else:
-            tets = []
-            for h in hexes:
-                for t in _KUHN_TETS:
-                    conn = [h[i] for i in t]
-                    # enforce positive orientation
-                    p = nodes[conn]
-                    if np.linalg.det(p[1:] - p[0]) < 0:
-                        conn[1], conn[2] = conn[2], conn[1]
-                    tets.append(tuple(conn))
-            elements = np.array(tets)
-
-    tag_sets = _face_tag_sets(nodes, lo, hi, dim)
-    faces = _face_pair_sets(nodes, elements, kind, tag_sets)
     return Mesh(dim=dim, nodes=nodes, elements=elements, kind=kind,
-                boundary_sets=tag_sets, boundary_faces=faces)
+                boundary_sets=_face_tag_sets(nodes, lo, hi))
 
 
 def load_mesh(path) -> Mesh:
@@ -264,6 +237,15 @@ def load_mesh(path) -> Mesh:
             raise MeshError(f"{path}:{ln}: expected '{key} <value>', got {text!r}")
         return ln, parts[1]
 
+    def count(ln, text, what):
+        try:
+            n = int(text)
+        except ValueError:
+            n = -1
+        if n < 0:
+            raise MeshError(f"{path}:{ln}: {what} must be a non-negative integer, got {text!r}")
+        return n
+
     ln, dval = expect_kv("dim", "dim")
     try:
         dim = int(dval)
@@ -276,7 +258,7 @@ def load_mesh(path) -> Mesh:
         raise MeshError(f"{path}:{ln}: {exc}") from None
 
     ln, nval = expect_kv("nodes", "node count")
-    n_nodes = int(nval)
+    n_nodes = count(ln, nval, "node count")
     nodes = np.empty((n_nodes, dim))
     for i in range(n_nodes):
         ln, text = next_line(f"node {i}")
@@ -289,7 +271,7 @@ def load_mesh(path) -> Mesh:
             raise MeshError(f"{path}:{ln}: bad coordinate in node {i}") from None
 
     ln, mval = expect_kv("elements", "element count")
-    n_elems = int(mval)
+    n_elems = count(ln, mval, "element count")
     nen = kind.nodes_per_element
     elements = np.empty((n_elems, nen), dtype=np.intp)
     for e in range(n_elems):
@@ -308,13 +290,14 @@ def load_mesh(path) -> Mesh:
         parts = text.split()
         if len(parts) != 3 or parts[0] != "nodeset":
             raise MeshError(f"{path}:{ln}: expected 'nodeset <name> <count>', got {text!r}")
-        name, count = parts[1], int(parts[2])
+        name = parts[1]
+        size = count(ln, parts[2], f"nodeset {name} count")
         idx = []
-        while len(idx) < count:
+        while len(idx) < size:
             ln, text = next_line(f"nodeset {name}")
             idx.extend(int(p) for p in text.split())
-        if len(idx) != count:
-            raise MeshError(f"{path}:{ln}: nodeset {name} has {len(idx)} indices, expected {count}")
+        if len(idx) != size:
+            raise MeshError(f"{path}:{ln}: nodeset {name} has {len(idx)} indices, expected {size}")
         bad = [i for i in idx if i < 0 or i >= n_nodes]
         if bad:
             raise MeshError(f"{path}:{ln}: nodeset {name} references node {bad[0]} of {n_nodes}")
@@ -345,15 +328,13 @@ def triangle_angles(mesh: Mesh) -> np.ndarray:
     """Interior angles (radians) of every triangle, shape (n_elements, 3)."""
     if mesh.kind is not ElementKind.T3:
         raise MeshError("angle audit applies to T3 meshes only")
-    angles = np.empty((mesh.n_elements, 3))
-    for e, conn in enumerate(mesh.elements):
-        p = mesh.nodes[conn]
-        for v in range(3):
-            a = p[(v + 1) % 3] - p[v]
-            b = p[(v + 2) % 3] - p[v]
-            cosang = a @ b / (np.linalg.norm(a) * np.linalg.norm(b))
-            angles[e, v] = np.arccos(np.clip(cosang, -1.0, 1.0))
-    return angles
+    p = mesh.nodes[mesh.elements][:, :, None, :]  # vertex v is the row p[:, v]
+    a = np.roll(p, -1, axis=1) - p
+    b = np.roll(p, -2, axis=1) - p
+    # matmul, not einsum: a (1, 2) @ (2, 1) product rounds like the dot a @ b
+    ab, aa, bb = ((x @ y.swapaxes(-1, -2))[..., 0, 0] for x, y in ((a, b), (a, a), (b, b)))
+    cosang = ab / (np.sqrt(aa) * np.sqrt(bb))
+    return np.arccos(np.clip(cosang, -1.0, 1.0))
 
 
 def wct_fixture_path() -> Path:

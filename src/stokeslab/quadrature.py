@@ -28,10 +28,6 @@ class QuadratureRule:
         self.points.setflags(write=False)
         self.weights.setflags(write=False)
 
-    def integrate(self, f) -> float:
-        """Integrate a callable f(xi) over the reference element."""
-        return float(sum(w * f(p) for p, w in zip(self.points, self.weights)))
-
 
 def _tensor_gauss(dim: int, n: int) -> QuadratureRule:
     x, w = roots_legendre(n)

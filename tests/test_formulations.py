@@ -23,7 +23,7 @@ from stokeslab.linalg import (
     apply_constraints,
     solve_direct,
 )
-from stokeslab.mesh import Mesh, generate_grid
+from stokeslab.mesh import Mesh, generate_grid, load_mesh, wct_fixture_path
 
 
 # -------------------------------------------------------------------- config
@@ -173,7 +173,7 @@ def test_constant_state_is_discrete_solution(scheme, kind, rng):
     x = np.zeros(dofmap.total)
     x[: dofmap.n_velocity : mesh.dim] = 10.0
     x[dofmap.n_velocity:] = 10.0
-    resid = system.matrix.matvec(x) - system.rhs
+    resid = system.matrix.to_scipy() @ x - system.rhs
     constrained = set(case_constraints(case, mesh, dofmap))
     free = np.array([d for d in range(dofmap.total) if d not in constrained])
     assert np.abs(resid[free]).max() < 1e-10
@@ -272,10 +272,11 @@ def test_condensed_solution_satisfies_uncondensed_residual():
                                body_force=case.body_force)
     full = assemble_enriched_full(mesh, config, dofmap)
     x = np.concatenate([x_cond, beta.reshape(-1)])
-    resid = full.matrix.matvec(x) - full.rhs
+    A = full.matrix.to_scipy()
+    resid = A @ x - full.rhs
     cons = set(case_constraints(case, mesh, dofmap))
     free = np.array([d for d in range(full.matrix.n_rows) if d not in cons])
-    scale = full.matrix.norm_inf() * np.abs(x).max()
+    scale = abs(A).sum(axis=1).max() * np.abs(x).max()
     assert np.abs(resid[free]).max() < 1e-10 * scale
 
 
@@ -326,9 +327,21 @@ def test_linear_traction_first_moment():
     dofmap = build_dofmap(mesh)
     system = assemble(mesh, FormulationConfig(scheme="galerkin"), dofmap)
     base = system.rhs.copy()
-    add_traction(system, mesh, "top", lambda x: np.array([x[0], 0.0]), dofmap)
+    add_traction(system, mesh, "top",
+                 lambda x: np.stack([x[..., 0], np.zeros_like(x[..., 0])], axis=-1),
+                 dofmap)
     delta = system.rhs - base
     assert delta[0::2][: mesh.n_nodes].sum() == pytest.approx(0.5, rel=1e-12)
+
+
+def test_constant_traction_over_loaded_mesh_boundary():
+    mesh = load_mesh(wct_fixture_path())
+    dofmap = build_dofmap(mesh)
+    system = LinearSystem(SparseMatrix.from_triplets(dofmap.total, dofmap.total, [], [], []),
+                          np.zeros(dofmap.total))
+    add_traction(system, mesh, "all", lambda x: np.ones_like(x), dofmap)
+    for i in range(mesh.dim):
+        assert system.rhs[i:dofmap.n_velocity:mesh.dim].sum() == pytest.approx(4.0, rel=1e-12)
 
 
 def test_traction_unknown_tag():

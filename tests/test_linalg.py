@@ -53,12 +53,6 @@ def test_triplet_order_permutation_invariance(seed):
     assert A.vals.tobytes() == B.vals.tobytes()
 
 
-def test_matvec_and_norm_inf():
-    A = SparseMatrix.from_triplets(2, 2, [0, 0, 1], [0, 1, 1], [1.0, -2.0, 3.0])
-    assert np.allclose(A.matvec([1.0, 1.0]), [-1.0, 3.0])
-    assert A.norm_inf() == 3.0
-
-
 def test_dense_block_extraction():
     A = SparseMatrix.from_triplets(3, 3, [0, 1, 2], [0, 1, 2], [1.0, 2.0, 3.0])
     blk = A.dense_block([1, 2], [1, 2])

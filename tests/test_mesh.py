@@ -46,9 +46,59 @@ def test_boundary_faces_counts():
     mesh = generate_grid(ElementKind.Q4, 4)
     for tag in ("left", "right", "bottom", "top"):
         assert len(mesh.boundary_faces[tag]) == 4
+    assert len(mesh.boundary_faces["all"]) == 16
     mesh3 = generate_grid(ElementKind.B8, (2, 3, 4))
     assert len(mesh3.boundary_faces["left"]) == 3 * 4
     assert len(mesh3.boundary_faces["top"]) == 2 * 4
+    # the diagonal has both nodes on the boundary but two elements
+    tri = generate_grid(ElementKind.T3, 1)
+    assert tri.boundary_faces["all"].tolist() == [[0, 0], [0, 1], [1, 1], [1, 2]]
+
+
+# nodes and elements of the smallest grids, written out: every output byte
+# depends on this numbering (x fastest, cells in node order)
+GRID_NUMBERING = {
+    (ElementKind.Q4, (2, 1)): (
+        [[0, 0], [0.5, 0], [1, 0], [0, 1], [0.5, 1], [1, 1]],
+        [[0, 1, 4, 3], [1, 2, 5, 4]],
+    ),
+    (ElementKind.T3, (1, 1)): (
+        [[0, 0], [1, 0], [0, 1], [1, 1]],
+        [[0, 1, 3], [0, 3, 2]],
+    ),
+    (ElementKind.B8, (1, 1, 2)): (
+        [[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0],
+         [0, 0, 0.5], [1, 0, 0.5], [0, 1, 0.5], [1, 1, 0.5],
+         [0, 0, 1], [1, 0, 1], [0, 1, 1], [1, 1, 1]],
+        [[0, 1, 3, 2, 4, 5, 7, 6], [4, 5, 7, 6, 8, 9, 11, 10]],
+    ),
+    (ElementKind.TET4, (1, 1, 1)): (
+        [[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0],
+         [0, 0, 1], [1, 0, 1], [0, 1, 1], [1, 1, 1]],
+        [[0, 1, 3, 7], [0, 3, 2, 7], [0, 2, 6, 7],
+         [0, 6, 4, 7], [0, 4, 5, 7], [0, 5, 1, 7]],
+    ),
+}
+
+
+@pytest.mark.parametrize("kind, divisions", list(GRID_NUMBERING))
+def test_grid_numbering(kind, divisions):
+    nodes, elements = GRID_NUMBERING[kind, divisions]
+    mesh = generate_grid(kind, divisions)
+    assert mesh.nodes.tolist() == nodes
+    assert mesh.elements.tolist() == elements
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_boundary_faces_follow_element_permutation(kind, rng):
+    mesh = generate_grid(kind, 3)
+    perm = rng.permutation(mesh.n_elements)
+    shuffled = Mesh(dim=mesh.dim, nodes=mesh.nodes, elements=mesh.elements[perm],
+                    kind=kind, boundary_sets=mesh.boundary_sets)
+    assert shuffled.boundary_faces.keys() == mesh.boundary_faces.keys()
+    for tag, pairs in shuffled.boundary_faces.items():
+        mapped = sorted(zip(perm[pairs[:, 0]].tolist(), pairs[:, 1].tolist()))
+        assert mapped == sorted(map(tuple, mesh.boundary_faces[tag].tolist()))
 
 
 def test_unknown_nodeset_errors_with_tag_name():
@@ -83,9 +133,10 @@ def test_repeated_node_index_rejected():
 
 def test_out_of_range_node_rejected():
     nodes = np.array([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)])
-    with pytest.raises(MeshError, match="references node"):
-        Mesh(dim=2, nodes=nodes, elements=np.array([[0, 1, 5]]),
-             kind=ElementKind.T3)
+    for bad in (5, -1):
+        with pytest.raises(MeshError, match=f"element 0 references node {bad} of 3"):
+            Mesh(dim=2, nodes=nodes, elements=np.array([[0, 1, bad]]),
+                 kind=ElementKind.T3)
 
 
 def test_degenerate_extent_rejected():
@@ -111,6 +162,7 @@ def test_write_load_round_trip(tmp_path, kind):
     assert np.array_equal(back.elements, mesh.elements)
     for tag, nset in mesh.boundary_sets.items():
         assert back.boundary_sets[tag] == frozenset(nset)
+        assert np.array_equal(back.boundary_faces[tag], mesh.boundary_faces[tag])
 
 
 def _write(tmp_path, text):
@@ -143,6 +195,21 @@ def test_wrong_coordinate_count_rejected(tmp_path):
         "stokeslab-mesh v1\ndim 2\nkind T3\nnodes 1\n0 0 0\n",
     )
     with pytest.raises(MeshError, match="needs 2 coordinates"):
+        load_mesh(p)
+
+
+_TRIANGLE = "stokeslab-mesh v1\ndim 2\nkind T3\nnodes 3\n0 0\n1 0\n0 1\nelements 1\n0 1 2\n"
+
+
+@pytest.mark.parametrize("text, line, count", [
+    (_TRIANGLE.replace("nodes 3", "nodes x"), 4, "'x'"),
+    (_TRIANGLE.replace("nodes 3", "nodes -1"), 4, "'-1'"),
+    (_TRIANGLE.replace("elements 1", "elements 1.5"), 8, "'1.5'"),
+    (_TRIANGLE + "nodeset all z\n0\n", 10, "'z'"),
+], ids=["nodes-x", "nodes-negative", "elements-float", "nodeset-z"])
+def test_bad_count_line_rejected(tmp_path, text, line, count):
+    p = _write(tmp_path, text)
+    with pytest.raises(MeshError, match=f"bad.mesh:{line}: .* non-negative integer, got {count}"):
         load_mesh(p)
 
 
