@@ -7,12 +7,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import basis_table, element_geometry, integrate
+from .basis import basis_table, integrate
 from .cases import TestCase, case_by_name, case_constraints
 from .driver import solve_case
 from .formulations import FormulationConfig, assemble, assemble_enriched, build_dofmap
 from .kinds import ElementKind
-from .linalg import assemble_blocks, eig_sym_generalized
+from .linalg import eig_sym_generalized
 from .mesh import Mesh, generate_grid
 from .quadrature import rule_for
 
@@ -47,7 +47,7 @@ def error_norms(solution, case: TestCase, mesh: Mesh) -> ErrorReport:
         raise ValueError(f"case {case.name!r} has no exact solution")
     elements = mesh.elements
     table = basis_table(mesh.kind, rule_for(mesh.kind))
-    geom = element_geometry(table, mesh.nodes[elements])
+    geom = mesh.geometry
     vh = np.matmul(table.N, solution.velocity[elements])
     gph = np.einsum("epin,en->epi", geom.G, solution.pressure[elements])
     vex = case.exact_velocity(geom.x)
@@ -95,10 +95,9 @@ def convergence_study(case: TestCase, scheme: str, kind: ElementKind,
 
 def pressure_mass_matrix(mesh: Mesh) -> np.ndarray:
     """Dense nodal pressure mass matrix int(N_a N_b)."""
-    table = basis_table(mesh.kind, rule_for(mesh.kind))
-    geom = element_geometry(table, mesh.nodes[mesh.elements])
-    Me = np.einsum("ep,pa,pb->eab", geom.wdet, table.N, table.N)
-    return assemble_blocks(mesh.n_nodes, mesh.elements, Me).to_dense()
+    N = basis_table(mesh.kind, rule_for(mesh.kind)).N
+    Me = np.einsum("ep,pa,pb->eab", mesh.geometry.wdet, N, N)
+    return mesh.node_pattern.matrix(mesh.node_pattern.sum(Me.ravel())).to_dense()
 
 
 def _grid_parity_pattern(mesh: Mesh) -> np.ndarray:
@@ -130,22 +129,24 @@ def lbb_spectrum(mesh: Mesh, scheme: str) -> SpectrumReport:
     )
     if free_v.size == 0:
         raise ValueError("no interior velocity dofs")
-    p_dofs = dofmap.n_velocity + np.arange(dofmap.n_pressure)
 
-    gal = assemble(mesh, FormulationConfig(scheme="galerkin", nu=1.0))
-    A = gal.matrix.dense_block(free_v, free_v)
-    B = gal.matrix.dense_block(p_dofs, free_v)
+    gal = assemble(mesh, FormulationConfig(scheme="galerkin", nu=1.0)).blocks
+    n, dim = mesh.n_nodes, mesh.dim
+    K = gal.pattern.matrix(gal.K).to_dense()
+    A = np.zeros((n, dim, n, dim))
+    for i in range(dim):
+        A[:, i, :, i] = K
+    A = A.reshape(n * dim, -1)[np.ix_(free_v, free_v)]
+    B = np.stack([gal.pattern.matrix(Bj).to_dense() for Bj in gal.B], -1)
+    B = np.ascontiguousarray(B.reshape(n, -1)[:, free_v])  # BLAS rounding follows layout
 
     if scheme == "galerkin":
-        C = np.zeros((dofmap.n_pressure, dofmap.n_pressure))
-    elif scheme in ("wvm", "svm"):
-        sysm = assemble(mesh, FormulationConfig(scheme=scheme, nu=1.0))
-        C = -sysm.matrix.dense_block(p_dofs, p_dofs)
-    elif scheme == "enriched":
-        sysm, _ = assemble_enriched(mesh, FormulationConfig(scheme="enriched", nu=1.0))
-        C = -sysm.matrix.dense_block(p_dofs, p_dofs)
+        C = np.zeros((n, n))
     else:
-        raise ValueError(f"unknown scheme {scheme!r}")
+        config = FormulationConfig(scheme=scheme, nu=1.0)
+        stab = (assemble_enriched(mesh, config)[0] if scheme == "enriched"
+                else assemble(mesh, config)).blocks
+        C = -stab.pattern.matrix(stab.Kpp).to_dense()
 
     S = B @ np.linalg.solve(A, B.T) + C
     S = 0.5 * (S + S.T)

@@ -66,8 +66,7 @@ def solve_case(case: TestCase, mesh: Mesh, scheme: str, *,
     constrained = apply_case(case, mesh, dofmap, system)
     solved = None
     if scheme in ("wvm", "svm"):
-        solved = solve_schur(constrained, dofmap.n_velocity, mesh.dim,
-                             residual_rtol=residual_rtol, pivot_rtol=pivot_rtol)
+        solved = solve_schur(constrained, residual_rtol=residual_rtol, pivot_rtol=pivot_rtol)
     if solved is None:
         x, res = solve_direct(constrained, pivot_rtol=pivot_rtol,
                               residual_rtol=residual_rtol)

@@ -29,7 +29,8 @@ import numpy as np
 
 from .basis import basis_table, element_geometry, eval_bubble, integrate
 from .kinds import ElementKind
-from .linalg import LinearSystem, SingularMatrixError, assemble_blocks, assemble_vector
+from .linalg import (LinearSystem, SingularMatrixError, SparseMatrix, StokesBlocks,
+                     assemble_vector)
 from .mesh import LOCAL_FACETS, Mesh
 from .quadrature import facet_rule, rule_for
 
@@ -134,27 +135,19 @@ def tau_at(scheme: str, kind: ElementKind, node_coords, xi) -> float:
     return bub.b / laplacian_physical(bub.grad_xi, bub.hess_xi, jac)
 
 
-def _kron_eye(A, dim) -> np.ndarray:
-    """A (x) I_dim for a stack A (n_el, m, n): (n_el, m * dim, n * dim)."""
-    n_el, m, n = A.shape
-    out = A[:, :, None, :, None] * np.eye(dim)[:, None, :]
-    return out.reshape(n_el, m * dim, n * dim)
-
-
 def _element_stacks(mesh, config, condensed=True):
-    """Element matrices and loads of every element of the mesh at once.
+    """Element blocks and loads of every element of the mesh at once.
 
-    Returns K (n_el, nl, nl) and f (n_el, nl) in the local dof order
-    [velocity (node-major), pressure] for galerkin/wvm/svm and for the
-    condensed enriched scheme; for ``condensed=False`` with the enriched
-    scheme the fine dofs are appended uncondensed.  The third return value
-    is the FineBlocks of the enriched scheme (else None).
+    Returns the blocks (Kvv (n_el, nen, nen), Kvp (n_el, nen, dim, nen),
+    Kpv (n_el, nen, nen, dim), Kpp (n_el, nen, nen)), where the element
+    velocity block is Kvv (x) I_dim, the loads (fv (n_el, nen, dim),
+    fp (n_el, nen)) and the FineBlocks of the enriched scheme (else None).
+    For ``condensed=False`` the enriched blocks are left uncondensed.
     """
     kind, dim = mesh.kind, mesh.dim
     n_el, nen = mesh.elements.shape
-    nd = nen * dim
     table = basis_table(kind, rule_for(kind))
-    geom = element_geometry(table, mesh.nodes[mesh.elements])
+    geom = mesh.geometry
     nu = config.nu
     wdet, G, N = geom.wdet, geom.G, table.N
     if config.body_force is None:
@@ -165,8 +158,8 @@ def _element_stacks(mesh, config, condensed=True):
 
     Kvv = 2.0 * nu * np.einsum("ep,epia,epib->eab", wdet, G, G)
     Gvp = np.einsum("ep,epia,pb->eiab", wdet, G, N)
-    Kvp = -Gvp.transpose(0, 2, 1, 3).reshape(n_el, nd, nen)
-    Kpv = Kvp.transpose(0, 2, 1).copy()
+    Kvp = -Gvp.transpose(0, 2, 1, 3)
+    Kpv = Kvp.transpose(0, 3, 1, 2).copy()
     Kpp = np.zeros((n_el, nen, nen))
     fv = np.einsum("ep,pa,epi->eai", wdet, N, bf)
     fp = np.zeros((n_el, nen))
@@ -183,10 +176,8 @@ def _element_stacks(mesh, config, condensed=True):
             tau_eff = -(table.b / geom.lapb)
         tw = wdet * tau_eff
         Kvv -= 2.0 * nu * np.einsum("ep,epa,epb->eab", tw, lapN, lapN)
-        M_vp = np.einsum("ep,epa,epib->eiab", tw, lapN, G)
-        Kvp += M_vp.transpose(0, 2, 1, 3).reshape(n_el, nd, nen)
-        M_pv = np.einsum("ep,epja,epb->eabj", tw, G, lapN)
-        Kpv += M_pv.reshape(n_el, nen, nd)
+        Kvp += np.einsum("ep,epa,epib->eiab", tw, lapN, G).transpose(0, 2, 1, 3)
+        Kpv += np.einsum("ep,epja,epb->eabj", tw, G, lapN)
         Kpp -= (1.0 / (2.0 * nu)) * np.einsum("ep,epia,epib->eab", tw, G, G)
         fv += np.einsum("ep,epa,epi->eai", tw, lapN, bf)
         fp -= (1.0 / (2.0 * nu)) * np.einsum("ep,epia,epi->ea", tw, G, bf)
@@ -212,58 +203,54 @@ def _element_stacks(mesh, config, condensed=True):
                 "degenerate element"
             )
         fine = FineBlocks(kff=kff, s=s, kpf=Kpf, f_f=f_f)
-        if not condensed:
-            nl = nd + nen + dim
-            Kcf = _kron_eye(s[:, :, None], dim)  # (n_el, nd, dim)
-            K = np.zeros((n_el, nl, nl))
-            K[:, :nd, :nd] = _kron_eye(Kvv, dim)
-            K[:, :nd, nd:nd + nen] = Kvp
-            K[:, nd:nd + nen, :nd] = Kpv
-            K[:, nd:nd + nen, nd:nd + nen] = Kpp
-            K[:, :nd, nd + nen:] = Kcf
-            K[:, nd + nen:, :nd] = Kcf.transpose(0, 2, 1)
-            K[:, nd:nd + nen, nd + nen:] = Kpf
-            K[:, nd + nen:, nd:nd + nen] = Kpf.transpose(0, 2, 1)
-            K[:, nd + nen:, nd + nen:] = kff[:, None, None] * np.eye(dim)
-            f = np.concatenate([fv.reshape(n_el, nd), fp, f_f], axis=1)
-            return K, f, fine
-        # the fine block is kff * I, so condensation is scalar:
-        # K_cf K_ff^-1 K_fc = (s s^T / kff) (x) I
-        inv = 1.0 / kff
-        s_inv = s * inv[:, None]
-        Kpf_inv = Kpf * inv[:, None, None]
-        Kvv -= s[:, :, None] * s[:, None, :] / kff[:, None, None]
-        Kvp -= (s_inv[:, :, None, None]
-                * Kpf.transpose(0, 2, 1)[:, None, :, :]).reshape(n_el, nd, nen)
-        Kpv -= (Kpf_inv[:, :, None, :] * s[:, None, :, None]).reshape(n_el, nen, nd)
-        Kpp -= np.matmul(Kpf_inv, Kpf.transpose(0, 2, 1))
-        fv -= s_inv[:, :, None] * f_f[:, None, :]
-        fp -= np.matmul(Kpf_inv, f_f[:, :, None])[:, :, 0]
-
-    nl = nd + nen
-    K = np.zeros((n_el, nl, nl))
-    K[:, :nd, :nd] = _kron_eye(Kvv, dim)
-    K[:, :nd, nd:] = Kvp
-    K[:, nd:, :nd] = Kpv
-    K[:, nd:, nd:] = Kpp
-    f = np.concatenate([fv.reshape(n_el, nd), fp], axis=1)
-    return K, f, fine
+        if condensed:
+            # the fine block is kff * I, so condensation is scalar:
+            # K_cf K_ff^-1 K_fc = (s s^T / kff) (x) I
+            inv = 1.0 / kff
+            s_inv = s * inv[:, None]
+            Kpf_inv = Kpf * inv[:, None, None]
+            Kvv -= s[:, :, None] * s[:, None, :] / kff[:, None, None]
+            Kvp -= s_inv[:, :, None, None] * Kpf.transpose(0, 2, 1)[:, None, :, :]
+            Kpv -= Kpf_inv[:, :, None, :] * s[:, None, :, None]
+            Kpp -= np.matmul(Kpf_inv, Kpf.transpose(0, 2, 1))
+            fv -= s_inv[:, :, None] * f_f[:, None, :]
+            fp -= np.matmul(Kpf_inv, f_f[:, :, None])[:, :, 0]
+    return (Kvv, Kvp, Kpv, Kpp), (fv, fp), fine
 
 
 def _assemble(mesh, config, dofmap, condensed=True):
-    """Global system from the element stacks; each of the matrix and the
-    right-hand side is scattered in one call."""
-    K, f, fine = _element_stacks(mesh, config, condensed=condensed)
-    elements = mesh.elements
-    idx = [dofmap.velocity_dofs(elements), dofmap.pressure_dofs(elements)]
-    total = dofmap.total
-    if not condensed:
-        n_fine = mesh.n_elements * mesh.dim
-        idx.append(total + np.arange(n_fine).reshape(mesh.n_elements, mesh.dim))
-        total += n_fine
-    idx = np.concatenate(idx, axis=1)
-    system = LinearSystem(assemble_blocks(total, idx, K), assemble_vector(total, idx, f))
-    return system, fine
+    """Global system from the element stacks.  Every block is summed on the
+    mesh's node pattern in one call, and the right-hand side in another;
+    only the uncondensed enriched system, whose fine dofs lie outside the
+    blocks, gets its matrix at once."""
+    (Kvv, Kvp, Kpv, Kpp), (fv, fp), fine = _element_stacks(mesh, config, condensed)
+    n_el, nen, dim = Kvp.shape[:3]
+    stack = np.concatenate([Kvv[None], Kvv[None] * 0.0, Kvp.transpose(2, 0, 1, 3),
+                            Kpv.transpose(3, 0, 1, 2), Kpp[None]])
+    sums = mesh.node_pattern.sum(stack.reshape(len(stack), -1))
+    blocks = StokesBlocks(mesh.node_pattern, dim, K=sums[0], zero=sums[1],
+                          G=sums[2:2 + dim], B=sums[2 + dim:2 + 2 * dim], Kpp=sums[-1])
+    idx = [dofmap.velocity_dofs(mesh.elements), dofmap.pressure_dofs(mesh.elements)]
+    loads = [fv.reshape(n_el, -1), fp]
+    if condensed:
+        rhs = assemble_vector(dofmap.total, np.concatenate(idx, 1), np.concatenate(loads, 1))
+        return LinearSystem(None, rhs, blocks=blocks), fine
+    # fine dofs appended per element; each fine entry belongs to one element
+    total = dofmap.total + n_el * dim
+    fdofs = dofmap.total + np.arange(n_el * dim).reshape(n_el, dim)
+    coarse = np.concatenate(idx, 1)
+    Kcf = np.concatenate([(fine.s[:, :, None, None] * np.eye(dim)).reshape(n_el, -1, dim),
+                          fine.kpf], 1)
+    Kff = fine.kff[:, None, None] * np.eye(dim)
+    parts = [blocks.triplets(),
+             (coarse[:, :, None], fdofs[:, None, :], Kcf),
+             (fdofs[:, :, None], coarse[:, None, :], Kcf.transpose(0, 2, 1)),
+             (fdofs[:, :, None], fdofs[:, None, :], Kff)]
+    rows, cols, vals = (np.concatenate([np.broadcast_to(p[i], p[2].shape).ravel()
+                                        for p in parts]) for i in range(3))
+    rhs = assemble_vector(total, np.concatenate(idx + [fdofs], 1),
+                          np.concatenate(loads + [fine.f_f], 1))
+    return LinearSystem(SparseMatrix.from_triplets(total, total, rows, cols, vals), rhs), fine
 
 
 def assemble(mesh: Mesh, config: FormulationConfig, dofmap: DofMap = None) -> LinearSystem:

@@ -1,14 +1,20 @@
 """Sparse assembly, direct and Schur-complement solves, and a generalized
 symmetric eigensolver.
 
-The triplet accumulation is deterministic and permutation-invariant: entries
-are sorted by (row, col, value) before duplicate summation, so shuffled
-triplet order produces a bit-identical compressed matrix.
+Triplets are summed in two phases.  The pattern phase (TripletPattern)
+depends only on the (row, col) positions: a stable argsort of the key
+row * n_cols + col puts each entry's duplicates next to each other.  The
+numeric phase sorts the values within each group and adds each group with
+one np.add.reduceat, so shuffled triplet order produces a bit-identical
+compressed matrix.  A mesh computes its node pattern once, and every block
+of an equal-order Stokes system (StokesBlocks) is summed on it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -27,6 +33,55 @@ class SingularMatrixError(RuntimeError):
 
 class SolveAccuracyError(RuntimeError):
     """Raised when a solve fails its residual check or is not finite."""
+
+
+@dataclass(frozen=True)
+class TripletPattern:
+    """The compressed entries of a list of (row, col) triplet positions, and
+    how to sum any values given at those positions into them."""
+
+    n_rows: int
+    n_cols: int
+    rows: np.ndarray     # (nnz,) entries, sorted by (row, col)
+    cols: np.ndarray
+    order: np.ndarray    # the triplets in (row, col) order, ties in input order
+    starts: np.ndarray   # (nnz,) where each entry's group starts in that order
+    groups: tuple        # one (n, c) array per size c > 1: positions of each group
+
+    @classmethod
+    def build(cls, n_rows, n_cols, rows, cols) -> "TripletPattern":
+        order = np.argsort(np.asarray(rows, dtype=np.int64) * n_cols + cols, kind="stable")
+        rows, cols = rows[order], cols[order]
+        new_group = np.ones(rows.size, dtype=bool)
+        new_group[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
+        starts = np.flatnonzero(new_group)
+        sizes = np.diff(starts, append=rows.size)
+        groups = tuple(starts[sizes == c, None] + np.arange(c)
+                       for c in np.unique(sizes[sizes > 1]))
+        rows, cols = rows[starts], cols[starts]
+        for a in (rows, cols, order, starts, *groups):
+            a.setflags(write=False)
+        return cls(n_rows, n_cols, rows, cols, order, starts, groups)
+
+    def sum(self, vals) -> np.ndarray:
+        """Entry values (..., nnz) summed from triplet values (..., n_triplets).
+
+        The groups of each size c sort as one (n, c) array, so nothing is
+        padded however uneven the duplication.  The stable sort puts NaN
+        last and keeps equal values (+0.0 and -0.0, NaNs) in input order.
+        """
+        vals = np.asarray(vals, dtype=float)
+        lead, m = vals.shape[:-1], self.order.size
+        v = vals[..., self.order].reshape(math.prod(lead), m)
+        for idx in self.groups:
+            v[:, idx] = np.sort(v[:, idx], axis=-1, kind="stable")
+        starts = (self.starts + m * np.arange(len(v))[:, None]).ravel()
+        return np.add.reduceat(v.ravel(), starts).reshape(lead + (self.rows.size,))
+
+    def matrix(self, vals) -> "SparseMatrix":
+        """The matrix with the entry values vals (nnz,)."""
+        vals.setflags(write=False)
+        return SparseMatrix(self.n_rows, self.n_cols, self.rows, self.cols, vals)
 
 
 @dataclass(frozen=True)
@@ -49,23 +104,8 @@ class SparseMatrix:
         if rows.size and (rows.min() < 0 or rows.max() >= n_rows
                           or cols.min() < 0 or cols.max() >= n_cols):
             raise ValueError("triplet index out of range")
-        order = np.lexsort((vals, cols, rows))
-        rows, cols, vals = rows[order], cols[order], vals[order]
-        if rows.size:
-            new_group = np.empty(rows.size, dtype=bool)
-            new_group[0] = True
-            new_group[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
-            starts = np.nonzero(new_group)[0]
-            vals = np.add.reduceat(vals, starts)
-            rows, cols = rows[starts], cols[starts]
-        return cls._canonical(n_rows, n_cols, rows, cols, vals)
-
-    @classmethod
-    def _canonical(cls, n_rows, n_cols, rows, cols, vals) -> "SparseMatrix":
-        """Matrix from triplets already sorted by (row, col) and unique."""
-        for a in (rows, cols, vals):
-            a.setflags(write=False)
-        return cls(n_rows=n_rows, n_cols=n_cols, rows=rows, cols=cols, vals=vals)
+        pattern = TripletPattern.build(n_rows, n_cols, rows, cols)
+        return pattern.matrix(pattern.sum(vals))
 
     @property
     def nnz(self) -> int:
@@ -81,31 +121,58 @@ class SparseMatrix:
         np.add.at(A, (self.rows, self.cols), self.vals)
         return A
 
-    def dense_block(self, row_idx, col_idx) -> np.ndarray:
-        """Dense submatrix for the given row/column index arrays."""
-        return self.to_scipy()[np.ix_(np.asarray(row_idx), np.asarray(col_idx))].toarray()
+
+@dataclass(frozen=True)
+class StokesBlocks:
+    """An equal-order Stokes matrix as node-by-node blocks on one pattern.
+
+    With the dofs ordered velocity (node-major, dim components), then
+    pressure, the matrix is [K (x) I_dim, G; B, Kpp]: G[i] couples velocity
+    component i (rows) to pressure, B[i] pressure (rows) to velocity
+    component i.  The cross-component velocity entries are explicit zeros,
+    each the element sum of K * 0, so an all-negative group keeps the sign
+    bit (-0.0) that the monolithic assembly gives it.
+    """
+
+    pattern: TripletPattern  # n_nodes x n_nodes
+    dim: int
+    K: np.ndarray     # (nnz,)
+    zero: np.ndarray  # (nnz,) the cross-component entries
+    G: np.ndarray     # (dim, nnz)
+    B: np.ndarray     # (dim, nnz)
+    Kpp: np.ndarray   # (nnz,)
+
+    def triplets(self):
+        """The monolithic matrix as unique (rows, cols, vals) triplets."""
+        n, d = self.pattern.n_rows, self.dim
+
+        def dofs(nodes):  # (nnz, d + 1): the velocity dofs, then the pressure
+            return np.concatenate([nodes[:, None] * d + np.arange(d), n * d + nodes[:, None]], 1)
+
+        vals = np.empty((self.K.size, d + 1, d + 1))
+        vals[:, :d, :d] = self.zero[:, None, None]
+        vals[:, range(d), range(d)] = self.K[:, None]
+        vals[:, :d, d] = self.G.T
+        vals[:, d, :d] = self.B.T
+        vals[:, d, d] = self.Kpp
+        return (np.broadcast_to(dofs(self.pattern.rows)[:, :, None], vals.shape).ravel(),
+                np.broadcast_to(dofs(self.pattern.cols)[:, None, :], vals.shape).ravel(),
+                vals.ravel())
 
 
 def _norm_inf(csr) -> float:
     if not csr.shape[0]:
         return 0.0
-    # row sums as a product with ones: each row adds in column order
-    return float((abs(csr) @ np.ones(csr.shape[1])).max())
+    # row sums as a product with ones: each row adds in its stored order
+    # (abs(csr) would sort the indices of a matrix that is not canonical)
+    csr = sp.csr_matrix((np.abs(csr.data), csr.indices, csr.indptr), shape=csr.shape)
+    return float((csr @ np.ones(csr.shape[1])).max())
 
 
 def _residual(csr, x, b) -> float:
     """max|A x - b| / (|A|_inf max|x| + max|b|), 0 when the denominator is 0."""
     denom = _norm_inf(csr) * np.abs(x).max() + np.abs(b).max()
     return float(np.abs(csr @ x - b).max() / denom) if denom > 0 else 0.0
-
-
-def assemble_blocks(n, idx, blocks) -> SparseMatrix:
-    """n x n matrix summed from dense blocks (n_blocks, k, k), block b
-    placed on the rows and columns idx[b] (idx is (n_blocks, k))."""
-    k = idx.shape[1]
-    rows = np.repeat(idx, k, axis=1)
-    cols = np.tile(idx, k)
-    return SparseMatrix.from_triplets(n, n, rows.ravel(), cols.ravel(), blocks.ravel())
 
 
 def assemble_vector(n, idx, values) -> np.ndarray:
@@ -121,14 +188,44 @@ def assemble_vector(n, idx, values) -> np.ndarray:
     return out
 
 
-@dataclass
 class LinearSystem:
-    """Assembled system with (optionally not yet applied) point constraints."""
+    """Assembled system with (optionally not yet applied) point constraints.
 
-    matrix: SparseMatrix
-    rhs: np.ndarray
-    constraints: dict = field(default_factory=dict)  # dof index -> value
-    constraints_applied: bool = False
+    A Stokes system carries its blocks in place of a matrix; ``matrix`` is
+    then built from them on first use, constraints folded in once applied.
+    """
+
+    def __init__(self, matrix, rhs, constraints=None, constraints_applied=False,
+                 blocks=None):
+        if matrix is not None:
+            self.matrix = matrix
+        self.rhs = rhs
+        self.constraints = {} if constraints is None else constraints  # dof -> value
+        self.constraints_applied = constraints_applied
+        self.blocks = blocks
+
+    @cached_property
+    def matrix(self) -> SparseMatrix:
+        cons = self.constraints if self.constraints_applied else {}
+        return _folded(self.rhs.size, *self.blocks.triplets(), cons)
+
+    def triplets(self):
+        """The matrix, constraints not folded, as unique triplets."""
+        if self.blocks is not None:
+            return self.blocks.triplets()
+        return self.matrix.rows, self.matrix.cols, self.matrix.vals
+
+
+def _folded(n, rows, cols, vals, constraints) -> SparseMatrix:
+    """n x n matrix of unique triplets with the rows and columns of the
+    constrained dofs replaced by identity rows and columns."""
+    con = np.fromiter(constraints, dtype=np.intp, count=len(constraints))
+    is_con = np.zeros(n, dtype=bool)
+    is_con[con] = True
+    keep = ~(is_con[rows] | is_con[cols])
+    return SparseMatrix.from_triplets(n, n, np.concatenate([rows[keep], con]),
+                                      np.concatenate([cols[keep], con]),
+                                      np.concatenate([vals[keep], np.ones(con.size)]))
 
 
 def apply_constraints(system: LinearSystem) -> LinearSystem:
@@ -138,33 +235,22 @@ def apply_constraints(system: LinearSystem) -> LinearSystem:
     right-hand side; columns are eliminated into the rhs so the reduced
     problem is exactly the constrained problem.
     """
-    A, rhs = system.matrix, np.array(system.rhs, dtype=float)
-    if not system.constraints:
-        return LinearSystem(A, rhs, {}, constraints_applied=True)
-    n = A.n_rows
+    n = len(system.rhs)
+    rhs = np.array(system.rhs, dtype=float)
     cvals = np.zeros(n)
     is_con = np.zeros(n, dtype=bool)
     for dof, val in system.constraints.items():
-        if is_con[dof]:
-            raise ValueError(f"dof {dof} constrained twice")
         is_con[dof] = True
         cvals[dof] = val
-
-    keep = ~(is_con[A.rows] | is_con[A.cols])
-    col_con = is_con[A.cols] & ~is_con[A.rows]
-    np.add.at(rhs, A.rows[col_con], -A.vals[col_con] * cvals[A.cols[col_con]])
-
-    con_idx = np.nonzero(is_con)[0]
-    rows, cols, vals = A.rows[keep], A.cols[keep], A.vals[keep]
-    # the kept entries are still sorted and unique; the identity entries go
-    # in at their sorted places, so the result needs no new sort
-    at = np.searchsorted(rows * n + cols, con_idx * n + con_idx)
-    rows = np.insert(rows, at, con_idx)
-    cols = np.insert(cols, at, con_idx)
-    vals = np.insert(vals, at, 1.0)
-    rhs[con_idx] = cvals[con_idx]
-    matrix = SparseMatrix._canonical(A.n_rows, A.n_cols, rows, cols, vals)
-    return LinearSystem(matrix, rhs, dict(system.constraints), constraints_applied=True)
+    rows, cols, vals = system.triplets()
+    moved = is_con[cols] & ~is_con[rows]
+    r, c, v = rows[moved], cols[moved], vals[moved]
+    at = np.argsort(r * n + c)  # each row takes its terms in column order
+    np.add.at(rhs, r[at], -v[at] * cvals[c[at]])
+    rhs[is_con] = cvals[is_con]
+    matrix = None if system.blocks is not None else _folded(n, rows, cols, vals,
+                                                            system.constraints)
+    return LinearSystem(matrix, rhs, dict(system.constraints), True, system.blocks)
 
 
 def solve_direct(system: LinearSystem, pivot_rtol: float = 1e-14,
@@ -181,10 +267,10 @@ def solve_direct(system: LinearSystem, pivot_rtol: float = 1e-14,
     back-substitution anyway and observe the unstable solution.  Raises
     SolveAccuracyError when x is not finite or its residual is too large.
     """
-    if system.matrix.n_rows != system.matrix.n_cols:
-        raise ValueError("matrix must be square")
     if system.constraints and not system.constraints_applied:
         raise ValueError("apply_constraints before solving")
+    if system.matrix.n_rows != system.matrix.n_cols:
+        raise ValueError("matrix must be square")
     A = system.matrix.to_scipy()  # one CSR for the factor, matvecs and norm
     b = np.asarray(system.rhs, dtype=float)
     try:
@@ -214,52 +300,49 @@ def solve_direct(system: LinearSystem, pivot_rtol: float = 1e-14,
     return x, res
 
 
-def solve_schur(system: LinearSystem, n_velocity: int, dim: int,
-                residual_rtol: float = 1e-10, pivot_rtol: float = 1e-14):
-    """Solve a stabilized saddle-point system by CG on its pressure Schur
+def solve_schur(system: LinearSystem, residual_rtol: float = 1e-10,
+                pivot_rtol: float = 1e-14):
+    """Solve a stabilized Stokes system by CG on its pressure Schur
     complement, or return None where that route does not apply.
 
-    The first n_velocity unknowns are velocities, node-major with dim
-    components; the rest are pressures.  On the free (unconstrained) dofs
-    the system reads [V G; B K_pp] [v; p] = [f_v; f_p], where V must be
-    block-diagonal by velocity component.  Each component block is factored
-    once as an LDL^T (no row pivoting); preconditioned CG then solves
-    S p = B V^-1 f_v - f_p with S = B V^-1 G - K_pp and the preconditioner
+    Reads the system's blocks.  On the free (unconstrained) dofs, with the
+    velocities ordered component by component, the system reads
+    [V G; B K_pp] [v; p] = [f_v; f_p], where V is K on each component's
+    free nodes.  K is factored once per component, or once for all of them
+    when they have the same free nodes, as an LDL^T (no row pivoting);
+    preconditioned CG then solves S p = B V^-1 f_v - f_p with
+    S = B V^-1 G - K_pp and the preconditioner
     diag(B diag(V)^-1 B^T) - diag(K_pp), and v = V^-1 (f_v - G p).
 
     Returns (x, residual, cg_iterations), the residual as in solve_direct.
-    Returns None when a velocity entry couples two components, a component
-    factor pivoted rows or has a pivot <= pivot_rtol times its largest (V is
-    not positive definite), the preconditioner or q^T S q is not positive,
-    CG has not converged after CG_MAXITER iterations, x is not finite, or
-    the residual exceeds residual_rtol.
+    Returns None for a system without blocks, when a factor pivoted rows or
+    has a pivot <= pivot_rtol times its largest (V is not positive
+    definite), the preconditioner or q^T S q is not positive, CG has not
+    converged after CG_MAXITER iterations, x is not finite, or the residual
+    exceeds residual_rtol.
     """
     if system.constraints and not system.constraints_applied:
         raise ValueError("apply_constraints before solving")
-    A = system.matrix.to_scipy()
+    blocks = system.blocks
+    if blocks is None:
+        return None
+    n, dim = blocks.pattern.n_rows, blocks.dim
+    n_v = n * dim
     b = np.asarray(system.rhs, dtype=float)
-    Avv = A[:n_velocity, :n_velocity].tocoo()
-    if np.any((Avv.row % dim != Avv.col % dim) & (Avv.data != 0)):
-        return None
-    free = np.ones(A.shape[0], dtype=bool)
+    free = np.ones(b.size, dtype=bool)
     free[list(system.constraints)] = False
-    # free dofs of each velocity component that has any
-    comps = [c + dim * np.flatnonzero(free[c:n_velocity:dim]) for c in range(dim)]
-    comps = [c for c in comps if c.size]
-    pf = n_velocity + np.flatnonzero(free[n_velocity:])
-    if not comps or pf.size == 0:
+    nodes = [np.flatnonzero(free[c:n_v:dim]) for c in range(dim)]  # free, per component
+    comps = [c for c in range(dim) if nodes[c].size]
+    p_nodes = np.flatnonzero(free[n_v:])
+    if not comps or p_nodes.size == 0:
         return None
-    blocks = [A[c][:, c].tocsc() for c in comps]
-    # components with the same free nodes have the same block (the velocity
-    # block is K (x) I): then one factor serves them all
-    shared = all(np.array_equal(comps[0] // dim, c // dim)
-                 and all(np.array_equal(getattr(blocks[0], a), getattr(k, a))
-                         for a in ("indptr", "indices", "data"))
-                 for c, k in zip(comps[1:], blocks[1:]))
+    K, Kpp = (blocks.pattern.matrix(v).to_scipy() for v in (blocks.K, blocks.Kpp))
+    Vs = [K[nodes[c]][:, nodes[c]] for c in comps]
+    shared = all(np.array_equal(nodes[comps[0]], nodes[c]) for c in comps)
     lus = []
-    for k in blocks[:1] if shared else blocks:
+    for k in Vs[:1] if shared else Vs:
         try:
-            lu = spla.splu(k, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+            lu = spla.splu(k.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                            options=dict(SymmetricMode=True))
         except RuntimeError:
             return None
@@ -272,17 +355,24 @@ def solve_schur(system: LinearSystem, n_velocity: int, dim: int,
         def v_solve(y):
             return lus[0].solve(y.reshape(len(comps), -1).T).T.ravel()
     else:
-        cuts = np.cumsum([c.size for c in comps])[:-1]
+        cuts = np.cumsum([nodes[c].size for c in comps])[:-1]
 
         def v_solve(y):
             return np.concatenate([lu.solve(part)
                                    for lu, part in zip(lus, np.split(y, cuts))])
 
-    vf = np.concatenate(comps)
-    Ap = A[pf]
-    B, Kpp = Ap[:, vf], Ap[:, pf]
-    G = A[vf][:, pf]
-    d = B.multiply(B) @ (1.0 / A.diagonal()[vf]) - Kpp.diagonal()
+    vf = np.concatenate([c + dim * nodes[c] for c in comps])
+    pf = n_v + p_nodes
+    G = sp.vstack([blocks.pattern.matrix(blocks.G[c]).to_scipy()[nodes[c]][:, p_nodes]
+                   for c in comps], format="csr")
+    # B with its columns in velocity dof order, so each row adds its terms
+    # in the column order of the monolithic matrix
+    B = sp.csr_matrix((blocks.B.T.ravel(), (blocks.pattern.cols[:, None] * dim
+                                            + np.arange(dim)).ravel(), K.indptr * dim),
+                      shape=(n, n_v))[p_nodes][:, vf]
+    Kpp = Kpp[p_nodes][:, p_nodes]
+    d = (B.multiply(B) @ (1.0 / np.concatenate([K.diagonal()[nodes[c]] for c in comps]))
+         - Kpp.diagonal())
     if not np.all(d > 0):
         return None
     f_v, f_p = b[vf], b[pf]
@@ -295,7 +385,15 @@ def solve_schur(system: LinearSystem, n_velocity: int, dim: int,
     x[vf] = v_solve(f_v - G @ p)
     if not np.all(np.isfinite(x)):
         return None
-    res = _residual(A, x, b)
+    # the residual of the whole constrained matrix, its dofs permuted to
+    # (vf, pf, constrained); every block is CSR, so bmat keeps each row's order
+    con = np.flatnonzero(~free)
+    sizes = (vf.size, pf.size, con.size)
+    M = [[sp.csr_matrix((r, c)) for c in sizes] for r in sizes]
+    M[0][:2], M[1][:2] = [sp.block_diag(Vs, format="csr"), G], [B, Kpp]
+    M[2][2] = sp.identity(con.size, format="csr")
+    perm = np.concatenate([vf, pf, con])
+    res = _residual(sp.bmat(M, format="csr"), x[perm], b[perm])
     if res > residual_rtol:
         return None
     return x, res, iterations

@@ -10,8 +10,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .basis import basis_table
+from .basis import basis_table, element_geometry
 from .kinds import ElementKind, kind_from_name
+from .linalg import TripletPattern
 from .quadrature import rule_for
 
 # Boundary tags of a box: the low and the high side of each axis.
@@ -101,9 +102,25 @@ class Mesh:
 
     def _jacobian_dets(self) -> np.ndarray:
         """detJ of every element at each of its quadrature points."""
-        table = basis_table(self.kind, rule_for(self.kind))
-        J = np.einsum("eni,pnm->epim", self.nodes[self.elements], table.DN)
-        return np.linalg.det(J)
+        all_DN = basis_table(self.kind, rule_for(self.kind)).DN
+        DN = all_DN[:1] if self.kind.is_simplex else all_DN  # J is constant on a simplex
+        J = np.einsum("eni,pnm->epim", self.nodes[self.elements], DN)
+        return np.repeat(np.linalg.det(J), len(all_DN) // len(DN), axis=1)
+
+    @cached_property
+    def geometry(self):
+        """Element geometry at the quadrature points of every element."""
+        return element_geometry(basis_table(self.kind, rule_for(self.kind)),
+                                self.nodes[self.elements])
+
+    @cached_property
+    def node_pattern(self) -> TripletPattern:
+        """The (node, node) pairs of every element, in element-matrix order,
+        as the pattern on which element blocks are summed."""
+        nen = self.elements.shape[1]
+        return TripletPattern.build(self.n_nodes, self.n_nodes,
+                                    np.repeat(self.elements, nen, axis=1).ravel(),
+                                    np.tile(self.elements, nen).ravel())
 
     @cached_property
     def boundary_faces(self) -> dict:
@@ -246,11 +263,7 @@ def load_mesh(path) -> Mesh:
             raise MeshError(f"{path}:{ln}: {what} must be a non-negative integer, got {text!r}")
         return n
 
-    ln, dval = expect_kv("dim", "dim")
-    try:
-        dim = int(dval)
-    except ValueError:
-        raise MeshError(f"{path}:{ln}: dim must be an integer") from None
+    dim = count(*expect_kv("dim", "dim"), "dim")
     ln, kval = expect_kv("kind", "kind")
     try:
         kind = kind_from_name(kval)
@@ -295,7 +308,10 @@ def load_mesh(path) -> Mesh:
         idx = []
         while len(idx) < size:
             ln, text = next_line(f"nodeset {name}")
-            idx.extend(int(p) for p in text.split())
+            try:
+                idx.extend(int(p) for p in text.split())
+            except ValueError:
+                raise MeshError(f"{path}:{ln}: bad node index in nodeset {name}") from None
         if len(idx) != size:
             raise MeshError(f"{path}:{ln}: nodeset {name} has {len(idx)} indices, expected {size}")
         bad = [i for i in idx if i < 0 or i >= n_nodes]

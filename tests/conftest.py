@@ -46,6 +46,21 @@ def distorted_element(kind, rng, amount=0.15):
     raise RuntimeError("could not build a valid distorted element")
 
 
+def lexsort_sum(rows, cols, vals):
+    """Reference triplet summation: one three-key lexsort by (row, col,
+    value), then np.add.reduceat over each (row, col) group.  Returns the
+    canonical (rows, cols, vals)."""
+    order = np.lexsort((vals, cols, rows))
+    rows, cols, vals = rows[order], cols[order], vals[order]
+    if not rows.size:
+        return rows, cols, vals
+    new_group = np.empty(rows.size, dtype=bool)
+    new_group[0] = True
+    new_group[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
+    starts = np.nonzero(new_group)[0]
+    return rows[starts], cols[starts], np.add.reduceat(vals, starts)
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)

@@ -1,12 +1,15 @@
 """Assembly of the four schemes: tau, element blocks, condensation, traction."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from conftest import REFERENCE_CORNERS
+from conftest import REFERENCE_CORNERS, lexsort_sum
 from stokeslab.cases import case_by_name, case_constraints
 from stokeslab.formulations import (
     FormulationConfig,
+    _element_stacks,
     assemble,
     assemble_enriched,
     assemble_enriched_full,
@@ -105,16 +108,15 @@ def test_svm_tau_scales_with_squared_element_size(kind):
 
 # --------------------------------------------------------------- block structure
 
-def _pp_block(system, dofmap):
-    p = dofmap.n_velocity + np.arange(dofmap.n_pressure)
-    return system.matrix.dense_block(p, p)
+def _pp_block(system):
+    return system.blocks.pattern.matrix(system.blocks.Kpp).to_dense()
 
 
 def test_galerkin_pressure_pressure_block_zero():
     mesh = generate_grid(ElementKind.Q4, 3)
     dofmap = build_dofmap(mesh)
     system = assemble(mesh, FormulationConfig(scheme="galerkin"), dofmap)
-    assert np.abs(_pp_block(system, dofmap)).max() == 0.0
+    assert np.abs(_pp_block(system)).max() == 0.0
 
 
 @pytest.mark.parametrize("scheme", ["wvm", "svm", "enriched"])
@@ -123,7 +125,7 @@ def test_pressure_stabilization_operator_psd(scheme, kind):
     mesh = generate_grid(kind, 4)
     dofmap = build_dofmap(mesh)
     system = assemble(mesh, FormulationConfig(scheme=scheme), dofmap)
-    C = -_pp_block(system, dofmap)  # operator subtracted from the continuity row
+    C = -_pp_block(system)  # operator subtracted from the continuity row
     assert np.allclose(C, C.T, atol=1e-12)
     lam = np.linalg.eigvalsh(0.5 * (C + C.T))
     assert lam.min() > -1e-10 * max(1.0, lam.max())
@@ -299,11 +301,113 @@ def test_assembly_independent_of_element_order(rng):
                                body_force=case_by_name("body_force_cavity").body_force)
     one = assemble(mesh, config)
     two = assemble(shuffled, config)
+    for name in ("rows", "cols"):
+        assert np.array_equal(getattr(one.blocks.pattern, name), getattr(two.blocks.pattern, name))
+    for name in ("K", "zero", "G", "B", "Kpp"):
+        assert getattr(one.blocks, name).tobytes() == getattr(two.blocks, name).tobytes()
     assert np.array_equal(one.matrix.rows, two.matrix.rows)
     assert np.array_equal(one.matrix.cols, two.matrix.cols)
     assert one.matrix.vals.tobytes() == two.matrix.vals.tobytes()
     assert np.abs(one.rhs).max() > 0
     assert one.rhs.tobytes() == two.rhs.tobytes()
+
+
+# ---------------------------------------------- blocks against a monolithic scatter
+
+def _monolithic_scatter(mesh, config, condensed=True):
+    """The system scattered as one (nen * (dim + 1))^2 element matrix per
+    element, the velocity block as Kvv (x) I_dim with its cross-component
+    zeros, and summed by the lexsort reference: (rows, cols, vals, rhs)."""
+    (Kvv, Kvp, Kpv, Kpp), (fv, fp), fine = _element_stacks(mesh, config, condensed)
+    n_el, nen, dim = Kvp.shape[:3]
+    nd, eye = nen * dim, np.eye(dim)
+
+    def kron_eye(A):
+        return (A[:, :, None, :, None] * eye[:, None, :]).reshape(n_el, -1, A.shape[2] * dim)
+
+    dofmap = build_dofmap(mesh)
+    blocks = [[kron_eye(Kvv), Kvp.reshape(n_el, nd, nen)], [Kpv.reshape(n_el, nen, nd), Kpp]]
+    idx = [dofmap.velocity_dofs(mesh.elements), dofmap.pressure_dofs(mesh.elements)]
+    loads = [fv.reshape(n_el, nd), fp]
+    total = dofmap.total
+    if not condensed:
+        Kcf = kron_eye(fine.s[:, :, None])
+        blocks[0].append(Kcf)
+        blocks[1].append(fine.kpf)
+        blocks.append([Kcf.transpose(0, 2, 1), fine.kpf.transpose(0, 2, 1),
+                       fine.kff[:, None, None] * eye])
+        idx.append(total + np.arange(n_el * dim).reshape(n_el, dim))
+        loads.append(fine.f_f)
+        total += n_el * dim
+    K = np.concatenate([np.concatenate(row, axis=2) for row in blocks], axis=1)
+    idx, loads = np.concatenate(idx, axis=1), np.concatenate(loads, axis=1)
+    k = idx.shape[1]
+    rows, cols, vals = lexsort_sum(np.repeat(idx, k, axis=1).ravel(), np.tile(idx, k).ravel(),
+                                   K.ravel())
+    at, _, f = lexsort_sum(idx.ravel(), np.zeros(idx.size, dtype=np.intp), loads.ravel())
+    rhs = np.zeros(total)
+    rhs[at] += f
+    return rows, cols, vals, rhs
+
+
+def _body_force(x):
+    return np.stack([np.sin(3 * x[..., 0]) * x[..., 1] - x[..., -1] ** 2,
+                     np.cos(x[..., 1]), x[..., 0] * x[..., -1]][:x.shape[-1]], axis=-1)
+
+
+def _perturbed(mesh, seed=7):
+    """mesh with every interior node moved by up to 0.1 of the grid step."""
+    interior = np.ones(mesh.n_nodes, dtype=bool)
+    interior[list(mesh.nodeset("all"))] = False
+    h = np.ptp(mesh.nodes[mesh.elements], axis=1).max()
+    nodes = mesh.nodes.copy()
+    nodes[interior] += np.random.default_rng(seed).uniform(-0.1 * h, 0.1 * h,
+                                                           (interior.sum(), mesh.dim))
+    return dataclasses.replace(mesh, nodes=nodes)
+
+
+@pytest.mark.parametrize("case_name", ["lid_cavity", "patch_constant"])  # pressure pin 0, 10
+@pytest.mark.parametrize("scheme", ["galerkin", "svm", "enriched"])
+@pytest.mark.parametrize("kind", list(ElementKind))
+def test_block_constraint_folding_matches_monolithic(kind, scheme, case_name):
+    mesh = _perturbed(generate_grid(kind, 5 if kind.dim == 2 else 3))
+    dofmap = build_dofmap(mesh)
+    system = assemble(mesh, FormulationConfig(scheme=scheme, body_force=_body_force), dofmap)
+    system.constraints = case_constraints(case_by_name(case_name, kind.dim), mesh, dofmap)
+    folded = apply_constraints(system)
+    reference = apply_constraints(LinearSystem(system.matrix, system.rhs, system.constraints))
+    assert folded.rhs.tobytes() == reference.rhs.tobytes()
+    for name in ("rows", "cols", "vals"):
+        assert getattr(folded.matrix, name).tobytes() == getattr(reference.matrix, name).tobytes()
+
+
+@pytest.mark.parametrize("scheme, bp_epsilon, condensed", [
+    ("galerkin", 0.0, True), ("galerkin", 0.07, True), ("wvm", 0.0, True),
+    ("svm", 0.0, True), ("enriched", 0.0, True), ("enriched", 0.07, False),
+])
+@pytest.mark.parametrize("perturbed", [False, True], ids=["regular", "perturbed"])
+@pytest.mark.parametrize("kind", list(ElementKind))
+def test_blocks_match_monolithic_scatter(kind, perturbed, scheme, bp_epsilon, condensed):
+    mesh = generate_grid(kind, 6 if kind.dim == 2 else 3)
+    mesh = _perturbed(mesh) if perturbed else mesh
+    for body_force in (None, _body_force):
+        config = FormulationConfig(scheme=scheme, nu=0.7, bp_epsilon=bp_epsilon,
+                                   body_force=body_force)
+        system = (assemble(mesh, config) if condensed
+                  else assemble_enriched_full(mesh, config))
+        rows, cols, vals, rhs = _monolithic_scatter(mesh, config, condensed)
+        # same entries, explicit zeros included, and the same bytes, sign
+        # bits of the zeros included
+        assert system.matrix.rows.tobytes() == rows.tobytes()
+        assert system.matrix.cols.tobytes() == cols.tobytes()
+        assert system.matrix.vals.tobytes() == vals.tobytes()
+        assert system.rhs.tobytes() == rhs.tobytes()
+        assert np.signbit(vals[vals == 0]).any()
+        if condensed:
+            n_v = mesh.n_nodes * mesh.dim
+            for i in range(mesh.dim):
+                comp = (rows < n_v) & (cols < n_v) & (rows % mesh.dim == i) & (cols % mesh.dim == i)
+                assert system.blocks.K.tobytes() == vals[comp].tobytes()
 
 
 # -------------------------------------------------------------------- traction

@@ -5,11 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import lexsort_sum
 from stokeslab.linalg import (
     LinearSystem,
     SingularMatrixError,
     SolveAccuracyError,
     SparseMatrix,
+    StokesBlocks,
+    TripletPattern,
     apply_constraints,
     eig_sym_generalized,
     solve_direct,
@@ -53,10 +56,52 @@ def test_triplet_order_permutation_invariance(seed):
     assert A.vals.tobytes() == B.vals.tobytes()
 
 
-def test_dense_block_extraction():
-    A = SparseMatrix.from_triplets(3, 3, [0, 1, 2], [0, 1, 2], [1.0, 2.0, 3.0])
-    blk = A.dense_block([1, 2], [1, 2])
-    assert np.allclose(blk, np.diag([2.0, 3.0]))
+# values that sort and add in awkward ways: signed zeros, NaNs of either
+# sign, infinities, ties, and magnitudes far apart
+SPECIAL = np.array([0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 1e16, 1.0, -1.0, 0.5])
+
+
+def _awkward_triplets(rng):
+    """Shuffled triplets on few positions, plus the group [1e16, 1, 1, 1, 1, 1],
+    which np.add.reduceat does not add left to right."""
+    n = int(rng.integers(1, 5))
+    m = int(rng.integers(0, 60))
+    rows = np.concatenate([rng.integers(0, n, m), np.full(6, n)])
+    cols = np.concatenate([rng.integers(0, n, m), np.zeros(6, dtype=int)])
+    vals = np.where(rng.random(m) < 0.5, rng.choice(SPECIAL, m), rng.integers(-2, 3, m) * 0.5)
+    vals = np.concatenate([vals, [1e16, 1, 1, 1, 1, 1]])
+    perm = rng.permutation(rows.size)
+    return n + 1, rows[perm], cols[perm], vals[perm]
+
+
+def _assert_same(ref, rows, cols, vals):
+    assert rows.tobytes() == ref[0].tobytes()
+    assert cols.tobytes() == ref[1].tobytes()
+    assert vals.tobytes() == ref[2].tobytes()
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered")  # inf + -inf
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_pattern_sum_matches_lexsort_reference(seed):
+    n, rows, cols, vals = _awkward_triplets(np.random.default_rng(seed))
+    A = SparseMatrix.from_triplets(n, n, rows, cols, vals)
+    _assert_same(lexsort_sum(rows, cols, vals), A.rows, A.cols, A.vals)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered")  # inf + -inf
+@settings(max_examples=50, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_one_pattern_sums_many_value_arrays(seed):
+    rng = np.random.default_rng(seed)
+    n, rows, cols, vals = _awkward_triplets(rng)
+    pattern = TripletPattern.build(n, n, rows, cols)
+    stack = np.stack([vals, rng.permutation(vals), rng.standard_normal(vals.size),
+                      rng.choice(SPECIAL, vals.size)])
+    sums = pattern.sum(stack)
+    for v, summed in zip(stack, sums):
+        _assert_same(lexsort_sum(rows, cols, v), pattern.rows, pattern.cols, summed)
+        assert pattern.sum(v).tobytes() == summed.tobytes()
 
 
 # ------------------------------------------------------------------ constraints
@@ -186,38 +231,43 @@ def test_non_square_rejected():
 
 # ----------------------------------------------------------- schur-complement CG
 
-# two velocity components (one dof each) and one pressure dof
-SADDLE = [[2.0, 0.0, 1.0],
-          [0.0, 3.0, -1.0],
-          [1.0, -1.0, -0.5]]
+def _stokes_system(K, G, B, Kpp, rhs):
+    """Stokes system from dense node blocks: K and Kpp (n, n), G and B
+    (dim, n, n), every node pair in the pattern."""
+    n = len(K)
+    pattern = TripletPattern.build(n, n, np.repeat(np.arange(n), n), np.tile(np.arange(n), n))
+    K, G, B = (np.asarray(a, dtype=float) for a in (K, G, B))
+    blocks = StokesBlocks(pattern, len(G), K=K.ravel(), zero=K.ravel() * 0.0,
+                          G=G.reshape(len(G), -1), B=B.reshape(len(B), -1),
+                          Kpp=np.asarray(Kpp, dtype=float).ravel())
+    return LinearSystem(None, np.asarray(rhs, dtype=float), blocks=blocks)
+
+
+# one node with two velocity components (K = 2 for each) and one pressure
+SADDLE = dict(K=[[2.0]], G=[[[1.0]], [[-1.0]]], B=[[[1.0]], [[-1.0]]], Kpp=[[-0.5]])
 
 
 def test_schur_small_saddle_point_system():
     b = [1.0, 2.0, 0.5]
-    x, res, iterations = solve_schur(_system_from_dense(SADDLE, b), 2, 2)
-    assert np.allclose(x, np.linalg.solve(SADDLE, b), rtol=1e-13, atol=0)
+    system = _stokes_system(**SADDLE, rhs=b)
+    dense = [[2.0, 0.0, 1.0], [0.0, 2.0, -1.0], [1.0, -1.0, -0.5]]
+    assert np.array_equal(system.matrix.to_dense(), dense)
+    x, res, iterations = solve_schur(system)
+    assert np.allclose(x, np.linalg.solve(dense, b), rtol=1e-13, atol=0)
     assert res < 1e-15
     assert iterations == 1
 
 
-def test_schur_refuses_coupled_velocity_components():
-    A = np.array(SADDLE)
-    A[0, 1] = A[1, 0] = 0.5
-    assert solve_schur(_system_from_dense(A, [1.0, 2.0, 0.5]), 2, 2) is None
-
-
 def test_schur_refuses_indefinite_velocity_block():
-    A = np.array(SADDLE)
-    A[1, 1] = -3.0
-    assert solve_schur(_system_from_dense(A, [1.0, 2.0, 0.5]), 2, 2) is None
+    assert solve_schur(_stokes_system(**dict(SADDLE, K=[[-2.0]]), rhs=[1.0, 2.0, 0.5])) is None
 
 
 @pytest.mark.parametrize("rhs", [[np.nan, 1.0], [1.0, np.nan]])
 def test_nan_rhs_is_refused_by_both_solvers(rhs):
-    system = _system_from_dense([[2.0, 1.0], [1.0, -1.0]], rhs)
+    system = _stokes_system([[2.0]], [[[1.0]]], [[[1.0]]], [[-1.0]], rhs)
     with pytest.raises(SolveAccuracyError, match="not finite"):
         solve_direct(system)
-    assert solve_schur(system, 1, 1) is None
+    assert solve_schur(system) is None
 
 
 # ------------------------------------------------------------------ eigensolver

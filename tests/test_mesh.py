@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from stokeslab.basis import basis_table
+from stokeslab.cli import main
 from stokeslab.kinds import ElementKind
 from stokeslab.mesh import (
     Mesh,
@@ -13,6 +15,7 @@ from stokeslab.mesh import (
     wct_fixture_path,
     write_mesh,
 )
+from stokeslab.quadrature import rule_for
 
 ALL_KINDS = list(ElementKind)
 
@@ -124,6 +127,28 @@ def test_inverted_element_rejected():
              kind=ElementKind.T3)
 
 
+@pytest.mark.parametrize("kind", [ElementKind.T3, ElementKind.TET4])
+def test_inverted_simplex_named_by_index(kind):
+    mesh = generate_grid(kind, 2)
+    elements = mesh.elements.copy()
+    elements[3, :2] = elements[3, 1::-1]
+    with pytest.raises(MeshError, match=r"^element 3 is inverted \(min detJ=-"):
+        Mesh(dim=mesh.dim, nodes=mesh.nodes, elements=elements, kind=kind)
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_jacobian_dets_match_evaluation_at_every_point(kind, rng):
+    # J is evaluated once per simplex; every point must still get its bytes
+    mesh = generate_grid(kind, 4 if kind.dim == 2 else 2)
+    nodes = mesh.nodes + rng.uniform(-0.02, 0.02, mesh.nodes.shape)
+    mesh = Mesh(dim=mesh.dim, nodes=nodes, elements=mesh.elements, kind=kind)
+    rule = rule_for(kind)
+    J = np.einsum("eni,pnm->epim", nodes[mesh.elements], basis_table(kind, rule).DN)
+    dets = np.linalg.det(J)
+    assert mesh._jacobian_dets().tobytes() == dets.tobytes()
+    assert mesh.element_volumes().tobytes() == (dets @ rule.weights).tobytes()
+
+
 def test_repeated_node_index_rejected():
     nodes = np.array([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)])
     with pytest.raises(MeshError, match="repeated"):
@@ -211,6 +236,19 @@ def test_bad_count_line_rejected(tmp_path, text, line, count):
     p = _write(tmp_path, text)
     with pytest.raises(MeshError, match=f"bad.mesh:{line}: .* non-negative integer, got {count}"):
         load_mesh(p)
+
+
+@pytest.mark.parametrize("text, line, message", [
+    (_TRIANGLE.replace("dim 2", "dim -1"), 2, "dim must be a non-negative integer, got '-1'"),
+    (_TRIANGLE + "nodeset all 2\n0 q\n", 11, "bad node index in nodeset all"),
+], ids=["dim-negative", "nodeset-index-q"])
+def test_bad_line_named_by_path_and_line(tmp_path, capsys, text, line, message):
+    p = _write(tmp_path, text)
+    with pytest.raises(MeshError) as err:
+        load_mesh(p)
+    assert str(err.value) == f"{p}:{line}: {message}"
+    assert main(["mesh-info", "--mesh", str(p)]) == 2
+    assert capsys.readouterr().err == f"error: {p}:{line}: {message}\n"
 
 
 def test_nodeset_out_of_range_rejected(tmp_path):
