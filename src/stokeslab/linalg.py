@@ -209,12 +209,6 @@ class LinearSystem:
         cons = self.constraints if self.constraints_applied else {}
         return _folded(self.rhs.size, *self.blocks.triplets(), cons)
 
-    def triplets(self):
-        """The matrix, constraints not folded, as unique triplets."""
-        if self.blocks is not None:
-            return self.blocks.triplets()
-        return self.matrix.rows, self.matrix.cols, self.matrix.vals
-
 
 def _folded(n, rows, cols, vals, constraints) -> SparseMatrix:
     """n x n matrix of unique triplets with the rows and columns of the
@@ -242,15 +236,18 @@ def apply_constraints(system: LinearSystem) -> LinearSystem:
     for dof, val in system.constraints.items():
         is_con[dof] = True
         cvals[dof] = val
-    rows, cols, vals = system.triplets()
+    blocks = system.blocks
+    if blocks is not None:
+        rows, cols, vals = blocks.triplets()
+    else:
+        rows, cols, vals = system.matrix.rows, system.matrix.cols, system.matrix.vals
     moved = is_con[cols] & ~is_con[rows]
     r, c, v = rows[moved], cols[moved], vals[moved]
     at = np.argsort(r * n + c)  # each row takes its terms in column order
     np.add.at(rhs, r[at], -v[at] * cvals[c[at]])
     rhs[is_con] = cvals[is_con]
-    matrix = None if system.blocks is not None else _folded(n, rows, cols, vals,
-                                                            system.constraints)
-    return LinearSystem(matrix, rhs, dict(system.constraints), True, system.blocks)
+    matrix = None if blocks is not None else _folded(n, rows, cols, vals, system.constraints)
+    return LinearSystem(matrix, rhs, dict(system.constraints), True, blocks)
 
 
 def solve_direct(system: LinearSystem, pivot_rtol: float = 1e-14,
