@@ -59,13 +59,6 @@ class JacobianCalc:
     divJinv: np.ndarray   # (dim,), d(Jinv[p,k])/dx_k
 
 
-def in_reference_element(kind: ElementKind, xi, tol: float = 1e-12) -> bool:
-    xi = np.asarray(xi, dtype=float)
-    if kind.is_simplex:
-        return bool(np.all(xi >= -tol) and xi.sum() <= 1.0 + tol)
-    return bool(np.all(np.abs(xi) <= 1.0 + tol))
-
-
 def eval_basis(kind: ElementKind, xi) -> BasisEval:
     """Evaluate N, DN, D2N at a reference coordinate."""
     xi = np.asarray(xi, dtype=float)
@@ -177,27 +170,18 @@ def laplacian_physical(grad_xi, hess_xi, jac: JacobianCalc) -> float:
                  + np.asarray(grad_xi) @ jac.divJinv)
 
 
-def shape_laplacians(be: BasisEval, jac: JacobianCalc) -> np.ndarray:
-    """Physical Laplacian of every shape function at the evaluation point."""
-    d = jac.J.shape[0]
-    JJT = jac.Jinv @ jac.Jinv.T
-    D2 = be.D2N.reshape(-1, d, d)
-    return np.einsum("nms,ms->n", D2, JJT) + be.DN @ jac.divJinv
-
-
 @dataclass(frozen=True)
 class BasisTable:
     """Shape and bubble data tabulated at every point of a quadrature rule."""
 
-    kind: ElementKind
     points: np.ndarray    # (np, dim)
     weights: np.ndarray   # (np,)
     N: np.ndarray         # (np, nen)
     DN: np.ndarray        # (np, nen, dim)
-    D2N: np.ndarray       # (np, nen, dim, dim)
+    D2N: np.ndarray       # (np, nen, dim*dim), (m, s) row-major as in BasisEval
     b: np.ndarray         # (np,)
     gb: np.ndarray        # (np, dim)
-    Hb: np.ndarray        # (np, dim, dim)
+    Hb: np.ndarray        # (np, dim*dim)
 
 
 _TABLE_CACHE: dict = {}
@@ -209,19 +193,17 @@ def basis_table(kind: ElementKind, rule) -> BasisTable:
     tab = _TABLE_CACHE.get(key)
     if tab is not None:
         return tab
-    d = kind.dim
     evals = [eval_basis(kind, xi) for xi in rule.points]
     bubbles = [eval_bubble(kind, xi) for xi in rule.points]
     tab = BasisTable(
-        kind=kind,
         points=rule.points,
         weights=rule.weights,
         N=np.stack([e.N for e in evals]),
         DN=np.stack([e.DN for e in evals]),
-        D2N=np.stack([e.D2N.reshape(-1, d, d) for e in evals]),
+        D2N=np.stack([e.D2N for e in evals]),
         b=np.array([bu.b for bu in bubbles]),
         gb=np.stack([bu.grad_xi for bu in bubbles]),
-        Hb=np.stack([bu.hess_xi for bu in bubbles]),
+        Hb=np.stack([bu.hess_xi.ravel() for bu in bubbles]),
     )
     _TABLE_CACHE[key] = tab
     return tab
@@ -255,9 +237,11 @@ def element_geometry(table: BasisTable, coords) -> ElementGeometry:
     coords (nen, dim), or of a stack of elements, coords (..., nen, dim).
 
     Each element's values are the same whether it is evaluated alone or in
-    a stack.
+    a stack.  The second derivatives are contracted over their flattened
+    (m, s) axis by stacked matmuls, one small product per point.
     """
     coords = np.asarray(coords, dtype=float)
+    d = coords.shape[-1]
     J = np.einsum("...ni,pnm->...pim", coords, table.DN)
     detJ = np.linalg.det(J)
     bad = ~(np.isfinite(detJ) & (detJ > 0))  # NaN fails detJ > 0 too
@@ -269,17 +253,15 @@ def element_geometry(table: BasisTable, coords) -> ElementGeometry:
             f"non-positive or non-finite Jacobian{where} (min detJ={np.min(detJ):.3e})"
         )
     Jinv = np.linalg.inv(J)
-    JJT = np.einsum("...pik,...pjk->...pij", Jinv, Jinv)
-    C = np.einsum("...ni,pnms->...pims", coords, table.D2N)
-    divJinv = -np.einsum("...pqi,...pims,...pms->...pq", Jinv, C, JJT)
+    JJT = (Jinv @ np.swapaxes(Jinv, -1, -2)).reshape(J.shape[:-2] + (d * d, 1))
+    # H[n] = D2N[n] : JJT, so div(J^-1) = -Jinv xhat^T H needs no (i, m, s) array
+    H = table.D2N @ JJT
+    divJinv = -(Jinv @ (np.swapaxes(coords, -1, -2)[..., None, :, :] @ H))
     G = np.einsum("...pmi,pnm->...pin", Jinv, table.DN)
-    lapN = np.einsum("pnms,...pms->...pn", table.D2N, JJT) + np.einsum(
-        "pnm,...pm->...pn", table.DN, divJinv
-    )
+    lapN = (H + table.DN @ divJinv)[..., 0]
     gb = np.einsum("...pki,pk->...pi", Jinv, table.gb)
-    lapb = np.einsum("pms,...pms->...p", table.Hb, JJT) + np.einsum(
-        "pm,...pm->...p", table.gb, divJinv
-    )
+    lapb = (table.Hb[:, None, :] @ JJT + table.gb[:, None, :] @ divJinv)[..., 0, 0]
+    divJinv = divJinv[..., 0]
     x = np.einsum("pn,...ni->...pi", table.N, coords)
     return ElementGeometry(
         detJ=detJ, Jinv=Jinv, divJinv=divJinv, G=G, lapN=lapN,

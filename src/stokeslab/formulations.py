@@ -27,7 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import basis_table, element_geometry, eval_bubble, integrate
+from .basis import (basis_table, element_geometry, eval_bubble, integrate, jacobian_calc,
+                    laplacian_physical)
 from .kinds import ElementKind
 from .linalg import (LinearSystem, SingularMatrixError, SparseMatrix, StokesBlocks,
                      assemble_vector)
@@ -129,8 +130,6 @@ def tau_at(scheme: str, kind: ElementKind, node_coords, xi) -> float:
     if scheme == "wvm":
         return bub.b * float(_wvm_coefficient(table, geom))
     # pointwise geometry for the Laplacian at xi
-    from .basis import jacobian_calc, laplacian_physical
-
     jac = jacobian_calc(kind, node_coords, xi)
     return bub.b / laplacian_physical(bub.grad_xi, bub.hess_xi, jac)
 
@@ -143,6 +142,11 @@ def _element_stacks(mesh, config, condensed=True):
     velocity block is Kvv (x) I_dim, the loads (fv (n_el, nen, dim),
     fp (n_el, nen)) and the FineBlocks of the enriched scheme (else None).
     For ``condensed=False`` the enriched blocks are left uncondensed.
+
+    The wvm/svm terms are stacked matmuls over the flattened quadrature and
+    component axes; the other terms keep their einsums, because acceptance
+    criterion 2 solves singular enriched systems whose verdict turns on the
+    last bits of these blocks.
     """
     kind, dim = mesh.kind, mesh.dim
     n_el, nen = mesh.elements.shape
@@ -169,18 +173,21 @@ def _element_stacks(mesh, config, condensed=True):
         # (momentum += c(w,v'), continuity += d(v',q)) gives identical terms
         # for both schemes in tau_eff = |tau| > 0; only the scalar profile
         # of tau differs.  The resulting pp block is symmetric NSD.
-        lapN = geom.lapN
         if config.scheme == "wvm":
             tau_eff = table.b * _wvm_coefficient(table, geom)[:, None]
         else:
             tau_eff = -(table.b / geom.lapb)
         tw = wdet * tau_eff
-        Kvv -= 2.0 * nu * np.einsum("ep,epa,epb->eab", tw, lapN, lapN)
-        Kvp += np.einsum("ep,epa,epib->eiab", tw, lapN, G).transpose(0, 2, 1, 3)
-        Kpv += np.einsum("ep,epja,epb->eabj", tw, G, lapN)
-        Kpp -= (1.0 / (2.0 * nu)) * np.einsum("ep,epia,epib->eab", tw, G, G)
-        fv += np.einsum("ep,epa,epi->eai", tw, lapN, bf)
-        fp -= (1.0 / (2.0 * nu)) * np.einsum("ep,epia,epi->ea", tw, G, bf)
+        tl = np.swapaxes(tw[:, :, None] * geom.lapN, 1, 2)  # (e, nen, np)
+        tG = np.swapaxes((tw[:, :, None, None] * G).reshape(n_el, -1, nen), 1, 2)
+        # one product for the coupling, so B_i is G_i^T bit for bit
+        X = (tl @ G.reshape(n_el, -1, dim * nen)).reshape(n_el, nen, dim, nen)
+        Kvv -= 2.0 * nu * (tl @ geom.lapN)
+        Kvp += X
+        Kpv += X.transpose(0, 3, 1, 2)
+        Kpp -= (1.0 / (2.0 * nu)) * (tG @ G.reshape(n_el, -1, nen))
+        fv += tl @ bf
+        fp -= (1.0 / (2.0 * nu)) * (tG @ bf.reshape(n_el, -1, 1))[:, :, 0]
 
     if config.bp_epsilon > 0.0:
         # pressure-Laplacian stabilization, eps ~ h^2; negative because the

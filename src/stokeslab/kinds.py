@@ -31,11 +31,6 @@ class ElementKind(Enum):
         return self in (ElementKind.T3, ElementKind.TET4)
 
     @property
-    def reference_measure(self) -> float:
-        """Measure of the reference element (area or volume)."""
-        return {"T3": 0.5, "TET4": 1.0 / 6.0, "Q4": 4.0, "B8": 8.0}[self.value]
-
-    @property
     def vtk_cell_type(self) -> int:
         return {"T3": 5, "Q4": 9, "TET4": 10, "B8": 12}[self.value]
 

@@ -12,9 +12,9 @@ from stokeslab.basis import (
     eval_bubble,
     jacobian_calc,
     laplacian_physical,
-    shape_laplacians,
 )
 from stokeslab.kinds import ElementKind
+from stokeslab.mesh import generate_grid
 from stokeslab.quadrature import rule_for
 
 ALL_KINDS = list(ElementKind)
@@ -207,6 +207,14 @@ def test_half_square_bubble_laplacian():
     assert lap == pytest.approx(-16.0, rel=1e-13)
 
 
+def shape_laplacians(be, jac):
+    """Physical Laplacian of every shape function at the evaluation point."""
+    d = jac.J.shape[0]
+    JJT = jac.Jinv @ jac.Jinv.T
+    D2 = be.D2N.reshape(-1, d, d)
+    return np.einsum("nms,ms->n", D2, JJT) + be.DN @ jac.divJinv
+
+
 def test_straight_triangle_shape_laplacian_zero(rng):
     coords = np.array([(0.0, 0.0), (2.0, 0.3), (0.4, 1.8)])
     xi = random_interior_point(ElementKind.T3, rng)
@@ -295,3 +303,44 @@ def test_element_geometry_of_a_stack_matches_each_element(kind, rng):
     with np.errstate(invalid="ignore"), pytest.raises(SingularJacobianError,
                                                       match="element 3"):
         element_geometry(table, coords)
+
+
+def _einsum_second_order(table, coords):
+    """div(J^-1), lapN and lapb by the einsum chain element_geometry used
+    before its second derivatives were contracted by matmul, each with the
+    sum of the magnitudes of its terms, which bounds the roundoff of either."""
+    d = coords.shape[-1]
+    D2N = table.D2N.reshape(table.DN.shape + (d,))
+    Hb = table.Hb.reshape(-1, d, d)
+    J = np.einsum("...ni,pnm->...pim", coords, table.DN)
+    Jinv = np.linalg.inv(J)
+    JJT = np.einsum("...pik,...pjk->...pij", Jinv, Jinv)
+    C = np.einsum("...ni,pnms->...pims", coords, D2N)
+    divJinv = -np.einsum("...pqi,...pims,...pms->...pq", Jinv, C, JJT)
+    lapN = (np.einsum("pnms,...pms->...pn", D2N, JJT)
+            + np.einsum("pnm,...pm->...pn", table.DN, divJinv))
+    lapb = (np.einsum("pms,...pms->...p", Hb, JJT)
+            + np.einsum("pm,...pm->...p", table.gb, divJinv))
+    a = np.abs
+    div_mag = np.einsum("...pqi,...ni,pnms,...pms->...pq", a(Jinv), a(coords), a(D2N), a(JJT))
+    lapN_mag = (np.einsum("pnms,...pms->...pn", a(D2N), a(JJT))
+                + np.einsum("pnm,...pm->...pn", a(table.DN), div_mag))
+    lapb_mag = (np.einsum("pms,...pms->...p", a(Hb), a(JJT))
+                + np.einsum("pm,...pm->...p", a(table.gb), div_mag))
+    return {"divJinv": (divJinv, div_mag), "lapN": (lapN, lapN_mag), "lapb": (lapb, lapb_mag)}
+
+
+@pytest.mark.parametrize("perturbed", [False, True], ids=["regular", "perturbed"])
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_second_order_geometry_matches_einsum_reference(kind, perturbed, rng):
+    """A bubble Laplacian can cancel its terms (by up to ~2e3 on perturbed
+    T3 grids), so the bound is on the terms, not on the value."""
+    mesh = generate_grid(kind, 6 if kind.dim == 2 else 3)
+    coords = mesh.nodes[mesh.elements]
+    if perturbed:
+        h = np.ptp(coords, axis=1).max()
+        coords = coords + rng.uniform(-0.12 * h, 0.12 * h, coords.shape)
+    table = basis_table(kind, rule_for(kind))
+    geom = element_geometry(table, coords)
+    for name, (want, magnitude) in _einsum_second_order(table, coords).items():
+        assert np.all(np.abs(getattr(geom, name) - want) <= 1e-13 * magnitude), name

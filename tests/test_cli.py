@@ -152,3 +152,35 @@ def test_mesh_info_on_shipped_fixture(capsys):
     kv = _parse_kv(capsys.readouterr().out)
     assert kv["kind"] == "T3"
     assert int(kv["n_elements"]) >= 300
+
+
+@pytest.mark.parametrize("argv, spec", [
+    (["run", "--case", "patch", "--formulation", "svm", "--mesh", "grid:B8:33x32x32"],
+     "grid:B8:33x32x32"),
+    (["run", "--case", "cavity", "--formulation", "svm", "--mesh", "grid:T3:400x400"],
+     "grid:T3:400x400"),
+    (["convergence", "--case", "bodyforce", "--formulation", "svm", "--element", "q4",
+      "--levels", "8,16,400"], "--levels 8,16,400"),
+    (["eigen", "--element", "q4-enriched", "--n", "49"], "--n 49"),
+])
+def test_oversized_grid_is_refused_before_allocation(argv, spec, monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("generate_grid called for an oversized grid")
+
+    monkeypatch.setattr("stokeslab.cli.generate_grid", refuse)
+    monkeypatch.setattr("stokeslab.analysis.generate_grid", refuse)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert spec in err and "exceed the limit" in err
+
+
+def test_size_limits_admit_the_largest_measured_runs():
+    from stokeslab.cli import MAX_DENSE_DOFS, MAX_DOFS, UsageError, _check_size
+    from stokeslab.kinds import ElementKind
+
+    _check_size("b8", ElementKind.B8, (32, 32, 32), MAX_DOFS)
+    _check_size("q4", ElementKind.Q4, (48, 48), MAX_DENSE_DOFS)
+    with pytest.raises(UsageError, match="143,748"):
+        _check_size("b8", ElementKind.B8, (33, 32, 32), MAX_DOFS)
+    with pytest.raises(UsageError, match="7,203"):
+        _check_size("q4", ElementKind.Q4, (49, 48), MAX_DENSE_DOFS)

@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 
 from conftest import REFERENCE_CORNERS, lexsort_sum
+from stokeslab.basis import basis_table
 from stokeslab.cases import case_by_name, case_constraints
 from stokeslab.formulations import (
     FormulationConfig,
     _element_stacks,
+    _wvm_coefficient,
     assemble,
     assemble_enriched,
     assemble_enriched_full,
@@ -27,6 +29,7 @@ from stokeslab.linalg import (
     solve_direct,
 )
 from stokeslab.mesh import Mesh, generate_grid, load_mesh, wct_fixture_path
+from stokeslab.quadrature import rule_for
 
 
 # -------------------------------------------------------------------- config
@@ -408,6 +411,62 @@ def test_blocks_match_monolithic_scatter(kind, perturbed, scheme, bp_epsilon, co
             for i in range(mesh.dim):
                 comp = (rows < n_v) & (cols < n_v) & (rows % mesh.dim == i) & (cols % mesh.dim == i)
                 assert system.blocks.K.tobytes() == vals[comp].tobytes()
+
+
+# ----------------------------------------- stabilization terms as stacked matmuls
+
+def _einsum_stabilized_stacks(mesh, config):
+    """Reference wvm/svm element blocks and loads: the Galerkin stacks plus
+    the stabilization terms by the einsum formulas the kernel used before
+    they became stacked matmuls, on the mesh's own geometry."""
+    (Kvv, Kvp, Kpv, Kpp), (fv, fp), _ = _element_stacks(
+        mesh, dataclasses.replace(config, scheme="galerkin"))
+    table = basis_table(mesh.kind, rule_for(mesh.kind))
+    geom, nu = mesh.geometry, config.nu
+    G, lapN = geom.G, geom.lapN
+    bf = (np.zeros_like(geom.x) if config.body_force is None
+          else np.broadcast_to(config.body_force(geom.x), geom.x.shape))
+    if config.scheme == "wvm":
+        tau_eff = table.b * _wvm_coefficient(table, geom)[:, None]
+    else:
+        tau_eff = -(table.b / geom.lapb)
+    tw = geom.wdet * tau_eff
+    Kvv -= 2.0 * nu * np.einsum("ep,epa,epb->eab", tw, lapN, lapN)
+    Kvp += np.einsum("ep,epa,epib->eiab", tw, lapN, G).transpose(0, 2, 1, 3)
+    Kpv += np.einsum("ep,epja,epb->eabj", tw, G, lapN)
+    Kpp -= (1.0 / (2.0 * nu)) * np.einsum("ep,epia,epib->eab", tw, G, G)
+    fv += np.einsum("ep,epa,epi->eai", tw, lapN, bf)
+    fp -= (1.0 / (2.0 * nu)) * np.einsum("ep,epia,epi->ea", tw, G, bf)
+    return Kvv, Kvp, Kpv, Kpp, fv, fp
+
+
+@pytest.mark.parametrize("scheme", ["wvm", "svm"])
+@pytest.mark.parametrize("perturbed", [False, True], ids=["regular", "perturbed"])
+@pytest.mark.parametrize("kind", list(ElementKind))
+def test_stabilized_stacks_match_einsum_reference(kind, perturbed, scheme):
+    mesh = generate_grid(kind, 6 if kind.dim == 2 else 3)
+    mesh = _perturbed(mesh) if perturbed else mesh
+    for body_force in (None, _body_force):
+        config = FormulationConfig(scheme=scheme, nu=0.7, body_force=body_force)
+        blocks, loads, _ = _element_stacks(mesh, config)
+        for name, got, want in zip(("Kvv", "Kvp", "Kpv", "Kpp", "fv", "fp"), blocks + loads,
+                                   _einsum_stabilized_stacks(mesh, config)):
+            assert got.shape == want.shape, name
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max(), name
+
+
+@pytest.mark.parametrize("scheme", ["wvm", "svm"])
+@pytest.mark.parametrize("kind", list(ElementKind))
+def test_stabilized_pressure_coupling_is_transpose_bit_for_bit(kind, scheme):
+    """B_i is G_i^T to the last bit: both come from one element product."""
+    mesh = _perturbed(generate_grid(kind, 6 if kind.dim == 2 else 3))
+    blocks = assemble(mesh, FormulationConfig(scheme=scheme, nu=0.7,
+                                              body_force=_body_force)).blocks
+    pattern = blocks.pattern
+    transpose = np.lexsort((pattern.rows, pattern.cols))  # (col, row) order
+    assert np.array_equal(pattern.rows[transpose], pattern.cols)
+    for i in range(mesh.dim):
+        assert blocks.B[i].tobytes() == blocks.G[i][transpose].tobytes()
 
 
 # -------------------------------------------------------------------- traction

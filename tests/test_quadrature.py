@@ -6,17 +6,27 @@ import math
 import numpy as np
 import pytest
 
-from stokeslab.basis import in_reference_element
 from stokeslab.kinds import ElementKind
 from stokeslab.quadrature import QuadratureRule, facet_rule, rule_for
 
 ALL_KINDS = list(ElementKind)
 
 
+REFERENCE_MEASURE = {ElementKind.T3: 0.5, ElementKind.TET4: 1.0 / 6.0,
+                     ElementKind.Q4: 4.0, ElementKind.B8: 8.0}
+
+
+def in_reference_element(kind, xi, tol=1e-12):
+    xi = np.asarray(xi, dtype=float)
+    if kind.is_simplex:
+        return bool(np.all(xi >= -tol) and xi.sum() <= 1.0 + tol)
+    return bool(np.all(np.abs(xi) <= 1.0 + tol))
+
+
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_weights_sum_to_reference_measure(kind):
     rule = rule_for(kind)
-    assert rule.weights.sum() == pytest.approx(kind.reference_measure, rel=1e-13)
+    assert rule.weights.sum() == pytest.approx(REFERENCE_MEASURE[kind], rel=1e-13)
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
