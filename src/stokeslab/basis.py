@@ -136,43 +136,37 @@ def eval_bubble(kind: ElementKind, xi) -> BubbleEval:
 
 
 def jacobian_calc(kind: ElementKind, node_coords, xi) -> JacobianCalc:
-    """Jacobian, its inverse and determinant, and div(J^-1) at xi.
-
-    div(J^-1)_p = -Jinv[p,i] xhat[n,i] D2N[n,m,s] Jinv[m,k] Jinv[s,k].
+    """Jacobian, its inverse and determinant, and div(J^-1) at xi: the
+    element_geometry of a one-point table.  Besides an inverted element, it
+    refuses one whose detJ is tiny against its size, |detJ| < 1e-14 h^dim.
     """
     node_coords = np.asarray(node_coords, dtype=float)
-    d = kind.dim
-    be = eval_basis(kind, xi)
-    J = node_coords.T @ be.DN
-    detJ = float(np.linalg.det(J))
+    table = tabulate(kind, np.asarray(xi, dtype=float)[None], np.ones(1))
+    J, detJ = jacobians(table.DN, node_coords)
     scale = float(np.max(np.ptp(node_coords, axis=0)))
-    if abs(detJ) < 1e-14 * max(scale, 1e-300) ** d:
+    if detJ[0] < 1e-14 * max(scale, 1e-300) ** kind.dim:
         raise SingularJacobianError(
-            f"singular Jacobian (detJ={detJ:.3e}) at xi={np.asarray(xi)}"
-        )
-    Jinv = np.linalg.inv(J)
-    D2 = be.D2N.reshape(-1, d, d)
-    JJT = Jinv @ Jinv.T  # (m,s) contraction kernel
-    # xhat^T D2N contracted: C[i, m, s] = xhat[n, i] D2N[n, m, s]
-    C = np.einsum("ni,nms->ims", node_coords, D2)
-    divJinv = -np.einsum("pi,ims,ms->p", Jinv, C, JJT)
-    return JacobianCalc(J=J, Jinv=Jinv, detJ=detJ, divJinv=divJinv)
+            f"singular Jacobian (detJ={detJ[0]:.3e}) at xi={np.asarray(xi)}")
+    geom = element_geometry(table, node_coords)
+    return JacobianCalc(J=J[0], Jinv=geom.Jinv[0], detJ=float(detJ[0]),
+                        divJinv=geom.divJinv[0])
 
 
 def laplacian_physical(grad_xi, hess_xi, jac: JacobianCalc) -> float:
     """Physical Laplacian of a scalar given its parametric grad/hess.
 
     lap = H : (Jinv Jinv^T) + grad_xi . div(J^-1); the second term is the
-    curvature correction that vanishes for affine elements.
+    curvature correction that vanishes for affine elements.  The products
+    are those element_geometry forms for the bubble Laplacian at one point.
     """
-    JJT = jac.Jinv @ jac.Jinv.T
-    return float(np.einsum("ms,ms->", np.asarray(hess_xi), JJT)
-                 + np.asarray(grad_xi) @ jac.divJinv)
+    JJT = (jac.Jinv @ jac.Jinv.T).reshape(-1, 1)
+    return float((np.ravel(hess_xi)[None] @ JJT
+                  + np.asarray(grad_xi)[None] @ jac.divJinv[:, None])[0, 0])
 
 
 @dataclass(frozen=True)
 class BasisTable:
-    """Shape and bubble data tabulated at every point of a quadrature rule."""
+    """Shape and bubble data tabulated at a set of reference points."""
 
     points: np.ndarray    # (np, dim)
     weights: np.ndarray   # (np,)
@@ -187,17 +181,13 @@ class BasisTable:
 _TABLE_CACHE: dict = {}
 
 
-def basis_table(kind: ElementKind, rule) -> BasisTable:
-    """Tabulate (and cache) basis/bubble data for a quadrature rule."""
-    key = (kind, rule.points.tobytes())
-    tab = _TABLE_CACHE.get(key)
-    if tab is not None:
-        return tab
-    evals = [eval_basis(kind, xi) for xi in rule.points]
-    bubbles = [eval_bubble(kind, xi) for xi in rule.points]
-    tab = BasisTable(
-        points=rule.points,
-        weights=rule.weights,
+def tabulate(kind: ElementKind, points, weights) -> BasisTable:
+    """Tabulate basis/bubble data at the given reference points."""
+    evals = [eval_basis(kind, xi) for xi in points]
+    bubbles = [eval_bubble(kind, xi) for xi in points]
+    return BasisTable(
+        points=points,
+        weights=weights,
         N=np.stack([e.N for e in evals]),
         DN=np.stack([e.DN for e in evals]),
         D2N=np.stack([e.D2N for e in evals]),
@@ -205,7 +195,14 @@ def basis_table(kind: ElementKind, rule) -> BasisTable:
         gb=np.stack([bu.grad_xi for bu in bubbles]),
         Hb=np.stack([bu.hess_xi.ravel() for bu in bubbles]),
     )
-    _TABLE_CACHE[key] = tab
+
+
+def basis_table(kind: ElementKind, rule) -> BasisTable:
+    """Tabulate (and cache) basis/bubble data for a quadrature rule."""
+    key = (kind, rule.points.tobytes())
+    tab = _TABLE_CACHE.get(key)
+    if tab is None:
+        tab = _TABLE_CACHE[key] = tabulate(kind, rule.points, rule.weights)
     return tab
 
 
@@ -225,6 +222,21 @@ class ElementGeometry:
     wdet: np.ndarray      # (..., np) weight * detJ
 
 
+def jacobians(DN, coords):
+    """J (..., np, dim, dim) and detJ (..., np) of coords (..., nen, dim) at
+    the points of DN (np, nen, dim).  Refuses the first element whose detJ
+    is not finite and positive, with its own minimum (a lone one is 0)."""
+    J = np.einsum("...ni,pnm->...pim", coords, DN)
+    detJ = np.linalg.det(J)
+    per_element = detJ.reshape(-1, detJ.shape[-1])
+    ok = (np.isfinite(per_element) & (per_element > 0)).all(axis=1)
+    if not ok.all():
+        e = int(np.argmin(ok))
+        raise SingularJacobianError(
+            f"element {e} is inverted (min detJ={per_element[e].min():.3e})")
+    return J, detJ
+
+
 def integrate(wdet, values) -> np.ndarray:
     """Quadrature sum of values (..., np) with weights wdet (..., np), one
     per element.  A stacked matmul makes each element's sum the same dot
@@ -242,16 +254,7 @@ def element_geometry(table: BasisTable, coords) -> ElementGeometry:
     """
     coords = np.asarray(coords, dtype=float)
     d = coords.shape[-1]
-    J = np.einsum("...ni,pnm->...pim", coords, table.DN)
-    detJ = np.linalg.det(J)
-    bad = ~(np.isfinite(detJ) & (detJ > 0))  # NaN fails detJ > 0 too
-    if np.any(bad):
-        where = ""
-        if bad.ndim > 1:
-            where = f" in element {int(np.argmax(bad.reshape(-1, bad.shape[-1]).any(axis=1)))}"
-        raise SingularJacobianError(
-            f"non-positive or non-finite Jacobian{where} (min detJ={np.min(detJ):.3e})"
-        )
+    J, detJ = jacobians(table.DN, coords)
     Jinv = np.linalg.inv(J)
     JJT = (Jinv @ np.swapaxes(Jinv, -1, -2)).reshape(J.shape[:-2] + (d * d, 1))
     # H[n] = D2N[n] : JJT, so div(J^-1) = -Jinv xhat^T H needs no (i, m, s) array

@@ -33,11 +33,14 @@ MAX_DOFS = 143_748
 MAX_DENSE_DOFS = 7_203
 
 
-def _check_size(spec: str, kind: ElementKind, divisions, limit: int) -> None:
-    """Refuse a grid above the dof limit before anything is allocated."""
-    dofs = math.prod(n + 1 for n in divisions) * (kind.dim + 1)
+def _check_dofs(spec: str, dofs: int, limit: int) -> None:
     if dofs > limit:
         raise UsageError(f"{spec}: {dofs:,} dofs exceed the limit of {limit:,}")
+
+
+def _check_size(spec: str, kind: ElementKind, divisions, limit: int) -> None:
+    """Refuse a grid above the dof limit before anything is allocated."""
+    _check_dofs(spec, math.prod(n + 1 for n in divisions) * (kind.dim + 1), limit)
 
 
 _CASE_ALIASES = {
@@ -85,7 +88,9 @@ def _resolve_mesh(spec: str):
             )
         _check_size(spec, kind, divisions, MAX_DOFS)
         return generate_grid(kind, divisions)
-    return load_mesh(spec)
+    mesh = load_mesh(spec)
+    _check_dofs(spec, mesh.n_nodes * (mesh.dim + 1), MAX_DOFS)
+    return mesh
 
 
 def _parse_element(spec: str):
@@ -203,9 +208,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--formulation", default="galerkin")
-        p.add_argument("--nu", type=float, default=None,
-                       help="viscosity override (default: per-case value)")
-        p.add_argument("--bp-epsilon", dest="bp_epsilon", type=float, default=0.0)
         p.add_argument("--csv", default=None)
 
     run = sub.add_parser("run", help="solve one case and export fields")
@@ -215,6 +217,9 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--pivot-rtol", dest="pivot_rtol", type=float, default=1e-14)
     run.add_argument("--residual-rtol", dest="residual_rtol", type=float,
                      default=1e-10)
+    run.add_argument("--nu", type=float, default=None,
+                     help="viscosity override (default: per-case value)")
+    run.add_argument("--bp-epsilon", dest="bp_epsilon", type=float, default=0.0)
     common(run)
     run.set_defaults(func=cmd_run)
 
@@ -223,6 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
     conv.add_argument("--element", required=True)
     conv.add_argument("--levels", required=True,
                       help="comma-separated divisions, e.g. 8,16,32")
+    conv.add_argument("--bp-epsilon", dest="bp_epsilon", type=float, default=0.0)
     common(conv)
     conv.set_defaults(func=cmd_convergence)
 

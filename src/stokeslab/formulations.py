@@ -7,18 +7,19 @@ Schemes:
 * ``wvm`` -- weak variational multiscale: the fine scales are eliminated in
   an integral sense, giving tau(xi) = b(xi) * int(b) / int(|grad b|^2) > 0.
 * ``svm`` -- strong variational multiscale: the fine-scale problem is solved
-  pointwise, giving tau(xi) = b(xi) / lap(b)(xi) < 0.
+  pointwise, giving tau(xi) = b(xi) / lap(b)(xi), negative where lap(b) < 0.
 * ``enriched`` -- bubble-enriched Galerkin with per-element static
   condensation of the fine-scale velocity coefficients.
 
 The stabilized weak forms substitute the fine-scale velocity
 v' = (1/2nu)*tau_eff*r, with coarse residual r = 2*nu*lap(v) - grad(p) + b
-and tau_eff = |tau| > 0, into the two-level coarse problem: the momentum
-row gains c(w; v') = -int(2nu*lap(w) . v') and the continuity row gains
-d(v'; q) = int(v' . grad q).  With the continuity convention
-b(v;q) = -(div v, q) used throughout, the resulting pressure-pressure
-stabilization block is symmetric negative semidefinite for both schemes,
-matching the sign of the condensed enriched block -K_pf K_ff^-1 K_fp.
+and tau_eff = tau (wvm) or -tau (svm), into the two-level coarse problem:
+the momentum row gains c(w; v') = -int(2nu*lap(w) . v') and the continuity
+row gains d(v'; q) = int(v' . grad q).  With the continuity convention
+b(v;q) = -(div v, q) used throughout, the pressure-pressure stabilization
+block is symmetric, and negative semidefinite like the condensed enriched
+block -K_pf K_ff^-1 K_fp where tau_eff > 0: always for wvm, but for svm
+only where lap(b) < 0, which fails at some points of distorted simplices.
 """
 
 from __future__ import annotations
@@ -27,8 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import (basis_table, element_geometry, eval_bubble, integrate, jacobian_calc,
-                    laplacian_physical)
+from .basis import basis_table, element_geometry, integrate, tabulate
 from .kinds import ElementKind
 from .linalg import (LinearSystem, SingularMatrixError, SparseMatrix, StokesBlocks,
                      assemble_vector)
@@ -121,17 +121,15 @@ def _wvm_coefficient(table, geom) -> np.ndarray:
 
 
 def tau_at(scheme: str, kind: ElementKind, node_coords, xi) -> float:
-    """Stabilization parameter at a reference point of one element."""
+    """Stabilization parameter at a reference point of one element; svm's
+    b / lap(b) comes from element_geometry, as in assembly."""
     if scheme not in ("wvm", "svm"):
         raise ValueError(f"tau is defined for wvm/svm, not {scheme!r}")
-    table = basis_table(kind, rule_for(kind))
-    geom = element_geometry(table, node_coords)
-    bub = eval_bubble(kind, xi)
+    point = tabulate(kind, np.asarray(xi, dtype=float)[None], np.ones(1))
     if scheme == "wvm":
-        return bub.b * float(_wvm_coefficient(table, geom))
-    # pointwise geometry for the Laplacian at xi
-    jac = jacobian_calc(kind, node_coords, xi)
-    return bub.b / laplacian_physical(bub.grad_xi, bub.hess_xi, jac)
+        table = basis_table(kind, rule_for(kind))
+        return float(point.b[0] * _wvm_coefficient(table, element_geometry(table, node_coords)))
+    return float(point.b[0] / element_geometry(point, node_coords).lapb[0])
 
 
 def _element_stacks(mesh, config, condensed=True):
@@ -171,8 +169,8 @@ def _element_stacks(mesh, config, condensed=True):
     if config.scheme in ("wvm", "svm"):
         # Substituting v' = (1/2nu)*tau_eff*r into the coarse-scale problem
         # (momentum += c(w,v'), continuity += d(v',q)) gives identical terms
-        # for both schemes in tau_eff = |tau| > 0; only the scalar profile
-        # of tau differs.  The resulting pp block is symmetric NSD.
+        # for both schemes in tau_eff; only the scalar profile of tau
+        # differs.  The pp block is NSD where tau_eff > 0 (see above).
         if config.scheme == "wvm":
             tau_eff = table.b * _wvm_coefficient(table, geom)[:, None]
         else:
@@ -298,28 +296,20 @@ def recover_fine(solution, fine: FineBlocks, mesh: Mesh, dofmap: DofMap) -> np.n
     return rhs / fine.kff[:, None]
 
 
-def _facet_shapes(kind: ElementKind, points):
-    """Shape functions (n_q, nfn) of a kind's facet at facet rule points, and
-    their derivatives along the facet's reference coordinates (n_q, fdim, nfn).
+def _facet_shapes(kind: ElementKind, rule):
+    """Shape functions (n_q, nfn) of a kind's facet at the facet rule's
+    points, and their derivatives along the facet's reference coordinates
+    (n_q, fdim, nfn).  A TET4 face is a T3 and a B8 face a Q4.
     """
-    n_q = len(points)
+    if kind.dim == 3:
+        face = basis_table(ElementKind.T3 if kind is ElementKind.TET4 else ElementKind.Q4, rule)
+        return face.N, np.swapaxes(face.DN, 1, 2)
+    t = rule.points[:, 0]
     if kind is ElementKind.T3:  # 2-node edge on t in [0, 1]
-        t = points[:, 0]
-        return np.stack([1 - t, t], -1), np.broadcast_to([[-1.0, 1.0]], (n_q, 1, 2))
-    if kind is ElementKind.Q4:  # 2-node edge on t in [-1, 1]
-        t = points[:, 0]
-        return (np.stack([(1 - t) / 2, (1 + t) / 2], -1),
-                np.broadcast_to([[-0.5, 0.5]], (n_q, 1, 2)))
-    u, v = points.T
-    if kind is ElementKind.TET4:  # linear triangle
-        return (np.stack([1 - u - v, u, v], -1),
-                np.broadcast_to([[-1.0, 1.0, 0.0], [-1.0, 0.0, 1.0]], (n_q, 2, 3)))
-    # B8: bilinear quadrilateral on [-1, 1]^2
-    shp = 0.25 * np.stack([(1 - u) * (1 - v), (1 + u) * (1 - v),
-                           (1 + u) * (1 + v), (1 - u) * (1 + v)], -1)
-    du = 0.25 * np.stack([-(1 - v), (1 - v), (1 + v), -(1 + v)], -1)
-    dv = 0.25 * np.stack([-(1 - u), -(1 + u), (1 + u), (1 - u)], -1)
-    return shp, np.stack([du, dv], 1)
+        return np.stack([1 - t, t], -1), np.broadcast_to([[-1.0, 1.0]], (len(t), 1, 2))
+    # Q4: 2-node edge on t in [-1, 1]
+    return (np.stack([(1 - t) / 2, (1 + t) / 2], -1),
+            np.broadcast_to([[-0.5, 0.5]], (len(t), 1, 2)))
 
 
 def add_traction(system: LinearSystem, mesh: Mesh, tag: str, traction,
@@ -334,7 +324,7 @@ def add_traction(system: LinearSystem, mesh: Mesh, tag: str, traction,
         valid = ", ".join(sorted(mesh.boundary_faces))
         raise ValueError(f"unknown face tag {tag!r}; have: {valid}")
     frule = facet_rule(mesh.kind)
-    shp, dshp = _facet_shapes(mesh.kind, frule.points)
+    shp, dshp = _facet_shapes(mesh.kind, frule)
     local = np.array(LOCAL_FACETS[mesh.kind])
     fnodes = mesh.elements[pairs[:, :1], local[pairs[:, 1]]]  # (n_f, nfn)
     coords = mesh.nodes[fnodes]

@@ -118,7 +118,7 @@ class SparseMatrix:
 
     def to_dense(self) -> np.ndarray:
         A = np.zeros((self.n_rows, self.n_cols))
-        np.add.at(A, (self.rows, self.cols), self.vals)
+        A[self.rows, self.cols] += self.vals  # entries are unique: each is 0.0 + v
         return A
 
 

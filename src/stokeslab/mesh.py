@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .basis import basis_table, element_geometry
+from .basis import SingularJacobianError, basis_table, element_geometry, jacobians
 from .kinds import ElementKind, kind_from_name
 from .linalg import TripletPattern
 from .quadrature import rule_for
@@ -92,20 +92,17 @@ class Mesh:
                 raise MeshError(f"element {e} has repeated node indices")
             node = self.elements[e][outside[e]][0]
             raise MeshError(f"element {e} references node {node} of {n}")
-        dets = self._jacobian_dets()
-        bad = ~(dets > 0)  # also catches NaN
-        if np.any(bad):
-            e = int(np.nonzero(np.any(bad, axis=1))[0][0])
-            raise MeshError(
-                f"element {e} is inverted (min detJ={dets[e].min():.3e})"
-            )
+        try:
+            self._jacobian_dets()
+        except SingularJacobianError as exc:
+            raise MeshError(str(exc)) from None
 
     def _jacobian_dets(self) -> np.ndarray:
         """detJ of every element at each of its quadrature points."""
         all_DN = basis_table(self.kind, rule_for(self.kind)).DN
         DN = all_DN[:1] if self.kind.is_simplex else all_DN  # J is constant on a simplex
-        J = np.einsum("eni,pnm->epim", self.nodes[self.elements], DN)
-        return np.repeat(np.linalg.det(J), len(all_DN) // len(DN), axis=1)
+        _, dets = jacobians(DN, self.nodes[self.elements])
+        return np.repeat(dets, len(all_DN) // len(DN), axis=1)
 
     @cached_property
     def geometry(self):

@@ -113,6 +113,5 @@ def facet_rule(kind: ElementKind) -> QuadratureRule:
     if kind is ElementKind.Q4:
         x, w = roots_legendre(3)
         return QuadratureRule(x[:, None].copy(), w.copy(), exact_degree=5)
-    if kind is ElementKind.B8:
-        return _tensor_gauss(2, 3)
-    return _triangle_deg6()
+    # a TET4 face is a T3 and a B8 face a Q4
+    return rule_for(ElementKind.T3 if kind is ElementKind.TET4 else ElementKind.Q4)

@@ -5,6 +5,7 @@ import pytest
 
 from conftest import REFERENCE_CORNERS, distorted_element, random_interior_point
 from stokeslab.basis import (
+    _TABLE_CACHE,
     SingularJacobianError,
     basis_table,
     element_geometry,
@@ -13,6 +14,7 @@ from stokeslab.basis import (
     jacobian_calc,
     laplacian_physical,
 )
+from stokeslab.formulations import tau_at
 from stokeslab.kinds import ElementKind
 from stokeslab.mesh import generate_grid
 from stokeslab.quadrature import rule_for
@@ -160,6 +162,37 @@ def test_degenerate_element_raises():
         jacobian_calc(ElementKind.Q4, coords, (0.0, 0.0))
 
 
+def test_clockwise_element_raises():
+    coords = REFERENCE_CORNERS[ElementKind.Q4][::-1]
+    with pytest.raises(SingularJacobianError, match=r"element 0 is inverted \(min detJ=-"):
+        jacobian_calc(ElementKind.Q4, coords, (0.0, 0.0))
+
+
+def test_inverted_element_named_with_its_own_minimum():
+    # the second and the fourth square of a stack are inverted, with detJ
+    # -0.1 and -5 at every point: the first is named, with its own minimum
+    corners = REFERENCE_CORNERS[ElementKind.Q4]
+    flip = np.array([1.0, -1.0])
+    coords = np.stack([corners, np.sqrt(0.1) * corners * flip, corners,
+                       np.sqrt(5.0) * corners * flip])
+    table = basis_table(ElementKind.Q4, rule_for(ElementKind.Q4))
+    with pytest.raises(SingularJacobianError,
+                       match=r"^element 1 is inverted \(min detJ=-1\.000e-01\)$"):
+        element_geometry(table, coords)
+
+
+def test_pointwise_calls_leave_the_table_cache_alone(rng):
+    coords = distorted_element(ElementKind.Q4, rng)
+    jacobian_calc(ElementKind.Q4, coords, (0.0, 0.0))
+    tau_at("svm", ElementKind.Q4, coords, (0.0, 0.0))
+    size = len(_TABLE_CACHE)
+    for _ in range(100):
+        xi = random_interior_point(ElementKind.Q4, rng)
+        jacobian_calc(ElementKind.Q4, coords, xi)
+        tau_at("svm", ElementKind.Q4, coords, xi)
+    assert len(_TABLE_CACHE) == size
+
+
 def _invert_map(kind, coords, x_target, xi_guess):
     """Newton-invert the isoparametric map x(xi) = x_target."""
     z = np.array(xi_guess, dtype=float)
@@ -288,6 +321,31 @@ def test_element_geometry_matches_pointwise_calculus(kind, rng):
         assert geom.lapb[p] == pytest.approx(
             laplacian_physical(bu.grad_xi, bu.hess_xi, jac), rel=1e-11
         )
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_pointwise_calculus_is_element_geometry_bit_for_bit(kind, rng):
+    """jacobian_calc and laplacian_physical at a quadrature point give the
+    bits that assembly reads from element_geometry there."""
+    coords = distorted_element(kind, rng, amount=0.1)
+    table = basis_table(kind, rule_for(kind))
+    geom = element_geometry(table, coords)
+    for p, xi in enumerate(table.points):
+        jac = jacobian_calc(kind, coords, xi)
+        assert jac.detJ == geom.detJ[p]
+        assert jac.Jinv.tobytes() == geom.Jinv[p].tobytes()
+        assert jac.divJinv.tobytes() == geom.divJinv[p].tobytes()
+        bu = eval_bubble(kind, xi)
+        assert laplacian_physical(bu.grad_xi, bu.hess_xi, jac) == geom.lapb[p]
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_svm_tau_at_is_the_assembled_tau_bit_for_bit(kind, rng):
+    coords = distorted_element(kind, rng, amount=0.1)
+    table = basis_table(kind, rule_for(kind))
+    geom = element_geometry(table, coords)
+    for p, xi in enumerate(table.points):
+        assert tau_at("svm", kind, coords, xi) == table.b[p] / geom.lapb[p]
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)

@@ -174,6 +174,27 @@ def test_oversized_grid_is_refused_before_allocation(argv, spec, monkeypatch, ca
     assert spec in err and "exceed the limit" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["convergence", "--element", "q4", "--levels", "4,8,16", "--nu", "7"],
+    ["eigen", "--element", "q4-svm", "--n", "4", "--nu", "9"],
+    ["eigen", "--element", "q4-svm", "--n", "4", "--bp-epsilon", "0.5"],
+])
+def test_options_a_verb_ignores_are_refused(argv, capsys):
+    assert main(argv) == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_mesh_file_above_the_dof_limit_is_refused(monkeypatch, capsys):
+    from stokeslab.mesh import wct_fixture_path
+
+    path = str(wct_fixture_path())  # 281 nodes, 843 dofs
+    monkeypatch.setattr("stokeslab.cli.MAX_DOFS", 842)
+    assert main(["mesh-info", "--mesh", path]) == 2
+    assert f"{path}: 843 dofs exceed the limit of 842" in capsys.readouterr().err
+    monkeypatch.setattr("stokeslab.cli.MAX_DOFS", 843)
+    assert main(["mesh-info", "--mesh", path]) == 0
+
+
 def test_size_limits_admit_the_largest_measured_runs():
     from stokeslab.cli import MAX_DENSE_DOFS, MAX_DOFS, UsageError, _check_size
     from stokeslab.kinds import ElementKind

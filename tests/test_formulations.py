@@ -135,6 +135,25 @@ def test_pressure_stabilization_operator_psd(scheme, kind):
     assert lam.max() > 0  # genuinely active
 
 
+def test_svm_pressure_stabilization_indefinite_on_distorted_triangles():
+    """svm's tau_eff = -b/lap(b) is positive only where lap(b) < 0; on this
+    distorted T3 grid lap(b) >= 0 at some points and the svm operator is
+    indefinite, while wvm's stays positive semidefinite."""
+    mesh = generate_grid(ElementKind.T3, 6)
+    inner = np.all((mesh.nodes > 0) & (mesh.nodes < 1), axis=1)
+    nodes = mesh.nodes.copy()
+    h = 1.0 / 6.0
+    nodes[inner] += np.random.default_rng(1).uniform(-0.12 * h, 0.12 * h, (inner.sum(), 2))
+    mesh = Mesh(dim=2, nodes=nodes, elements=mesh.elements, kind=ElementKind.T3)
+    assert np.any(mesh.geometry.lapb >= 0)
+    lam = {}
+    for scheme in ("wvm", "svm"):
+        C = -_pp_block(assemble(mesh, FormulationConfig(scheme=scheme)))
+        lam[scheme] = np.linalg.eigvalsh(0.5 * (C + C.T))
+    assert lam["svm"].min() < -1e-4 * lam["svm"].max()
+    assert lam["wvm"].min() > -1e-10 * lam["wvm"].max()
+
+
 def test_system_symmetry_galerkin_and_enriched():
     mesh = generate_grid(ElementKind.Q4, 3)
     for scheme in ("galerkin", "enriched"):
