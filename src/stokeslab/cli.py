@@ -167,8 +167,13 @@ def cmd_convergence(args) -> int:
 def cmd_eigen(args) -> int:
     if args.n < 2:
         raise UsageError("--n must be >= 2")
-    kind, scheme = _parse_element(args.element)
-    scheme = scheme or _resolve_scheme(args.formulation)
+    kind, suffix = _parse_element(args.element)
+    scheme = suffix or "galerkin"
+    if args.formulation is not None:
+        scheme = _resolve_scheme(args.formulation)
+        if suffix not in (None, scheme):
+            raise UsageError(f"--formulation {scheme} conflicts with the scheme "
+                             f"suffix of --element {args.element}")
     _check_size(f"--n {args.n}", kind, (args.n,) * kind.dim, MAX_DENSE_DOFS)
     mesh = generate_grid(kind, (args.n,) * kind.dim)
     report = analysis.lbb_spectrum(mesh, scheme)
@@ -206,8 +211,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    def common(p):
-        p.add_argument("--formulation", default="galerkin")
+    def common(p, formulation="galerkin"):
+        p.add_argument("--formulation", default=formulation)
         p.add_argument("--csv", default=None)
 
     run = sub.add_parser("run", help="solve one case and export fields")
@@ -236,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
     eig.add_argument("--element", required=True,
                      help="kind with optional scheme suffix, e.g. q4-enriched")
     eig.add_argument("--n", type=int, required=True)
-    common(eig)
+    common(eig, formulation=None)  # None: the --element suffix, else galerkin
     eig.set_defaults(func=cmd_eigen)
 
     info = sub.add_parser("mesh-info", help="mesh statistics")

@@ -8,6 +8,10 @@ numeric phase sorts the values within each group and adds each group with
 one np.add.reduceat, so shuffled triplet order produces a bit-identical
 compressed matrix.  A mesh computes its node pattern once, and every block
 of an equal-order Stokes system (StokesBlocks) is summed on it.
+
+scipy.sparse and scipy.sparse.linalg are imported by the functions that use
+them, so that importing stokeslab loads no scipy; ``linalg.sp`` and
+``linalg.spla`` still name the two modules.
 """
 
 from __future__ import annotations
@@ -17,14 +21,22 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 
 # solve_schur: CG stops when its residual falls to CG_RTOL times the reduced
 # right-hand side, and gives up after CG_MAXITER iterations
 CG_RTOL = 1e-13
 CG_MAXITER = 1000
+
+
+def __getattr__(name):
+    if name == "sp":
+        import scipy.sparse
+        return scipy.sparse
+    if name == "spla":
+        import scipy.sparse.linalg
+        return scipy.sparse.linalg
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class SingularMatrixError(RuntimeError):
@@ -111,7 +123,8 @@ class SparseMatrix:
     def nnz(self) -> int:
         return self.vals.size
 
-    def to_scipy(self) -> sp.csr_matrix:
+    def to_scipy(self) -> "scipy.sparse.csr_matrix":
+        import scipy.sparse as sp
         return sp.csr_matrix(
             (self.vals, (self.rows, self.cols)), shape=(self.n_rows, self.n_cols)
         )
@@ -163,6 +176,7 @@ class StokesBlocks:
 def _norm_inf(csr) -> float:
     if not csr.shape[0]:
         return 0.0
+    import scipy.sparse as sp
     # row sums as a product with ones: each row adds in its stored order
     # (abs(csr) would sort the indices of a matrix that is not canonical)
     csr = sp.csr_matrix((np.abs(csr.data), csr.indices, csr.indptr), shape=csr.shape)
@@ -268,6 +282,7 @@ def solve_direct(system: LinearSystem, pivot_rtol: float = 1e-14,
         raise ValueError("apply_constraints before solving")
     if system.matrix.n_rows != system.matrix.n_cols:
         raise ValueError("matrix must be square")
+    import scipy.sparse.linalg as spla
     A = system.matrix.to_scipy()  # one CSR for the factor, matvecs and norm
     b = np.asarray(system.rhs, dtype=float)
     try:
@@ -333,6 +348,8 @@ def solve_schur(system: LinearSystem, residual_rtol: float = 1e-10,
     p_nodes = np.flatnonzero(free[n_v:])
     if not comps or p_nodes.size == 0:
         return None
+    import scipy.sparse as sp
+    import scipy.sparse.linalg as spla
     K, Kpp = (blocks.pattern.matrix(v).to_scipy() for v in (blocks.K, blocks.Kpp))
     Vs = [K[nodes[c]][:, nodes[c]] for c in comps]
     shared = all(np.array_equal(nodes[comps[0]], nodes[c]) for c in comps)

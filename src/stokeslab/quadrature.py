@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import roots_jacobi, roots_legendre
 
 from .kinds import ElementKind
 
@@ -29,8 +28,25 @@ class QuadratureRule:
         self.weights.setflags(write=False)
 
 
+# 1-D rules on [-1, 1] as (points, weights), to the last bit as
+# scipy.special.roots_legendre(n) and roots_jacobi(4, alpha, 0.0) give them
+# (numpy's leggauss differs by 1 ulp in the weights, which moves every output)
+_GAUSS_LEGENDRE = {
+    3: ((-0.7745966692414834, 0.0, 0.7745966692414834),
+        (0.5555555555555558, 0.8888888888888883, 0.5555555555555558)),
+    4: ((-0.8611363115940526, -0.3399810435848563, 0.3399810435848563, 0.8611363115940526),
+        (0.3478548451374538, 0.6521451548625462, 0.6521451548625462, 0.3478548451374538)),
+}
+_GAUSS_JACOBI_4 = {  # weight (1 - x)^alpha
+    2: ((-0.9029989011060054, -0.5227985248962753, 0.03409459020873491, 0.5917028357935458),
+        (0.8871073248902219, 1.1476703183937156, 0.5490710973833848, 0.08281792599934465)),
+    1: ((-0.8857916077709646, -0.44631397272375245, 0.16718086473783364, 0.7204802713124389),
+        (0.5420276537259541, 0.8138582720410844, 0.5193901904329293, 0.12472388380003234)),
+}
+
+
 def _tensor_gauss(dim: int, n: int) -> QuadratureRule:
-    x, w = roots_legendre(n)
+    x, w = map(np.array, _GAUSS_LEGENDRE[n])
     grids = np.meshgrid(*([x] * dim), indexing="ij")
     pts = np.stack([g.ravel() for g in grids], axis=-1)
     wgrids = np.meshgrid(*([w] * dim), indexing="ij")
@@ -67,11 +83,11 @@ def _triangle_deg6() -> QuadratureRule:
     return QuadratureRule(np.array(pts), np.array(wts), exact_degree=6)
 
 
-def _tet_conical(n: int) -> QuadratureRule:
-    """Conical-product rule on the reference tetrahedron, exact to 2n-1."""
-    xu, wu = roots_jacobi(n, 2.0, 0.0)
-    xv, wv = roots_jacobi(n, 1.0, 0.0)
-    xw, ww = roots_legendre(n)
+def _tet_conical() -> QuadratureRule:
+    """Conical-product rule on the reference tetrahedron, exact to degree 7."""
+    xu, wu = map(np.array, _GAUSS_JACOBI_4[2])
+    xv, wv = map(np.array, _GAUSS_JACOBI_4[1])
+    xw, ww = map(np.array, _GAUSS_LEGENDRE[4])
     # Map from [-1,1] to [0,1]; Jacobi weight (1-x)^a picks up 2^-a scaling.
     u, wu = 0.5 * (xu + 1), wu / 8.0
     v, wv = 0.5 * (xv + 1), wv / 4.0
@@ -85,7 +101,7 @@ def _tet_conical(n: int) -> QuadratureRule:
                 x3 = wi * (1 - ui) * (1 - vi)
                 pts.append((x1, x2, x3))
                 wts.append(wui * wvi * wwi)
-    return QuadratureRule(np.array(pts), np.array(wts), exact_degree=2 * n - 1)
+    return QuadratureRule(np.array(pts), np.array(wts), exact_degree=7)
 
 
 @lru_cache(maxsize=None)
@@ -102,16 +118,15 @@ def rule_for(kind: ElementKind) -> QuadratureRule:
         return _tensor_gauss(3, 3)
     if kind is ElementKind.T3:
         return _triangle_deg6()
-    return _tet_conical(4)
+    return _tet_conical()
 
 
 def facet_rule(kind: ElementKind) -> QuadratureRule:
     """Rule on the reference facet (edge for 2-D kinds, face for 3-D)."""
+    x, w = map(np.array, _GAUSS_LEGENDRE[3])
     if kind is ElementKind.T3:
-        x, w = roots_legendre(3)
         return QuadratureRule(0.5 * (x[:, None] + 1), w / 2.0, exact_degree=5)
     if kind is ElementKind.Q4:
-        x, w = roots_legendre(3)
-        return QuadratureRule(x[:, None].copy(), w.copy(), exact_degree=5)
+        return QuadratureRule(x[:, None], w, exact_degree=5)
     # a TET4 face is a T3 and a B8 face a Q4
     return rule_for(ElementKind.T3 if kind is ElementKind.TET4 else ElementKind.Q4)

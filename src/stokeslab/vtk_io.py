@@ -15,10 +15,13 @@ from .kinds import ElementKind
 from .mesh import Mesh
 
 FLOAT_FMT = "%.17g"
+_XYZ_FMT = " ".join([FLOAT_FMT] * 3)
 
 
-def _fmt(values) -> str:
-    return " ".join(FLOAT_FMT % v for v in np.atleast_1d(values))
+def _rows(row_fmt, table) -> str:
+    """One line per row of a 2-D table, formatted by one % over the repeated
+    row format ("" for a table without rows)."""
+    return "\n".join([row_fmt] * len(table)) % tuple(table.ravel().tolist())
 
 
 def write_vtk(path, mesh: Mesh, point_data: dict) -> None:
@@ -28,34 +31,30 @@ def write_vtk(path, mesh: Mesh, point_data: dict) -> None:
     pts3 = np.zeros((n, 3))
     pts3[:, : mesh.dim] = mesh.nodes
     nen = mesh.kind.nodes_per_element
-    lines = [
+    sections = [
         "# vtk DataFile Version 3.0",
         "stokeslab field output",
         "ASCII",
         "DATASET UNSTRUCTURED_GRID",
         f"POINTS {n} double",
+        _rows(_XYZ_FMT, pts3),
+        f"CELLS {mesh.n_elements} {mesh.n_elements * (nen + 1)}",
+        _rows(f"{nen}" + " %d" * nen, mesh.elements),
+        f"CELL_TYPES {mesh.n_elements}",
+        "\n".join([str(mesh.kind.vtk_cell_type)] * mesh.n_elements),
+        f"POINT_DATA {n}",
     ]
-    lines.extend(_fmt(p) for p in pts3)
-    lines.append(f"CELLS {mesh.n_elements} {mesh.n_elements * (nen + 1)}")
-    lines.extend(
-        f"{nen} " + " ".join(str(i) for i in conn) for conn in mesh.elements
-    )
-    lines.append(f"CELL_TYPES {mesh.n_elements}")
-    lines.extend([str(mesh.kind.vtk_cell_type)] * mesh.n_elements)
-    lines.append(f"POINT_DATA {n}")
     for name, data in point_data.items():
         data = np.asarray(data, dtype=float)
         if data.ndim == 2:
             vec3 = np.zeros((n, 3))
             vec3[:, : data.shape[1]] = data
-            lines.append(f"VECTORS {name} double")
-            lines.extend(_fmt(v) for v in vec3)
+            sections += [f"VECTORS {name} double", _rows(_XYZ_FMT, vec3)]
         else:
-            lines.append(f"SCALARS {name} double 1")
-            lines.append("LOOKUP_TABLE default")
-            lines.extend(FLOAT_FMT % v for v in data)
+            sections += [f"SCALARS {name} double 1", "LOOKUP_TABLE default",
+                         _rows(FLOAT_FMT, data[:, None])]
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("\n".join(s for s in sections if s) + "\n")
 
 
 def read_vtk(path):

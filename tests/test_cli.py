@@ -1,8 +1,15 @@
 """Command-line interface: verbs, exit codes, deterministic artifacts."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import stokeslab
 from stokeslab.cli import main
 from stokeslab.vtk_io import read_vtk
 
@@ -130,6 +137,22 @@ def test_eigen_element_suffix_selects_scheme(tmp_path, capsys):
     assert csv.read_text().startswith("# zero_count = 1")
 
 
+@pytest.mark.parametrize("element", ["q4", "q4-svm"])
+def test_eigen_formulation_selects_or_matches_the_suffix(element, capsys):
+    assert main(["eigen", "--element", element, "--n", "5", "--formulation", "svm"]) == 0
+    assert "# zero_count = 1" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("formulation, message", [
+    ("bogus", "unknown formulation 'bogus'"),
+    ("svm", "--formulation svm conflicts with the scheme suffix of --element q4-enriched"),
+])
+def test_eigen_formulation_against_the_suffix_is_usage_error(formulation, message, capsys):
+    argv = ["eigen", "--element", "q4-enriched", "--n", "4", "--formulation", formulation]
+    assert main(argv) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_eigen_single_element_is_usage_error():
     assert main(["eigen", "--element", "q4-svm", "--n", "1"]) == 2
 
@@ -205,3 +228,36 @@ def test_size_limits_admit_the_largest_measured_runs():
         _check_size("b8", ElementKind.B8, (33, 32, 32), MAX_DOFS)
     with pytest.raises(UsageError, match="7,203"):
         _check_size("q4", ElementKind.Q4, (49, 48), MAX_DENSE_DOFS)
+
+
+_SCIPY_PROBE = """
+import json, sys
+import stokeslab.cli as cli
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+loaded, solvers = {"import": scipy_modules()}, []
+for verb, argv in [("eigen", ["eigen", "--element", "q4-enriched", "--n", "4"]),
+                   ("mesh-info", ["mesh-info", "--mesh", "grid:B8:3x3x3"])]:
+    assert cli.main(argv) == 0
+    loaded[verb] = scipy_modules()
+solve_case = cli.solve_case
+cli.solve_case = lambda *a, **k: solvers.append(solve_case(*a, **k)) or solvers[-1]
+assert cli.main(["run", "--case", "cavity", "--formulation", "svm",
+                 "--mesh", "grid:Q4:4x4"]) == 0
+loaded["run"] = scipy_modules()
+print(json.dumps({"loaded": loaded, "solver": solvers[0].solver}))
+"""
+
+
+def test_eigen_and_mesh_info_load_no_scipy():
+    env = dict(os.environ, PYTHONPATH=str(Path(stokeslab.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", _SCIPY_PROBE], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    loaded = result["loaded"]
+    assert loaded["import"] == loaded["eigen"] == loaded["mesh-info"] == []
+    assert "scipy.sparse.linalg" in loaded["run"]  # the first solve imports it
+    assert result["solver"] == "schur-cg"

@@ -22,6 +22,19 @@ from stokeslab.linalg import (
 
 # ------------------------------------------------------------ sparse triplets
 
+def test_scipy_modules_resolve_on_first_use():
+    """perfbench's linalg.factor_s span patches ``stokeslab.linalg.spla.splu``."""
+    import scipy.sparse
+    import scipy.sparse.linalg
+
+    from stokeslab import linalg
+
+    assert linalg.sp is scipy.sparse
+    assert linalg.spla.splu is scipy.sparse.linalg.splu
+    with pytest.raises(AttributeError, match="no attribute 'spl'"):
+        linalg.spl
+
+
 def test_duplicate_triplets_accumulate():
     A = SparseMatrix.from_triplets(2, 2, [0, 0, 1], [0, 0, 1], [1.0, 2.0, 5.0])
     assert A.nnz == 2

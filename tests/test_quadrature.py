@@ -1,5 +1,6 @@
 """Quadrature rules: reference measures, positivity, interiority, exactness."""
 
+import hashlib
 import itertools
 import math
 
@@ -108,3 +109,40 @@ def test_facet_rule_measures(kind):
         ElementKind.TET4: 0.5,   # unit reference triangle face
     }[kind]
     assert rule.weights.sum() == pytest.approx(expected, rel=1e-13)
+
+
+def test_one_dimensional_tables_are_the_scipy_roots_bit_for_bit():
+    from scipy.special import roots_jacobi, roots_legendre
+
+    from stokeslab.quadrature import _GAUSS_JACOBI_4, _GAUSS_LEGENDRE
+
+    tables = [(table, roots_legendre(n)) for n, table in _GAUSS_LEGENDRE.items()]
+    tables += [(table, roots_jacobi(4, float(alpha), 0.0))
+               for alpha, table in _GAUSS_JACOBI_4.items()]
+    assert len(tables) == 4
+    for table, (x, w) in tables:
+        assert np.array_equal(table[0], x) and np.array_equal(table[1], w)
+        assert np.array(table).tobytes() == np.stack([x, w]).tobytes()  # signs of zero too
+
+
+# sha256 of points.tobytes() + weights.tobytes() of the rules as they were
+# built from scipy.special's roots; every assembled matrix depends on these bits
+RULE_SHA256 = {
+    ("rule_for", ElementKind.T3): "9ae84774123563ff39a2cd38d562f7ac822662cd5df364b043dd7b67f7d114d6",
+    ("rule_for", ElementKind.TET4): "4338ad631ad7d7c29a52edf2ca0539c917d05a3d3edd302e8766922e2409e18d",
+    ("rule_for", ElementKind.Q4): "96faff29333a41048e33b6a5fb7c881960f8328895cdb9f0e0acb398e54b586c",
+    ("rule_for", ElementKind.B8): "7b487e5157325ebae3b17e060dd17011f91caa68cd2a105c2d8d4f431a92233d",
+    ("facet_rule", ElementKind.T3): "d8799e2f734d1ca5c63d64b74844ac3d39803581bdaa2fa6575e76d9491b50b7",
+    ("facet_rule", ElementKind.TET4): "9ae84774123563ff39a2cd38d562f7ac822662cd5df364b043dd7b67f7d114d6",
+    ("facet_rule", ElementKind.Q4): "17eac8ae5b06c6c6a44a671142cc71ecffa6f812b0b7de43faa27029eec479af",
+    ("facet_rule", ElementKind.B8): "96faff29333a41048e33b6a5fb7c881960f8328895cdb9f0e0acb398e54b586c",
+}
+
+
+@pytest.mark.parametrize("rule, kind", [(f, k) for f in (rule_for, facet_rule) for k in ALL_KINDS],
+                         ids=lambda v: getattr(v, "__name__", None) or v.name)
+def test_rules_keep_their_bytes(rule, kind):
+    r = rule(kind)
+    assert r.points.dtype == r.weights.dtype == np.float64
+    digest = hashlib.sha256(r.points.tobytes() + r.weights.tobytes()).hexdigest()
+    assert digest == RULE_SHA256[rule.__name__, kind]
