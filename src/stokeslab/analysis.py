@@ -14,7 +14,6 @@ from .formulations import FormulationConfig, assemble, assemble_enriched, build_
 from .kinds import ElementKind
 from .linalg import eig_sym_generalized
 from .mesh import Mesh, generate_grid
-from .quadrature import rule_for
 
 ZERO_MODE_RTOL = 1e-10
 
@@ -46,7 +45,7 @@ def error_norms(solution, case: TestCase, mesh: Mesh) -> ErrorReport:
     if not case.has_exact:
         raise ValueError(f"case {case.name!r} has no exact solution")
     elements = mesh.elements
-    table = basis_table(mesh.kind, rule_for(mesh.kind))
+    table = basis_table(mesh.kind)
     geom = mesh.geometry
     vh = np.matmul(table.N, solution.velocity[elements])
     gph = np.einsum("epin,en->epi", geom.G, solution.pressure[elements])
@@ -73,6 +72,9 @@ def convergence_study(case: TestCase, scheme: str, kind: ElementKind,
     levels = list(levels)
     if len(levels) < 3:
         raise ValueError("need >= 3 levels for a slope fit")
+    repeated = [n for i, n in enumerate(levels) if n in levels[:i]]
+    if repeated:
+        raise ValueError(f"level {repeated[0]} is repeated; the slope fit needs distinct levels")
     if not case.has_exact:
         raise ValueError(f"case {case.name!r} has no exact solution")
     rows = []
@@ -95,7 +97,7 @@ def convergence_study(case: TestCase, scheme: str, kind: ElementKind,
 
 def pressure_mass_matrix(mesh: Mesh) -> np.ndarray:
     """Dense nodal pressure mass matrix int(N_a N_b)."""
-    N = basis_table(mesh.kind, rule_for(mesh.kind)).N
+    N = basis_table(mesh.kind).N
     Me = np.einsum("ep,pa,pb->eab", mesh.geometry.wdet, N, N)
     return mesh.node_pattern.matrix(mesh.node_pattern.sum(Me.ravel())).to_dense()
 

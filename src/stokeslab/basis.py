@@ -1,19 +1,21 @@
 """Shape functions, bubble functions, and isoparametric Jacobian calculus.
 
-Provides first and second parametric derivatives of the standard linear /
-bilinear / trilinear bases, the standard bubble of each element kind, and
-the machinery needed to evaluate physical Laplacians on distorted elements:
-the divergence of the inverse Jacobian and the chain-rule Laplacian built
-from it.
+`tabulate` evaluates the linear / bilinear / trilinear bases with their
+first and second parametric derivatives, and each kind's standard bubble,
+at a stack of reference points (a single point is a one-point table);
+`basis_table` caches it at the kind's quadrature rule.  `element_geometry`
+maps a table onto elements: Jacobians, div(J^-1) and physical Laplacians.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache, reduce
 
 import numpy as np
 
 from .kinds import ElementKind
+from .quadrature import rule_for
 
 # Reference corner coordinates, fixed node order (CCW / VTK).
 _Q4_CORNERS = np.array([(-1, -1), (1, -1), (1, 1), (-1, 1)], dtype=float)
@@ -27,141 +29,7 @@ _B8_CORNERS = np.array(
 
 
 class SingularJacobianError(RuntimeError):
-    """Raised when an element is (nearly) inverted at an evaluation point."""
-
-
-@dataclass(frozen=True)
-class BasisEval:
-    """Shape values and parametric derivatives at one reference point.
-
-    D2N rows hold the dim*dim second derivatives of one shape function in
-    row-major (m, s) order; the layout matches the contraction used by the
-    divergence-of-J-inverse identity.
-    """
-
-    N: np.ndarray        # (nen,)
-    DN: np.ndarray       # (nen, dim)
-    D2N: np.ndarray      # (nen, dim*dim)
-
-
-@dataclass(frozen=True)
-class BubbleEval:
-    b: float
-    grad_xi: np.ndarray   # (dim,)
-    hess_xi: np.ndarray   # (dim, dim)
-
-
-@dataclass(frozen=True)
-class JacobianCalc:
-    J: np.ndarray         # (dim, dim), dx/dxi
-    Jinv: np.ndarray
-    detJ: float
-    divJinv: np.ndarray   # (dim,), d(Jinv[p,k])/dx_k
-
-
-def eval_basis(kind: ElementKind, xi) -> BasisEval:
-    """Evaluate N, DN, D2N at a reference coordinate."""
-    xi = np.asarray(xi, dtype=float)
-    d = kind.dim
-    if kind is ElementKind.T3:
-        x, y = xi
-        N = np.array([1 - x - y, x, y])
-        DN = np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])
-        D2N = np.zeros((3, 4))
-    elif kind is ElementKind.TET4:
-        x, y, z = xi
-        N = np.array([1 - x - y - z, x, y, z])
-        DN = np.array(
-            [[-1.0, -1.0, -1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
-        )
-        D2N = np.zeros((4, 9))
-    else:
-        corners = _Q4_CORNERS if kind is ElementKind.Q4 else _B8_CORNERS
-        scale = 0.25 if kind is ElementKind.Q4 else 0.125
-        # factors[a, i] = 1 + xi_i * corner_{a,i}
-        factors = 1.0 + corners * xi[None, :]
-        N = scale * np.prod(factors, axis=1)
-        nen = corners.shape[0]
-        DN = np.empty((nen, d))
-        for m in range(d):
-            others = [i for i in range(d) if i != m]
-            DN[:, m] = scale * corners[:, m] * np.prod(factors[:, others], axis=1)
-        D2N = np.zeros((nen, d, d))
-        for m in range(d):
-            for s in range(d):
-                if m == s:
-                    continue
-                others = [i for i in range(d) if i not in (m, s)]
-                prod = np.prod(factors[:, others], axis=1) if others else 1.0
-                D2N[:, m, s] = scale * corners[:, m] * corners[:, s] * prod
-        D2N = D2N.reshape(nen, d * d)
-    return BasisEval(N=N, DN=DN, D2N=D2N)
-
-
-def eval_bubble(kind: ElementKind, xi) -> BubbleEval:
-    """Evaluate the standard bubble of the element kind and its derivatives."""
-    xi = np.asarray(xi, dtype=float)
-    if kind is ElementKind.T3:
-        x, y = xi
-        s = 1 - x - y
-        b = x * y * s
-        grad = np.array([y * (s - x), x * (s - y)])
-        hess = np.array([[-2 * y, s - x - y], [s - x - y, -2 * x]])
-    elif kind is ElementKind.TET4:
-        x, y, z = xi
-        s = 1 - x - y - z
-        b = x * y * z * s
-        grad = np.array([y * z * (s - x), x * z * (s - y), x * y * (s - z)])
-        hess = np.array(
-            [
-                [-2 * y * z, z * (s - x - y), y * (s - x - z)],
-                [z * (s - x - y), -2 * x * z, x * (s - y - z)],
-                [y * (s - x - z), x * (s - y - z), -2 * x * y],
-            ]
-        )
-    else:
-        d = kind.dim
-        P = 1.0 - xi**2
-        b = float(np.prod(P))
-        grad = np.empty(d)
-        hess = np.empty((d, d))
-        for i in range(d):
-            rest = np.prod([P[j] for j in range(d) if j != i])
-            grad[i] = -2 * xi[i] * rest
-            hess[i, i] = -2 * rest
-            for j in range(i + 1, d):
-                rest2 = np.prod([P[k] for k in range(d) if k not in (i, j)])
-                hess[i, j] = hess[j, i] = 4 * xi[i] * xi[j] * rest2
-    return BubbleEval(b=float(b), grad_xi=grad, hess_xi=hess)
-
-
-def jacobian_calc(kind: ElementKind, node_coords, xi) -> JacobianCalc:
-    """Jacobian, its inverse and determinant, and div(J^-1) at xi: the
-    element_geometry of a one-point table.  Besides an inverted element, it
-    refuses one whose detJ is tiny against its size, |detJ| < 1e-14 h^dim.
-    """
-    node_coords = np.asarray(node_coords, dtype=float)
-    table = tabulate(kind, np.asarray(xi, dtype=float)[None], np.ones(1))
-    J, detJ = jacobians(table.DN, node_coords)
-    scale = float(np.max(np.ptp(node_coords, axis=0)))
-    if detJ[0] < 1e-14 * max(scale, 1e-300) ** kind.dim:
-        raise SingularJacobianError(
-            f"singular Jacobian (detJ={detJ[0]:.3e}) at xi={np.asarray(xi)}")
-    geom = element_geometry(table, node_coords)
-    return JacobianCalc(J=J[0], Jinv=geom.Jinv[0], detJ=float(detJ[0]),
-                        divJinv=geom.divJinv[0])
-
-
-def laplacian_physical(grad_xi, hess_xi, jac: JacobianCalc) -> float:
-    """Physical Laplacian of a scalar given its parametric grad/hess.
-
-    lap = H : (Jinv Jinv^T) + grad_xi . div(J^-1); the second term is the
-    curvature correction that vanishes for affine elements.  The products
-    are those element_geometry forms for the bubble Laplacian at one point.
-    """
-    JJT = (jac.Jinv @ jac.Jinv.T).reshape(-1, 1)
-    return float((np.ravel(hess_xi)[None] @ JJT
-                  + np.asarray(grad_xi)[None] @ jac.divJinv[:, None])[0, 0])
+    """Raised when an element is inverted at an evaluation point."""
 
 
 @dataclass(frozen=True)
@@ -172,38 +40,76 @@ class BasisTable:
     weights: np.ndarray   # (np,)
     N: np.ndarray         # (np, nen)
     DN: np.ndarray        # (np, nen, dim)
-    D2N: np.ndarray       # (np, nen, dim*dim), (m, s) row-major as in BasisEval
+    D2N: np.ndarray       # (np, nen, dim*dim), (m, s) row-major
     b: np.ndarray         # (np,)
     gb: np.ndarray        # (np, dim)
     Hb: np.ndarray        # (np, dim*dim)
 
 
-_TABLE_CACHE: dict = {}
+def _prod(factors, start=1.0):
+    """start * f0 * f1 * ..., multiplied left to right."""
+    return reduce(np.multiply, factors, start)
 
 
 def tabulate(kind: ElementKind, points, weights) -> BasisTable:
-    """Tabulate basis/bubble data at the given reference points."""
-    evals = [eval_basis(kind, xi) for xi in points]
-    bubbles = [eval_bubble(kind, xi) for xi in points]
+    """Tabulate N, DN, D2N and the bubble b, gb, Hb at reference points
+    (np, dim), with array operations over the points.  Each value is formed
+    by the same floating-point operations at every point, and the bubble
+    Hessian's (j, i) entry is its (i, j) entry, i < j.
+
+    Simplices use the coordinates x_i and s = 1 - sum x_i, with the bubble
+    prod(x_i) * s; Q4/B8 use the factors 1 + c_ai x_i of the tensor basis and
+    the bubble prod(1 - x_i^2).
+    """
+    points = np.asarray(points, dtype=float)
+    n, d = points.shape
+    x = list(points.T)
+
+    def rest(seq, *skip):
+        return [v for k, v in enumerate(seq) if k not in skip]
+
+    if kind.is_simplex:
+        s = reduce(np.subtract, x, 1.0)
+        N = np.stack([s, *x], axis=-1)
+        DN = np.repeat(np.vstack([-np.ones(d), np.eye(d)])[None], n, axis=0)
+        D2N = np.zeros((n, d + 1, d * d))
+        b = _prod(x + [s])
+        gb = [_prod(rest(x, i)) * (s - x[i]) for i in range(d)]
+
+        def hess(i, j):
+            if i == j:
+                return _prod(rest(x, i), -2)
+            return _prod(rest(x, i, j)) * (s - x[i] - x[j])
+    else:
+        corners, scale = (_Q4_CORNERS, 0.25) if d == 2 else (_B8_CORNERS, 0.125)
+        c = corners.T  # c[m]: (nen,); np.ones_like(N) below is Q4's empty product
+        F = list(np.moveaxis(1.0 + corners * points[:, None, :], -1, 0))
+        N = scale * _prod(F)
+        DN = np.stack([scale * c[m] * _prod(rest(F, m)) for m in range(d)], axis=-1)
+        D2N = np.stack([np.zeros_like(N) if m == k else
+                        scale * c[m] * c[k] * _prod(rest(F, m, k), np.ones_like(N))
+                        for m in range(d) for k in range(d)], axis=-1)
+        P = [1.0 - v**2 for v in x]
+        b = _prod(P)
+        gb = [-2 * x[i] * _prod(rest(P, i)) for i in range(d)]
+
+        def hess(i, j):
+            if i == j:
+                return -2 * _prod(rest(P, i))
+            return 4 * x[i] * x[j] * _prod(rest(P, i, j))
     return BasisTable(
-        points=points,
-        weights=weights,
-        N=np.stack([e.N for e in evals]),
-        DN=np.stack([e.DN for e in evals]),
-        D2N=np.stack([e.D2N for e in evals]),
-        b=np.array([bu.b for bu in bubbles]),
-        gb=np.stack([bu.grad_xi for bu in bubbles]),
-        Hb=np.stack([bu.hess_xi.ravel() for bu in bubbles]),
+        points=points, weights=weights, N=N, DN=DN, D2N=D2N, b=b,
+        gb=np.stack(gb, axis=-1),
+        Hb=np.stack([hess(min(i, j), max(i, j)) for i in range(d) for j in range(d)],
+                    axis=-1),
     )
 
 
-def basis_table(kind: ElementKind, rule) -> BasisTable:
-    """Tabulate (and cache) basis/bubble data for a quadrature rule."""
-    key = (kind, rule.points.tobytes())
-    tab = _TABLE_CACHE.get(key)
-    if tab is None:
-        tab = _TABLE_CACHE[key] = tabulate(kind, rule.points, rule.weights)
-    return tab
+@lru_cache(maxsize=None)
+def basis_table(kind: ElementKind) -> BasisTable:
+    """The tabulation of a kind at the points of its quadrature rule."""
+    rule = rule_for(kind)
+    return tabulate(kind, rule.points, rule.weights)
 
 
 @dataclass(frozen=True)

@@ -33,7 +33,7 @@ from .kinds import ElementKind
 from .linalg import (LinearSystem, SingularMatrixError, SparseMatrix, StokesBlocks,
                      assemble_vector)
 from .mesh import LOCAL_FACETS, Mesh
-from .quadrature import facet_rule, rule_for
+from .quadrature import facet_rule
 
 SCHEMES = ("galerkin", "wvm", "svm", "enriched")
 
@@ -127,7 +127,7 @@ def tau_at(scheme: str, kind: ElementKind, node_coords, xi) -> float:
         raise ValueError(f"tau is defined for wvm/svm, not {scheme!r}")
     point = tabulate(kind, np.asarray(xi, dtype=float)[None], np.ones(1))
     if scheme == "wvm":
-        table = basis_table(kind, rule_for(kind))
+        table = basis_table(kind)
         return float(point.b[0] * _wvm_coefficient(table, element_geometry(table, node_coords)))
     return float(point.b[0] / element_geometry(point, node_coords).lapb[0])
 
@@ -148,7 +148,7 @@ def _element_stacks(mesh, config, condensed=True):
     """
     kind, dim = mesh.kind, mesh.dim
     n_el, nen = mesh.elements.shape
-    table = basis_table(kind, rule_for(kind))
+    table = basis_table(kind)
     geom = mesh.geometry
     nu = config.nu
     wdet, G, N = geom.wdet, geom.G, table.N
@@ -296,15 +296,15 @@ def recover_fine(solution, fine: FineBlocks, mesh: Mesh, dofmap: DofMap) -> np.n
     return rhs / fine.kff[:, None]
 
 
-def _facet_shapes(kind: ElementKind, rule):
-    """Shape functions (n_q, nfn) of a kind's facet at the facet rule's
+def _facet_shapes(kind: ElementKind):
+    """Shape functions (n_q, nfn) of a kind's facet at its facet rule's
     points, and their derivatives along the facet's reference coordinates
     (n_q, fdim, nfn).  A TET4 face is a T3 and a B8 face a Q4.
     """
     if kind.dim == 3:
-        face = basis_table(ElementKind.T3 if kind is ElementKind.TET4 else ElementKind.Q4, rule)
+        face = basis_table(ElementKind.T3 if kind is ElementKind.TET4 else ElementKind.Q4)
         return face.N, np.swapaxes(face.DN, 1, 2)
-    t = rule.points[:, 0]
+    t = facet_rule(kind).points[:, 0]
     if kind is ElementKind.T3:  # 2-node edge on t in [0, 1]
         return np.stack([1 - t, t], -1), np.broadcast_to([[-1.0, 1.0]], (len(t), 1, 2))
     # Q4: 2-node edge on t in [-1, 1]
@@ -324,7 +324,7 @@ def add_traction(system: LinearSystem, mesh: Mesh, tag: str, traction,
         valid = ", ".join(sorted(mesh.boundary_faces))
         raise ValueError(f"unknown face tag {tag!r}; have: {valid}")
     frule = facet_rule(mesh.kind)
-    shp, dshp = _facet_shapes(mesh.kind, frule)
+    shp, dshp = _facet_shapes(mesh.kind)
     local = np.array(LOCAL_FACETS[mesh.kind])
     fnodes = mesh.elements[pairs[:, :1], local[pairs[:, 1]]]  # (n_f, nfn)
     coords = mesh.nodes[fnodes]

@@ -264,6 +264,14 @@ def apply_constraints(system: LinearSystem) -> LinearSystem:
     return LinearSystem(matrix, rhs, dict(system.constraints), True, blocks)
 
 
+def _check_tolerances(pivot_rtol, residual_rtol) -> None:
+    """Refuse a NaN or negative tolerance: every comparison with NaN is
+    false, so it would switch its check off.  inf is allowed."""
+    for name, value in (("pivot_rtol", pivot_rtol), ("residual_rtol", residual_rtol)):
+        if not value >= 0:
+            raise ValueError(f"{name} must be >= 0, got {value!r}")
+
+
 def solve_direct(system: LinearSystem, pivot_rtol: float = 1e-14,
                  residual_rtol: float = 1e-10) -> tuple[np.ndarray, float]:
     """Direct sparse-LU solve with a residual check.
@@ -276,8 +284,10 @@ def solve_direct(system: LinearSystem, pivot_rtol: float = 1e-14,
     largest pivot: the signature of a missing pressure constraint or of an
     exactly singular (unstable) formulation.  Set pivot_rtol=0 to attempt the
     back-substitution anyway and observe the unstable solution.  Raises
-    SolveAccuracyError when x is not finite or its residual is too large.
+    SolveAccuracyError when x is not finite or its residual is too large,
+    and ValueError for a NaN or negative tolerance.
     """
+    _check_tolerances(pivot_rtol, residual_rtol)
     if system.constraints and not system.constraints_applied:
         raise ValueError("apply_constraints before solving")
     if system.matrix.n_rows != system.matrix.n_cols:
@@ -331,8 +341,9 @@ def solve_schur(system: LinearSystem, residual_rtol: float = 1e-10,
     has a pivot <= pivot_rtol times its largest (V is not positive
     definite), the preconditioner or q^T S q is not positive, CG has not
     converged after CG_MAXITER iterations, x is not finite, or the residual
-    exceeds residual_rtol.
+    exceeds residual_rtol.  Raises ValueError as solve_direct does.
     """
+    _check_tolerances(pivot_rtol, residual_rtol)
     if system.constraints and not system.constraints_applied:
         raise ValueError("apply_constraints before solving")
     blocks = system.blocks

@@ -13,7 +13,6 @@ import numpy as np
 from .basis import SingularJacobianError, basis_table, element_geometry, jacobians
 from .kinds import ElementKind, kind_from_name
 from .linalg import TripletPattern
-from .quadrature import rule_for
 
 # Boundary tags of a box: the low and the high side of each axis.
 _AXIS_TAGS = (("left", "right"), ("bottom", "top"), ("front", "back"))
@@ -99,7 +98,7 @@ class Mesh:
 
     def _jacobian_dets(self) -> np.ndarray:
         """detJ of every element at each of its quadrature points."""
-        all_DN = basis_table(self.kind, rule_for(self.kind)).DN
+        all_DN = basis_table(self.kind).DN
         DN = all_DN[:1] if self.kind.is_simplex else all_DN  # J is constant on a simplex
         _, dets = jacobians(DN, self.nodes[self.elements])
         return np.repeat(dets, len(all_DN) // len(DN), axis=1)
@@ -107,8 +106,7 @@ class Mesh:
     @cached_property
     def geometry(self):
         """Element geometry at the quadrature points of every element."""
-        return element_geometry(basis_table(self.kind, rule_for(self.kind)),
-                                self.nodes[self.elements])
+        return element_geometry(basis_table(self.kind), self.nodes[self.elements])
 
     @cached_property
     def node_pattern(self) -> TripletPattern:
@@ -158,7 +156,7 @@ class Mesh:
             raise MeshError(f"unknown boundary tag {tag!r}; have: {valid}") from None
 
     def element_volumes(self) -> np.ndarray:
-        return self._jacobian_dets() @ rule_for(self.kind).weights
+        return self._jacobian_dets() @ basis_table(self.kind).weights
 
 
 def _box_extent(extent, dim):
@@ -251,13 +249,18 @@ def load_mesh(path) -> Mesh:
             raise MeshError(f"{path}:{ln}: expected '{key} <value>', got {text!r}")
         return ln, parts[1]
 
-    def count(ln, text, what):
+    def count(ln, text, what, one_per_line=False):
+        """A count; one that needs a line per item is checked against the
+        lines left before anything is allocated for it."""
         try:
             n = int(text)
         except ValueError:
             n = -1
         if n < 0:
             raise MeshError(f"{path}:{ln}: {what} must be a non-negative integer, got {text!r}")
+        if one_per_line and n > len(tokens) - pos:
+            raise MeshError(f"{path}:{ln}: {what} {n} exceeds the {len(tokens) - pos} "
+                            "lines left (unexpected end of file)")
         return n
 
     dim = count(*expect_kv("dim", "dim"), "dim")
@@ -268,7 +271,7 @@ def load_mesh(path) -> Mesh:
         raise MeshError(f"{path}:{ln}: {exc}") from None
 
     ln, nval = expect_kv("nodes", "node count")
-    n_nodes = count(ln, nval, "node count")
+    n_nodes = count(ln, nval, "node count", one_per_line=True)
     nodes = np.empty((n_nodes, dim))
     for i in range(n_nodes):
         ln, text = next_line(f"node {i}")
@@ -281,7 +284,7 @@ def load_mesh(path) -> Mesh:
             raise MeshError(f"{path}:{ln}: bad coordinate in node {i}") from None
 
     ln, mval = expect_kv("elements", "element count")
-    n_elems = count(ln, mval, "element count")
+    n_elems = count(ln, mval, "element count", one_per_line=True)
     nen = kind.nodes_per_element
     elements = np.empty((n_elems, nen), dtype=np.intp)
     for e in range(n_elems):

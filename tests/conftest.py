@@ -1,9 +1,11 @@
 """Shared helpers for the test suite."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
-from stokeslab.basis import _B8_CORNERS, _Q4_CORNERS
+from stokeslab.basis import _B8_CORNERS, _Q4_CORNERS, element_geometry, tabulate
 from stokeslab.kinds import ElementKind
 
 REFERENCE_CORNERS = {
@@ -27,17 +29,27 @@ def random_interior_point(kind, rng):
     return rng.uniform(-0.9, 0.9, d)
 
 
+def at_point(kind, xi, coords=None):
+    """The one-point table of kind at reference point xi, as tau_at builds
+    it, and the element geometry of coords there (None without coords),
+    each with its point axis dropped."""
+    table = tabulate(kind, np.asarray(xi, dtype=float)[None], np.ones(1))
+    geom = None if coords is None else element_geometry(table, coords)
+
+    def drop(obj):
+        return SimpleNamespace(**{k: v[0] for k, v in vars(obj).items()})
+    return drop(table), None if geom is None else drop(geom)
+
+
 def distorted_element(kind, rng, amount=0.15):
     """Reference corners plus a random distortion that keeps detJ > 0."""
     base = REFERENCE_CORNERS[kind]
     scale = np.ptp(base, axis=0).max()
     for _ in range(50):
         coords = base + rng.uniform(-amount, amount, base.shape) * scale
-        from stokeslab.basis import eval_basis
-
         ok = True
         for xi in [random_interior_point(kind, rng) for _ in range(8)]:
-            J = coords.T @ eval_basis(kind, xi).DN
+            J = coords.T @ at_point(kind, xi)[0].DN
             if np.linalg.det(J) <= 1e-3:
                 ok = False
                 break

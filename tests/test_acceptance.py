@@ -18,7 +18,6 @@ from stokeslab.analysis import (
     lbb_spectrum,
     locate_vortex,
 )
-from stokeslab.basis import eval_basis, eval_bubble, jacobian_calc, laplacian_physical
 from stokeslab.cases import case_by_name, case_constraints
 from stokeslab.driver import solve_case
 from stokeslab.formulations import (
@@ -32,7 +31,7 @@ from stokeslab.kinds import ElementKind
 from stokeslab.linalg import SparseMatrix, apply_constraints, solve_direct
 from stokeslab.mesh import generate_grid, load_mesh, triangle_angles, wct_fixture_path
 
-from conftest import REFERENCE_CORNERS, distorted_element, random_interior_point
+from conftest import REFERENCE_CORNERS, at_point, distorted_element, random_interior_point
 
 
 def _report(num, ok, detail):
@@ -152,15 +151,13 @@ def test_criterion_07_jacobian_calculus_identities(rng):
         for _ in range(20):
             coords = distorted_element(kind, rng)
             xi = random_interior_point(kind, rng) * 0.5
-            jac = jacobian_calc(kind, coords, xi)
+            _, jac = at_point(kind, xi, coords)
             fd = _fd_divjinv(kind, coords, xi)
             scale = max(1.0, np.linalg.norm(fd))
             worst = max(worst, np.linalg.norm(jac.divJinv - fd) / scale)
-            bu = eval_bubble(kind, xi)
-            lap = laplacian_physical(bu.grad_xi, bu.hess_xi, jac)
             fd_lap = _fd_laplacian_of_mapped_scalar(
-                kind, coords, xi, lambda z: eval_bubble(kind, z).b)
-            worst = max(worst, abs(lap - fd_lap) / max(1.0, abs(fd_lap)))
+                kind, coords, xi, lambda z: at_point(kind, z)[0].b)
+            worst = max(worst, abs(jac.lapb - fd_lap) / max(1.0, abs(fd_lap)))
     ok = worst < 1e-5
     assert _report(7, ok, f"div(J^-1) and physical Laplacian vs finite differences "
                           f"on 20 distorted Q4+B8 elements: rel err {worst:.1e} (< 1e-5)")
@@ -208,7 +205,7 @@ def test_criterion_10_invariant_suite(rng):
     for kind in ElementKind:
         for _ in range(25):
             xi = random_interior_point(kind, rng)
-            be = eval_basis(kind, xi)
+            be, _ = at_point(kind, xi)
             pu = pu and abs(be.N.sum() - 1.0) < 1e-13 \
                 and np.abs(be.DN.sum(axis=0)).max() < 1e-13
     checks.append(("partition of unity", pu))
@@ -220,10 +217,10 @@ def test_criterion_10_invariant_suite(rng):
             for val in (-1.0, 1.0):
                 xi = rng.uniform(-1, 1, kind.dim)
                 xi[axis] = val
-                bv = bv and abs(eval_bubble(kind, xi).b) < 1e-14
+                bv = bv and abs(at_point(kind, xi)[0].b) < 1e-14
     for t in rng.uniform(0, 1, 10):
-        bv = bv and abs(eval_bubble(ElementKind.T3, (t, 1 - t)).b) < 1e-14
-        bv = bv and abs(eval_bubble(ElementKind.T3, (t, 0.0)).b) < 1e-14
+        bv = bv and abs(at_point(ElementKind.T3, (t, 1 - t))[0].b) < 1e-14
+        bv = bv and abs(at_point(ElementKind.T3, (t, 0.0))[0].b) < 1e-14
     checks.append(("bubble boundary vanishing", bv))
 
     # pointwise stabilization parameter scales with the squared element size

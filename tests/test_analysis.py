@@ -109,6 +109,14 @@ def test_convergence_study_needs_three_levels():
         convergence_study(case, "svm", ElementKind.Q4, (2, 4))
 
 
+@pytest.mark.parametrize("levels, repeated", [((8, 8, 8), 8), ((4, 8, 4, 16), 4)])
+def test_convergence_study_refuses_repeated_levels(levels, repeated):
+    # a slope fitted to equal h values means nothing (numpy warns RankWarning)
+    case = case_by_name("body_force_cavity")
+    with pytest.raises(ValueError, match=f"^level {repeated} is repeated"):
+        convergence_study(case, "svm", ElementKind.Q4, levels)
+
+
 # ----------------------------------------------------------------- spectra
 
 def test_pressure_mass_matrix_total_mass():

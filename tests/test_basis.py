@@ -3,21 +3,11 @@
 import numpy as np
 import pytest
 
-from conftest import REFERENCE_CORNERS, distorted_element, random_interior_point
-from stokeslab.basis import (
-    _TABLE_CACHE,
-    SingularJacobianError,
-    basis_table,
-    element_geometry,
-    eval_basis,
-    eval_bubble,
-    jacobian_calc,
-    laplacian_physical,
-)
+from conftest import REFERENCE_CORNERS, at_point, distorted_element, random_interior_point
+from stokeslab.basis import SingularJacobianError, basis_table, element_geometry, tabulate
 from stokeslab.formulations import tau_at
 from stokeslab.kinds import ElementKind
 from stokeslab.mesh import generate_grid
-from stokeslab.quadrature import rule_for
 
 ALL_KINDS = list(ElementKind)
 
@@ -25,12 +15,12 @@ ALL_KINDS = list(ElementKind)
 # ---------------------------------------------------------------- shape basis
 
 def test_square_center_values():
-    be = eval_basis(ElementKind.Q4, (0.0, 0.0))
+    be, _ = at_point(ElementKind.Q4, (0.0, 0.0))
     assert np.allclose(be.N, 0.25)
 
 
 def test_triangle_vertex_values():
-    be = eval_basis(ElementKind.T3, (1.0, 0.0))
+    be, _ = at_point(ElementKind.T3, (1.0, 0.0))
     assert np.allclose(be.N, [0.0, 1.0, 0.0])
     assert np.allclose(be.DN.sum(axis=0), 0.0)
 
@@ -39,7 +29,7 @@ def test_triangle_vertex_values():
 def test_partition_of_unity_and_gradient_sum(kind, rng):
     for _ in range(100):
         xi = random_interior_point(kind, rng)
-        be = eval_basis(kind, xi)
+        be, _ = at_point(kind, xi)
         assert be.N.sum() == pytest.approx(1.0, abs=1e-13)
         assert np.allclose(be.DN.sum(axis=0), 0.0, atol=1e-13)
 
@@ -48,7 +38,7 @@ def test_partition_of_unity_and_gradient_sum(kind, rng):
 def test_kronecker_delta_at_nodes(kind):
     corners = REFERENCE_CORNERS[kind]
     for a, xi in enumerate(corners):
-        be = eval_basis(kind, xi)
+        be, _ = at_point(kind, xi)
         expect = np.zeros(len(corners))
         expect[a] = 1.0
         assert np.allclose(be.N, expect, atol=1e-14)
@@ -60,34 +50,34 @@ def test_second_derivatives_match_finite_differences(kind, rng):
     h = 1e-5
     for _ in range(5):
         xi = random_interior_point(kind, rng) * 0.9
-        D2 = eval_basis(kind, xi).D2N.reshape(-1, d, d)
+        D2 = at_point(kind, xi)[0].D2N.reshape(-1, d, d)
         assert np.allclose(D2, D2.transpose(0, 2, 1), atol=1e-12)
         for s in range(d):
             dp = xi.copy()
             dp[s] += h
             dm = xi.copy()
             dm[s] -= h
-            fd = (eval_basis(kind, dp).DN - eval_basis(kind, dm).DN) / (2 * h)
+            fd = (at_point(kind, dp)[0].DN - at_point(kind, dm)[0].DN) / (2 * h)
             assert np.allclose(D2[:, :, s], fd, atol=5e-6)
 
 
 # -------------------------------------------------------------------- bubbles
 
 def test_square_bubble_center():
-    bu = eval_bubble(ElementKind.Q4, (0.0, 0.0))
+    bu, _ = at_point(ElementKind.Q4, (0.0, 0.0))
     assert bu.b == pytest.approx(1.0)
-    assert np.allclose(bu.grad_xi, 0.0)
-    assert np.allclose(bu.hess_xi, np.diag([-2.0, -2.0]))
+    assert np.allclose(bu.gb, 0.0)
+    assert np.allclose(bu.Hb, [-2.0, 0.0, 0.0, -2.0])
 
 
 def test_triangle_bubble_centroid():
-    bu = eval_bubble(ElementKind.T3, (1 / 3, 1 / 3))
+    bu, _ = at_point(ElementKind.T3, (1 / 3, 1 / 3))
     assert bu.b == pytest.approx(1.0 / 27.0, rel=1e-14)
 
 
 def test_square_bubble_gradient_point():
-    bu = eval_bubble(ElementKind.Q4, (0.5, 0.0))
-    assert np.allclose(bu.grad_xi, [-1.0, 0.0])
+    bu, _ = at_point(ElementKind.Q4, (0.5, 0.0))
+    assert np.allclose(bu.gb, [-1.0, 0.0])
 
 
 def _facet_points(kind, n, rng):
@@ -118,23 +108,23 @@ def _facet_points(kind, n, rng):
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_bubble_vanishes_on_reference_boundary(kind, rng):
-    for xi in _facet_points(kind, 20, rng):
-        assert abs(eval_bubble(kind, xi).b) < 1e-14
+    points = _facet_points(kind, 20, rng)
+    assert np.abs(tabulate(kind, points, np.ones(len(points))).b).max() < 1e-14
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_bubble_positive_inside_symmetric_hessian(kind, rng):
     for _ in range(50):
         xi = random_interior_point(kind, rng)
-        bu = eval_bubble(kind, xi)
+        bu, _ = at_point(kind, xi)
+        H = bu.Hb.reshape(kind.dim, kind.dim)
         assert bu.b > 0
-        assert np.allclose(bu.hess_xi, bu.hess_xi.T, atol=1e-14)
+        assert np.allclose(H, H.T, atol=1e-14)
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_bubble_laplacian_negative_at_quadrature_points(kind):
-    table = basis_table(kind, rule_for(kind))
-    geom = element_geometry(table, REFERENCE_CORNERS[kind])
+    geom = element_geometry(basis_table(kind), REFERENCE_CORNERS[kind])
     assert np.all(geom.lapb < 0)
 
 
@@ -143,29 +133,29 @@ def test_bubble_laplacian_negative_at_quadrature_points(kind):
 def test_rectangle_jacobian_constant():
     a, b = 1.5, 0.25
     coords = REFERENCE_CORNERS[ElementKind.Q4] * [a, b]
-    jac = jacobian_calc(ElementKind.Q4, coords, (0.3, -0.7))
-    assert np.allclose(jac.J, np.diag([a, b]))
+    _, jac = at_point(ElementKind.Q4, (0.3, -0.7), coords)
+    assert jac.detJ == pytest.approx(a * b, rel=1e-14)
+    assert np.allclose(jac.Jinv, np.diag([1 / a, 1 / b]), rtol=1e-14, atol=0)
     assert np.allclose(jac.divJinv, 0.0, atol=1e-14)
-    assert np.allclose(jac.J @ jac.Jinv, np.eye(2), atol=1e-12)
 
 
 def test_straight_triangle_divjinv_zero(rng):
     coords = np.array([(0.2, 0.1), (1.3, 0.4), (0.5, 1.7)])
     xi = random_interior_point(ElementKind.T3, rng)
-    jac = jacobian_calc(ElementKind.T3, coords, xi)
+    _, jac = at_point(ElementKind.T3, xi, coords)
     assert np.allclose(jac.divJinv, 0.0, atol=1e-14)
 
 
 def test_degenerate_element_raises():
     coords = np.array([(0.0, 0.0), (1.0, 0.0), (2.0, 0.0), (3.0, 0.0)])
     with pytest.raises(SingularJacobianError):
-        jacobian_calc(ElementKind.Q4, coords, (0.0, 0.0))
+        at_point(ElementKind.Q4, (0.0, 0.0), coords)
 
 
 def test_clockwise_element_raises():
     coords = REFERENCE_CORNERS[ElementKind.Q4][::-1]
     with pytest.raises(SingularJacobianError, match=r"element 0 is inverted \(min detJ=-"):
-        jacobian_calc(ElementKind.Q4, coords, (0.0, 0.0))
+        at_point(ElementKind.Q4, (0.0, 0.0), coords)
 
 
 def test_inverted_element_named_with_its_own_minimum():
@@ -175,30 +165,18 @@ def test_inverted_element_named_with_its_own_minimum():
     flip = np.array([1.0, -1.0])
     coords = np.stack([corners, np.sqrt(0.1) * corners * flip, corners,
                        np.sqrt(5.0) * corners * flip])
-    table = basis_table(ElementKind.Q4, rule_for(ElementKind.Q4))
+    table = basis_table(ElementKind.Q4)
     with pytest.raises(SingularJacobianError,
                        match=r"^element 1 is inverted \(min detJ=-1\.000e-01\)$"):
         element_geometry(table, coords)
-
-
-def test_pointwise_calls_leave_the_table_cache_alone(rng):
-    coords = distorted_element(ElementKind.Q4, rng)
-    jacobian_calc(ElementKind.Q4, coords, (0.0, 0.0))
-    tau_at("svm", ElementKind.Q4, coords, (0.0, 0.0))
-    size = len(_TABLE_CACHE)
-    for _ in range(100):
-        xi = random_interior_point(ElementKind.Q4, rng)
-        jacobian_calc(ElementKind.Q4, coords, xi)
-        tau_at("svm", ElementKind.Q4, coords, xi)
-    assert len(_TABLE_CACHE) == size
 
 
 def _invert_map(kind, coords, x_target, xi_guess):
     """Newton-invert the isoparametric map x(xi) = x_target."""
     z = np.array(xi_guess, dtype=float)
     for _ in range(60):
-        jz = jacobian_calc(kind, coords, z)
-        r = coords.T @ eval_basis(kind, z).N - x_target
+        bz, jz = at_point(kind, z, coords)
+        r = coords.T @ bz.N - x_target
         z = z - jz.Jinv @ r
         if np.linalg.norm(r) < 1e-14:
             break
@@ -209,16 +187,16 @@ def _fd_divjinv(kind, coords, xi, h=1e-6):
     """Central finite difference of J^-1(x) columns along physical axes:
     d(Jinv[p,k])/dx_k, with the reference point found by exact map inversion."""
     d = kind.dim
-    jac0 = jacobian_calc(kind, coords, xi)
-    x0 = coords.T @ eval_basis(kind, xi).N
+    b0, jac0 = at_point(kind, xi, coords)
+    x0 = coords.T @ b0.N
     out = np.zeros(d)
     for k in range(d):
         dx = np.zeros(d)
         dx[k] = h
         xi_p = _invert_map(kind, coords, x0 + dx, xi + jac0.Jinv @ dx)
         xi_m = _invert_map(kind, coords, x0 - dx, xi - jac0.Jinv @ dx)
-        Jp = jacobian_calc(kind, coords, xi_p).Jinv
-        Jm = jacobian_calc(kind, coords, xi_m).Jinv
+        Jp = at_point(kind, xi_p, coords)[1].Jinv
+        Jm = at_point(kind, xi_m, coords)[1].Jinv
         out += (Jp[:, k] - Jm[:, k]) / (2 * h)
     return out
 
@@ -226,7 +204,7 @@ def _fd_divjinv(kind, coords, xi, h=1e-6):
 def test_trapezoid_divjinv_matches_finite_differences():
     coords = np.array([(0.0, 0.0), (1.0, 0.0), (1.2, 1.0), (0.0, 1.0)])
     xi = np.array([0.3, -0.2])
-    jac = jacobian_calc(ElementKind.Q4, coords, xi)
+    _, jac = at_point(ElementKind.Q4, xi, coords)
     fd = _fd_divjinv(ElementKind.Q4, coords, xi)
     assert np.linalg.norm(jac.divJinv - fd) < 1e-6 * max(1.0, np.linalg.norm(fd))
 
@@ -234,41 +212,30 @@ def test_trapezoid_divjinv_matches_finite_differences():
 def test_half_square_bubble_laplacian():
     # map [-1,1]^2 to [0,1]^2: J = diag(1/2, 1/2)
     coords = (REFERENCE_CORNERS[ElementKind.Q4] + 1.0) / 2.0
-    jac = jacobian_calc(ElementKind.Q4, coords, (0.0, 0.0))
-    bu = eval_bubble(ElementKind.Q4, (0.0, 0.0))
-    lap = laplacian_physical(bu.grad_xi, bu.hess_xi, jac)
-    assert lap == pytest.approx(-16.0, rel=1e-13)
-
-
-def shape_laplacians(be, jac):
-    """Physical Laplacian of every shape function at the evaluation point."""
-    d = jac.J.shape[0]
-    JJT = jac.Jinv @ jac.Jinv.T
-    D2 = be.D2N.reshape(-1, d, d)
-    return np.einsum("nms,ms->n", D2, JJT) + be.DN @ jac.divJinv
+    _, jac = at_point(ElementKind.Q4, (0.0, 0.0), coords)
+    assert jac.lapb == pytest.approx(-16.0, rel=1e-13)
 
 
 def test_straight_triangle_shape_laplacian_zero(rng):
     coords = np.array([(0.0, 0.0), (2.0, 0.3), (0.4, 1.8)])
     xi = random_interior_point(ElementKind.T3, rng)
-    be = eval_basis(ElementKind.T3, xi)
-    jac = jacobian_calc(ElementKind.T3, coords, xi)
-    assert np.allclose(shape_laplacians(be, jac), 0.0, atol=1e-14)
+    _, jac = at_point(ElementKind.T3, xi, coords)
+    assert np.allclose(jac.lapN, 0.0, atol=1e-14)
 
 
 def _fd_laplacian_of_mapped_scalar(kind, coords, xi, ref_fn, h=1e-4):
     """FD Laplacian in physical space of a scalar defined on the reference
     element, sampled through local inversion of the isoparametric map."""
     d = kind.dim
-    jac0 = jacobian_calc(kind, coords, xi)
+    b0, jac0 = at_point(kind, xi, coords)
 
     def value_at_physical_offset(dx):
         # invert x(xi0) + dx by Newton iteration on the map
-        target = coords.T @ eval_basis(kind, xi).N + dx
+        target = coords.T @ b0.N + dx
         z = xi + jac0.Jinv @ dx
         for _ in range(60):
-            jz = jacobian_calc(kind, coords, z)
-            r = coords.T @ eval_basis(kind, z).N - target
+            bz, jz = at_point(kind, z, coords)
+            r = coords.T @ bz.N - target
             z = z - jz.Jinv @ r
             if np.linalg.norm(r) < 1e-14:
                 break
@@ -287,62 +254,69 @@ def _fd_laplacian_of_mapped_scalar(kind, coords, xi, ref_fn, h=1e-4):
 def test_bubble_laplacian_matches_finite_differences_distorted(kind, rng):
     coords = distorted_element(kind, rng)
     xi = random_interior_point(kind, rng) * 0.5
-    bu = eval_bubble(kind, xi)
-    jac = jacobian_calc(kind, coords, xi)
-    lap = laplacian_physical(bu.grad_xi, bu.hess_xi, jac)
-    fd = _fd_laplacian_of_mapped_scalar(kind, coords, xi, lambda z: eval_bubble(kind, z).b)
-    assert lap == pytest.approx(fd, rel=1e-5)
+    _, jac = at_point(kind, xi, coords)
+    fd = _fd_laplacian_of_mapped_scalar(kind, coords, xi, lambda z: at_point(kind, z)[0].b)
+    assert jac.lapb == pytest.approx(fd, rel=1e-5)
 
 
 @pytest.mark.parametrize("kind", [ElementKind.Q4, ElementKind.B8])
 def test_shape_laplacians_match_finite_differences_distorted(kind, rng):
     coords = distorted_element(kind, rng)
     xi = random_interior_point(kind, rng) * 0.5
-    be = eval_basis(kind, xi)
-    jac = jacobian_calc(kind, coords, xi)
-    laps = shape_laplacians(be, jac)
+    _, jac = at_point(kind, xi, coords)
     for a in range(kind.nodes_per_element):
         fd = _fd_laplacian_of_mapped_scalar(
-            kind, coords, xi, lambda z, a=a: eval_basis(kind, z).N[a]
+            kind, coords, xi, lambda z, a=a: at_point(kind, z)[0].N[a]
         )
-        assert laps[a] == pytest.approx(fd, rel=1e-5, abs=1e-7)
+        assert jac.lapN[a] == pytest.approx(fd, rel=1e-5, abs=1e-7)
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_tabulate_rows_are_one_point_tables(kind):
+    """The cached table of a kind's rule is, row by row, the one-point
+    tables of its points, bit for bit."""
+    table = basis_table(kind)
+    assert basis_table(kind) is table
+    for p, xi in enumerate(table.points):
+        point, _ = at_point(kind, xi)
+        for name in ("N", "DN", "D2N", "b", "gb", "Hb"):
+            assert getattr(point, name).tobytes() == getattr(table, name)[p].tobytes()
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_element_geometry_matches_pointwise_calculus(kind, rng):
+    """J, its inverse, the physical gradients and the mapped point, formed
+    point by point with numpy's det and inv."""
     coords = distorted_element(kind, rng, amount=0.1)
-    table = basis_table(kind, rule_for(kind))
+    table = basis_table(kind)
     geom = element_geometry(table, coords)
-    for p, xi in enumerate(table.points[:4]):
-        jac = jacobian_calc(kind, coords, xi)
-        assert geom.detJ[p] == pytest.approx(jac.detJ, rel=1e-12)
-        assert np.allclose(geom.divJinv[p], jac.divJinv, atol=1e-11)
-        bu = eval_bubble(kind, xi)
-        assert geom.lapb[p] == pytest.approx(
-            laplacian_physical(bu.grad_xi, bu.hess_xi, jac), rel=1e-11
-        )
+    for p in range(len(table.points)):
+        J = coords.T @ table.DN[p]
+        Jinv = np.linalg.inv(J)
+        assert geom.detJ[p] == pytest.approx(np.linalg.det(J), rel=1e-12)
+        assert np.allclose(geom.Jinv[p], Jinv, rtol=1e-12, atol=1e-12)
+        assert np.allclose(geom.G[p], Jinv.T @ table.DN[p].T, rtol=1e-12, atol=1e-12)
+        assert np.allclose(geom.gb[p], Jinv.T @ table.gb[p], rtol=1e-12, atol=1e-12)
+        assert np.allclose(geom.x[p], coords.T @ table.N[p], rtol=1e-14, atol=1e-14)
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_pointwise_calculus_is_element_geometry_bit_for_bit(kind, rng):
-    """jacobian_calc and laplacian_physical at a quadrature point give the
-    bits that assembly reads from element_geometry there."""
+    """The geometry of a one-point table at a quadrature point has the bits
+    that assembly reads from element_geometry there."""
     coords = distorted_element(kind, rng, amount=0.1)
-    table = basis_table(kind, rule_for(kind))
+    table = basis_table(kind)
     geom = element_geometry(table, coords)
     for p, xi in enumerate(table.points):
-        jac = jacobian_calc(kind, coords, xi)
-        assert jac.detJ == geom.detJ[p]
-        assert jac.Jinv.tobytes() == geom.Jinv[p].tobytes()
-        assert jac.divJinv.tobytes() == geom.divJinv[p].tobytes()
-        bu = eval_bubble(kind, xi)
-        assert laplacian_physical(bu.grad_xi, bu.hess_xi, jac) == geom.lapb[p]
+        _, jac = at_point(kind, xi, coords)
+        for name in ("detJ", "Jinv", "divJinv", "G", "lapN", "gb", "lapb", "x"):
+            assert getattr(jac, name).tobytes() == getattr(geom, name)[p].tobytes(), name
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_svm_tau_at_is_the_assembled_tau_bit_for_bit(kind, rng):
     coords = distorted_element(kind, rng, amount=0.1)
-    table = basis_table(kind, rule_for(kind))
+    table = basis_table(kind)
     geom = element_geometry(table, coords)
     for p, xi in enumerate(table.points):
         assert tau_at("svm", kind, coords, xi) == table.b[p] / geom.lapb[p]
@@ -351,7 +325,7 @@ def test_svm_tau_at_is_the_assembled_tau_bit_for_bit(kind, rng):
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_element_geometry_of_a_stack_matches_each_element(kind, rng):
     coords = np.stack([distorted_element(kind, rng, amount=0.1) for _ in range(5)])
-    table = basis_table(kind, rule_for(kind))
+    table = basis_table(kind)
     stack = element_geometry(table, coords)
     for e in range(len(coords)):
         alone = element_geometry(table, coords[e])
@@ -398,7 +372,7 @@ def test_second_order_geometry_matches_einsum_reference(kind, perturbed, rng):
     if perturbed:
         h = np.ptp(coords, axis=1).max()
         coords = coords + rng.uniform(-0.12 * h, 0.12 * h, coords.shape)
-    table = basis_table(kind, rule_for(kind))
+    table = basis_table(kind)
     geom = element_geometry(table, coords)
     for name, (want, magnitude) in _einsum_second_order(table, coords).items():
         assert np.all(np.abs(getattr(geom, name) - want) <= 1e-13 * magnitude), name

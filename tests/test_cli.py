@@ -109,6 +109,19 @@ def test_singular_solve_is_numerical_failure(capsys):
     assert "singular" in capsys.readouterr().err.lower()
 
 
+@pytest.mark.parametrize("option, value", [
+    ("--pivot-rtol", "nan"), ("--residual-rtol", "nan"), ("--residual-rtol", "-1"),
+])
+def test_nan_or_negative_solver_tolerance_is_usage_error(option, value, capsys):
+    # with --pivot-rtol nan the singular galerkin system used to pass with a
+    # huge checkerboard amplitude
+    code = main(["run", "--case", "patch", "--formulation", "galerkin",
+                 "--mesh", "grid:Q4:6x6", option, value])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(
+        f"error: {option[2:].replace('-', '_')} must be >= 0")
+
+
 def test_convergence_emits_levels_and_slope(tmp_path, capsys):
     csv = tmp_path / "conv.csv"
     code = main(["convergence", "--case", "bodyforce", "--formulation", "svm",
@@ -125,6 +138,12 @@ def test_convergence_emits_levels_and_slope(tmp_path, capsys):
 def test_convergence_needs_three_levels():
     assert main(["convergence", "--case", "bodyforce", "--formulation", "svm",
                  "--element", "q4", "--levels", "8"]) == 2
+
+
+def test_convergence_repeated_levels_are_usage_error(capsys):
+    assert main(["convergence", "--case", "bodyforce", "--formulation", "svm",
+                 "--element", "q4", "--levels", "8,8,8"]) == 2
+    assert "level 8 is repeated" in capsys.readouterr().err
 
 
 def test_eigen_element_suffix_selects_scheme(tmp_path, capsys):

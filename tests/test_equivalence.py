@@ -1,0 +1,87 @@
+"""The paper's equivalence result and its counterexample, on assembled systems.
+
+On simplices the condensed bubble-enriched system is the wvm system: the
+bubble condensation -K_pf K_ff^-1 K_fp is wvm's pressure stabilization with
+its tau.  On Q4/B8 it is not: one bubble per element gives a condensed
+pressure block of rank <= dim, which no positive tau profile reproduces,
+while the wvm/svm blocks have rank nen - 1.
+"""
+
+import numpy as np
+import pytest
+
+from conftest import REFERENCE_CORNERS
+from stokeslab.cases import case_by_name
+from stokeslab.formulations import FormulationConfig, assemble
+from stokeslab.kinds import ElementKind
+from stokeslab.mesh import Mesh, generate_grid
+
+NU = 0.7
+SEEDS = [None, 0, 1, 2]  # None: the regular grid
+
+
+def _body_force_3d(x):
+    return np.stack([np.sin(np.pi * x[..., 0]) * x[..., 1],
+                     x[..., 2] ** 2 - x[..., 0], np.cos(x[..., 1]) + x[..., 2]], -1)
+
+
+BODY_FORCE = {2: case_by_name("body_force_cavity").body_force, 3: _body_force_3d}
+
+
+def _grid(kind, seed):
+    """6x6 or 3x3x3 unit grid; with a seed, interior nodes moved by up to 0.12h."""
+    n = 6 if kind.dim == 2 else 3
+    mesh = generate_grid(kind, n)
+    if seed is None:
+        return mesh
+    nodes = mesh.nodes.copy()
+    inner = np.all((nodes > 0) & (nodes < 1), axis=1)
+    nodes[inner] += np.random.default_rng(seed).uniform(-0.12 / n, 0.12 / n,
+                                                        (inner.sum(), kind.dim))
+    return Mesh(mesh.dim, nodes, mesh.elements, kind, mesh.boundary_sets)
+
+
+def _gaps(kind, seed, body_force):
+    """Max-norm differences of the enriched blocks and rhs from wvm's,
+    relative to wvm's."""
+    mesh = _grid(kind, seed)
+    bf = BODY_FORCE[kind.dim] if body_force else None
+    enr, wvm = (assemble(mesh, FormulationConfig(scheme, nu=NU, body_force=bf))
+                for scheme in ("enriched", "wvm"))
+    pairs = {name: (getattr(enr.blocks, name), getattr(wvm.blocks, name))
+             for name in ("K", "G", "B", "Kpp")}
+    pairs["rhs"] = (enr.rhs, wvm.rhs)
+    return {name: np.abs(a - b).max() / max(np.abs(b).max(), np.finfo(float).tiny)
+            for name, (a, b) in pairs.items()}
+
+
+@pytest.mark.parametrize("body_force", [False, True], ids=["no-force", "force"])
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("kind", [ElementKind.T3, ElementKind.TET4])
+def test_condensed_enriched_is_wvm_on_simplices(kind, seed, body_force):
+    gaps = _gaps(kind, seed, body_force)
+    assert max(gaps.values()) <= 1e-12, gaps
+
+
+@pytest.mark.parametrize("body_force", [False, True], ids=["no-force", "force"])
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("kind", [ElementKind.Q4, ElementKind.B8])
+def test_condensed_enriched_is_not_wvm_on_tensor_elements(kind, seed, body_force):
+    assert _gaps(kind, seed, body_force)["Kpp"] >= 0.1
+
+
+@pytest.mark.parametrize("kind, enriched_rank, stabilized_rank", [
+    (ElementKind.T3, 2, 2), (ElementKind.TET4, 3, 3),
+    (ElementKind.Q4, 2, 3), (ElementKind.B8, 3, 7),
+])
+def test_element_pressure_block_ranks(kind, enriched_rank, stabilized_rank):
+    """The pressure block of one reference element: enriched has rank
+    <= dim, wvm and svm nen - 1."""
+    nen = kind.nodes_per_element
+    mesh = Mesh(kind.dim, REFERENCE_CORNERS[kind], [list(range(nen))], kind)
+    ranks = {}
+    for scheme in ("enriched", "wvm", "svm"):
+        blocks = assemble(mesh, FormulationConfig(scheme, nu=NU)).blocks
+        ranks[scheme] = np.linalg.matrix_rank(blocks.pattern.matrix(blocks.Kpp).to_dense())
+    assert ranks == {"enriched": enriched_rank, "wvm": stabilized_rank,
+                     "svm": stabilized_rank}

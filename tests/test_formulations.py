@@ -29,7 +29,6 @@ from stokeslab.linalg import (
     solve_direct,
 )
 from stokeslab.mesh import Mesh, generate_grid, load_mesh, wct_fixture_path
-from stokeslab.quadrature import rule_for
 
 
 # -------------------------------------------------------------------- config
@@ -440,7 +439,7 @@ def _einsum_stabilized_stacks(mesh, config):
     they became stacked matmuls, on the mesh's own geometry."""
     (Kvv, Kvp, Kpv, Kpp), (fv, fp), _ = _element_stacks(
         mesh, dataclasses.replace(config, scheme="galerkin"))
-    table = basis_table(mesh.kind, rule_for(mesh.kind))
+    table = basis_table(mesh.kind)
     geom, nu = mesh.geometry, config.nu
     G, lapN = geom.G, geom.lapN
     bf = (np.zeros_like(geom.x) if config.body_force is None

@@ -244,6 +244,7 @@ def test_non_square_rejected():
 
 # ----------------------------------------------------------- schur-complement CG
 
+
 def _stokes_system(K, G, B, Kpp, rhs):
     """Stokes system from dense node blocks: K and Kpp (n, n), G and B
     (dim, n, n), every node pair in the pattern."""
@@ -281,6 +282,24 @@ def test_nan_rhs_is_refused_by_both_solvers(rhs):
     with pytest.raises(SolveAccuracyError, match="not finite"):
         solve_direct(system)
     assert solve_schur(system) is None
+
+
+@pytest.mark.parametrize("solver", [solve_direct, solve_schur])
+@pytest.mark.parametrize("tolerance", [
+    dict(pivot_rtol=np.nan), dict(residual_rtol=np.nan),
+    dict(pivot_rtol=-1e-14), dict(residual_rtol=-1.0),
+], ids=["pivot-nan", "residual-nan", "pivot-negative", "residual-negative"])
+def test_nan_or_negative_tolerance_is_refused(solver, tolerance):
+    # every comparison with NaN is false, so a NaN would switch its check off
+    (name, value), = tolerance.items()
+    with pytest.raises(ValueError, match=f"^{name} must be >= 0, got {value}$"):
+        solver(_stokes_system(**SADDLE, rhs=[1.0, 2.0, 0.5]), **tolerance)
+
+
+def test_schur_allows_an_infinite_residual_tolerance():
+    # solve_direct's escape hatch above pairs pivot_rtol=0 with inf
+    x, _, _ = solve_schur(_stokes_system(**SADDLE, rhs=[1.0, 2.0, 0.5]), residual_rtol=np.inf)
+    assert np.allclose(x, [5 / 6, 2 / 3, -2 / 3], rtol=1e-14, atol=0)
 
 
 # ------------------------------------------------------------------ eigensolver

@@ -1,5 +1,7 @@
 """Mesh generation, validation, file round-trip, and the acute fixture."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -143,7 +145,7 @@ def test_jacobian_dets_match_evaluation_at_every_point(kind, rng):
     nodes = mesh.nodes + rng.uniform(-0.02, 0.02, mesh.nodes.shape)
     mesh = Mesh(dim=mesh.dim, nodes=nodes, elements=mesh.elements, kind=kind)
     rule = rule_for(kind)
-    J = np.einsum("eni,pnm->epim", nodes[mesh.elements], basis_table(kind, rule).DN)
+    J = np.einsum("eni,pnm->epim", nodes[mesh.elements], basis_table(kind).DN)
     dets = np.linalg.det(J)
     assert mesh._jacobian_dets().tobytes() == dets.tobytes()
     assert mesh.element_volumes().tobytes() == (dets @ rule.weights).tobytes()
@@ -212,6 +214,26 @@ def test_truncated_nodes_rejected(tmp_path):
     p = _write(tmp_path, "stokeslab-mesh v1\ndim 2\nkind T3\nnodes 3\n0 0\n1 0\n")
     with pytest.raises(MeshError, match="unexpected end"):
         load_mesh(p)
+
+
+@pytest.mark.parametrize("text, line, message", [
+    ("stokeslab-mesh v1\ndim 2\nkind T3\nnodes 1000000000000000\n0 0\n",
+     4, "node count 1000000000000000 exceeds the 1 lines left"),
+    ("stokeslab-mesh v1\ndim 2\nkind T3\nnodes 3\n0 0\n1 0\n0 1\nelements 5\n0 1 2\n",
+     8, "element count 5 exceeds the 1 lines left"),
+], ids=["nodes", "elements"])
+def test_count_beyond_the_file_is_refused_before_allocation(tmp_path, monkeypatch, capsys,
+                                                             text, line, message):
+    # the count is checked first, so nothing is allocated for it
+    p = _write(tmp_path, text)
+    shapes, empty = [], np.empty
+    monkeypatch.setattr(np, "empty", lambda shape, *a, **k: shapes.append(shape) or empty(shape, *a, **k))
+    with pytest.raises(MeshError, match=f"^{re.escape(str(p))}:{line}: {message} "):
+        load_mesh(p)
+    count = int(message.split()[2])
+    assert all(shape[0] != count for shape in shapes)
+    assert main(["mesh-info", "--mesh", str(p)]) == 2
+    assert f"{p}:{line}: {message}" in capsys.readouterr().err
 
 
 def test_wrong_coordinate_count_rejected(tmp_path):
