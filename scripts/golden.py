@@ -42,6 +42,8 @@ COMMANDS = [
     "convergence --case bodyforce --formulation wvm --element t3 --levels 4,8,16",
     "mesh-info --mesh grid:TET4:4x3x2",
     "mesh-info --mesh {src}/stokeslab/data/wct_square.mesh",
+    # a usage error: refused with exit 2
+    "run --case cavity --formulation svm --mesh grid:Q4:4x4 --pivot-rtol nan",
 ]
 
 _ONE_THREAD = {k: "1" for k in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",

@@ -48,6 +48,6 @@ from .linalg import (
     solve_schur,
 )
 from .mesh import Mesh, MeshError, generate_grid, load_mesh, write_mesh, wct_fixture_path
-from .quadrature import QuadratureRule, facet_rule, rule_for
+from .quadrature import QuadratureRule, rule_for
 
 __version__ = "1.0.0"

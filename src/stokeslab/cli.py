@@ -17,7 +17,7 @@ from .cases import CASE_NAMES, case_by_name
 from .driver import solve_case
 from .formulations import SCHEMES
 from .kinds import ElementKind, kind_from_name
-from .linalg import SingularMatrixError, SolveAccuracyError
+from .linalg import SingularMatrixError, SolveAccuracyError, _check_tolerances
 from .mesh import MeshError, generate_grid, load_mesh
 from .vtk_io import FLOAT_FMT, write_csv, write_vtk
 
@@ -102,6 +102,7 @@ def _parse_element(spec: str):
 
 
 def cmd_run(args) -> int:
+    _check_tolerances(args.pivot_rtol, args.residual_rtol)  # before the mesh is built
     mesh = _resolve_mesh(args.mesh)
     case = _resolve_case(args.case, mesh.dim)
     scheme = _resolve_scheme(args.formulation)

@@ -32,8 +32,7 @@ from .basis import basis_table, element_geometry, integrate, tabulate
 from .kinds import ElementKind
 from .linalg import (LinearSystem, SingularMatrixError, SparseMatrix, StokesBlocks,
                      assemble_vector)
-from .mesh import LOCAL_FACETS, Mesh
-from .quadrature import facet_rule
+from .mesh import Mesh
 
 SCHEMES = ("galerkin", "wvm", "svm", "enriched")
 
@@ -69,15 +68,8 @@ class DofMap:
         return self.n_nodes * self.dim
 
     @property
-    def n_pressure(self) -> int:
-        return self.n_nodes
-
-    @property
     def total(self) -> int:
-        return self.n_velocity + self.n_pressure
-
-    def vdof(self, node: int, comp: int) -> int:
-        return node * self.dim + comp
+        return self.n_velocity + self.n_nodes
 
     def pdof(self, node: int) -> int:
         return self.n_velocity + node
@@ -295,46 +287,3 @@ def recover_fine(solution, fine: FineBlocks, mesh: Mesh, dofmap: DofMap) -> np.n
            - np.einsum("eai,ea->ei", fine.kpf, p))
     return rhs / fine.kff[:, None]
 
-
-def _facet_shapes(kind: ElementKind):
-    """Shape functions (n_q, nfn) of a kind's facet at its facet rule's
-    points, and their derivatives along the facet's reference coordinates
-    (n_q, fdim, nfn).  A TET4 face is a T3 and a B8 face a Q4.
-    """
-    if kind.dim == 3:
-        face = basis_table(ElementKind.T3 if kind is ElementKind.TET4 else ElementKind.Q4)
-        return face.N, np.swapaxes(face.DN, 1, 2)
-    t = facet_rule(kind).points[:, 0]
-    if kind is ElementKind.T3:  # 2-node edge on t in [0, 1]
-        return np.stack([1 - t, t], -1), np.broadcast_to([[-1.0, 1.0]], (len(t), 1, 2))
-    # Q4: 2-node edge on t in [-1, 1]
-    return (np.stack([(1 - t) / 2, (1 + t) / 2], -1),
-            np.broadcast_to([[-0.5, 0.5]], (len(t), 1, 2)))
-
-
-def add_traction(system: LinearSystem, mesh: Mesh, tag: str, traction,
-                 dofmap: DofMap) -> None:
-    """Add the facet traction term int(w . t) over a tagged boundary.
-
-    traction follows the case-callable contract: it is called once with the
-    (n_facets, n_q, dim) quadrature points and returns (..., dim) values.
-    """
-    pairs = mesh.boundary_faces.get(tag)
-    if pairs is None:
-        valid = ", ".join(sorted(mesh.boundary_faces))
-        raise ValueError(f"unknown face tag {tag!r}; have: {valid}")
-    frule = facet_rule(mesh.kind)
-    shp, dshp = _facet_shapes(mesh.kind)
-    local = np.array(LOCAL_FACETS[mesh.kind])
-    fnodes = mesh.elements[pairs[:, :1], local[pairs[:, 1]]]  # (n_f, nfn)
-    coords = mesh.nodes[fnodes]
-    x = np.einsum("qa,fai->fqi", shp, coords)
-    tangents = np.einsum("qka,fai->fqki", dshp, coords)
-    if mesh.dim == 2:
-        jac = np.linalg.norm(tangents[:, :, 0], axis=-1)
-    else:
-        jac = np.linalg.norm(np.cross(tangents[:, :, 0], tangents[:, :, 1]), axis=-1)
-    t = np.broadcast_to(np.asarray(traction(x), dtype=float), x.shape)
-    values = np.einsum("fq,qa,fqi->fai", frule.weights * jac, shp, t)
-    system.rhs += assemble_vector(system.rhs.size, dofmap.velocity_dofs(fnodes),
-                                  values.reshape(len(fnodes), -1))

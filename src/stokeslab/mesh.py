@@ -17,17 +17,6 @@ from .linalg import TripletPattern
 # Boundary tags of a box: the low and the high side of each axis.
 _AXIS_TAGS = (("left", "right"), ("bottom", "top"), ("front", "back"))
 
-# Local facets (edges in 2-D, faces in 3-D), corner indices per kind.
-LOCAL_FACETS = {
-    ElementKind.T3: [(0, 1), (1, 2), (2, 0)],
-    ElementKind.Q4: [(0, 1), (1, 2), (2, 3), (3, 0)],
-    ElementKind.TET4: [(0, 2, 1), (0, 1, 3), (1, 2, 3), (0, 3, 2)],
-    ElementKind.B8: [
-        (0, 3, 2, 1), (4, 5, 6, 7), (0, 1, 5, 4),
-        (1, 2, 6, 5), (2, 3, 7, 6), (3, 0, 4, 7),
-    ],
-}
-
 # Simplices of a grid cell, by cell corner (VTK order), each positively
 # oriented.  The hexahedron uses the Kuhn 6-tet split: every tet contains the
 # 0-6 main diagonal so shared faces between translated cells conform.
@@ -48,9 +37,7 @@ class MeshError(ValueError):
 class Mesh:
     """Immutable finite element mesh.
 
-    boundary_sets maps tag names to node-index sets; boundary_faces, derived
-    from them and the element topology, maps the same tags to facets for
-    traction application.
+    boundary_sets maps tag names to node-index sets.
     """
 
     dim: int
@@ -116,29 +103,6 @@ class Mesh:
         return TripletPattern.build(self.n_nodes, self.n_nodes,
                                     np.repeat(self.elements, nen, axis=1).ravel(),
                                     np.tile(self.elements, nen).ravel())
-
-    @cached_property
-    def boundary_faces(self) -> dict:
-        """Boundary facets of each tag of boundary_sets, as (n, 2) rows of
-        (element, local facet) in element order.
-
-        A facet is on the boundary when exactly one element has it; a tag
-        keeps the boundary facets whose nodes are all in its set.
-        """
-        local = np.array(LOCAL_FACETS[self.kind])
-        facets = self.elements[:, local].reshape(-1, local.shape[1])
-        _, which, count = np.unique(np.sort(facets, axis=1), axis=0,
-                                    return_inverse=True, return_counts=True)
-        boundary = np.nonzero(count[which.reshape(-1)] == 1)[0]
-        pairs = np.stack(np.divmod(boundary, len(local)), axis=1)
-        facets = facets[boundary]
-        faces = {}
-        for tag, nset in self.boundary_sets.items():
-            inside = np.zeros(self.n_nodes, dtype=bool)
-            inside[np.fromiter(nset, dtype=np.intp, count=len(nset))] = True
-            faces[tag] = pairs[inside[facets].all(axis=1)]
-            faces[tag].setflags(write=False)
-        return faces
 
     @property
     def n_nodes(self) -> int:

@@ -120,13 +120,3 @@ def rule_for(kind: ElementKind) -> QuadratureRule:
         return _triangle_deg6()
     return _tet_conical()
 
-
-def facet_rule(kind: ElementKind) -> QuadratureRule:
-    """Rule on the reference facet (edge for 2-D kinds, face for 3-D)."""
-    x, w = map(np.array, _GAUSS_LEGENDRE[3])
-    if kind is ElementKind.T3:
-        return QuadratureRule(0.5 * (x[:, None] + 1), w / 2.0, exact_degree=5)
-    if kind is ElementKind.Q4:
-        return QuadratureRule(x[:, None], w, exact_degree=5)
-    # a TET4 face is a T3 and a B8 face a Q4
-    return rule_for(ElementKind.T3 if kind is ElementKind.TET4 else ElementKind.Q4)

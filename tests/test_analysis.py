@@ -117,6 +117,25 @@ def test_convergence_study_refuses_repeated_levels(levels, repeated):
         convergence_study(case, "svm", ElementKind.Q4, levels)
 
 
+@pytest.mark.parametrize("scheme", ["svm", "wvm"])
+def test_body_force_pressure_error_lives_on_the_boundary_nodes(scheme):
+    # criterion 9's pressure slope is capped by an O(h) boundary-node layer:
+    # at 64x64 the interior nodes are exact to 1.1e-7 (svm) and 3.8e-8 (wvm),
+    # while the boundary-node error halves with h (slopes 0.976 and 0.992)
+    case = case_by_name("body_force_cavity")
+    levels = (8, 16, 32, 64)
+    boundary_errors = []
+    for n in levels:
+        mesh = generate_grid(ElementKind.Q4, n)
+        error = np.abs(solve_case(case, mesh, scheme).pressure
+                       - case.exact_pressure(mesh.nodes))
+        boundary_errors.append(error[sorted(mesh.nodeset("all"))].max())
+    wall_distance = np.minimum(mesh.nodes, 1 - mesh.nodes).min(axis=1)
+    assert error[wall_distance > 0.25].max() <= 1e-6
+    slope = np.polyfit(np.log(levels), -np.log(boundary_errors), 1)[0]
+    assert 0.8 <= slope <= 1.2
+
+
 # ----------------------------------------------------------------- spectra
 
 def test_pressure_mass_matrix_total_mass():

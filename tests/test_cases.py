@@ -55,15 +55,15 @@ def test_cavity_lid_and_wall_data_non_leaky():
     cons = case_constraints(case, mesh, dofmap)
     lid_x = [
         node for node in mesh.nodeset("top")
-        if cons[dofmap.vdof(node, 0)] == 1.0
+        if cons[dofmap.velocity_dofs([node])[0]] == 1.0
     ]
     # the two lid corners belong to the vertical walls, so they carry v = 0
     assert len(lid_x) == n - 1
     for node in mesh.nodeset("top") & (mesh.nodeset("left") | mesh.nodeset("right")):
-        assert cons[dofmap.vdof(node, 0)] == 0.0
+        assert cons[dofmap.velocity_dofs([node])[0]] == 0.0
     # every boundary node has both components constrained
     for node in mesh.nodeset("all"):
-        assert dofmap.vdof(node, 0) in cons and dofmap.vdof(node, 1) in cons
+        assert all(dof in cons for dof in dofmap.velocity_dofs([node]))
 
 
 def test_cavity_3d_front_back_fix_only_out_of_plane():
@@ -78,15 +78,15 @@ def test_cavity_3d_front_back_fix_only_out_of_plane():
     ]
     assert interior_front
     for node in interior_front:
-        assert dofmap.vdof(node, 0) not in cons  # in-plane free
-        assert dofmap.vdof(node, 1) not in cons
-        assert cons[dofmap.vdof(node, 2)] == 0.0  # out-of-plane fixed
+        vx, vy, vz = dofmap.velocity_dofs([node])
+        assert vx not in cons and vy not in cons  # in-plane free
+        assert cons[vz] == 0.0  # out-of-plane fixed
     # mid-lid node away from walls still carries the lid velocity
     mid = [
         n for n in mesh.nodeset("top")
         if n not in mesh.nodeset("left") | mesh.nodeset("right")
     ]
-    assert all(cons[dofmap.vdof(n, 0)] == 1.0 for n in mid)
+    assert all(cons[dofmap.velocity_dofs([n])[0]] == 1.0 for n in mid)
 
 
 def test_cavity_pressure_pin_at_origin_corner():
@@ -202,4 +202,4 @@ def test_apply_case_folds_constraints():
     out = apply_case(case, mesh, dofmap, system)
     assert out.constraints_applied
     node = next(iter(mesh.nodeset("all")))
-    assert out.rhs[dofmap.vdof(node, 0)] == 10.0
+    assert out.rhs[dofmap.velocity_dofs([node])[0]] == 10.0

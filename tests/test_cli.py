@@ -11,6 +11,7 @@ import pytest
 
 import stokeslab
 from stokeslab.cli import main
+from stokeslab.mesh import wct_fixture_path
 from stokeslab.vtk_io import read_vtk
 
 
@@ -122,6 +123,23 @@ def test_nan_or_negative_solver_tolerance_is_usage_error(option, value, capsys):
         f"error: {option[2:].replace('-', '_')} must be >= 0")
 
 
+@pytest.mark.parametrize("spec", ["grid:Q4:160x160", str(wct_fixture_path())],
+                         ids=["grid", "file"])
+@pytest.mark.parametrize("option, value", [
+    ("--pivot-rtol", "nan"), ("--pivot-rtol", "-1"), ("--residual-rtol", "nan"),
+])
+def test_bad_solver_tolerance_is_refused_before_the_mesh(spec, option, value,
+                                                         monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("mesh built or loaded before the tolerances were checked")
+
+    monkeypatch.setattr("stokeslab.cli.generate_grid", refuse)
+    monkeypatch.setattr("stokeslab.cli.load_mesh", refuse)
+    assert main(["run", "--case", "cavity", "--formulation", "svm",
+                 "--mesh", spec, option, value]) == 2
+    assert f"{option[2:].replace('-', '_')} must be >= 0" in capsys.readouterr().err
+
+
 def test_convergence_emits_levels_and_slope(tmp_path, capsys):
     csv = tmp_path / "conv.csv"
     code = main(["convergence", "--case", "bodyforce", "--formulation", "svm",
@@ -187,8 +205,6 @@ def test_mesh_info_reports_statistics(capsys):
 
 
 def test_mesh_info_on_shipped_fixture(capsys):
-    from stokeslab.mesh import wct_fixture_path
-
     code = main(["mesh-info", "--mesh", str(wct_fixture_path())])
     assert code == 0
     kv = _parse_kv(capsys.readouterr().out)
@@ -227,8 +243,6 @@ def test_options_a_verb_ignores_are_refused(argv, capsys):
 
 
 def test_mesh_file_above_the_dof_limit_is_refused(monkeypatch, capsys):
-    from stokeslab.mesh import wct_fixture_path
-
     path = str(wct_fixture_path())  # 281 nodes, 843 dofs
     monkeypatch.setattr("stokeslab.cli.MAX_DOFS", 842)
     assert main(["mesh-info", "--mesh", path]) == 2

@@ -1,4 +1,4 @@
-"""Assembly of the four schemes: tau, element blocks, condensation, traction."""
+"""Assembly of the four schemes: tau, element blocks, condensation."""
 
 import dataclasses
 
@@ -15,7 +15,6 @@ from stokeslab.formulations import (
     assemble,
     assemble_enriched,
     assemble_enriched_full,
-    add_traction,
     build_dofmap,
     recover_fine,
     tau_at,
@@ -24,11 +23,10 @@ from stokeslab.kinds import ElementKind
 from stokeslab.linalg import (
     LinearSystem,
     SingularMatrixError,
-    SparseMatrix,
     apply_constraints,
     solve_direct,
 )
-from stokeslab.mesh import Mesh, generate_grid, load_mesh, wct_fixture_path
+from stokeslab.mesh import Mesh, generate_grid
 
 
 # -------------------------------------------------------------------- config
@@ -58,8 +56,7 @@ def test_dofmap_dense_and_disjoint():
     dofmap = build_dofmap(mesh)
     seen = set()
     for n in range(mesh.n_nodes):
-        for c in range(2):
-            seen.add(dofmap.vdof(n, c))
+        seen.update(dofmap.velocity_dofs([n]).tolist())
         seen.add(dofmap.pdof(n))
     assert seen == set(range(dofmap.total))
     assert np.array_equal(dofmap.velocity_dofs([2]), [4, 5])
@@ -485,49 +482,3 @@ def test_stabilized_pressure_coupling_is_transpose_bit_for_bit(kind, scheme):
     assert np.array_equal(pattern.rows[transpose], pattern.cols)
     for i in range(mesh.dim):
         assert blocks.B[i].tobytes() == blocks.G[i][transpose].tobytes()
-
-
-# -------------------------------------------------------------------- traction
-
-@pytest.mark.parametrize("kind", list(ElementKind))
-def test_constant_traction_integrates_to_face_area(kind):
-    mesh = generate_grid(kind, 2)
-    dofmap = build_dofmap(mesh)
-    system = assemble(mesh, FormulationConfig(scheme="galerkin"), dofmap)
-    base = system.rhs.copy()
-    t = np.arange(1, mesh.dim + 1, dtype=float)  # (1, 2[, 3])
-    add_traction(system, mesh, "right", lambda x: t, dofmap)
-    delta = system.rhs - base
-    for i in range(mesh.dim):
-        total = delta[i::mesh.dim][: mesh.n_nodes].sum()
-        assert total == pytest.approx(t[i], rel=1e-12)  # unit face area
-
-
-def test_linear_traction_first_moment():
-    mesh = generate_grid(ElementKind.Q4, 4)
-    dofmap = build_dofmap(mesh)
-    system = assemble(mesh, FormulationConfig(scheme="galerkin"), dofmap)
-    base = system.rhs.copy()
-    add_traction(system, mesh, "top",
-                 lambda x: np.stack([x[..., 0], np.zeros_like(x[..., 0])], axis=-1),
-                 dofmap)
-    delta = system.rhs - base
-    assert delta[0::2][: mesh.n_nodes].sum() == pytest.approx(0.5, rel=1e-12)
-
-
-def test_constant_traction_over_loaded_mesh_boundary():
-    mesh = load_mesh(wct_fixture_path())
-    dofmap = build_dofmap(mesh)
-    system = LinearSystem(SparseMatrix.from_triplets(dofmap.total, dofmap.total, [], [], []),
-                          np.zeros(dofmap.total))
-    add_traction(system, mesh, "all", lambda x: np.ones_like(x), dofmap)
-    for i in range(mesh.dim):
-        assert system.rhs[i:dofmap.n_velocity:mesh.dim].sum() == pytest.approx(4.0, rel=1e-12)
-
-
-def test_traction_unknown_tag():
-    mesh = generate_grid(ElementKind.Q4, 2)
-    dofmap = build_dofmap(mesh)
-    system = assemble(mesh, FormulationConfig(scheme="galerkin"), dofmap)
-    with pytest.raises(ValueError, match="lid"):
-        add_traction(system, mesh, "lid", lambda x: np.zeros(2), dofmap)

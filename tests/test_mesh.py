@@ -47,19 +47,6 @@ def test_boundary_tags_partition_box_surface():
     assert len(sets["all"]) == 27 - 1  # all nodes except the center
 
 
-def test_boundary_faces_counts():
-    mesh = generate_grid(ElementKind.Q4, 4)
-    for tag in ("left", "right", "bottom", "top"):
-        assert len(mesh.boundary_faces[tag]) == 4
-    assert len(mesh.boundary_faces["all"]) == 16
-    mesh3 = generate_grid(ElementKind.B8, (2, 3, 4))
-    assert len(mesh3.boundary_faces["left"]) == 3 * 4
-    assert len(mesh3.boundary_faces["top"]) == 2 * 4
-    # the diagonal has both nodes on the boundary but two elements
-    tri = generate_grid(ElementKind.T3, 1)
-    assert tri.boundary_faces["all"].tolist() == [[0, 0], [0, 1], [1, 1], [1, 2]]
-
-
 # nodes and elements of the smallest grids, written out: every output byte
 # depends on this numbering (x fastest, cells in node order)
 GRID_NUMBERING = {
@@ -92,18 +79,6 @@ def test_grid_numbering(kind, divisions):
     mesh = generate_grid(kind, divisions)
     assert mesh.nodes.tolist() == nodes
     assert mesh.elements.tolist() == elements
-
-
-@pytest.mark.parametrize("kind", ALL_KINDS)
-def test_boundary_faces_follow_element_permutation(kind, rng):
-    mesh = generate_grid(kind, 3)
-    perm = rng.permutation(mesh.n_elements)
-    shuffled = Mesh(dim=mesh.dim, nodes=mesh.nodes, elements=mesh.elements[perm],
-                    kind=kind, boundary_sets=mesh.boundary_sets)
-    assert shuffled.boundary_faces.keys() == mesh.boundary_faces.keys()
-    for tag, pairs in shuffled.boundary_faces.items():
-        mapped = sorted(zip(perm[pairs[:, 0]].tolist(), pairs[:, 1].tolist()))
-        assert mapped == sorted(map(tuple, mesh.boundary_faces[tag].tolist()))
 
 
 def test_unknown_nodeset_errors_with_tag_name():
@@ -189,7 +164,6 @@ def test_write_load_round_trip(tmp_path, kind):
     assert np.array_equal(back.elements, mesh.elements)
     for tag, nset in mesh.boundary_sets.items():
         assert back.boundary_sets[tag] == frozenset(nset)
-        assert np.array_equal(back.boundary_faces[tag], mesh.boundary_faces[tag])
 
 
 def _write(tmp_path, text):

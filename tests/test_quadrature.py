@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from stokeslab.kinds import ElementKind
-from stokeslab.quadrature import QuadratureRule, facet_rule, rule_for
+from stokeslab.quadrature import rule_for
 
 ALL_KINDS = list(ElementKind)
 
@@ -97,20 +97,6 @@ def test_triangle_bubble_integral():
     assert val == pytest.approx(1.0 / 120.0, rel=1e-13)
 
 
-@pytest.mark.parametrize("kind", ALL_KINDS)
-def test_facet_rule_measures(kind):
-    rule = facet_rule(kind)
-    assert isinstance(rule, QuadratureRule)
-    assert np.all(rule.weights > 0)
-    expected = {
-        ElementKind.T3: 1.0,     # unit parameter edge
-        ElementKind.Q4: 2.0,     # [-1, 1] edge
-        ElementKind.B8: 4.0,     # [-1, 1]^2 face
-        ElementKind.TET4: 0.5,   # unit reference triangle face
-    }[kind]
-    assert rule.weights.sum() == pytest.approx(expected, rel=1e-13)
-
-
 def test_one_dimensional_tables_are_the_scipy_roots_bit_for_bit():
     from scipy.special import roots_jacobi, roots_legendre
 
@@ -132,14 +118,10 @@ RULE_SHA256 = {
     ("rule_for", ElementKind.TET4): "4338ad631ad7d7c29a52edf2ca0539c917d05a3d3edd302e8766922e2409e18d",
     ("rule_for", ElementKind.Q4): "96faff29333a41048e33b6a5fb7c881960f8328895cdb9f0e0acb398e54b586c",
     ("rule_for", ElementKind.B8): "7b487e5157325ebae3b17e060dd17011f91caa68cd2a105c2d8d4f431a92233d",
-    ("facet_rule", ElementKind.T3): "d8799e2f734d1ca5c63d64b74844ac3d39803581bdaa2fa6575e76d9491b50b7",
-    ("facet_rule", ElementKind.TET4): "9ae84774123563ff39a2cd38d562f7ac822662cd5df364b043dd7b67f7d114d6",
-    ("facet_rule", ElementKind.Q4): "17eac8ae5b06c6c6a44a671142cc71ecffa6f812b0b7de43faa27029eec479af",
-    ("facet_rule", ElementKind.B8): "96faff29333a41048e33b6a5fb7c881960f8328895cdb9f0e0acb398e54b586c",
 }
 
 
-@pytest.mark.parametrize("rule, kind", [(f, k) for f in (rule_for, facet_rule) for k in ALL_KINDS],
+@pytest.mark.parametrize("rule, kind", [(f, k) for f in (rule_for,) for k in ALL_KINDS],
                          ids=lambda v: getattr(v, "__name__", None) or v.name)
 def test_rules_keep_their_bytes(rule, kind):
     r = rule(kind)
