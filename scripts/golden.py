@@ -42,6 +42,11 @@ COMMANDS = [
     "convergence --case bodyforce --formulation wvm --element t3 --levels 4,8,16",
     "mesh-info --mesh grid:TET4:4x3x2",
     "mesh-info --mesh {src}/stokeslab/data/wct_square.mesh",
+    # constraint folding and dof layout on paths the runs above miss
+    "run --case bodyforce --formulation galerkin --mesh grid:Q4:8x8 --bp-epsilon 0.1 --nu 0.7",
+    "run --case patch --formulation svm --mesh {src}/stokeslab/data/wct_square.mesh",
+    "eigen --element t3-svm --n 6",
+    "eigen --element q4-wvm --n 6",
     # a usage error: refused with exit 2
     "run --case cavity --formulation svm --mesh grid:Q4:4x4 --pivot-rtol nan",
 ]

@@ -26,13 +26,11 @@ from .cases import (
 )
 from .driver import SolutionField, solve_case
 from .formulations import (
-    DofMap,
     FineBlocks,
     FormulationConfig,
     assemble,
     assemble_enriched,
     assemble_enriched_full,
-    build_dofmap,
     recover_fine,
     tau_at,
 )

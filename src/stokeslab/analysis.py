@@ -10,7 +10,7 @@ import numpy as np
 from .basis import basis_table, integrate
 from .cases import TestCase, case_by_name, case_constraints
 from .driver import solve_case
-from .formulations import FormulationConfig, assemble, assemble_enriched, build_dofmap
+from .formulations import FormulationConfig, assemble, assemble_enriched
 from .kinds import ElementKind
 from .linalg import eig_sym_generalized
 from .mesh import Mesh, generate_grid
@@ -122,18 +122,13 @@ def lbb_spectrum(mesh: Mesh, scheme: str) -> SpectrumReport:
     pressure modes: the hydrostatic mode, plus the checkerboard when the
     scheme fails to control it.
     """
-    dofmap = build_dofmap(mesh)
-    case = case_by_name("patch_constant", mesh.dim)
-    cons = case_constraints(case, mesh, dofmap)
-    fixed = {d for d in cons if d < dofmap.n_velocity}
-    free_v = np.array(
-        [d for d in range(dofmap.n_velocity) if d not in fixed], dtype=np.intp
-    )
+    n, dim = mesh.n_nodes, mesh.dim
+    cons = case_constraints(case_by_name("patch_constant", dim), mesh)
+    free_v = np.flatnonzero(np.isnan(cons[:n * dim]))
     if free_v.size == 0:
         raise ValueError("no interior velocity dofs")
 
     gal = assemble(mesh, FormulationConfig(scheme="galerkin", nu=1.0)).blocks
-    n, dim = mesh.n_nodes, mesh.dim
     K = gal.pattern.matrix(gal.K).to_dense()
     A = np.zeros((n, dim, n, dim))
     for i in range(dim):
@@ -176,9 +171,9 @@ def checkerboard_amplitude(solution, case: TestCase, mesh: Mesh) -> float:
     return float(np.abs(solution.pressure - pex).max())
 
 
-def locate_vortex(solution, mesh: Mesh) -> float:
-    """Height of the main cavity vortex: the topmost zero crossing of v_x
-    sampled along the vertical centerline x = 0.5."""
+def centerline_nodes(mesh: Mesh) -> np.ndarray:
+    """The nodes on the vertical centerline x = 0.5 (in 3-D, on the lowest
+    z plane), bottom to top; ValueError when there are fewer than two."""
     nodes = mesh.nodes
     on_line = np.abs(nodes[:, 0] - 0.5) < 1e-9
     if mesh.dim == 3:
@@ -186,9 +181,15 @@ def locate_vortex(solution, mesh: Mesh) -> float:
     idx = np.nonzero(on_line)[0]
     if idx.size < 2:
         raise ValueError("no centerline nodes at x = 0.5")
-    order = np.argsort(nodes[idx, 1])
-    ys = nodes[idx[order], 1]
-    vx = solution.velocity[idx[order], 0]
+    return idx[np.argsort(nodes[idx, 1])]
+
+
+def locate_vortex(solution, mesh: Mesh) -> float:
+    """Height of the main cavity vortex: the topmost zero crossing of v_x
+    sampled along the vertical centerline x = 0.5."""
+    idx = centerline_nodes(mesh)
+    ys = mesh.nodes[idx, 1]
+    vx = solution.velocity[idx, 0]
     for k in range(len(ys) - 1, 0, -1):
         a, b = vx[k - 1], vx[k]
         if a == 0.0 and b == 0.0:

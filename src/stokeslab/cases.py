@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .formulations import DofMap
 from .linalg import LinearSystem, apply_constraints
 from .mesh import Mesh
 
@@ -167,24 +166,24 @@ def pin_node(case: TestCase, mesh: Mesh) -> int:
     return int(np.argmin(d2))
 
 
-def case_constraints(case: TestCase, mesh: Mesh, dofmap: DofMap) -> dict:
-    """Dirichlet velocity constraints plus the pressure pin, as dof -> value."""
+def case_constraints(case: TestCase, mesh: Mesh) -> np.ndarray:
+    """Dirichlet velocity data plus the pressure pin, as the prescribed value
+    of every dof (velocity node-major, then one pressure per node), NaN
+    where the dof is free."""
     if case.dim != mesh.dim:
         raise ValueError(f"case is {case.dim}-D but mesh is {mesh.dim}-D")
-    constraints = {}  # velocity dof -> value; later tags override
-    for tag, fn in case.dirichlet.items():
+    n_v = mesh.n_nodes * mesh.dim
+    constraints = np.full(n_v + mesh.n_nodes, np.nan)
+    velocity = constraints[:n_v].reshape(mesh.n_nodes, mesh.dim)
+    for tag, fn in case.dirichlet.items():  # later tags override
         nodes = np.array(sorted(mesh.nodeset(tag)), dtype=np.intp)
-        vals = np.asarray(fn(mesh.nodes[nodes]), dtype=float)
-        vals = np.broadcast_to(vals, (nodes.size, mesh.dim))
-        dofs = dofmap.velocity_dofs(nodes)
-        given = ~np.isnan(vals.ravel())
-        constraints.update(zip(dofs[given].tolist(), vals.ravel()[given].tolist()))
-    constraints[dofmap.pdof(pin_node(case, mesh))] = float(case.pressure_pin[1])
+        vals = np.broadcast_to(np.asarray(fn(mesh.nodes[nodes]), dtype=float),
+                               (nodes.size, mesh.dim))
+        velocity[nodes] = np.where(np.isnan(vals), velocity[nodes], vals)
+    constraints[n_v + pin_node(case, mesh)] = case.pressure_pin[1]
     return constraints
 
 
-def apply_case(case: TestCase, mesh: Mesh, dofmap: DofMap,
-               system: LinearSystem) -> LinearSystem:
-    """Install the case's constraints into the system and fold them in."""
-    system.constraints = case_constraints(case, mesh, dofmap)
-    return apply_constraints(system)
+def apply_case(case: TestCase, mesh: Mesh, system: LinearSystem) -> LinearSystem:
+    """The system with the case's constraints folded in."""
+    return apply_constraints(system, case_constraints(case, mesh))

@@ -15,7 +15,7 @@ from . import analysis
 from .basis import SingularJacobianError
 from .cases import CASE_NAMES, case_by_name
 from .driver import solve_case
-from .formulations import SCHEMES
+from .formulations import SCHEMES, FormulationConfig
 from .kinds import ElementKind, kind_from_name
 from .linalg import SingularMatrixError, SolveAccuracyError, _check_tolerances
 from .mesh import MeshError, generate_grid, load_mesh
@@ -102,10 +102,16 @@ def _parse_element(spec: str):
 
 
 def cmd_run(args) -> int:
-    _check_tolerances(args.pivot_rtol, args.residual_rtol)  # before the mesh is built
+    # options are refused before the mesh is built (every case's own nu is
+    # valid), and a mesh the post-processing cannot read before the solve
+    _check_tolerances(args.pivot_rtol, args.residual_rtol)
+    scheme = _resolve_scheme(args.formulation)
+    FormulationConfig(scheme, nu=1.0 if args.nu is None else args.nu,
+                      bp_epsilon=args.bp_epsilon)
     mesh = _resolve_mesh(args.mesh)
     case = _resolve_case(args.case, mesh.dim)
-    scheme = _resolve_scheme(args.formulation)
+    if case.name == "lid_cavity":
+        analysis.centerline_nodes(mesh)
     sol = solve_case(
         case, mesh, scheme,
         nu=args.nu, bp_epsilon=args.bp_epsilon,
@@ -117,7 +123,7 @@ def cmd_run(args) -> int:
     rows = [
         ("n_nodes", mesh.n_nodes),
         ("n_elements", mesh.n_elements),
-        ("n_dofs", sol.dofmap.total),
+        ("n_dofs", sol.values.size),
         ("solve_residual", sol.residual),
     ]
     if case.name == "patch_constant":

@@ -7,14 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cases import TestCase, apply_case
-from .formulations import (
-    DofMap,
-    FormulationConfig,
-    assemble,
-    assemble_enriched,
-    build_dofmap,
-    recover_fine,
-)
+from .formulations import FormulationConfig, assemble, assemble_enriched, recover_fine
 from .linalg import solve_direct, solve_schur
 from .mesh import Mesh
 
@@ -24,7 +17,6 @@ class SolutionField:
     case: TestCase
     scheme: str
     mesh: Mesh
-    dofmap: DofMap
     values: np.ndarray      # full dof vector
     velocity: np.ndarray    # (n_nodes, dim)
     pressure: np.ndarray    # (n_nodes,)
@@ -51,7 +43,6 @@ def solve_case(case: TestCase, mesh: Mesh, scheme: str, *,
     enriched Q4/B8 patch test) run to completion so the unstable pressure
     can be observed; pair it with a relaxed ``residual_rtol``.
     """
-    dofmap = build_dofmap(mesh)
     config = FormulationConfig(
         scheme=scheme,
         nu=case.nu if nu is None else nu,
@@ -60,10 +51,10 @@ def solve_case(case: TestCase, mesh: Mesh, scheme: str, *,
     )
     fine_blocks = None
     if scheme == "enriched":
-        system, fine_blocks = assemble_enriched(mesh, config, dofmap)
+        system, fine_blocks = assemble_enriched(mesh, config)
     else:
-        system = assemble(mesh, config, dofmap)
-    constrained = apply_case(case, mesh, dofmap, system)
+        system = assemble(mesh, config)
+    constrained = apply_case(case, mesh, system)
     solved = None
     if scheme in ("wvm", "svm"):
         solved = solve_schur(constrained, residual_rtol=residual_rtol, pivot_rtol=pivot_rtol)
@@ -74,13 +65,14 @@ def solve_case(case: TestCase, mesh: Mesh, scheme: str, *,
     else:
         x, res, iterations = solved
         solver = "schur-cg"
-    velocity = x[: dofmap.n_velocity].reshape(mesh.n_nodes, mesh.dim)
-    pressure = x[dofmap.n_velocity:]
+    n_v = mesh.n_nodes * mesh.dim
+    velocity = x[:n_v].reshape(mesh.n_nodes, mesh.dim)
+    pressure = x[n_v:]
     fine = None
     if fine_blocks is not None:
-        fine = recover_fine(x, fine_blocks, mesh, dofmap)
+        fine = recover_fine(x, fine_blocks, mesh)
     return SolutionField(
-        case=case, scheme=scheme, mesh=mesh, dofmap=dofmap, values=x,
+        case=case, scheme=scheme, mesh=mesh, values=x,
         velocity=velocity, pressure=pressure, fine=fine, residual=res,
         solver=solver, iterations=iterations,
     )

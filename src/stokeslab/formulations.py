@@ -55,37 +55,13 @@ class FormulationConfig:
             raise ValueError("bp_epsilon applies to galerkin/enriched schemes only")
 
 
-@dataclass(frozen=True)
-class DofMap:
-    """Equal-order nodal dofs: velocity components first (node-major), then
-    one pressure dof per node."""
-
-    n_nodes: int
-    dim: int
-
-    @property
-    def n_velocity(self) -> int:
-        return self.n_nodes * self.dim
-
-    @property
-    def total(self) -> int:
-        return self.n_velocity + self.n_nodes
-
-    def pdof(self, node: int) -> int:
-        return self.n_velocity + node
-
-    def velocity_dofs(self, nodes) -> np.ndarray:
-        """Velocity dofs of nodes (..., n), node-major: (..., n * dim)."""
-        nodes = np.asarray(nodes, dtype=np.intp)
-        dofs = nodes[..., None] * self.dim + np.arange(self.dim)
-        return dofs.reshape(*nodes.shape[:-1], -1)
-
-    def pressure_dofs(self, nodes) -> np.ndarray:
-        return self.n_velocity + np.asarray(nodes, dtype=np.intp)
-
-
-def build_dofmap(mesh: Mesh) -> DofMap:
-    return DofMap(n_nodes=mesh.n_nodes, dim=mesh.dim)
+def element_dofs(mesh: Mesh):
+    """Velocity dofs (n_el, nen * dim) and pressure dofs (n_el, nen) of every
+    element.  The dofs are the velocity components of every node, node-major,
+    then one pressure per node."""
+    e = mesh.elements
+    velocity = (e[:, :, None] * mesh.dim + np.arange(mesh.dim)).reshape(len(e), -1)
+    return velocity, mesh.n_nodes * mesh.dim + e
 
 
 @dataclass(frozen=True)
@@ -215,7 +191,7 @@ def _element_stacks(mesh, config, condensed=True):
     return (Kvv, Kvp, Kpv, Kpp), (fv, fp), fine
 
 
-def _assemble(mesh, config, dofmap, condensed=True):
+def _assemble(mesh, config, condensed=True):
     """Global system from the element stacks.  Every block is summed on the
     mesh's node pattern in one call, and the right-hand side in another;
     only the uncondensed enriched system, whose fine dofs lie outside the
@@ -227,14 +203,15 @@ def _assemble(mesh, config, dofmap, condensed=True):
     sums = mesh.node_pattern.sum(stack.reshape(len(stack), -1))
     blocks = StokesBlocks(mesh.node_pattern, dim, K=sums[0], zero=sums[1],
                           G=sums[2:2 + dim], B=sums[2 + dim:2 + 2 * dim], Kpp=sums[-1])
-    idx = [dofmap.velocity_dofs(mesh.elements), dofmap.pressure_dofs(mesh.elements)]
+    idx = list(element_dofs(mesh))
     loads = [fv.reshape(n_el, -1), fp]
+    n_coarse = mesh.n_nodes * (dim + 1)
     if condensed:
-        rhs = assemble_vector(dofmap.total, np.concatenate(idx, 1), np.concatenate(loads, 1))
+        rhs = assemble_vector(n_coarse, np.concatenate(idx, 1), np.concatenate(loads, 1))
         return LinearSystem(None, rhs, blocks=blocks), fine
     # fine dofs appended per element; each fine entry belongs to one element
-    total = dofmap.total + n_el * dim
-    fdofs = dofmap.total + np.arange(n_el * dim).reshape(n_el, dim)
+    total = n_coarse + n_el * dim
+    fdofs = n_coarse + np.arange(n_el * dim).reshape(n_el, dim)
     coarse = np.concatenate(idx, 1)
     Kcf = np.concatenate([(fine.s[:, :, None, None] * np.eye(dim)).reshape(n_el, -1, dim),
                           fine.kpf], 1)
@@ -250,40 +227,36 @@ def _assemble(mesh, config, dofmap, condensed=True):
     return LinearSystem(SparseMatrix.from_triplets(total, total, rows, cols, vals), rhs), fine
 
 
-def assemble(mesh: Mesh, config: FormulationConfig, dofmap: DofMap = None) -> LinearSystem:
+def assemble(mesh: Mesh, config: FormulationConfig) -> LinearSystem:
     """Assemble the global (unconstrained) system for the configured scheme."""
-    dofmap = dofmap or build_dofmap(mesh)
-    system, _ = _assemble(mesh, config, dofmap)
+    system, _ = _assemble(mesh, config)
     return system
 
 
-def assemble_enriched(mesh: Mesh, config: FormulationConfig, dofmap: DofMap = None):
+def assemble_enriched(mesh: Mesh, config: FormulationConfig):
     """Condensed enriched system plus the stacked fine-scale blocks."""
-    dofmap = dofmap or build_dofmap(mesh)
     if config.scheme != "enriched":
         raise ValueError("assemble_enriched requires scheme='enriched'")
-    return _assemble(mesh, config, dofmap)
+    return _assemble(mesh, config)
 
 
-def assemble_enriched_full(mesh: Mesh, config: FormulationConfig, dofmap: DofMap = None):
+def assemble_enriched_full(mesh: Mesh, config: FormulationConfig):
     """Uncondensed three-field system with fine dofs appended per element.
 
     Used as the oracle for the static-condensation identity.
     """
-    dofmap = dofmap or build_dofmap(mesh)
     if config.scheme != "enriched":
         raise ValueError("assemble_enriched_full requires scheme='enriched'")
-    system, _ = _assemble(mesh, config, dofmap, condensed=False)
+    system, _ = _assemble(mesh, config, condensed=False)
     return system
 
 
-def recover_fine(solution, fine: FineBlocks, mesh: Mesh, dofmap: DofMap) -> np.ndarray:
+def recover_fine(solution, fine: FineBlocks, mesh: Mesh) -> np.ndarray:
     """Fine-scale coefficients beta per element from the condensed solution."""
     solution = np.asarray(solution, dtype=float)
-    v = solution[dofmap.velocity_dofs(mesh.elements)].reshape(
-        mesh.n_elements, -1, mesh.dim)
-    p = solution[dofmap.pressure_dofs(mesh.elements)]
+    v_dofs, p_dofs = element_dofs(mesh)
+    v = solution[v_dofs].reshape(mesh.n_elements, -1, mesh.dim)
+    p = solution[p_dofs]
     rhs = (fine.f_f - np.einsum("ea,eai->ei", fine.s, v)
            - np.einsum("eai,ea->ei", fine.kpf, p))
     return rhs / fine.kff[:, None]
-

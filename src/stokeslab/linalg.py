@@ -203,53 +203,53 @@ def assemble_vector(n, idx, values) -> np.ndarray:
 
 
 class LinearSystem:
-    """Assembled system with (optionally not yet applied) point constraints.
+    """Assembled system and the point constraints folded into it.
 
-    A Stokes system carries its blocks in place of a matrix; ``matrix`` is
-    then built from them on first use, constraints folded in once applied.
+    ``constraints`` holds the prescribed value of each dof, NaN where the
+    dof is free; only apply_constraints makes a system with any.  A Stokes
+    system carries its blocks in place of a matrix; ``matrix`` is then built
+    from them, with the constraints folded in, on first use.
     """
 
-    def __init__(self, matrix, rhs, constraints=None, constraints_applied=False,
-                 blocks=None):
+    def __init__(self, matrix, rhs, constraints=None, blocks=None):
         if matrix is not None:
             self.matrix = matrix
         self.rhs = rhs
-        self.constraints = {} if constraints is None else constraints  # dof -> value
-        self.constraints_applied = constraints_applied
+        self.constraints = np.full(len(rhs), np.nan) if constraints is None else constraints
         self.blocks = blocks
 
     @cached_property
     def matrix(self) -> SparseMatrix:
-        cons = self.constraints if self.constraints_applied else {}
-        return _folded(self.rhs.size, *self.blocks.triplets(), cons)
+        return _folded(self.rhs.size, *self.blocks.triplets(), self.constraints)
 
 
 def _folded(n, rows, cols, vals, constraints) -> SparseMatrix:
     """n x n matrix of unique triplets with the rows and columns of the
     constrained dofs replaced by identity rows and columns."""
-    con = np.fromiter(constraints, dtype=np.intp, count=len(constraints))
-    is_con = np.zeros(n, dtype=bool)
-    is_con[con] = True
+    is_con = ~np.isnan(constraints)
+    con = np.flatnonzero(is_con)
     keep = ~(is_con[rows] | is_con[cols])
     return SparseMatrix.from_triplets(n, n, np.concatenate([rows[keep], con]),
                                       np.concatenate([cols[keep], con]),
                                       np.concatenate([vals[keep], np.ones(con.size)]))
 
 
-def apply_constraints(system: LinearSystem) -> LinearSystem:
-    """Fold point constraints by symmetric row/column elimination.
+def apply_constraints(system: LinearSystem, constraints) -> LinearSystem:
+    """The system with the point constraints folded in by symmetric
+    row/column elimination: constraints holds each dof's prescribed value,
+    NaN where the dof is free.
 
     Constrained rows become identity rows with the prescribed value on the
     right-hand side; columns are eliminated into the rhs so the reduced
     problem is exactly the constrained problem.
     """
     n = len(system.rhs)
+    constraints = np.asarray(constraints, dtype=float)
+    if constraints.shape != (n,):
+        raise ValueError(f"constraints have shape {constraints.shape}, want ({n},)")
+    is_con = ~np.isnan(constraints)
+    cvals = np.where(is_con, constraints, 0.0)
     rhs = np.array(system.rhs, dtype=float)
-    cvals = np.zeros(n)
-    is_con = np.zeros(n, dtype=bool)
-    for dof, val in system.constraints.items():
-        is_con[dof] = True
-        cvals[dof] = val
     blocks = system.blocks
     if blocks is not None:
         rows, cols, vals = blocks.triplets()
@@ -260,8 +260,8 @@ def apply_constraints(system: LinearSystem) -> LinearSystem:
     at = np.argsort(r * n + c)  # each row takes its terms in column order
     np.add.at(rhs, r[at], -v[at] * cvals[c[at]])
     rhs[is_con] = cvals[is_con]
-    matrix = None if blocks is not None else _folded(n, rows, cols, vals, system.constraints)
-    return LinearSystem(matrix, rhs, dict(system.constraints), True, blocks)
+    matrix = None if blocks is not None else _folded(n, rows, cols, vals, constraints)
+    return LinearSystem(matrix, rhs, constraints, blocks)
 
 
 def _check_tolerances(pivot_rtol, residual_rtol) -> None:
@@ -288,8 +288,6 @@ def solve_direct(system: LinearSystem, pivot_rtol: float = 1e-14,
     and ValueError for a NaN or negative tolerance.
     """
     _check_tolerances(pivot_rtol, residual_rtol)
-    if system.constraints and not system.constraints_applied:
-        raise ValueError("apply_constraints before solving")
     if system.matrix.n_rows != system.matrix.n_cols:
         raise ValueError("matrix must be square")
     import scipy.sparse.linalg as spla
@@ -344,16 +342,13 @@ def solve_schur(system: LinearSystem, residual_rtol: float = 1e-10,
     exceeds residual_rtol.  Raises ValueError as solve_direct does.
     """
     _check_tolerances(pivot_rtol, residual_rtol)
-    if system.constraints and not system.constraints_applied:
-        raise ValueError("apply_constraints before solving")
     blocks = system.blocks
     if blocks is None:
         return None
     n, dim = blocks.pattern.n_rows, blocks.dim
     n_v = n * dim
     b = np.asarray(system.rhs, dtype=float)
-    free = np.ones(b.size, dtype=bool)
-    free[list(system.constraints)] = False
+    free = np.isnan(system.constraints)
     nodes = [np.flatnonzero(free[c:n_v:dim]) for c in range(dim)]  # free, per component
     comps = [c for c in range(dim) if nodes[c].size]
     p_nodes = np.flatnonzero(free[n_v:])

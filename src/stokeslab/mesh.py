@@ -283,8 +283,11 @@ def load_mesh(path) -> Mesh:
             raise MeshError(f"{path}:{ln}: nodeset {name} references node {bad[0]} of {n_nodes}")
         boundary_sets[name] = frozenset(idx)
 
-    return Mesh(dim=dim, nodes=nodes, elements=elements, kind=kind,
-                boundary_sets=boundary_sets)
+    try:
+        return Mesh(dim=dim, nodes=nodes, elements=elements, kind=kind,
+                    boundary_sets=boundary_sets)
+    except MeshError as exc:
+        raise MeshError(f"{path}: {exc}") from None
 
 
 def write_mesh(mesh: Mesh, path) -> None:

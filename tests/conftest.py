@@ -73,6 +73,12 @@ def lexsort_sum(rows, cols, vals):
     return rows[starts], cols[starts], np.add.reduceat(vals, starts)
 
 
+def fine_dofs_free(constraints, full):
+    """Coarse-system constraints extended to the uncondensed enriched system
+    full: each appended fine dof is free (NaN)."""
+    return np.pad(constraints, (0, full.rhs.size - constraints.size), constant_values=np.nan)
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)

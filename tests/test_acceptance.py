@@ -24,14 +24,14 @@ from stokeslab.formulations import (
     FormulationConfig,
     assemble,
     assemble_enriched_full,
-    build_dofmap,
     tau_at,
 )
 from stokeslab.kinds import ElementKind
 from stokeslab.linalg import SparseMatrix, apply_constraints, solve_direct
 from stokeslab.mesh import generate_grid, load_mesh, triangle_angles, wct_fixture_path
 
-from conftest import REFERENCE_CORNERS, at_point, distorted_element, random_interior_point
+from conftest import (REFERENCE_CORNERS, at_point, distorted_element, fine_dofs_free,
+                      random_interior_point)
 
 
 def _report(num, ok, detail):
@@ -127,16 +127,16 @@ def test_criterion_05_pressure_mode_census():
 def test_criterion_06_static_condensation_identity():
     mesh = generate_grid(ElementKind.Q4, 2)
     case = case_by_name("body_force_cavity")
-    dofmap = build_dofmap(mesh)
     sol = solve_case(case, mesh, "enriched", bp_epsilon=0.08)
     config = FormulationConfig(scheme="enriched", nu=case.nu, bp_epsilon=0.08,
                                body_force=case.body_force)
-    full = assemble_enriched_full(mesh, config, dofmap)
-    full.constraints = case_constraints(case, mesh, dofmap)
-    x_full, _ = solve_direct(apply_constraints(full))
-    coarse_diff = np.abs(sol.values - x_full[: dofmap.total]).max()
+    full = assemble_enriched_full(mesh, config)
+    cons = fine_dofs_free(case_constraints(case, mesh), full)
+    x_full, _ = solve_direct(apply_constraints(full, cons))
+    n_coarse = sol.values.size
+    coarse_diff = np.abs(sol.values - x_full[:n_coarse]).max()
     fine_diff = np.abs(
-        sol.fine - x_full[dofmap.total:].reshape(mesh.n_elements, 2)
+        sol.fine - x_full[n_coarse:].reshape(mesh.n_elements, 2)
     ).max()
     ok = coarse_diff < 1e-10 and fine_diff < 1e-10
     assert _report(6, ok, f"condensed vs full solve: coarse diff {coarse_diff:.1e}, "
@@ -240,8 +240,7 @@ def test_criterion_10_invariant_suite(rng):
     psd = True
     for scheme in ("wvm", "svm", "enriched"):
         mesh = generate_grid(ElementKind.Q4, 4)
-        dofmap = build_dofmap(mesh)
-        system = assemble(mesh, FormulationConfig(scheme=scheme), dofmap)
+        system = assemble(mesh, FormulationConfig(scheme=scheme))
         C = -system.blocks.pattern.matrix(system.blocks.Kpp).to_dense()
         lam = np.linalg.eigvalsh(0.5 * (C + C.T))
         psd = psd and lam.min() > -1e-10 * max(1.0, lam.max())

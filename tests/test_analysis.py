@@ -14,16 +14,13 @@ from stokeslab.analysis import (
 )
 from stokeslab.cases import case_by_name
 from stokeslab.driver import SolutionField, solve_case
-from stokeslab.formulations import build_dofmap
 from stokeslab.kinds import ElementKind
 from stokeslab.mesh import generate_grid
 
 
 def _field(mesh, velocity, pressure, case):
-    dofmap = build_dofmap(mesh)
     values = np.concatenate([velocity.reshape(-1), pressure])
-    return SolutionField(case=case, scheme="galerkin", mesh=mesh, dofmap=dofmap,
-                        values=values, velocity=velocity, pressure=pressure,
+    return SolutionField(case=case, scheme="galerkin", mesh=mesh, values=values, velocity=velocity, pressure=pressure,
                         fine=None, residual=0.0, solver="lu", iterations=0)
 
 

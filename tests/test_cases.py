@@ -1,5 +1,7 @@
 """Benchmark case definitions: boundary data, body force, exact solutions."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,7 @@ from stokeslab.cases import (
     case_constraints,
     pin_node,
 )
-from stokeslab.formulations import FormulationConfig, assemble, build_dofmap
+from stokeslab.formulations import FormulationConfig, assemble
 from stokeslab.kinds import ElementKind
 from stokeslab.mesh import generate_grid
 
@@ -40,9 +42,13 @@ def test_patch_exact_fields_constant():
 def test_patch_constraint_count_square_grid():
     mesh = generate_grid(ElementKind.Q4, 10)
     case = case_by_name("patch_constant", 2)
-    cons = case_constraints(case, mesh, build_dofmap(mesh))
+    cons = case_constraints(case, mesh)
+    assert cons.shape == (mesh.n_nodes * 3,)
     # 40 perimeter nodes x 2 velocity components + 1 pressure pin
-    assert len(cons) == 40 * 2 + 1
+    assert np.count_nonzero(~np.isnan(cons)) == 40 * 2 + 1
+    pressure = cons[mesh.n_nodes * 2:]
+    assert np.flatnonzero(~np.isnan(pressure)).tolist() == [pin_node(case, mesh)]
+    assert pressure[pin_node(case, mesh)] == 10.0
 
 
 # --------------------------------------------------------------- lid cavity
@@ -51,26 +57,22 @@ def test_cavity_lid_and_wall_data_non_leaky():
     n = 6
     mesh = generate_grid(ElementKind.Q4, n)
     case = case_by_name("lid_cavity", 2)
-    dofmap = build_dofmap(mesh)
-    cons = case_constraints(case, mesh, dofmap)
-    lid_x = [
-        node for node in mesh.nodeset("top")
-        if cons[dofmap.velocity_dofs([node])[0]] == 1.0
-    ]
+    velocity = case_constraints(case, mesh)[:mesh.n_nodes * 2].reshape(-1, 2)
+    lid_x = [node for node in mesh.nodeset("top") if velocity[node, 0] == 1.0]
     # the two lid corners belong to the vertical walls, so they carry v = 0
     assert len(lid_x) == n - 1
     for node in mesh.nodeset("top") & (mesh.nodeset("left") | mesh.nodeset("right")):
-        assert cons[dofmap.velocity_dofs([node])[0]] == 0.0
-    # every boundary node has both components constrained
-    for node in mesh.nodeset("all"):
-        assert all(dof in cons for dof in dofmap.velocity_dofs([node]))
+        assert velocity[node, 0] == 0.0
+    # every boundary node has both components constrained, and no other node any
+    boundary = np.zeros(mesh.n_nodes, dtype=bool)
+    boundary[list(mesh.nodeset("all"))] = True
+    assert np.array_equal(~np.isnan(velocity), np.repeat(boundary[:, None], 2, axis=1))
 
 
 def test_cavity_3d_front_back_fix_only_out_of_plane():
     mesh = generate_grid(ElementKind.B8, (4, 4, 1))
     case = case_by_name("lid_cavity", 3)
-    dofmap = build_dofmap(mesh)
-    cons = case_constraints(case, mesh, dofmap)
+    velocity = case_constraints(case, mesh)[:mesh.n_nodes * 3].reshape(-1, 3)
     interior_front = [
         n for n in mesh.nodeset("front")
         if n not in mesh.nodeset("left") | mesh.nodeset("right")
@@ -78,15 +80,29 @@ def test_cavity_3d_front_back_fix_only_out_of_plane():
     ]
     assert interior_front
     for node in interior_front:
-        vx, vy, vz = dofmap.velocity_dofs([node])
-        assert vx not in cons and vy not in cons  # in-plane free
-        assert cons[vz] == 0.0  # out-of-plane fixed
+        vx, vy, vz = velocity[node]
+        assert np.isnan(vx) and np.isnan(vy)  # in-plane free
+        assert vz == 0.0  # out-of-plane fixed
     # mid-lid node away from walls still carries the lid velocity
     mid = [
         n for n in mesh.nodeset("top")
         if n not in mesh.nodeset("left") | mesh.nodeset("right")
     ]
-    assert all(cons[dofmap.velocity_dofs([n])[0]] == 1.0 for n in mid)
+    assert all(velocity[n, 0] == 1.0 for n in mid)
+
+
+def test_later_tag_overrides_but_its_nan_component_keeps_the_earlier_value():
+    mesh = generate_grid(ElementKind.Q4, 2)
+    case = dataclasses.replace(case_by_name("lid_cavity", 2), dirichlet={
+        "all": lambda x: np.full(x.shape, 3.0),
+        "left": lambda x: np.stack([np.full(len(x), 4.0), np.full(len(x), np.nan)], -1),
+    })
+    velocity = case_constraints(case, mesh)[:mesh.n_nodes * 2].reshape(-1, 2)
+    left = sorted(mesh.nodeset("left"))
+    right_only = sorted(mesh.nodeset("all") - mesh.nodeset("left"))
+    assert velocity[left].tolist() == [[4.0, 3.0]] * len(left)
+    assert velocity[right_only].tolist() == [[3.0, 3.0]] * len(right_only)
+    assert np.isnan(velocity[4]).all()  # the centre node
 
 
 def test_cavity_pressure_pin_at_origin_corner():
@@ -180,26 +196,24 @@ def test_apply_case_unknown_tag_names_the_tag():
     mesh = generate_grid(ElementKind.Q4, 2)
     mesh.boundary_sets.pop("all")
     case = case_by_name("patch_constant", 2)
-    dofmap = build_dofmap(mesh)
-    system = assemble(mesh, FormulationConfig(scheme="galerkin"), dofmap)
+    system = assemble(mesh, FormulationConfig(scheme="galerkin"))
     with pytest.raises(Exception, match="all"):
-        apply_case(case, mesh, dofmap, system)
+        apply_case(case, mesh, system)
 
 
 def test_apply_case_dimension_mismatch():
     mesh = generate_grid(ElementKind.Q4, 2)
     case = case_by_name("patch_constant", 3)
-    dofmap = build_dofmap(mesh)
     with pytest.raises(ValueError, match="2-D"):
-        case_constraints(case, mesh, dofmap)
+        case_constraints(case, mesh)
 
 
 def test_apply_case_folds_constraints():
     mesh = generate_grid(ElementKind.Q4, 3)
     case = case_by_name("patch_constant", 2)
-    dofmap = build_dofmap(mesh)
-    system = assemble(mesh, FormulationConfig(scheme="svm"), dofmap)
-    out = apply_case(case, mesh, dofmap, system)
-    assert out.constraints_applied
+    system = assemble(mesh, FormulationConfig(scheme="svm"))
+    out = apply_case(case, mesh, system)
+    assert np.array_equal(out.constraints, case_constraints(case, mesh), equal_nan=True)
     node = next(iter(mesh.nodeset("all")))
-    assert out.rhs[dofmap.velocity_dofs([node])[0]] == 10.0
+    assert out.rhs[node * 2] == 10.0
+    assert out.matrix.to_dense()[node * 2].tolist() == np.eye(out.rhs.size)[node * 2].tolist()

@@ -140,6 +140,54 @@ def test_bad_solver_tolerance_is_refused_before_the_mesh(spec, option, value,
     assert f"{option[2:].replace('-', '_')} must be >= 0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("spec", ["grid:Q4:200x200", str(wct_fixture_path())],
+                         ids=["grid", "file"])
+@pytest.mark.parametrize("options, message", [
+    (["--nu", "nan"], "nu must be positive and finite, got nan"),
+    (["--nu", "-1"], "nu must be positive and finite, got -1.0"),
+    (["--bp-epsilon", "nan"], "bp_epsilon must be finite and >= 0, got nan"),
+    (["--bp-epsilon", "0.1"], "bp_epsilon applies to galerkin/enriched schemes only"),
+    (["--formulation", "nope"], "unknown formulation 'nope'"),
+])
+def test_bad_formulation_options_are_refused_before_the_mesh(spec, options, message,
+                                                             monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("mesh built or loaded before the formulation was checked")
+
+    monkeypatch.setattr("stokeslab.cli.generate_grid", refuse)
+    monkeypatch.setattr("stokeslab.cli.load_mesh", refuse)
+    assert main(["run", "--case", "cavity", "--formulation", "svm",
+                 "--mesh", spec, *options]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {message}")
+
+
+@pytest.mark.parametrize("spec", ["grid:Q4:5x5", "grid:B8:3x3x3"])
+def test_cavity_without_centerline_nodes_is_refused_before_the_solve(spec, tmp_path,
+                                                                     monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("solved before the centerline was checked")
+
+    monkeypatch.setattr("stokeslab.cli.solve_case", refuse)
+    out = tmp_path / "field.vtk"
+    assert main(["run", "--case", "cavity", "--formulation", "svm",
+                 "--mesh", spec, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: no centerline nodes at x = 0.5\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("node_2, element, message", [
+    ("nan 1", "0 1 2 3", "node 2 has a non-finite coordinate [nan, 1.0]"),
+    ("1 1", "0 3 2 1", "element 0 is inverted (min detJ=-2.500e-01)"),
+], ids=["non-finite", "clockwise"])
+def test_mesh_file_validation_error_names_the_file(node_2, element, message, tmp_path,
+                                                   capsys):
+    path = tmp_path / "square.mesh"
+    path.write_text("\n".join(["stokeslab-mesh v1", "dim 2", "kind Q4", "nodes 4",
+                               "0 0", "1 0", node_2, "0 1", "elements 1", element]) + "\n")
+    assert main(["mesh-info", "--mesh", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
+
 def test_convergence_emits_levels_and_slope(tmp_path, capsys):
     csv = tmp_path / "conv.csv"
     code = main(["convergence", "--case", "bodyforce", "--formulation", "svm",

@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import REFERENCE_CORNERS, lexsort_sum
+from conftest import REFERENCE_CORNERS, fine_dofs_free, lexsort_sum
 from stokeslab.basis import basis_table
 from stokeslab.cases import case_by_name, case_constraints
 from stokeslab.formulations import (
@@ -15,7 +15,7 @@ from stokeslab.formulations import (
     assemble,
     assemble_enriched,
     assemble_enriched_full,
-    build_dofmap,
+    element_dofs,
     recover_fine,
     tau_at,
 )
@@ -51,16 +51,15 @@ def test_config_validation():
     FormulationConfig(scheme="enriched", bp_epsilon=0.1)  # allowed
 
 
-def test_dofmap_dense_and_disjoint():
+def test_element_dofs_dense_and_disjoint():
     mesh = generate_grid(ElementKind.Q4, 3)
-    dofmap = build_dofmap(mesh)
-    seen = set()
-    for n in range(mesh.n_nodes):
-        seen.update(dofmap.velocity_dofs([n]).tolist())
-        seen.add(dofmap.pdof(n))
-    assert seen == set(range(dofmap.total))
-    assert np.array_equal(dofmap.velocity_dofs([2]), [4, 5])
-    assert np.array_equal(dofmap.pressure_dofs([2]), [dofmap.n_velocity + 2])
+    v_dofs, p_dofs = element_dofs(mesh)
+    n_v = mesh.n_nodes * mesh.dim
+    assert np.array_equal(np.unique(np.concatenate([v_dofs.ravel(), p_dofs.ravel()])),
+                          np.arange(n_v + mesh.n_nodes))
+    e, a = np.argwhere(mesh.elements == 2)[0]
+    assert np.array_equal(v_dofs[e, 2 * a:2 * a + 2], [4, 5])
+    assert p_dofs[e, a] == n_v + 2
 
 
 # ------------------------------------------------------------------------ tau
@@ -113,8 +112,7 @@ def _pp_block(system):
 
 def test_galerkin_pressure_pressure_block_zero():
     mesh = generate_grid(ElementKind.Q4, 3)
-    dofmap = build_dofmap(mesh)
-    system = assemble(mesh, FormulationConfig(scheme="galerkin"), dofmap)
+    system = assemble(mesh, FormulationConfig(scheme="galerkin"))
     assert np.abs(_pp_block(system)).max() == 0.0
 
 
@@ -122,8 +120,7 @@ def test_galerkin_pressure_pressure_block_zero():
 @pytest.mark.parametrize("kind", [ElementKind.T3, ElementKind.Q4])
 def test_pressure_stabilization_operator_psd(scheme, kind):
     mesh = generate_grid(kind, 4)
-    dofmap = build_dofmap(mesh)
-    system = assemble(mesh, FormulationConfig(scheme=scheme), dofmap)
+    system = assemble(mesh, FormulationConfig(scheme=scheme))
     C = -_pp_block(system)  # operator subtracted from the continuity row
     assert np.allclose(C, C.T, atol=1e-12)
     lam = np.linalg.eigvalsh(0.5 * (C + C.T))
@@ -159,9 +156,9 @@ def test_system_symmetry_galerkin_and_enriched():
 
 def test_single_square_velocity_block_rigid_translation():
     mesh = generate_grid(ElementKind.Q4, 1, extent=((0, 0), (2, 2)))
-    dofmap = build_dofmap(mesh)
-    A = assemble(mesh, FormulationConfig(scheme="galerkin"), dofmap).matrix.to_dense()
-    Avv = A[: dofmap.n_velocity, : dofmap.n_velocity]
+    A = assemble(mesh, FormulationConfig(scheme="galerkin")).matrix.to_dense()
+    nv = mesh.n_nodes * mesh.dim
+    Avv = A[:nv, :nv]
     ones_x = np.tile([1.0, 0.0], mesh.n_nodes)
     assert np.allclose(Avv @ ones_x, 0.0, atol=1e-13)
 
@@ -171,11 +168,10 @@ def test_simplex_momentum_stabilization_vanishes(kind):
     """Linear shape functions have zero Laplacian, so the stabilized momentum
     block must coincide with the plain Galerkin momentum block on simplices."""
     mesh = generate_grid(kind, 2)
-    dofmap = build_dofmap(mesh)
-    gal = assemble(mesh, FormulationConfig(scheme="galerkin"), dofmap).matrix.to_dense()
-    nv = dofmap.n_velocity
+    gal = assemble(mesh, FormulationConfig(scheme="galerkin")).matrix.to_dense()
+    nv = mesh.n_nodes * mesh.dim
     for scheme in ("wvm", "svm"):
-        stab = assemble(mesh, FormulationConfig(scheme=scheme), dofmap).matrix.to_dense()
+        stab = assemble(mesh, FormulationConfig(scheme=scheme)).matrix.to_dense()
         assert np.abs(stab[:nv, :] - gal[:nv, :]).max() < 1e-12
         # continuity row does change (pressure stabilization)
         assert np.abs(stab[nv:, nv:] - gal[nv:, nv:]).max() > 1e-12
@@ -187,24 +183,22 @@ def test_constant_state_is_discrete_solution(scheme, kind, rng):
     """The exact constant state annihilates every unconstrained residual row:
     interior momentum rows, all continuity rows, all stabilization terms."""
     mesh = generate_grid(kind, 2)
-    dofmap = build_dofmap(mesh)
     case = case_by_name("patch_constant", mesh.dim)
-    system = assemble(mesh, FormulationConfig(scheme=scheme), dofmap)
-    x = np.zeros(dofmap.total)
-    x[: dofmap.n_velocity : mesh.dim] = 10.0
-    x[dofmap.n_velocity:] = 10.0
+    system = assemble(mesh, FormulationConfig(scheme=scheme))
+    nv = mesh.n_nodes * mesh.dim
+    x = np.zeros(system.rhs.size)
+    x[:nv:mesh.dim] = 10.0
+    x[nv:] = 10.0
     resid = system.matrix.to_scipy() @ x - system.rhs
-    constrained = set(case_constraints(case, mesh, dofmap))
-    free = np.array([d for d in range(dofmap.total) if d not in constrained])
+    free = np.isnan(case_constraints(case, mesh))
     assert np.abs(resid[free]).max() < 1e-10
 
 
 def test_wvm_svm_differ_only_through_tau_profile_on_simplices():
     mesh = generate_grid(ElementKind.T3, 3)
-    dofmap = build_dofmap(mesh)
-    nv = dofmap.n_velocity
-    wvm = assemble(mesh, FormulationConfig(scheme="wvm"), dofmap).matrix.to_dense()
-    svm = assemble(mesh, FormulationConfig(scheme="svm"), dofmap).matrix.to_dense()
+    nv = mesh.n_nodes * mesh.dim
+    wvm = assemble(mesh, FormulationConfig(scheme="wvm")).matrix.to_dense()
+    svm = assemble(mesh, FormulationConfig(scheme="svm")).matrix.to_dense()
     # same sparsity and same sign pattern in the pp block
     pw, ps = wvm[nv:, nv:], svm[nv:, nv:]
     assert np.all((pw != 0) == (ps != 0))
@@ -214,10 +208,9 @@ def test_wvm_svm_differ_only_through_tau_profile_on_simplices():
 
 def test_brezzi_pitkaranta_block_negative_semidefinite():
     mesh = generate_grid(ElementKind.Q4, 3)
-    dofmap = build_dofmap(mesh)
-    plain = assemble(mesh, FormulationConfig(scheme="galerkin"), dofmap)
-    aug = assemble(mesh, FormulationConfig(scheme="galerkin", bp_epsilon=0.1), dofmap)
-    nv = dofmap.n_velocity
+    plain = assemble(mesh, FormulationConfig(scheme="galerkin"))
+    aug = assemble(mesh, FormulationConfig(scheme="galerkin", bp_epsilon=0.1))
+    nv = mesh.n_nodes * mesh.dim
     diff = (aug.matrix.to_dense() - plain.matrix.to_dense())
     assert np.abs(diff[:nv, :]).max() == 0.0  # momentum rows untouched
     C = -diff[nv:, nv:]
@@ -251,9 +244,8 @@ def test_enriched_non_finite_fine_block_names_the_element():
 
 def test_enriched_zero_data_recovers_zero_fine_field():
     mesh = generate_grid(ElementKind.Q4, 2)
-    dofmap = build_dofmap(mesh)
-    _, fine = assemble_enriched(mesh, FormulationConfig(scheme="enriched"), dofmap)
-    beta = recover_fine(np.zeros(dofmap.total), fine, mesh, dofmap)
+    system, fine = assemble_enriched(mesh, FormulationConfig(scheme="enriched"))
+    beta = recover_fine(np.zeros(system.rhs.size), fine, mesh)
     assert np.allclose(beta, 0.0)
 
 
@@ -261,41 +253,37 @@ def _solve_condensed_and_full(mesh, bp_epsilon):
     """Solve the body-force problem with the condensed and the uncondensed
     enriched forms; returns (coarse solution, fine recovery, full vector)."""
     case = case_by_name("body_force_cavity")
-    dofmap = build_dofmap(mesh)
     config = FormulationConfig(scheme="enriched", nu=case.nu,
                                bp_epsilon=bp_epsilon, body_force=case.body_force)
-    cond, fine = assemble_enriched(mesh, config, dofmap)
-    cons = case_constraints(case, mesh, dofmap)
-    cond.constraints = cons
-    x_cond, _ = solve_direct(apply_constraints(cond))
-    beta = recover_fine(x_cond, fine, mesh, dofmap)
+    cond, fine = assemble_enriched(mesh, config)
+    cons = case_constraints(case, mesh)
+    x_cond, _ = solve_direct(apply_constraints(cond, cons))
+    beta = recover_fine(x_cond, fine, mesh)
 
-    full = assemble_enriched_full(mesh, config, dofmap)
-    full.constraints = dict(cons)
-    x_full, _ = solve_direct(apply_constraints(full))
-    return x_cond, beta, x_full, dofmap
+    full = assemble_enriched_full(mesh, config)
+    x_full, _ = solve_direct(apply_constraints(full, fine_dofs_free(cons, full)))
+    return x_cond, beta, x_full
 
 
 def test_condensation_identity_and_fine_recovery():
     mesh = generate_grid(ElementKind.Q4, 2)
-    x_cond, beta, x_full, dofmap = _solve_condensed_and_full(mesh, bp_epsilon=0.08)
-    assert np.abs(x_cond - x_full[: dofmap.total]).max() < 1e-10
-    fine_full = x_full[dofmap.total:].reshape(mesh.n_elements, mesh.dim)
+    x_cond, beta, x_full = _solve_condensed_and_full(mesh, bp_epsilon=0.08)
+    assert np.abs(x_cond - x_full[:x_cond.size]).max() < 1e-10
+    fine_full = x_full[x_cond.size:].reshape(mesh.n_elements, mesh.dim)
     assert np.abs(beta - fine_full).max() < 1e-10
 
 
 def test_condensed_solution_satisfies_uncondensed_residual():
     mesh = generate_grid(ElementKind.Q4, 2)
     case = case_by_name("body_force_cavity")
-    x_cond, beta, x_full, dofmap = _solve_condensed_and_full(mesh, bp_epsilon=0.08)
+    x_cond, beta, x_full = _solve_condensed_and_full(mesh, bp_epsilon=0.08)
     config = FormulationConfig(scheme="enriched", nu=case.nu, bp_epsilon=0.08,
                                body_force=case.body_force)
-    full = assemble_enriched_full(mesh, config, dofmap)
+    full = assemble_enriched_full(mesh, config)
     x = np.concatenate([x_cond, beta.reshape(-1)])
     A = full.matrix.to_scipy()
     resid = A @ x - full.rhs
-    cons = set(case_constraints(case, mesh, dofmap))
-    free = np.array([d for d in range(full.matrix.n_rows) if d not in cons])
+    free = np.isnan(fine_dofs_free(case_constraints(case, mesh), full))
     scale = abs(A).sum(axis=1).max() * np.abs(x).max()
     assert np.abs(resid[free]).max() < 1e-10 * scale
 
@@ -343,11 +331,10 @@ def _monolithic_scatter(mesh, config, condensed=True):
     def kron_eye(A):
         return (A[:, :, None, :, None] * eye[:, None, :]).reshape(n_el, -1, A.shape[2] * dim)
 
-    dofmap = build_dofmap(mesh)
     blocks = [[kron_eye(Kvv), Kvp.reshape(n_el, nd, nen)], [Kpv.reshape(n_el, nen, nd), Kpp]]
-    idx = [dofmap.velocity_dofs(mesh.elements), dofmap.pressure_dofs(mesh.elements)]
+    idx = list(element_dofs(mesh))
     loads = [fv.reshape(n_el, nd), fp]
-    total = dofmap.total
+    total = mesh.n_nodes * (dim + 1)
     if not condensed:
         Kcf = kron_eye(fine.s[:, :, None])
         blocks[0].append(Kcf)
@@ -389,11 +376,10 @@ def _perturbed(mesh, seed=7):
 @pytest.mark.parametrize("kind", list(ElementKind))
 def test_block_constraint_folding_matches_monolithic(kind, scheme, case_name):
     mesh = _perturbed(generate_grid(kind, 5 if kind.dim == 2 else 3))
-    dofmap = build_dofmap(mesh)
-    system = assemble(mesh, FormulationConfig(scheme=scheme, body_force=_body_force), dofmap)
-    system.constraints = case_constraints(case_by_name(case_name, kind.dim), mesh, dofmap)
-    folded = apply_constraints(system)
-    reference = apply_constraints(LinearSystem(system.matrix, system.rhs, system.constraints))
+    system = assemble(mesh, FormulationConfig(scheme=scheme, body_force=_body_force))
+    constraints = case_constraints(case_by_name(case_name, kind.dim), mesh)
+    folded = apply_constraints(system, constraints)
+    reference = apply_constraints(LinearSystem(system.matrix, system.rhs), constraints)
     assert folded.rhs.tobytes() == reference.rhs.tobytes()
     for name in ("rows", "cols", "vals"):
         assert getattr(folded.matrix, name).tobytes() == getattr(reference.matrix, name).tobytes()

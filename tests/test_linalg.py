@@ -119,17 +119,17 @@ def test_one_pattern_sums_many_value_arrays(seed):
 
 # ------------------------------------------------------------------ constraints
 
-def _system_from_dense(A, b, constraints=None):
+def _system_from_dense(A, b):
     A = np.asarray(A, dtype=float)
     rows, cols = np.nonzero(A)
     sp = SparseMatrix.from_triplets(*A.shape, rows, cols, A[rows, cols])
-    return LinearSystem(sp, np.asarray(b, dtype=float), constraints or {})
+    return LinearSystem(sp, np.asarray(b, dtype=float))
 
 
 def test_constrained_rows_become_identity():
     A = np.array([[2.0, 1.0], [1.0, 3.0]])
-    sys0 = _system_from_dense(A, [1.0, 2.0], {0: 5.0})
-    out = apply_constraints(sys0)
+    sys0 = _system_from_dense(A, [1.0, 2.0])
+    out = apply_constraints(sys0, [5.0, np.nan])
     D = out.matrix.to_dense()
     assert np.allclose(D[0], [1.0, 0.0])
     assert np.allclose(D[:, 0], [1.0, 0.0])
@@ -144,8 +144,9 @@ def test_constraining_dof_to_exact_value_preserves_solution(rng):
     A = A.T @ A + n * np.eye(n)
     x_exact = rng.standard_normal(n)
     b = A @ x_exact
-    sys0 = _system_from_dense(A, b, {3: float(x_exact[3])})
-    x, _ = solve_direct(apply_constraints(sys0))
+    constraints = np.full(n, np.nan)
+    constraints[3] = x_exact[3]
+    x, _ = solve_direct(apply_constraints(_system_from_dense(A, b), constraints))
     assert np.allclose(x, x_exact, atol=1e-10)
 
 
@@ -160,7 +161,9 @@ def test_constraint_folding_matches_from_triplets(seed):
     A = SparseMatrix.from_triplets(n, n, rng.integers(0, n, m), rng.integers(0, n, m),
                                    rng.standard_normal(m))
     con = rng.choice(n, rng.integers(1, n), replace=False)
-    out = apply_constraints(LinearSystem(A, np.zeros(n), dict.fromkeys(con.tolist(), 1.0)))
+    constraints = np.full(n, np.nan)
+    constraints[con] = 1.0
+    out = apply_constraints(LinearSystem(A, np.zeros(n)), constraints)
     is_con = np.zeros(n, dtype=bool)
     is_con[con] = True
     keep = ~(is_con[A.rows] | is_con[A.cols])
@@ -173,18 +176,10 @@ def test_constraint_folding_matches_from_triplets(seed):
     assert not out.matrix.vals.flags.writeable
 
 
-def test_apply_constraints_marks_system_applied():
-    sys0 = _system_from_dense(np.eye(2), [0.0, 0.0], {0: 1.0})
-    out = apply_constraints(sys0)
-    assert out.constraints_applied
-    x, _ = solve_direct(out)
-    assert x[0] == 1.0
-
-
-def test_solve_requires_constraints_applied():
-    sys0 = _system_from_dense(np.eye(2), [1.0, 1.0], {0: 1.0})
-    with pytest.raises(ValueError, match="apply_constraints"):
-        solve_direct(sys0)
+@pytest.mark.parametrize("size", [1, 3])
+def test_constraint_vector_of_the_wrong_length_is_refused(size):
+    with pytest.raises(ValueError, match=r"constraints have shape \(%d,\), want \(2,\)" % size):
+        apply_constraints(_system_from_dense(np.eye(2), [1.0, 1.0]), np.zeros(size))
 
 
 # ----------------------------------------------------------------- direct solve

@@ -9,7 +9,7 @@ import pytest
 from stokeslab import linalg
 from stokeslab.cases import apply_case, case_by_name
 from stokeslab.driver import solve_case
-from stokeslab.formulations import FormulationConfig, assemble, build_dofmap
+from stokeslab.formulations import FormulationConfig, assemble
 from stokeslab.kinds import ElementKind
 from stokeslab.linalg import SolveAccuracyError, solve_direct, solve_schur
 from stokeslab.mesh import generate_grid
@@ -21,9 +21,8 @@ COMBOS = [(kind, case_name)
 
 
 def _constrained(case, mesh, scheme):
-    dofmap = build_dofmap(mesh)
     config = FormulationConfig(scheme=scheme, nu=case.nu, body_force=case.body_force)
-    return apply_case(case, mesh, dofmap, assemble(mesh, config, dofmap))
+    return apply_case(case, mesh, assemble(mesh, config))
 
 
 def _rel_diff(x, y):
