@@ -47,6 +47,7 @@ COMMANDS = [
     "run --case patch --formulation svm --mesh {src}/stokeslab/data/wct_square.mesh",
     "eigen --element t3-svm --n 6",
     "eigen --element q4-wvm --n 6",
+    "eigen --element q4 --n 6",
     # a usage error: refused with exit 2
     "run --case cavity --formulation svm --mesh grid:Q4:4x4 --pivot-rtol nan",
 ]

@@ -8,11 +8,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import basis_table, integrate
-from .cases import TestCase, case_by_name, case_constraints
+from .cases import TestCase
 from .driver import solve_case
 from .formulations import FormulationConfig, assemble, assemble_enriched
 from .kinds import ElementKind
-from .linalg import eig_sym_generalized
+from .linalg import eig_sym_generalized, split_dofs
 from .mesh import Mesh, generate_grid
 
 ZERO_MODE_RTOL = 1e-10
@@ -123,8 +123,9 @@ def lbb_spectrum(mesh: Mesh, scheme: str) -> SpectrumReport:
     scheme fails to control it.
     """
     n, dim = mesh.n_nodes, mesh.dim
-    cons = case_constraints(case_by_name("patch_constant", dim), mesh)
-    free_v = np.flatnonzero(np.isnan(cons[:n * dim]))
+    interior = np.ones(n, dtype=bool)
+    interior[list(mesh.nodeset("all"))] = False
+    free_v = split_dofs(np.arange(n * (dim + 1)), dim)[0][interior].ravel()
     if free_v.size == 0:
         raise ValueError("no interior velocity dofs")
 

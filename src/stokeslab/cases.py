@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import LinearSystem, apply_constraints
+from .linalg import LinearSystem, apply_constraints, split_dofs
 from .mesh import Mesh
 
 CASE_NAMES = ("patch_constant", "lid_cavity", "body_force_cavity")
@@ -168,19 +168,18 @@ def pin_node(case: TestCase, mesh: Mesh) -> int:
 
 def case_constraints(case: TestCase, mesh: Mesh) -> np.ndarray:
     """Dirichlet velocity data plus the pressure pin, as the prescribed value
-    of every dof (velocity node-major, then one pressure per node), NaN
-    where the dof is free."""
+    of every dof (laid out as linalg.split_dofs reads it), NaN where the dof
+    is free."""
     if case.dim != mesh.dim:
         raise ValueError(f"case is {case.dim}-D but mesh is {mesh.dim}-D")
-    n_v = mesh.n_nodes * mesh.dim
-    constraints = np.full(n_v + mesh.n_nodes, np.nan)
-    velocity = constraints[:n_v].reshape(mesh.n_nodes, mesh.dim)
+    constraints = np.full(mesh.n_nodes * (mesh.dim + 1), np.nan)
+    velocity, pressure = split_dofs(constraints, mesh.dim)
     for tag, fn in case.dirichlet.items():  # later tags override
         nodes = np.array(sorted(mesh.nodeset(tag)), dtype=np.intp)
         vals = np.broadcast_to(np.asarray(fn(mesh.nodes[nodes]), dtype=float),
                                (nodes.size, mesh.dim))
         velocity[nodes] = np.where(np.isnan(vals), velocity[nodes], vals)
-    constraints[n_v + pin_node(case, mesh)] = case.pressure_pin[1]
+    pressure[pin_node(case, mesh)] = case.pressure_pin[1]
     return constraints
 
 

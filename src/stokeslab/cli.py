@@ -53,11 +53,16 @@ _CASE_ALIASES = {
 }
 
 
-def _resolve_case(name: str, dim: int):
+def _case_name(name: str) -> str:
     canonical = _CASE_ALIASES.get(name, name)
     if canonical not in CASE_NAMES:
         valid = sorted(set(CASE_NAMES) | set(_CASE_ALIASES))
         raise UsageError(f"unknown case {name!r}; valid: {', '.join(valid)}")
+    return canonical
+
+
+def _resolve_case(name: str, dim: int):
+    canonical = _case_name(name)
     if name == "patch2d" and dim != 2 or name == "patch3d" and dim != 3:
         raise UsageError(f"case {name!r} does not match a {dim}-D mesh")
     return case_by_name(canonical, dim)
@@ -102,9 +107,11 @@ def _parse_element(spec: str):
 
 
 def cmd_run(args) -> int:
-    # options are refused before the mesh is built (every case's own nu is
-    # valid), and a mesh the post-processing cannot read before the solve
+    # options and the case name are refused before the mesh is built (every
+    # case's own nu is valid), and a mesh the post-processing cannot read
+    # before the solve
     _check_tolerances(args.pivot_rtol, args.residual_rtol)
+    _case_name(args.case)
     scheme = _resolve_scheme(args.formulation)
     FormulationConfig(scheme, nu=1.0 if args.nu is None else args.nu,
                       bp_epsilon=args.bp_epsilon)

@@ -8,7 +8,7 @@ import numpy as np
 
 from .cases import TestCase, apply_case
 from .formulations import FormulationConfig, assemble, assemble_enriched, recover_fine
-from .linalg import solve_direct, solve_schur
+from .linalg import solve_direct, solve_schur, split_dofs
 from .mesh import Mesh
 
 
@@ -65,9 +65,7 @@ def solve_case(case: TestCase, mesh: Mesh, scheme: str, *,
     else:
         x, res, iterations = solved
         solver = "schur-cg"
-    n_v = mesh.n_nodes * mesh.dim
-    velocity = x[:n_v].reshape(mesh.n_nodes, mesh.dim)
-    pressure = x[n_v:]
+    velocity, pressure = split_dofs(x, mesh.dim)
     fine = None
     if fine_blocks is not None:
         fine = recover_fine(x, fine_blocks, mesh)

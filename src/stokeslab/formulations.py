@@ -31,7 +31,7 @@ import numpy as np
 from .basis import basis_table, element_geometry, integrate, tabulate
 from .kinds import ElementKind
 from .linalg import (LinearSystem, SingularMatrixError, SparseMatrix, StokesBlocks,
-                     assemble_vector)
+                     assemble_vector, split_dofs)
 from .mesh import Mesh
 
 SCHEMES = ("galerkin", "wvm", "svm", "enriched")
@@ -53,15 +53,6 @@ class FormulationConfig:
             raise ValueError(f"bp_epsilon must be finite and >= 0, got {self.bp_epsilon!r}")
         if self.bp_epsilon > 0 and self.scheme in ("wvm", "svm"):
             raise ValueError("bp_epsilon applies to galerkin/enriched schemes only")
-
-
-def element_dofs(mesh: Mesh):
-    """Velocity dofs (n_el, nen * dim) and pressure dofs (n_el, nen) of every
-    element.  The dofs are the velocity components of every node, node-major,
-    then one pressure per node."""
-    e = mesh.elements
-    velocity = (e[:, :, None] * mesh.dim + np.arange(mesh.dim)).reshape(len(e), -1)
-    return velocity, mesh.n_nodes * mesh.dim + e
 
 
 @dataclass(frozen=True)
@@ -203,9 +194,10 @@ def _assemble(mesh, config, condensed=True):
     sums = mesh.node_pattern.sum(stack.reshape(len(stack), -1))
     blocks = StokesBlocks(mesh.node_pattern, dim, K=sums[0], zero=sums[1],
                           G=sums[2:2 + dim], B=sums[2 + dim:2 + 2 * dim], Kpp=sums[-1])
-    idx = list(element_dofs(mesh))
-    loads = [fv.reshape(n_el, -1), fp]
     n_coarse = mesh.n_nodes * (dim + 1)
+    velocity, pressure = split_dofs(np.arange(n_coarse), dim)
+    idx = [velocity[mesh.elements].reshape(n_el, -1), pressure[mesh.elements]]
+    loads = [fv.reshape(n_el, -1), fp]
     if condensed:
         rhs = assemble_vector(n_coarse, np.concatenate(idx, 1), np.concatenate(loads, 1))
         return LinearSystem(None, rhs, blocks=blocks), fine
@@ -253,10 +245,8 @@ def assemble_enriched_full(mesh: Mesh, config: FormulationConfig):
 
 def recover_fine(solution, fine: FineBlocks, mesh: Mesh) -> np.ndarray:
     """Fine-scale coefficients beta per element from the condensed solution."""
-    solution = np.asarray(solution, dtype=float)
-    v_dofs, p_dofs = element_dofs(mesh)
-    v = solution[v_dofs].reshape(mesh.n_elements, -1, mesh.dim)
-    p = solution[p_dofs]
+    velocity, pressure = split_dofs(np.asarray(solution, dtype=float), mesh.dim)
+    v, p = velocity[mesh.elements], pressure[mesh.elements]
     rhs = (fine.f_f - np.einsum("ea,eai->ei", fine.s, v)
            - np.einsum("eai,ea->ei", fine.kpf, p))
     return rhs / fine.kff[:, None]

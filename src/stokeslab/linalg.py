@@ -135,6 +135,18 @@ class SparseMatrix:
         return A
 
 
+def split_dofs(x, dim):
+    """Views (velocity (n_nodes, dim), pressure (n_nodes,)) of a vector x over
+    the dofs of an equal-order Stokes system.
+
+    This is the one place that fixes the dof layout: the dim velocity
+    components of every node, node-major, then one pressure per node.
+    Split np.arange(n_nodes * (dim + 1)) to get the dof numbers.
+    """
+    n = len(x) // (dim + 1)
+    return x[:n * dim].reshape(n, dim), x[n * dim:]
+
+
 @dataclass(frozen=True)
 class StokesBlocks:
     """An equal-order Stokes matrix as node-by-node blocks on one pattern.
@@ -158,18 +170,16 @@ class StokesBlocks:
     def triplets(self):
         """The monolithic matrix as unique (rows, cols, vals) triplets."""
         n, d = self.pattern.n_rows, self.dim
-
-        def dofs(nodes):  # (nnz, d + 1): the velocity dofs, then the pressure
-            return np.concatenate([nodes[:, None] * d + np.arange(d), n * d + nodes[:, None]], 1)
-
+        velocity, pressure = split_dofs(np.arange(n * (d + 1)), d)
+        dofs = np.concatenate([velocity, pressure[:, None]], 1)  # (n, d + 1) per node
         vals = np.empty((self.K.size, d + 1, d + 1))
         vals[:, :d, :d] = self.zero[:, None, None]
         vals[:, range(d), range(d)] = self.K[:, None]
         vals[:, :d, d] = self.G.T
         vals[:, d, :d] = self.B.T
         vals[:, d, d] = self.Kpp
-        return (np.broadcast_to(dofs(self.pattern.rows)[:, :, None], vals.shape).ravel(),
-                np.broadcast_to(dofs(self.pattern.cols)[:, None, :], vals.shape).ravel(),
+        return (np.broadcast_to(dofs[self.pattern.rows][:, :, None], vals.shape).ravel(),
+                np.broadcast_to(dofs[self.pattern.cols][:, None, :], vals.shape).ravel(),
                 vals.ravel())
 
 
@@ -346,12 +356,12 @@ def solve_schur(system: LinearSystem, residual_rtol: float = 1e-10,
     if blocks is None:
         return None
     n, dim = blocks.pattern.n_rows, blocks.dim
-    n_v = n * dim
     b = np.asarray(system.rhs, dtype=float)
     free = np.isnan(system.constraints)
-    nodes = [np.flatnonzero(free[c:n_v:dim]) for c in range(dim)]  # free, per component
+    free_v, free_p = split_dofs(free, dim)
+    nodes = [np.flatnonzero(free_v[:, c]) for c in range(dim)]  # free, per component
     comps = [c for c in range(dim) if nodes[c].size]
-    p_nodes = np.flatnonzero(free[n_v:])
+    p_nodes = np.flatnonzero(free_p)
     if not comps or p_nodes.size == 0:
         return None
     import scipy.sparse as sp
@@ -381,15 +391,15 @@ def solve_schur(system: LinearSystem, residual_rtol: float = 1e-10,
             return np.concatenate([lu.solve(part)
                                    for lu, part in zip(lus, np.split(y, cuts))])
 
-    vf = np.concatenate([c + dim * nodes[c] for c in comps])
-    pf = n_v + p_nodes
+    dofs_v, dofs_p = split_dofs(np.arange(b.size), dim)
+    vf = np.concatenate([dofs_v[nodes[c], c] for c in comps])
+    pf = dofs_p[p_nodes]
     G = sp.vstack([blocks.pattern.matrix(blocks.G[c]).to_scipy()[nodes[c]][:, p_nodes]
                    for c in comps], format="csr")
     # B with its columns in velocity dof order, so each row adds its terms
     # in the column order of the monolithic matrix
-    B = sp.csr_matrix((blocks.B.T.ravel(), (blocks.pattern.cols[:, None] * dim
-                                            + np.arange(dim)).ravel(), K.indptr * dim),
-                      shape=(n, n_v))[p_nodes][:, vf]
+    B = sp.csr_matrix((blocks.B.T.ravel(), dofs_v[blocks.pattern.cols].ravel(),
+                       K.indptr * dim), shape=(n, dofs_v.size))[p_nodes][:, vf]
     Kpp = Kpp[p_nodes][:, p_nodes]
     d = (B.multiply(B) @ (1.0 / np.concatenate([K.diagonal()[nodes[c]] for c in comps]))
          - Kpp.diagonal())

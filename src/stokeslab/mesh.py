@@ -78,6 +78,12 @@ class Mesh:
                 raise MeshError(f"element {e} has repeated node indices")
             node = self.elements[e][outside[e]][0]
             raise MeshError(f"element {e} references node {node} of {n}")
+        if not self.n_elements:
+            raise MeshError("mesh has no elements")
+        used = np.zeros(n, dtype=bool)
+        used[self.elements] = True
+        if not used.all():
+            raise MeshError(f"node {int(np.argmin(used))} belongs to no element")
         try:
             self._jacobian_dets()
         except SingularJacobianError as exc:
@@ -123,30 +129,18 @@ class Mesh:
         return self._jacobian_dets() @ basis_table(self.kind).weights
 
 
-def _box_extent(extent, dim):
-    if extent is None:
-        return np.zeros(dim), np.ones(dim)
-    lo, hi = np.asarray(extent[0], dtype=float), np.asarray(extent[1], dtype=float)
-    if lo.shape != (dim,) or hi.shape != (dim,):
-        raise MeshError(f"extent must give {dim} coordinates per corner")
-    if np.any(hi - lo <= 0):
-        raise MeshError("degenerate extent: all side lengths must be positive")
-    return lo, hi
-
-
-def _face_tag_sets(nodes, lo, hi, tol=1e-12):
-    span = hi - lo
+def _face_tag_sets(nodes, tol=1e-12):
     sets = {}
     for axis, tags in enumerate(_AXIS_TAGS[:nodes.shape[1]]):
-        for tag, value in zip(tags, (lo[axis], hi[axis])):
-            mask = np.abs(nodes[:, axis] - value) <= tol * max(span[axis], 1.0)
+        for tag, value in zip(tags, (0.0, 1.0)):
+            mask = np.abs(nodes[:, axis] - value) <= tol
             sets[tag] = frozenset(np.nonzero(mask)[0].tolist())
     sets["all"] = frozenset().union(*sets.values())
     return sets
 
 
-def generate_grid(kind: ElementKind, divisions, extent=None) -> Mesh:
-    """Generate a structured grid on an axis-aligned box.
+def generate_grid(kind: ElementKind, divisions) -> Mesh:
+    """Generate a structured grid on the unit box.
 
     divisions is an int (uniform) or a per-axis tuple.  Nodes are numbered
     with x fastest, and so are the cells.  T3/TET4 meshes are produced by
@@ -161,9 +155,8 @@ def generate_grid(kind: ElementKind, divisions, extent=None) -> Mesh:
         raise MeshError(f"need {dim} divisions for {kind.value}")
     if any(d < 1 for d in divisions):
         raise MeshError(f"divisions must be >= 1, got {divisions}")
-    lo, hi = _box_extent(extent, dim)
 
-    axes = [np.linspace(lo[a], hi[a], divisions[a] + 1) for a in range(dim)]
+    axes = [np.linspace(0.0, 1.0, d + 1) for d in divisions]
     grids = np.meshgrid(*axes, indexing="ij")
     nodes = np.stack([g.ravel(order="F") for g in grids], axis=-1)
 
@@ -180,7 +173,7 @@ def generate_grid(kind: ElementKind, divisions, extent=None) -> Mesh:
         elements = cells
 
     return Mesh(dim=dim, nodes=nodes, elements=elements, kind=kind,
-                boundary_sets=_face_tag_sets(nodes, lo, hi))
+                boundary_sets=_face_tag_sets(nodes))
 
 
 def load_mesh(path) -> Mesh:

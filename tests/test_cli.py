@@ -148,11 +148,12 @@ def test_bad_solver_tolerance_is_refused_before_the_mesh(spec, option, value,
     (["--bp-epsilon", "nan"], "bp_epsilon must be finite and >= 0, got nan"),
     (["--bp-epsilon", "0.1"], "bp_epsilon applies to galerkin/enriched schemes only"),
     (["--formulation", "nope"], "unknown formulation 'nope'"),
+    (["--case", "nope"], "unknown case 'nope'"),
 ])
 def test_bad_formulation_options_are_refused_before_the_mesh(spec, options, message,
                                                              monkeypatch, capsys):
     def refuse(*args, **kwargs):
-        raise AssertionError("mesh built or loaded before the formulation was checked")
+        raise AssertionError("mesh built or loaded before the options were checked")
 
     monkeypatch.setattr("stokeslab.cli.generate_grid", refuse)
     monkeypatch.setattr("stokeslab.cli.load_mesh", refuse)
@@ -186,6 +187,24 @@ def test_mesh_file_validation_error_names_the_file(node_2, element, message, tmp
                                "0 0", "1 0", node_2, "0 1", "elements 1", element]) + "\n")
     assert main(["mesh-info", "--mesh", str(path)]) == 2
     assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
+
+@pytest.mark.parametrize("argv", [["mesh-info"], ["run", "--case", "patch",
+                                                "--formulation", "svm"]],
+                         ids=["mesh-info", "run"])
+@pytest.mark.parametrize("nodes, elements, message", [
+    (["0 0", "1 0", "1 1", "0 1", "2 2"], ["0 1 2 3"], "node 4 belongs to no element"),
+    (["0 0", "1 0", "1 1", "0 1"], [], "mesh has no elements"),
+], ids=["unreferenced-node", "no-elements"])
+def test_mesh_file_with_a_node_outside_every_element_is_refused(argv, nodes, elements,
+                                                                message, tmp_path, capsys):
+    path = tmp_path / "square.mesh"
+    path.write_text("\n".join(["stokeslab-mesh v1", "dim 2", "kind Q4",
+                               f"nodes {len(nodes)}", *nodes,
+                               f"elements {len(elements)}", *elements,
+                               "nodeset all 4", "0 1 2 3"]) + "\n")
+    assert main([*argv, "--mesh", str(path)]) == 2
+    assert capsys.readouterr() == ("", f"error: {path}: {message}\n")
 
 
 def test_convergence_emits_levels_and_slope(tmp_path, capsys):

@@ -15,7 +15,6 @@ from stokeslab.formulations import (
     assemble,
     assemble_enriched,
     assemble_enriched_full,
-    element_dofs,
     recover_fine,
     tau_at,
 )
@@ -49,17 +48,6 @@ def test_config_validation():
     with pytest.raises(ValueError, match="bp_epsilon"):
         FormulationConfig(scheme="galerkin", bp_epsilon=float("inf"))
     FormulationConfig(scheme="enriched", bp_epsilon=0.1)  # allowed
-
-
-def test_element_dofs_dense_and_disjoint():
-    mesh = generate_grid(ElementKind.Q4, 3)
-    v_dofs, p_dofs = element_dofs(mesh)
-    n_v = mesh.n_nodes * mesh.dim
-    assert np.array_equal(np.unique(np.concatenate([v_dofs.ravel(), p_dofs.ravel()])),
-                          np.arange(n_v + mesh.n_nodes))
-    e, a = np.argwhere(mesh.elements == 2)[0]
-    assert np.array_equal(v_dofs[e, 2 * a:2 * a + 2], [4, 5])
-    assert p_dofs[e, a] == n_v + 2
 
 
 # ------------------------------------------------------------------------ tau
@@ -155,7 +143,8 @@ def test_system_symmetry_galerkin_and_enriched():
 
 
 def test_single_square_velocity_block_rigid_translation():
-    mesh = generate_grid(ElementKind.Q4, 1, extent=((0, 0), (2, 2)))
+    unit = generate_grid(ElementKind.Q4, 1)
+    mesh = dataclasses.replace(unit, nodes=2.0 * unit.nodes)
     A = assemble(mesh, FormulationConfig(scheme="galerkin")).matrix.to_dense()
     nv = mesh.n_nodes * mesh.dim
     Avv = A[:nv, :nv]
@@ -221,7 +210,8 @@ def test_brezzi_pitkaranta_block_negative_semidefinite():
 # -------------------------------------------------------------------- enriched
 
 def test_enriched_fine_block_reference_square():
-    mesh = generate_grid(ElementKind.Q4, 1, extent=((-1, -1), (1, 1)))
+    unit = generate_grid(ElementKind.Q4, 1)
+    mesh = dataclasses.replace(unit, nodes=2.0 * unit.nodes - 1.0)
     _, fine = assemble_enriched(mesh, FormulationConfig(scheme="enriched"))
     assert fine.kff.shape == (1,)
     assert fine.kff[0] == pytest.approx(512.0 / 45.0, rel=1e-13)
@@ -332,7 +322,9 @@ def _monolithic_scatter(mesh, config, condensed=True):
         return (A[:, :, None, :, None] * eye[:, None, :]).reshape(n_el, -1, A.shape[2] * dim)
 
     blocks = [[kron_eye(Kvv), Kvp.reshape(n_el, nd, nen)], [Kpv.reshape(n_el, nen, nd), Kpp]]
-    idx = list(element_dofs(mesh))
+    # the dof layout written out by hand, independently of linalg.split_dofs
+    e = mesh.elements
+    idx = [(e[:, :, None] * dim + np.arange(dim)).reshape(n_el, nd), mesh.n_nodes * dim + e]
     loads = [fv.reshape(n_el, nd), fp]
     total = mesh.n_nodes * (dim + 1)
     if not condensed:

@@ -17,6 +17,7 @@ from stokeslab.linalg import (
     eig_sym_generalized,
     solve_direct,
     solve_schur,
+    split_dofs,
 )
 
 
@@ -115,6 +116,24 @@ def test_one_pattern_sums_many_value_arrays(seed):
     for v, summed in zip(stack, sums):
         _assert_same(lexsort_sum(rows, cols, v), pattern.rows, pattern.cols, summed)
         assert pattern.sum(v).tobytes() == summed.tobytes()
+
+
+# ------------------------------------------------------------------ dof layout
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_split_dofs_dense_disjoint_and_writable_views(dim):
+    n = 16
+    velocity, pressure = split_dofs(np.arange(n * (dim + 1)), dim)
+    assert velocity.shape == (n, dim) and pressure.shape == (n,)
+    assert np.array_equal(np.sort(np.concatenate([velocity.ravel(), pressure])),
+                          np.arange(n * (dim + 1)))
+    assert np.array_equal(velocity[2], 2 * dim + np.arange(dim))  # [4, 5] in 2-D
+    assert pressure[2] == n * dim + 2
+    x = np.zeros(n * (dim + 1))
+    velocity, pressure = split_dofs(x, dim)
+    velocity[2, 1] = 1.0
+    pressure[2] = 2.0
+    assert x[2 * dim + 1] == 1.0 and x[n * dim + 2] == 2.0 and x.sum() == 3.0
 
 
 # ------------------------------------------------------------------ constraints

@@ -32,11 +32,11 @@ def test_unit_box_volume_and_counts(kind):
     assert mesh.n_nodes == 4 ** kind.dim
 
 
-def test_anisotropic_divisions_and_extent():
-    mesh = generate_grid(ElementKind.Q4, (4, 2), extent=((0, 0), (2, 1)))
+def test_anisotropic_divisions():
+    mesh = generate_grid(ElementKind.Q4, (4, 2))
     assert mesh.n_elements == 8
-    assert mesh.element_volumes().sum() == pytest.approx(2.0, rel=1e-12)
-    assert np.all(mesh.element_volumes() > 0)
+    assert mesh.element_volumes().sum() == pytest.approx(1.0, rel=1e-12)
+    assert np.allclose(mesh.element_volumes(), 1.0 / 8.0, rtol=1e-12)
 
 
 def test_boundary_tags_partition_box_surface():
@@ -141,9 +141,14 @@ def test_out_of_range_node_rejected():
                  kind=ElementKind.T3)
 
 
-def test_degenerate_extent_rejected():
-    with pytest.raises(MeshError, match="extent"):
-        generate_grid(ElementKind.Q4, 2, extent=((0, 0), (0, 1)))
+@pytest.mark.parametrize("nodes, elements, message", [
+    ([(0, 0), (1, 0), (0, 1), (1, 1)], [[0, 1, 2]], "node 3 belongs to no element"),
+    ([(0, 0), (1, 0), (0, 1)], np.empty((0, 3), dtype=int), "mesh has no elements"),
+])
+def test_node_outside_every_element_rejected(nodes, elements, message):
+    with pytest.raises(MeshError, match=f"^{message}$"):
+        Mesh(dim=2, nodes=np.array(nodes, dtype=float), elements=np.array(elements),
+             kind=ElementKind.T3)
 
 
 def test_zero_divisions_rejected():
