@@ -48,6 +48,8 @@ COMMANDS = [
     "eigen --element t3-svm --n 6",
     "eigen --element q4-wvm --n 6",
     "eigen --element q4 --n 6",
+    # an enriched system with the Brezzi-Pitkaranta term through LU
+    "run --case bodyforce --formulation enriched --mesh grid:Q4:6x6 --bp-epsilon 0.08",
     # a usage error: refused with exit 2
     "run --case cavity --formulation svm --mesh grid:Q4:4x4 --pivot-rtol nan",
 ]

@@ -29,8 +29,6 @@ from .formulations import (
     FineBlocks,
     FormulationConfig,
     assemble,
-    assemble_enriched,
-    assemble_enriched_full,
     recover_fine,
     tau_at,
 )

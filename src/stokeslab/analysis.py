@@ -10,7 +10,7 @@ import numpy as np
 from .basis import basis_table, integrate
 from .cases import TestCase
 from .driver import solve_case
-from .formulations import FormulationConfig, assemble, assemble_enriched
+from .formulations import FormulationConfig, assemble
 from .kinds import ElementKind
 from .linalg import eig_sym_generalized, split_dofs
 from .mesh import Mesh, generate_grid
@@ -129,7 +129,7 @@ def lbb_spectrum(mesh: Mesh, scheme: str) -> SpectrumReport:
     if free_v.size == 0:
         raise ValueError("no interior velocity dofs")
 
-    gal = assemble(mesh, FormulationConfig(scheme="galerkin", nu=1.0)).blocks
+    gal = assemble(mesh, FormulationConfig(scheme="galerkin", nu=1.0))[0].blocks
     K = gal.pattern.matrix(gal.K).to_dense()
     A = np.zeros((n, dim, n, dim))
     for i in range(dim):
@@ -141,9 +141,7 @@ def lbb_spectrum(mesh: Mesh, scheme: str) -> SpectrumReport:
     if scheme == "galerkin":
         C = np.zeros((n, n))
     else:
-        config = FormulationConfig(scheme=scheme, nu=1.0)
-        stab = (assemble_enriched(mesh, config)[0] if scheme == "enriched"
-                else assemble(mesh, config)).blocks
+        stab = assemble(mesh, FormulationConfig(scheme=scheme, nu=1.0))[0].blocks
         C = -stab.pattern.matrix(stab.Kpp).to_dense()
 
     S = B @ np.linalg.solve(A, B.T) + C

@@ -161,6 +161,7 @@ def cmd_convergence(args) -> int:
     _check_size(f"--levels {args.levels}", kind, (max(levels),) * kind.dim, MAX_DOFS)
     case = _resolve_case(args.case, kind.dim)
     scheme = _resolve_scheme(args.formulation)
+    FormulationConfig(scheme, bp_epsilon=args.bp_epsilon)  # refused before any mesh
     rows, slopes = analysis.convergence_study(
         case, scheme, kind, levels, bp_epsilon=args.bp_epsilon
     )

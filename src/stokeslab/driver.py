@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cases import TestCase, apply_case
-from .formulations import FormulationConfig, assemble, assemble_enriched, recover_fine
+from .formulations import FormulationConfig, assemble, recover_fine
 from .linalg import solve_direct, solve_schur, split_dofs
 from .mesh import Mesh
 
@@ -49,11 +49,7 @@ def solve_case(case: TestCase, mesh: Mesh, scheme: str, *,
         bp_epsilon=bp_epsilon,
         body_force=case.body_force,
     )
-    fine_blocks = None
-    if scheme == "enriched":
-        system, fine_blocks = assemble_enriched(mesh, config)
-    else:
-        system = assemble(mesh, config)
+    system, fine_blocks = assemble(mesh, config)
     constrained = apply_case(case, mesh, system)
     solved = None
     if scheme in ("wvm", "svm"):
@@ -66,9 +62,7 @@ def solve_case(case: TestCase, mesh: Mesh, scheme: str, *,
         x, res, iterations = solved
         solver = "schur-cg"
     velocity, pressure = split_dofs(x, mesh.dim)
-    fine = None
-    if fine_blocks is not None:
-        fine = recover_fine(x, fine_blocks, mesh)
+    fine = None if fine_blocks is None else recover_fine(x, fine_blocks, mesh)
     return SolutionField(
         case=case, scheme=scheme, mesh=mesh, values=x,
         velocity=velocity, pressure=pressure, fine=fine, residual=res,

@@ -30,8 +30,7 @@ import numpy as np
 
 from .basis import basis_table, element_geometry, integrate, tabulate
 from .kinds import ElementKind
-from .linalg import (LinearSystem, SingularMatrixError, SparseMatrix, StokesBlocks,
-                     assemble_vector, split_dofs)
+from .linalg import LinearSystem, SingularMatrixError, StokesBlocks, assemble_vector, split_dofs
 from .mesh import Mesh
 
 SCHEMES = ("galerkin", "wvm", "svm", "enriched")
@@ -91,14 +90,14 @@ def tau_at(scheme: str, kind: ElementKind, node_coords, xi) -> float:
     return float(point.b[0] / element_geometry(point, node_coords).lapb[0])
 
 
-def _element_stacks(mesh, config, condensed=True):
+def _element_stacks(mesh, config):
     """Element blocks and loads of every element of the mesh at once.
 
     Returns the blocks (Kvv (n_el, nen, nen), Kvp (n_el, nen, dim, nen),
     Kpv (n_el, nen, nen, dim), Kpp (n_el, nen, nen)), where the element
     velocity block is Kvv (x) I_dim, the loads (fv (n_el, nen, dim),
-    fp (n_el, nen)) and the FineBlocks of the enriched scheme (else None).
-    For ``condensed=False`` the enriched blocks are left uncondensed.
+    fp (n_el, nen)) and the FineBlocks of the enriched scheme (else None);
+    the enriched blocks and loads come with the fine scales condensed out.
 
     The wvm/svm terms are stacked matmuls over the flattened quadrature and
     component axes; the other terms keep their einsums, because acceptance
@@ -167,80 +166,37 @@ def _element_stacks(mesh, config, condensed=True):
                 "degenerate element"
             )
         fine = FineBlocks(kff=kff, s=s, kpf=Kpf, f_f=f_f)
-        if condensed:
-            # the fine block is kff * I, so condensation is scalar:
-            # K_cf K_ff^-1 K_fc = (s s^T / kff) (x) I
-            inv = 1.0 / kff
-            s_inv = s * inv[:, None]
-            Kpf_inv = Kpf * inv[:, None, None]
-            Kvv -= s[:, :, None] * s[:, None, :] / kff[:, None, None]
-            Kvp -= s_inv[:, :, None, None] * Kpf.transpose(0, 2, 1)[:, None, :, :]
-            Kpv -= Kpf_inv[:, :, None, :] * s[:, None, :, None]
-            Kpp -= np.matmul(Kpf_inv, Kpf.transpose(0, 2, 1))
-            fv -= s_inv[:, :, None] * f_f[:, None, :]
-            fp -= np.matmul(Kpf_inv, f_f[:, :, None])[:, :, 0]
+        # the fine block is kff * I, so condensation is scalar:
+        # K_cf K_ff^-1 K_fc = (s s^T / kff) (x) I
+        inv = 1.0 / kff
+        s_inv = s * inv[:, None]
+        Kpf_inv = Kpf * inv[:, None, None]
+        Kvv -= s[:, :, None] * s[:, None, :] / kff[:, None, None]
+        Kvp -= s_inv[:, :, None, None] * Kpf.transpose(0, 2, 1)[:, None, :, :]
+        Kpv -= Kpf_inv[:, :, None, :] * s[:, None, :, None]
+        Kpp -= np.matmul(Kpf_inv, Kpf.transpose(0, 2, 1))
+        fv -= s_inv[:, :, None] * f_f[:, None, :]
+        fp -= np.matmul(Kpf_inv, f_f[:, :, None])[:, :, 0]
     return (Kvv, Kvp, Kpv, Kpp), (fv, fp), fine
 
 
-def _assemble(mesh, config, condensed=True):
-    """Global system from the element stacks.  Every block is summed on the
-    mesh's node pattern in one call, and the right-hand side in another;
-    only the uncondensed enriched system, whose fine dofs lie outside the
-    blocks, gets its matrix at once."""
-    (Kvv, Kvp, Kpv, Kpp), (fv, fp), fine = _element_stacks(mesh, config, condensed)
+def assemble(mesh: Mesh, config: FormulationConfig) -> tuple[LinearSystem, FineBlocks | None]:
+    """Global (unconstrained) system of the configured scheme, and the
+    FineBlocks of the enriched scheme (else None).  Every block is summed
+    on the mesh's node pattern in one call, and the right-hand side in
+    another."""
+    (Kvv, Kvp, Kpv, Kpp), (fv, fp), fine = _element_stacks(mesh, config)
     n_el, nen, dim = Kvp.shape[:3]
     stack = np.concatenate([Kvv[None], Kvv[None] * 0.0, Kvp.transpose(2, 0, 1, 3),
                             Kpv.transpose(3, 0, 1, 2), Kpp[None]])
     sums = mesh.node_pattern.sum(stack.reshape(len(stack), -1))
     blocks = StokesBlocks(mesh.node_pattern, dim, K=sums[0], zero=sums[1],
                           G=sums[2:2 + dim], B=sums[2 + dim:2 + 2 * dim], Kpp=sums[-1])
-    n_coarse = mesh.n_nodes * (dim + 1)
-    velocity, pressure = split_dofs(np.arange(n_coarse), dim)
-    idx = [velocity[mesh.elements].reshape(n_el, -1), pressure[mesh.elements]]
-    loads = [fv.reshape(n_el, -1), fp]
-    if condensed:
-        rhs = assemble_vector(n_coarse, np.concatenate(idx, 1), np.concatenate(loads, 1))
-        return LinearSystem(None, rhs, blocks=blocks), fine
-    # fine dofs appended per element; each fine entry belongs to one element
-    total = n_coarse + n_el * dim
-    fdofs = n_coarse + np.arange(n_el * dim).reshape(n_el, dim)
-    coarse = np.concatenate(idx, 1)
-    Kcf = np.concatenate([(fine.s[:, :, None, None] * np.eye(dim)).reshape(n_el, -1, dim),
-                          fine.kpf], 1)
-    Kff = fine.kff[:, None, None] * np.eye(dim)
-    parts = [blocks.triplets(),
-             (coarse[:, :, None], fdofs[:, None, :], Kcf),
-             (fdofs[:, :, None], coarse[:, None, :], Kcf.transpose(0, 2, 1)),
-             (fdofs[:, :, None], fdofs[:, None, :], Kff)]
-    rows, cols, vals = (np.concatenate([np.broadcast_to(p[i], p[2].shape).ravel()
-                                        for p in parts]) for i in range(3))
-    rhs = assemble_vector(total, np.concatenate(idx + [fdofs], 1),
-                          np.concatenate(loads + [fine.f_f], 1))
-    return LinearSystem(SparseMatrix.from_triplets(total, total, rows, cols, vals), rhs), fine
-
-
-def assemble(mesh: Mesh, config: FormulationConfig) -> LinearSystem:
-    """Assemble the global (unconstrained) system for the configured scheme."""
-    system, _ = _assemble(mesh, config)
-    return system
-
-
-def assemble_enriched(mesh: Mesh, config: FormulationConfig):
-    """Condensed enriched system plus the stacked fine-scale blocks."""
-    if config.scheme != "enriched":
-        raise ValueError("assemble_enriched requires scheme='enriched'")
-    return _assemble(mesh, config)
-
-
-def assemble_enriched_full(mesh: Mesh, config: FormulationConfig):
-    """Uncondensed three-field system with fine dofs appended per element.
-
-    Used as the oracle for the static-condensation identity.
-    """
-    if config.scheme != "enriched":
-        raise ValueError("assemble_enriched_full requires scheme='enriched'")
-    system, _ = _assemble(mesh, config, condensed=False)
-    return system
+    velocity, pressure = split_dofs(np.arange(mesh.n_nodes * (dim + 1)), dim)
+    idx = np.concatenate([velocity[mesh.elements].reshape(n_el, -1), pressure[mesh.elements]], 1)
+    rhs = assemble_vector(velocity.size + pressure.size, idx,
+                          np.concatenate([fv.reshape(n_el, -1), fp], 1))
+    return LinearSystem(blocks, rhs), fine
 
 
 def recover_fine(solution, fine: FineBlocks, mesh: Mesh) -> np.ndarray:

@@ -194,9 +194,13 @@ def _norm_inf(csr) -> float:
 
 
 def _residual(csr, x, b) -> float:
-    """max|A x - b| / (|A|_inf max|x| + max|b|), 0 when the denominator is 0."""
-    denom = _norm_inf(csr) * np.abs(x).max() + np.abs(b).max()
-    return float(np.abs(csr @ x - b).max() / denom) if denom > 0 else 0.0
+    """max|A x - b| / (|A|_inf max|x| + max|b|), 0 when the denominator is
+    0, and inf when the denominator or the quotient is not finite: a scale
+    that overflows would otherwise report a residual of 0."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        denom = _norm_inf(csr) * np.abs(x).max() + np.abs(b).max()
+        res = np.abs(csr @ x - b).max() / denom if denom != 0 else 0.0
+    return float(res) if np.isfinite(denom) and np.isfinite(res) else math.inf
 
 
 def assemble_vector(n, idx, values) -> np.ndarray:
@@ -213,35 +217,31 @@ def assemble_vector(n, idx, values) -> np.ndarray:
 
 
 class LinearSystem:
-    """Assembled system and the point constraints folded into it.
+    """An equal-order Stokes system as its blocks and right-hand side, and
+    the point constraints folded into them.
 
     ``constraints`` holds the prescribed value of each dof, NaN where the
-    dof is free; only apply_constraints makes a system with any.  A Stokes
-    system carries its blocks in place of a matrix; ``matrix`` is then built
-    from them, with the constraints folded in, on first use.
+    dof is free; only apply_constraints makes a system with any.
+    ``matrix`` is the monolithic matrix with the rows and columns of the
+    constrained dofs replaced by identity rows and columns, built from the
+    blocks on first use.
     """
 
-    def __init__(self, matrix, rhs, constraints=None, blocks=None):
-        if matrix is not None:
-            self.matrix = matrix
+    def __init__(self, blocks: StokesBlocks, rhs, constraints=None):
+        self.blocks = blocks
         self.rhs = rhs
         self.constraints = np.full(len(rhs), np.nan) if constraints is None else constraints
-        self.blocks = blocks
 
     @cached_property
     def matrix(self) -> SparseMatrix:
-        return _folded(self.rhs.size, *self.blocks.triplets(), self.constraints)
-
-
-def _folded(n, rows, cols, vals, constraints) -> SparseMatrix:
-    """n x n matrix of unique triplets with the rows and columns of the
-    constrained dofs replaced by identity rows and columns."""
-    is_con = ~np.isnan(constraints)
-    con = np.flatnonzero(is_con)
-    keep = ~(is_con[rows] | is_con[cols])
-    return SparseMatrix.from_triplets(n, n, np.concatenate([rows[keep], con]),
-                                      np.concatenate([cols[keep], con]),
-                                      np.concatenate([vals[keep], np.ones(con.size)]))
+        rows, cols, vals = self.blocks.triplets()
+        n = self.rhs.size
+        is_con = ~np.isnan(self.constraints)
+        con = np.flatnonzero(is_con)
+        keep = ~(is_con[rows] | is_con[cols])
+        return SparseMatrix.from_triplets(n, n, np.concatenate([rows[keep], con]),
+                                          np.concatenate([cols[keep], con]),
+                                          np.concatenate([vals[keep], np.ones(con.size)]))
 
 
 def apply_constraints(system: LinearSystem, constraints) -> LinearSystem:
@@ -260,18 +260,13 @@ def apply_constraints(system: LinearSystem, constraints) -> LinearSystem:
     is_con = ~np.isnan(constraints)
     cvals = np.where(is_con, constraints, 0.0)
     rhs = np.array(system.rhs, dtype=float)
-    blocks = system.blocks
-    if blocks is not None:
-        rows, cols, vals = blocks.triplets()
-    else:
-        rows, cols, vals = system.matrix.rows, system.matrix.cols, system.matrix.vals
+    rows, cols, vals = system.blocks.triplets()
     moved = is_con[cols] & ~is_con[rows]
     r, c, v = rows[moved], cols[moved], vals[moved]
     at = np.argsort(r * n + c)  # each row takes its terms in column order
     np.add.at(rhs, r[at], -v[at] * cvals[c[at]])
     rhs[is_con] = cvals[is_con]
-    matrix = None if blocks is not None else _folded(n, rows, cols, vals, constraints)
-    return LinearSystem(matrix, rhs, constraints, blocks)
+    return LinearSystem(system.blocks, rhs, constraints)
 
 
 def _check_tolerances(pivot_rtol, residual_rtol) -> None:
@@ -288,7 +283,7 @@ def solve_direct(system: LinearSystem, pivot_rtol: float = 1e-14,
 
     Returns the solution x and its relative residual
     max|A x - b| / (|A|_inf max|x| + max|b|), the quantity checked against
-    residual_rtol (0 when the denominator is 0).
+    residual_rtol (0 when the denominator is 0, inf when it overflows).
 
     Raises SingularMatrixError when a pivot falls below pivot_rtol times the
     largest pivot: the signature of a missing pressure constraint or of an
@@ -298,8 +293,6 @@ def solve_direct(system: LinearSystem, pivot_rtol: float = 1e-14,
     and ValueError for a NaN or negative tolerance.
     """
     _check_tolerances(pivot_rtol, residual_rtol)
-    if system.matrix.n_rows != system.matrix.n_cols:
-        raise ValueError("matrix must be square")
     import scipy.sparse.linalg as spla
     A = system.matrix.to_scipy()  # one CSR for the factor, matvecs and norm
     b = np.asarray(system.rhs, dtype=float)
@@ -345,16 +338,14 @@ def solve_schur(system: LinearSystem, residual_rtol: float = 1e-10,
     diag(B diag(V)^-1 B^T) - diag(K_pp), and v = V^-1 (f_v - G p).
 
     Returns (x, residual, cg_iterations), the residual as in solve_direct.
-    Returns None for a system without blocks, when a factor pivoted rows or
-    has a pivot <= pivot_rtol times its largest (V is not positive
-    definite), the preconditioner or q^T S q is not positive, CG has not
-    converged after CG_MAXITER iterations, x is not finite, or the residual
-    exceeds residual_rtol.  Raises ValueError as solve_direct does.
+    Returns None when a factor pivoted rows or has a pivot <= pivot_rtol
+    times its largest (V is not positive definite), the preconditioner or
+    q^T S q is not positive, CG has not converged after CG_MAXITER
+    iterations, x is not finite, or the residual exceeds residual_rtol.
+    Raises ValueError as solve_direct does.
     """
     _check_tolerances(pivot_rtol, residual_rtol)
     blocks = system.blocks
-    if blocks is None:
-        return None
     n, dim = blocks.pattern.n_rows, blocks.dim
     b = np.asarray(system.rhs, dtype=float)
     free = np.isnan(system.constraints)

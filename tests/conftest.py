@@ -1,12 +1,15 @@
 """Shared helpers for the test suite."""
 
+import dataclasses
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from stokeslab.basis import _B8_CORNERS, _Q4_CORNERS, element_geometry, tabulate
+from stokeslab.formulations import assemble
 from stokeslab.kinds import ElementKind
+from stokeslab.linalg import SparseMatrix, split_dofs
 
 REFERENCE_CORNERS = {
     ElementKind.T3: np.array([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)]),
@@ -73,10 +76,51 @@ def lexsort_sum(rows, cols, vals):
     return rows[starts], cols[starts], np.add.reduceat(vals, starts)
 
 
-def fine_dofs_free(constraints, full):
-    """Coarse-system constraints extended to the uncondensed enriched system
-    full: each appended fine dof is free (NaN)."""
-    return np.pad(constraints, (0, full.rhs.size - constraints.size), constant_values=np.nan)
+def enriched_full(mesh, config):
+    """The uncondensed enriched system (SparseMatrix, rhs) of config: the
+    coarse dofs, then dim fine (bubble) dofs per element, element by element.
+
+    Before condensation the enriched element blocks and loads are the
+    Galerkin ones with the same nu, bp_epsilon and body force, so the
+    coarse part is that Galerkin system; the FineBlocks give the rest.
+    """
+    system, _ = assemble(mesh, dataclasses.replace(config, scheme="galerkin"))
+    _, fine = assemble(mesh, config)
+    n_el, dim = fine.f_f.shape
+    n = system.rhs.size
+    velocity, pressure = split_dofs(np.arange(n), dim)
+    coarse = np.concatenate([velocity[mesh.elements].reshape(n_el, -1),
+                             pressure[mesh.elements]], 1)
+    fdofs = n + np.arange(n_el * dim).reshape(n_el, dim)
+    Kcf = np.concatenate([(fine.s[:, :, None, None] * np.eye(dim)).reshape(n_el, -1, dim),
+                          fine.kpf], 1)
+    parts = [system.blocks.triplets(),
+             (coarse[:, :, None], fdofs[:, None, :], Kcf),
+             (fdofs[:, :, None], coarse[:, None, :], Kcf.transpose(0, 2, 1)),
+             (fdofs[:, :, None], fdofs[:, None, :], fine.kff[:, None, None] * np.eye(dim))]
+    rows, cols, vals = (np.concatenate([np.broadcast_to(p[i], p[2].shape).ravel()
+                                        for p in parts]) for i in range(3))
+    total = n + fdofs.size
+    rhs = np.concatenate([system.rhs, fine.f_f.ravel()])
+    return SparseMatrix.from_triplets(total, total, rows, cols, vals), rhs
+
+
+def fine_dofs_free(constraints, n):
+    """Coarse-system constraints extended to the n dofs of an uncondensed
+    enriched system: each appended fine dof is free (NaN)."""
+    return np.pad(constraints, (0, n - constraints.size), constant_values=np.nan)
+
+
+def solve_reduced(matrix, rhs, constraints):
+    """x with each constrained dof at its value and the free dofs solved
+    from the reduced system by scipy's spsolve."""
+    from scipy.sparse.linalg import spsolve
+
+    A = matrix.to_scipy()
+    free = np.isnan(constraints)
+    x = np.where(free, 0.0, constraints)
+    x[free] = spsolve(A[free][:, free].tocsc(), rhs[free] - A[free][:, ~free] @ x[~free])
+    return x
 
 
 @pytest.fixture

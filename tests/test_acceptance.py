@@ -20,18 +20,13 @@ from stokeslab.analysis import (
 )
 from stokeslab.cases import case_by_name, case_constraints
 from stokeslab.driver import solve_case
-from stokeslab.formulations import (
-    FormulationConfig,
-    assemble,
-    assemble_enriched_full,
-    tau_at,
-)
+from stokeslab.formulations import FormulationConfig, assemble, tau_at
 from stokeslab.kinds import ElementKind
-from stokeslab.linalg import SparseMatrix, apply_constraints, solve_direct
+from stokeslab.linalg import SparseMatrix
 from stokeslab.mesh import generate_grid, load_mesh, triangle_angles, wct_fixture_path
 
-from conftest import (REFERENCE_CORNERS, at_point, distorted_element, fine_dofs_free,
-                      random_interior_point)
+from conftest import (REFERENCE_CORNERS, at_point, distorted_element, enriched_full,
+                      fine_dofs_free, random_interior_point, solve_reduced)
 
 
 def _report(num, ok, detail):
@@ -130,9 +125,8 @@ def test_criterion_06_static_condensation_identity():
     sol = solve_case(case, mesh, "enriched", bp_epsilon=0.08)
     config = FormulationConfig(scheme="enriched", nu=case.nu, bp_epsilon=0.08,
                                body_force=case.body_force)
-    full = assemble_enriched_full(mesh, config)
-    cons = fine_dofs_free(case_constraints(case, mesh), full)
-    x_full, _ = solve_direct(apply_constraints(full, cons))
+    matrix, rhs = enriched_full(mesh, config)
+    x_full = solve_reduced(matrix, rhs, fine_dofs_free(case_constraints(case, mesh), rhs.size))
     n_coarse = sol.values.size
     coarse_diff = np.abs(sol.values - x_full[:n_coarse]).max()
     fine_diff = np.abs(
@@ -240,7 +234,7 @@ def test_criterion_10_invariant_suite(rng):
     psd = True
     for scheme in ("wvm", "svm", "enriched"):
         mesh = generate_grid(ElementKind.Q4, 4)
-        system = assemble(mesh, FormulationConfig(scheme=scheme))
+        system, _ = assemble(mesh, FormulationConfig(scheme=scheme))
         C = -system.blocks.pattern.matrix(system.blocks.Kpp).to_dense()
         lam = np.linalg.eigvalsh(0.5 * (C + C.T))
         psd = psd and lam.min() > -1e-10 * max(1.0, lam.max())

@@ -196,7 +196,7 @@ def test_apply_case_unknown_tag_names_the_tag():
     mesh = generate_grid(ElementKind.Q4, 2)
     mesh.boundary_sets.pop("all")
     case = case_by_name("patch_constant", 2)
-    system = assemble(mesh, FormulationConfig(scheme="galerkin"))
+    system, _ = assemble(mesh, FormulationConfig(scheme="galerkin"))
     with pytest.raises(Exception, match="all"):
         apply_case(case, mesh, system)
 
@@ -211,7 +211,7 @@ def test_apply_case_dimension_mismatch():
 def test_apply_case_folds_constraints():
     mesh = generate_grid(ElementKind.Q4, 3)
     case = case_by_name("patch_constant", 2)
-    system = assemble(mesh, FormulationConfig(scheme="svm"))
+    system, _ = assemble(mesh, FormulationConfig(scheme="svm"))
     out = apply_case(case, mesh, system)
     assert np.array_equal(out.constraints, case_constraints(case, mesh), equal_nan=True)
     node = next(iter(mesh.nodeset("all")))

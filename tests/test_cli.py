@@ -110,6 +110,25 @@ def test_singular_solve_is_numerical_failure(capsys):
     assert "singular" in capsys.readouterr().err.lower()
 
 
+@pytest.mark.parametrize("case, nu", [("patch", "1e160"), ("bodyforce", "1e-200")])
+def test_overflowing_residual_scale_is_numerical_failure(case, nu, capsys):
+    # the residual scale |A|_inf max|x| + max|b| overflows to inf; these
+    # runs used to exit 0 with solve_residual = 0 and a wrong pressure
+    # (patch) or an infinite velocity error (bodyforce)
+    code = main(["run", "--case", case, "--formulation", "svm",
+                 "--mesh", "grid:Q4:4x4", "--nu", nu])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert out == ""
+    assert err.startswith("numerical failure:")
+
+
+def test_infinite_residual_tolerance_admits_an_overflowing_residual(capsys):
+    assert main(["run", "--case", "patch", "--formulation", "svm", "--mesh", "grid:Q4:4x4",
+                 "--nu", "1e160", "--residual-rtol", "inf"]) == 0
+    assert _parse_kv(capsys.readouterr().out)["solve_residual"] == "inf"
+
+
 @pytest.mark.parametrize("option, value", [
     ("--pivot-rtol", "nan"), ("--residual-rtol", "nan"), ("--residual-rtol", "-1"),
 ])
@@ -229,6 +248,18 @@ def test_convergence_repeated_levels_are_usage_error(capsys):
     assert main(["convergence", "--case", "bodyforce", "--formulation", "svm",
                  "--element", "q4", "--levels", "8,8,8"]) == 2
     assert "level 8 is repeated" in capsys.readouterr().err
+
+
+def test_convergence_bad_formulation_options_are_refused_before_the_mesh(monkeypatch,
+                                                                          capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("mesh built before the options were checked")
+
+    monkeypatch.setattr("stokeslab.analysis.generate_grid", refuse)
+    assert main(["convergence", "--element", "q4", "--formulation", "svm",
+                 "--bp-epsilon", "0.1", "--levels", "150,180,200"]) == 2
+    assert capsys.readouterr().err == (
+        "error: bp_epsilon applies to galerkin/enriched schemes only\n")
 
 
 def test_eigen_element_suffix_selects_scheme(tmp_path, capsys):

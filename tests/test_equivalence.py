@@ -3,14 +3,22 @@
 On simplices the condensed bubble-enriched system is the wvm system: the
 bubble condensation -K_pf K_ff^-1 K_fp is wvm's pressure stabilization with
 its tau.  On Q4/B8 it is not: one bubble per element gives a condensed
-pressure block of rank <= dim, which no positive tau profile reproduces,
-while the wvm/svm blocks have rank nen - 1.
+pressure block of rank <= dim, while any tau > 0 on a set of positive
+measure, wvm's and svm's among them, gives rank nen - 1.  That rank is the
+counterexample.
+
+A fit of tau >= 0 as point masses is not one.  A single point mass at the
+centroid reproduces the block on Q4, square or distorted, and on the B8
+cube; the residual left by such a fit on an even Gauss grid (0.048 at 8x8
+on Q4, 0.11 at 6^3 on B8) only says that the grid has no point at the
+centroid.  Only distorted B8 elements leave a residual at every grid.
 """
 
 import numpy as np
 import pytest
 
 from conftest import REFERENCE_CORNERS
+from stokeslab.basis import element_geometry, tabulate
 from stokeslab.cases import case_by_name
 from stokeslab.formulations import FormulationConfig, assemble
 from stokeslab.kinds import ElementKind
@@ -46,7 +54,7 @@ def _gaps(kind, seed, body_force):
     relative to wvm's."""
     mesh = _grid(kind, seed)
     bf = BODY_FORCE[kind.dim] if body_force else None
-    enr, wvm = (assemble(mesh, FormulationConfig(scheme, nu=NU, body_force=bf))
+    enr, wvm = (assemble(mesh, FormulationConfig(scheme, nu=NU, body_force=bf))[0]
                 for scheme in ("enriched", "wvm"))
     pairs = {name: (getattr(enr.blocks, name), getattr(wvm.blocks, name))
              for name in ("K", "G", "B", "Kpp")}
@@ -81,7 +89,44 @@ def test_element_pressure_block_ranks(kind, enriched_rank, stabilized_rank):
     mesh = Mesh(kind.dim, REFERENCE_CORNERS[kind], [list(range(nen))], kind)
     ranks = {}
     for scheme in ("enriched", "wvm", "svm"):
-        blocks = assemble(mesh, FormulationConfig(scheme, nu=NU)).blocks
+        blocks = assemble(mesh, FormulationConfig(scheme, nu=NU))[0].blocks
         ranks[scheme] = np.linalg.matrix_rank(blocks.pattern.matrix(blocks.Kpp).to_dense())
     assert ranks == {"enriched": enriched_rank, "wvm": stabilized_rank,
                      "svm": stabilized_rank}
+
+
+def _tau_fit_residual(kind, coords, n):
+    """Relative residual of the best fit of one element's condensed
+    standard-bubble pressure block by point masses tau_q >= 0 at the n^dim
+    Gauss points: sum_q tau_q (-grad N_a . grad N_b)(x_q)."""
+    from scipy.optimize import nnls
+
+    mesh = Mesh(kind.dim, coords, [list(range(kind.nodes_per_element))], kind)
+    blocks = assemble(mesh, FormulationConfig("enriched", nu=NU))[0].blocks
+    target = blocks.pattern.matrix(blocks.Kpp).to_dense()
+    x = np.polynomial.legendre.leggauss(n)[0]
+    points = np.stack(np.meshgrid(*[x] * kind.dim, indexing="ij"), -1).reshape(-1, kind.dim)
+    G = element_geometry(tabulate(kind, points, np.ones(len(points))), coords).G
+    columns = -np.einsum("pia,pib->abp", G, G).reshape(-1, len(points))
+    return nnls(columns, target.ravel())[1] / np.linalg.norm(target)
+
+
+def _moved(kind, seed, amount):
+    """The reference corners of kind, moved by up to amount (None: not moved)."""
+    coords = REFERENCE_CORNERS[kind]
+    if seed is None:
+        return coords
+    return coords + np.random.default_rng(seed).uniform(-amount, amount, coords.shape)
+
+
+@pytest.mark.parametrize("kind, seed", [(ElementKind.Q4, None), (ElementKind.Q4, 0),
+                                        (ElementKind.Q4, 1), (ElementKind.Q4, 2),
+                                        (ElementKind.B8, None)])
+def test_centroid_point_mass_reproduces_the_pressure_block(kind, seed):
+    assert _tau_fit_residual(kind, _moved(kind, seed, 0.3), 1) < 1e-12
+
+
+@pytest.mark.parametrize("n", [1, 3, 5])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_no_point_masses_reproduce_the_pressure_block_of_distorted_b8(seed, n):
+    assert _tau_fit_residual(ElementKind.B8, _moved(ElementKind.B8, seed, 0.2), n) >= 5e-3

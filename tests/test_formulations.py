@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import REFERENCE_CORNERS, fine_dofs_free, lexsort_sum
+from conftest import REFERENCE_CORNERS, enriched_full, fine_dofs_free, lexsort_sum, solve_reduced
 from stokeslab.basis import basis_table
 from stokeslab.cases import case_by_name, case_constraints
 from stokeslab.formulations import (
@@ -13,18 +13,11 @@ from stokeslab.formulations import (
     _element_stacks,
     _wvm_coefficient,
     assemble,
-    assemble_enriched,
-    assemble_enriched_full,
     recover_fine,
     tau_at,
 )
 from stokeslab.kinds import ElementKind
-from stokeslab.linalg import (
-    LinearSystem,
-    SingularMatrixError,
-    apply_constraints,
-    solve_direct,
-)
+from stokeslab.linalg import SingularMatrixError, SparseMatrix, apply_constraints, solve_direct
 from stokeslab.mesh import Mesh, generate_grid
 
 
@@ -100,7 +93,7 @@ def _pp_block(system):
 
 def test_galerkin_pressure_pressure_block_zero():
     mesh = generate_grid(ElementKind.Q4, 3)
-    system = assemble(mesh, FormulationConfig(scheme="galerkin"))
+    system, _ = assemble(mesh, FormulationConfig(scheme="galerkin"))
     assert np.abs(_pp_block(system)).max() == 0.0
 
 
@@ -108,7 +101,7 @@ def test_galerkin_pressure_pressure_block_zero():
 @pytest.mark.parametrize("kind", [ElementKind.T3, ElementKind.Q4])
 def test_pressure_stabilization_operator_psd(scheme, kind):
     mesh = generate_grid(kind, 4)
-    system = assemble(mesh, FormulationConfig(scheme=scheme))
+    system, _ = assemble(mesh, FormulationConfig(scheme=scheme))
     C = -_pp_block(system)  # operator subtracted from the continuity row
     assert np.allclose(C, C.T, atol=1e-12)
     lam = np.linalg.eigvalsh(0.5 * (C + C.T))
@@ -129,7 +122,7 @@ def test_svm_pressure_stabilization_indefinite_on_distorted_triangles():
     assert np.any(mesh.geometry.lapb >= 0)
     lam = {}
     for scheme in ("wvm", "svm"):
-        C = -_pp_block(assemble(mesh, FormulationConfig(scheme=scheme)))
+        C = -_pp_block(assemble(mesh, FormulationConfig(scheme=scheme))[0])
         lam[scheme] = np.linalg.eigvalsh(0.5 * (C + C.T))
     assert lam["svm"].min() < -1e-4 * lam["svm"].max()
     assert lam["wvm"].min() > -1e-10 * lam["wvm"].max()
@@ -138,14 +131,14 @@ def test_svm_pressure_stabilization_indefinite_on_distorted_triangles():
 def test_system_symmetry_galerkin_and_enriched():
     mesh = generate_grid(ElementKind.Q4, 3)
     for scheme in ("galerkin", "enriched"):
-        A = assemble(mesh, FormulationConfig(scheme=scheme)).matrix.to_dense()
+        A = assemble(mesh, FormulationConfig(scheme=scheme))[0].matrix.to_dense()
         assert np.abs(A - A.T).max() < 1e-12 * max(1.0, np.abs(A).max())
 
 
 def test_single_square_velocity_block_rigid_translation():
     unit = generate_grid(ElementKind.Q4, 1)
     mesh = dataclasses.replace(unit, nodes=2.0 * unit.nodes)
-    A = assemble(mesh, FormulationConfig(scheme="galerkin")).matrix.to_dense()
+    A = assemble(mesh, FormulationConfig(scheme="galerkin"))[0].matrix.to_dense()
     nv = mesh.n_nodes * mesh.dim
     Avv = A[:nv, :nv]
     ones_x = np.tile([1.0, 0.0], mesh.n_nodes)
@@ -157,10 +150,10 @@ def test_simplex_momentum_stabilization_vanishes(kind):
     """Linear shape functions have zero Laplacian, so the stabilized momentum
     block must coincide with the plain Galerkin momentum block on simplices."""
     mesh = generate_grid(kind, 2)
-    gal = assemble(mesh, FormulationConfig(scheme="galerkin")).matrix.to_dense()
+    gal = assemble(mesh, FormulationConfig(scheme="galerkin"))[0].matrix.to_dense()
     nv = mesh.n_nodes * mesh.dim
     for scheme in ("wvm", "svm"):
-        stab = assemble(mesh, FormulationConfig(scheme=scheme)).matrix.to_dense()
+        stab = assemble(mesh, FormulationConfig(scheme=scheme))[0].matrix.to_dense()
         assert np.abs(stab[:nv, :] - gal[:nv, :]).max() < 1e-12
         # continuity row does change (pressure stabilization)
         assert np.abs(stab[nv:, nv:] - gal[nv:, nv:]).max() > 1e-12
@@ -173,7 +166,7 @@ def test_constant_state_is_discrete_solution(scheme, kind, rng):
     interior momentum rows, all continuity rows, all stabilization terms."""
     mesh = generate_grid(kind, 2)
     case = case_by_name("patch_constant", mesh.dim)
-    system = assemble(mesh, FormulationConfig(scheme=scheme))
+    system, _ = assemble(mesh, FormulationConfig(scheme=scheme))
     nv = mesh.n_nodes * mesh.dim
     x = np.zeros(system.rhs.size)
     x[:nv:mesh.dim] = 10.0
@@ -186,8 +179,8 @@ def test_constant_state_is_discrete_solution(scheme, kind, rng):
 def test_wvm_svm_differ_only_through_tau_profile_on_simplices():
     mesh = generate_grid(ElementKind.T3, 3)
     nv = mesh.n_nodes * mesh.dim
-    wvm = assemble(mesh, FormulationConfig(scheme="wvm")).matrix.to_dense()
-    svm = assemble(mesh, FormulationConfig(scheme="svm")).matrix.to_dense()
+    wvm = assemble(mesh, FormulationConfig(scheme="wvm"))[0].matrix.to_dense()
+    svm = assemble(mesh, FormulationConfig(scheme="svm"))[0].matrix.to_dense()
     # same sparsity and same sign pattern in the pp block
     pw, ps = wvm[nv:, nv:], svm[nv:, nv:]
     assert np.all((pw != 0) == (ps != 0))
@@ -197,8 +190,8 @@ def test_wvm_svm_differ_only_through_tau_profile_on_simplices():
 
 def test_brezzi_pitkaranta_block_negative_semidefinite():
     mesh = generate_grid(ElementKind.Q4, 3)
-    plain = assemble(mesh, FormulationConfig(scheme="galerkin"))
-    aug = assemble(mesh, FormulationConfig(scheme="galerkin", bp_epsilon=0.1))
+    plain, _ = assemble(mesh, FormulationConfig(scheme="galerkin"))
+    aug, _ = assemble(mesh, FormulationConfig(scheme="galerkin", bp_epsilon=0.1))
     nv = mesh.n_nodes * mesh.dim
     diff = (aug.matrix.to_dense() - plain.matrix.to_dense())
     assert np.abs(diff[:nv, :]).max() == 0.0  # momentum rows untouched
@@ -212,14 +205,14 @@ def test_brezzi_pitkaranta_block_negative_semidefinite():
 def test_enriched_fine_block_reference_square():
     unit = generate_grid(ElementKind.Q4, 1)
     mesh = dataclasses.replace(unit, nodes=2.0 * unit.nodes - 1.0)
-    _, fine = assemble_enriched(mesh, FormulationConfig(scheme="enriched"))
+    _, fine = assemble(mesh, FormulationConfig(scheme="enriched"))
     assert fine.kff.shape == (1,)
     assert fine.kff[0] == pytest.approx(512.0 / 45.0, rel=1e-13)
 
 
 def test_enriched_zero_body_force_gives_zero_fine_rhs():
     mesh = generate_grid(ElementKind.Q4, 2)
-    _, fine = assemble_enriched(mesh, FormulationConfig(scheme="enriched"))
+    _, fine = assemble(mesh, FormulationConfig(scheme="enriched"))
     assert fine.f_f.shape == (mesh.n_elements, 2)
     assert np.allclose(fine.f_f, 0.0)
 
@@ -229,12 +222,12 @@ def test_enriched_non_finite_fine_block_names_the_element():
     config = FormulationConfig(scheme="enriched", nu=1e308)  # 2 * nu overflows
     with np.errstate(all="ignore"), pytest.raises(SingularMatrixError,
                                                   match="fine block in element 0"):
-        assemble_enriched(mesh, config)
+        assemble(mesh, config)
 
 
 def test_enriched_zero_data_recovers_zero_fine_field():
     mesh = generate_grid(ElementKind.Q4, 2)
-    system, fine = assemble_enriched(mesh, FormulationConfig(scheme="enriched"))
+    system, fine = assemble(mesh, FormulationConfig(scheme="enriched"))
     beta = recover_fine(np.zeros(system.rhs.size), fine, mesh)
     assert np.allclose(beta, 0.0)
 
@@ -245,13 +238,13 @@ def _solve_condensed_and_full(mesh, bp_epsilon):
     case = case_by_name("body_force_cavity")
     config = FormulationConfig(scheme="enriched", nu=case.nu,
                                bp_epsilon=bp_epsilon, body_force=case.body_force)
-    cond, fine = assemble_enriched(mesh, config)
+    cond, fine = assemble(mesh, config)
     cons = case_constraints(case, mesh)
     x_cond, _ = solve_direct(apply_constraints(cond, cons))
     beta = recover_fine(x_cond, fine, mesh)
 
-    full = assemble_enriched_full(mesh, config)
-    x_full, _ = solve_direct(apply_constraints(full, fine_dofs_free(cons, full)))
+    matrix, rhs = enriched_full(mesh, config)
+    x_full = solve_reduced(matrix, rhs, fine_dofs_free(cons, rhs.size))
     return x_cond, beta, x_full
 
 
@@ -269,21 +262,18 @@ def test_condensed_solution_satisfies_uncondensed_residual():
     x_cond, beta, x_full = _solve_condensed_and_full(mesh, bp_epsilon=0.08)
     config = FormulationConfig(scheme="enriched", nu=case.nu, bp_epsilon=0.08,
                                body_force=case.body_force)
-    full = assemble_enriched_full(mesh, config)
+    matrix, rhs = enriched_full(mesh, config)
     x = np.concatenate([x_cond, beta.reshape(-1)])
-    A = full.matrix.to_scipy()
-    resid = A @ x - full.rhs
-    free = np.isnan(fine_dofs_free(case_constraints(case, mesh), full))
+    A = matrix.to_scipy()
+    resid = A @ x - rhs
+    free = np.isnan(fine_dofs_free(case_constraints(case, mesh), rhs.size))
     scale = abs(A).sum(axis=1).max() * np.abs(x).max()
     assert np.abs(resid[free]).max() < 1e-10 * scale
 
 
-def test_assemble_enriched_rejects_other_schemes():
-    mesh = generate_grid(ElementKind.Q4, 1)
-    with pytest.raises(ValueError):
-        assemble_enriched(mesh, FormulationConfig(scheme="svm"))
-    with pytest.raises(ValueError):
-        assemble_enriched_full(mesh, FormulationConfig(scheme="galerkin"))
+@pytest.mark.parametrize("scheme", ["galerkin", "wvm", "svm"])
+def test_only_enriched_returns_fine_blocks(scheme):
+    assert assemble(generate_grid(ElementKind.Q4, 1), FormulationConfig(scheme=scheme))[1] is None
 
 
 # ------------------------------------------------------ element-order determinism
@@ -295,8 +285,8 @@ def test_assembly_independent_of_element_order(rng):
                     kind=mesh.kind, boundary_sets=mesh.boundary_sets)
     config = FormulationConfig(scheme="svm", nu=0.5,
                                body_force=case_by_name("body_force_cavity").body_force)
-    one = assemble(mesh, config)
-    two = assemble(shuffled, config)
+    one, _ = assemble(mesh, config)
+    two, _ = assemble(shuffled, config)
     for name in ("rows", "cols"):
         assert np.array_equal(getattr(one.blocks.pattern, name), getattr(two.blocks.pattern, name))
     for name in ("K", "zero", "G", "B", "Kpp"):
@@ -313,8 +303,11 @@ def test_assembly_independent_of_element_order(rng):
 def _monolithic_scatter(mesh, config, condensed=True):
     """The system scattered as one (nen * (dim + 1))^2 element matrix per
     element, the velocity block as Kvv (x) I_dim with its cross-component
-    zeros, and summed by the lexsort reference: (rows, cols, vals, rhs)."""
-    (Kvv, Kvp, Kpv, Kpp), (fv, fp), fine = _element_stacks(mesh, config, condensed)
+    zeros, and summed by the lexsort reference: (rows, cols, vals, rhs).
+    With condensed=False, the enriched system before condensation: the
+    Galerkin element blocks bordered by the fine blocks."""
+    coarse = config if condensed else dataclasses.replace(config, scheme="galerkin")
+    (Kvv, Kvp, Kpv, Kpp), (fv, fp), _ = _element_stacks(mesh, coarse)
     n_el, nen, dim = Kvp.shape[:3]
     nd, eye = nen * dim, np.eye(dim)
 
@@ -328,6 +321,7 @@ def _monolithic_scatter(mesh, config, condensed=True):
     loads = [fv.reshape(n_el, nd), fp]
     total = mesh.n_nodes * (dim + 1)
     if not condensed:
+        fine = _element_stacks(mesh, config)[2]
         Kcf = kron_eye(fine.s[:, :, None])
         blocks[0].append(Kcf)
         blocks[1].append(fine.kpf)
@@ -363,18 +357,38 @@ def _perturbed(mesh, seed=7):
     return dataclasses.replace(mesh, nodes=nodes)
 
 
+def _fold_monolithic(matrix, rhs, constraints):
+    """Reference constraint folding on a monolithic matrix: (matrix, rhs)
+    after symmetric row/column elimination of the constrained dofs."""
+    n = rhs.size
+    is_con = ~np.isnan(constraints)
+    cvals = np.where(is_con, constraints, 0.0)
+    rows, cols, vals = matrix.rows, matrix.cols, matrix.vals
+    rhs = rhs.copy()
+    moved = is_con[cols] & ~is_con[rows]
+    r, c, v = rows[moved], cols[moved], vals[moved]
+    at = np.argsort(r * n + c)  # each row takes its terms in column order
+    np.add.at(rhs, r[at], -v[at] * cvals[c[at]])
+    rhs[is_con] = cvals[is_con]
+    con = np.flatnonzero(is_con)
+    keep = ~(is_con[rows] | is_con[cols])
+    return SparseMatrix.from_triplets(n, n, np.concatenate([rows[keep], con]),
+                                      np.concatenate([cols[keep], con]),
+                                      np.concatenate([vals[keep], np.ones(con.size)])), rhs
+
+
 @pytest.mark.parametrize("case_name", ["lid_cavity", "patch_constant"])  # pressure pin 0, 10
 @pytest.mark.parametrize("scheme", ["galerkin", "svm", "enriched"])
 @pytest.mark.parametrize("kind", list(ElementKind))
 def test_block_constraint_folding_matches_monolithic(kind, scheme, case_name):
     mesh = _perturbed(generate_grid(kind, 5 if kind.dim == 2 else 3))
-    system = assemble(mesh, FormulationConfig(scheme=scheme, body_force=_body_force))
+    system, _ = assemble(mesh, FormulationConfig(scheme=scheme, body_force=_body_force))
     constraints = case_constraints(case_by_name(case_name, kind.dim), mesh)
     folded = apply_constraints(system, constraints)
-    reference = apply_constraints(LinearSystem(system.matrix, system.rhs), constraints)
-    assert folded.rhs.tobytes() == reference.rhs.tobytes()
+    matrix, rhs = _fold_monolithic(system.matrix, system.rhs, constraints)
+    assert folded.rhs.tobytes() == rhs.tobytes()
     for name in ("rows", "cols", "vals"):
-        assert getattr(folded.matrix, name).tobytes() == getattr(reference.matrix, name).tobytes()
+        assert getattr(folded.matrix, name).tobytes() == getattr(matrix, name).tobytes()
 
 
 @pytest.mark.parametrize("scheme, bp_epsilon, condensed", [
@@ -389,15 +403,15 @@ def test_blocks_match_monolithic_scatter(kind, perturbed, scheme, bp_epsilon, co
     for body_force in (None, _body_force):
         config = FormulationConfig(scheme=scheme, nu=0.7, bp_epsilon=bp_epsilon,
                                    body_force=body_force)
-        system = (assemble(mesh, config) if condensed
-                  else assemble_enriched_full(mesh, config))
+        system, _ = assemble(mesh, config)
+        matrix, got_rhs = (system.matrix, system.rhs) if condensed else enriched_full(mesh, config)
         rows, cols, vals, rhs = _monolithic_scatter(mesh, config, condensed)
         # same entries, explicit zeros included, and the same bytes, sign
         # bits of the zeros included
-        assert system.matrix.rows.tobytes() == rows.tobytes()
-        assert system.matrix.cols.tobytes() == cols.tobytes()
-        assert system.matrix.vals.tobytes() == vals.tobytes()
-        assert system.rhs.tobytes() == rhs.tobytes()
+        assert matrix.rows.tobytes() == rows.tobytes()
+        assert matrix.cols.tobytes() == cols.tobytes()
+        assert matrix.vals.tobytes() == vals.tobytes()
+        assert got_rhs.tobytes() == rhs.tobytes()
         assert np.signbit(vals[vals == 0]).any()
         if condensed:
             n_v = mesh.n_nodes * mesh.dim
@@ -454,7 +468,7 @@ def test_stabilized_pressure_coupling_is_transpose_bit_for_bit(kind, scheme):
     """B_i is G_i^T to the last bit: both come from one element product."""
     mesh = _perturbed(generate_grid(kind, 6 if kind.dim == 2 else 3))
     blocks = assemble(mesh, FormulationConfig(scheme=scheme, nu=0.7,
-                                              body_force=_body_force)).blocks
+                                              body_force=_body_force))[0].blocks
     pattern = blocks.pattern
     transpose = np.lexsort((pattern.rows, pattern.cols))  # (col, row) order
     assert np.array_equal(pattern.rows[transpose], pattern.cols)

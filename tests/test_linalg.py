@@ -138,11 +138,24 @@ def test_split_dofs_dense_disjoint_and_writable_views(dim):
 
 # ------------------------------------------------------------------ constraints
 
+def _stokes_system(K, G, B, Kpp, rhs):
+    """Stokes system from dense node blocks: K and Kpp (n, n), G and B
+    (dim, n, n), every node pair in the pattern."""
+    n = len(K)
+    pattern = TripletPattern.build(n, n, np.repeat(np.arange(n), n), np.tile(np.arange(n), n))
+    K, G, B = (np.asarray(a, dtype=float) for a in (K, G, B))
+    blocks = StokesBlocks(pattern, len(G), K=K.ravel(), zero=K.ravel() * 0.0,
+                          G=G.reshape(len(G), -1), B=B.reshape(len(B), -1),
+                          Kpp=np.asarray(Kpp, dtype=float).ravel())
+    return LinearSystem(blocks, np.asarray(rhs, dtype=float))
+
+
 def _system_from_dense(A, b):
+    """An even-sized dense A as a dim-1 Stokes system on the full node
+    pattern: K = A[:n, :n], G = A[:n, n:], B = A[n:, :n], Kpp = A[n:, n:]."""
     A = np.asarray(A, dtype=float)
-    rows, cols = np.nonzero(A)
-    sp = SparseMatrix.from_triplets(*A.shape, rows, cols, A[rows, cols])
-    return LinearSystem(sp, np.asarray(b, dtype=float))
+    n = len(A) // 2
+    return _stokes_system(A[:n, :n], A[None, :n, n:], A[None, n:, :n], A[n:, n:], b)
 
 
 def test_constrained_rows_become_identity():
@@ -172,23 +185,24 @@ def test_constraining_dof_to_exact_value_preserves_solution(rng):
 @settings(max_examples=30, deadline=None)
 @given(st.integers(min_value=0, max_value=2**32 - 1))
 def test_constraint_folding_matches_from_triplets(seed):
-    # the folded matrix is built without a sort; it must equal, byte for
-    # byte, the canonical matrix of the same entries from from_triplets
+    # the folded matrix must equal, byte for byte, the canonical matrix of
+    # the same entries (every entry of the full node pattern) from from_triplets
     rng = np.random.default_rng(seed)
-    n = 15
+    n = 16
     m = rng.integers(1, 120)
     A = SparseMatrix.from_triplets(n, n, rng.integers(0, n, m), rng.integers(0, n, m),
-                                   rng.standard_normal(m))
+                                   rng.standard_normal(m)).to_dense()
     con = rng.choice(n, rng.integers(1, n), replace=False)
     constraints = np.full(n, np.nan)
     constraints[con] = 1.0
-    out = apply_constraints(LinearSystem(A, np.zeros(n)), constraints)
+    out = apply_constraints(_system_from_dense(A, np.zeros(n)), constraints)
     is_con = np.zeros(n, dtype=bool)
     is_con[con] = True
-    keep = ~(is_con[A.rows] | is_con[A.cols])
+    rows, cols = np.divmod(np.arange(n * n), n)
+    keep = ~(is_con[rows] | is_con[cols])
     ref = SparseMatrix.from_triplets(
-        n, n, np.concatenate([A.rows[keep], con]), np.concatenate([A.cols[keep], con]),
-        np.concatenate([A.vals[keep], np.ones(con.size)]))
+        n, n, np.concatenate([rows[keep], con]), np.concatenate([cols[keep], con]),
+        np.concatenate([A[rows, cols][keep], np.ones(con.size)]))
     assert out.matrix.rows.tobytes() == ref.rows.tobytes()
     assert out.matrix.cols.tobytes() == ref.cols.tobytes()
     assert out.matrix.vals.tobytes() == ref.vals.tobytes()
@@ -204,9 +218,9 @@ def test_constraint_vector_of_the_wrong_length_is_refused(size):
 # ----------------------------------------------------------------- direct solve
 
 def test_identity_solve():
-    x, res = solve_direct(_system_from_dense(np.eye(3), [1.0, 0.0, 0.0]))
+    x, res = solve_direct(_system_from_dense(np.eye(4), [1.0, 0.0, 0.0, 0.0]))
     assert res == 0.0
-    assert np.allclose(x, [1.0, 0.0, 0.0])
+    assert np.allclose(x, [1.0, 0.0, 0.0, 0.0])
 
 
 def test_small_hand_solved_system():
@@ -250,26 +264,7 @@ def test_zero_residual_tolerance_raises(rng):
         solve_direct(_system_from_dense(A, b), residual_rtol=0.0)
 
 
-def test_non_square_rejected():
-    sp = SparseMatrix.from_triplets(2, 3, [0], [0], [1.0])
-    with pytest.raises(ValueError, match="square"):
-        solve_direct(LinearSystem(sp, np.zeros(2)))
-
-
 # ----------------------------------------------------------- schur-complement CG
-
-
-def _stokes_system(K, G, B, Kpp, rhs):
-    """Stokes system from dense node blocks: K and Kpp (n, n), G and B
-    (dim, n, n), every node pair in the pattern."""
-    n = len(K)
-    pattern = TripletPattern.build(n, n, np.repeat(np.arange(n), n), np.tile(np.arange(n), n))
-    K, G, B = (np.asarray(a, dtype=float) for a in (K, G, B))
-    blocks = StokesBlocks(pattern, len(G), K=K.ravel(), zero=K.ravel() * 0.0,
-                          G=G.reshape(len(G), -1), B=B.reshape(len(B), -1),
-                          Kpp=np.asarray(Kpp, dtype=float).ravel())
-    return LinearSystem(None, np.asarray(rhs, dtype=float), blocks=blocks)
-
 
 # one node with two velocity components (K = 2 for each) and one pressure
 SADDLE = dict(K=[[2.0]], G=[[[1.0]], [[-1.0]]], B=[[[1.0]], [[-1.0]]], Kpp=[[-0.5]])

@@ -22,7 +22,7 @@ COMBOS = [(kind, case_name)
 
 def _constrained(case, mesh, scheme):
     config = FormulationConfig(scheme=scheme, nu=case.nu, body_force=case.body_force)
-    return apply_case(case, mesh, assemble(mesh, config))
+    return apply_case(case, mesh, assemble(mesh, config)[0])
 
 
 def _rel_diff(x, y):
