@@ -50,6 +50,9 @@ COMMANDS = [
     "eigen --element q4 --n 6",
     # an enriched system with the Brezzi-Pitkaranta term through LU
     "run --case bodyforce --formulation enriched --mesh grid:Q4:6x6 --bp-epsilon 0.08",
+    # tensor-kind volumes through element_volumes
+    "mesh-info --mesh grid:Q4:5x3",
+    "mesh-info --mesh grid:B8:2x3x4",
     # a usage error: refused with exit 2
     "run --case cavity --formulation svm --mesh grid:Q4:4x4 --pivot-rtol nan",
 ]

@@ -128,21 +128,6 @@ class ElementGeometry:
     wdet: np.ndarray      # (..., np) weight * detJ
 
 
-def jacobians(DN, coords):
-    """J (..., np, dim, dim) and detJ (..., np) of coords (..., nen, dim) at
-    the points of DN (np, nen, dim).  Refuses the first element whose detJ
-    is not finite and positive, with its own minimum (a lone one is 0)."""
-    J = np.einsum("...ni,pnm->...pim", coords, DN)
-    detJ = np.linalg.det(J)
-    per_element = detJ.reshape(-1, detJ.shape[-1])
-    ok = (np.isfinite(per_element) & (per_element > 0)).all(axis=1)
-    if not ok.all():
-        e = int(np.argmin(ok))
-        raise SingularJacobianError(
-            f"element {e} is inverted (min detJ={per_element[e].min():.3e})")
-    return J, detJ
-
-
 def integrate(wdet, values) -> np.ndarray:
     """Quadrature sum of values (..., np) with weights wdet (..., np), one
     per element.  A stacked matmul makes each element's sum the same dot
@@ -155,12 +140,21 @@ def element_geometry(table: BasisTable, coords) -> ElementGeometry:
     coords (nen, dim), or of a stack of elements, coords (..., nen, dim).
 
     Each element's values are the same whether it is evaluated alone or in
-    a stack.  The second derivatives are contracted over their flattened
-    (m, s) axis by stacked matmuls, one small product per point.
+    a stack.  Refuses the first element whose detJ is not finite and
+    positive, with its own minimum (a lone one is element 0).  The second
+    derivatives are contracted over their flattened (m, s) axis by stacked
+    matmuls, one small product per point.
     """
     coords = np.asarray(coords, dtype=float)
     d = coords.shape[-1]
-    J, detJ = jacobians(table.DN, coords)
+    J = np.einsum("...ni,pnm->...pim", coords, table.DN)
+    detJ = np.linalg.det(J)
+    per_element = detJ.reshape(-1, detJ.shape[-1])
+    ok = (np.isfinite(per_element) & (per_element > 0)).all(axis=1)
+    if not ok.all():
+        e = int(np.argmin(ok))
+        raise SingularJacobianError(
+            f"element {e} is inverted (min detJ={per_element[e].min():.3e})")
     Jinv = np.linalg.inv(J)
     JJT = (Jinv @ np.swapaxes(Jinv, -1, -2)).reshape(J.shape[:-2] + (d * d, 1))
     # H[n] = D2N[n] : JJT, so div(J^-1) = -Jinv xhat^T H needs no (i, m, s) array

@@ -187,11 +187,11 @@ def assemble(mesh: Mesh, config: FormulationConfig) -> tuple[LinearSystem, FineB
     another."""
     (Kvv, Kvp, Kpv, Kpp), (fv, fp), fine = _element_stacks(mesh, config)
     n_el, nen, dim = Kvp.shape[:3]
-    stack = np.concatenate([Kvv[None], Kvv[None] * 0.0, Kvp.transpose(2, 0, 1, 3),
+    stack = np.concatenate([Kvv[None], Kvp.transpose(2, 0, 1, 3),
                             Kpv.transpose(3, 0, 1, 2), Kpp[None]])
     sums = mesh.node_pattern.sum(stack.reshape(len(stack), -1))
-    blocks = StokesBlocks(mesh.node_pattern, dim, K=sums[0], zero=sums[1],
-                          G=sums[2:2 + dim], B=sums[2 + dim:2 + 2 * dim], Kpp=sums[-1])
+    blocks = StokesBlocks(mesh.node_pattern, dim, K=sums[0], G=sums[1:1 + dim],
+                          B=sums[1 + dim:1 + 2 * dim], Kpp=sums[-1])
     velocity, pressure = split_dofs(np.arange(mesh.n_nodes * (dim + 1)), dim)
     idx = np.concatenate([velocity[mesh.elements].reshape(n_el, -1), pressure[mesh.elements]], 1)
     rhs = assemble_vector(velocity.size + pressure.size, idx,

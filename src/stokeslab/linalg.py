@@ -154,26 +154,23 @@ class StokesBlocks:
     With the dofs ordered velocity (node-major, dim components), then
     pressure, the matrix is [K (x) I_dim, G; B, Kpp]: G[i] couples velocity
     component i (rows) to pressure, B[i] pressure (rows) to velocity
-    component i.  The cross-component velocity entries are explicit zeros,
-    each the element sum of K * 0, so an all-negative group keeps the sign
-    bit (-0.0) that the monolithic assembly gives it.
+    component i.  The cross-component velocity entries are explicit +0.0
+    entries, so LU sees the pattern of the whole element matrix.
     """
 
     pattern: TripletPattern  # n_nodes x n_nodes
     dim: int
-    K: np.ndarray     # (nnz,)
-    zero: np.ndarray  # (nnz,) the cross-component entries
-    G: np.ndarray     # (dim, nnz)
-    B: np.ndarray     # (dim, nnz)
-    Kpp: np.ndarray   # (nnz,)
+    K: np.ndarray    # (nnz,)
+    G: np.ndarray    # (dim, nnz)
+    B: np.ndarray    # (dim, nnz)
+    Kpp: np.ndarray  # (nnz,)
 
     def triplets(self):
         """The monolithic matrix as unique (rows, cols, vals) triplets."""
         n, d = self.pattern.n_rows, self.dim
         velocity, pressure = split_dofs(np.arange(n * (d + 1)), d)
         dofs = np.concatenate([velocity, pressure[:, None]], 1)  # (n, d + 1) per node
-        vals = np.empty((self.K.size, d + 1, d + 1))
-        vals[:, :d, :d] = self.zero[:, None, None]
+        vals = np.zeros((self.K.size, d + 1, d + 1))
         vals[:, range(d), range(d)] = self.K[:, None]
         vals[:, :d, d] = self.G.T
         vals[:, d, :d] = self.B.T
@@ -420,9 +417,11 @@ def solve_schur(system: LinearSystem, residual_rtol: float = 1e-10,
     return x, res, iterations
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _pcg(apply_S, g, d_inv):
     """Preconditioned CG on S p = g from p = 0.  Returns (p, iterations), or
-    None when q^T S q <= 0 or when |r| > CG_RTOL |g| after CG_MAXITER steps."""
+    None when q^T S q <= 0 or when |r| > CG_RTOL |g| after CG_MAXITER steps;
+    an overflow ends in one of the two, so numpy's warning is silenced."""
     p, r = np.zeros_like(g), g
     g_norm = np.linalg.norm(g)
     if g_norm == 0:

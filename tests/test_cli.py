@@ -110,6 +110,7 @@ def test_singular_solve_is_numerical_failure(capsys):
     assert "singular" in capsys.readouterr().err.lower()
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("case, nu", [("patch", "1e160"), ("bodyforce", "1e-200")])
 def test_overflowing_residual_scale_is_numerical_failure(case, nu, capsys):
     # the residual scale |A|_inf max|x| + max|b| overflows to inf; these
@@ -239,9 +240,14 @@ def test_convergence_emits_levels_and_slope(tmp_path, capsys):
     assert csv.read_text().splitlines()[0] == "h,velocity_l2,pressure_h1semi"
 
 
-def test_convergence_needs_three_levels():
+def test_convergence_needs_three_levels(monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("grid built for too few levels")
+
+    monkeypatch.setattr("stokeslab.analysis.generate_grid", refuse)
     assert main(["convergence", "--case", "bodyforce", "--formulation", "svm",
                  "--element", "q4", "--levels", "8"]) == 2
+    assert "need >= 3 levels" in capsys.readouterr().err
 
 
 def test_convergence_repeated_levels_are_usage_error(capsys):
@@ -341,12 +347,17 @@ def test_options_a_verb_ignores_are_refused(argv, capsys):
 
 
 def test_mesh_file_above_the_dof_limit_is_refused(monkeypatch, capsys):
-    path = str(wct_fixture_path())  # 281 nodes, 843 dofs
-    monkeypatch.setattr("stokeslab.cli.MAX_DOFS", 842)
-    assert main(["mesh-info", "--mesh", path]) == 2
-    assert f"{path}: 843 dofs exceed the limit of 842" in capsys.readouterr().err
-    monkeypatch.setattr("stokeslab.cli.MAX_DOFS", 843)
+    path = str(wct_fixture_path())  # 281 nodes, 843 dofs, "nodes 281" on line 4
+    monkeypatch.setattr("stokeslab.mesh.MAX_DOFS", 843)
     assert main(["mesh-info", "--mesh", path]) == 0
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("Mesh built for an oversized mesh file")
+
+    monkeypatch.setattr("stokeslab.mesh.Mesh", refuse)
+    monkeypatch.setattr("stokeslab.mesh.MAX_DOFS", 842)
+    assert main(["mesh-info", "--mesh", path]) == 2
+    assert f"{path}:4: 843 dofs exceed the limit of 842" in capsys.readouterr().err
 
 
 def test_size_limits_admit_the_largest_measured_runs():

@@ -289,7 +289,7 @@ def test_assembly_independent_of_element_order(rng):
     two, _ = assemble(shuffled, config)
     for name in ("rows", "cols"):
         assert np.array_equal(getattr(one.blocks.pattern, name), getattr(two.blocks.pattern, name))
-    for name in ("K", "zero", "G", "B", "Kpp"):
+    for name in ("K", "G", "B", "Kpp"):
         assert getattr(one.blocks, name).tobytes() == getattr(two.blocks, name).tobytes()
     assert np.array_equal(one.matrix.rows, two.matrix.rows)
     assert np.array_equal(one.matrix.cols, two.matrix.cols)
@@ -302,8 +302,8 @@ def test_assembly_independent_of_element_order(rng):
 
 def _monolithic_scatter(mesh, config, condensed=True):
     """The system scattered as one (nen * (dim + 1))^2 element matrix per
-    element, the velocity block as Kvv (x) I_dim with its cross-component
-    zeros, and summed by the lexsort reference: (rows, cols, vals, rhs).
+    element, the velocity block as Kvv (x) I_dim with +0.0 cross-component
+    entries, and summed by the lexsort reference: (rows, cols, vals, rhs).
     With condensed=False, the enriched system before condensation: the
     Galerkin element blocks bordered by the fine blocks."""
     coarse = config if condensed else dataclasses.replace(config, scheme="galerkin")
@@ -314,7 +314,9 @@ def _monolithic_scatter(mesh, config, condensed=True):
     def kron_eye(A):
         return (A[:, :, None, :, None] * eye[:, None, :]).reshape(n_el, -1, A.shape[2] * dim)
 
-    blocks = [[kron_eye(Kvv), Kvp.reshape(n_el, nd, nen)], [Kpv.reshape(n_el, nen, nd), Kpp]]
+    Kv = kron_eye(Kvv)
+    Kv[:, np.arange(nd)[:, None] % dim != np.arange(nd) % dim] = 0.0
+    blocks = [[Kv, Kvp.reshape(n_el, nd, nen)], [Kpv.reshape(n_el, nen, nd), Kpp]]
     # the dof layout written out by hand, independently of linalg.split_dofs
     e = mesh.elements
     idx = [(e[:, :, None] * dim + np.arange(dim)).reshape(n_el, nd), mesh.n_nodes * dim + e]
@@ -407,14 +409,15 @@ def test_blocks_match_monolithic_scatter(kind, perturbed, scheme, bp_epsilon, co
         matrix, got_rhs = (system.matrix, system.rhs) if condensed else enriched_full(mesh, config)
         rows, cols, vals, rhs = _monolithic_scatter(mesh, config, condensed)
         # same entries, explicit zeros included, and the same bytes, sign
-        # bits of the zeros included
+        # bits of the zeros included; the cross-component entries are +0.0
         assert matrix.rows.tobytes() == rows.tobytes()
         assert matrix.cols.tobytes() == cols.tobytes()
         assert matrix.vals.tobytes() == vals.tobytes()
         assert got_rhs.tobytes() == rhs.tobytes()
-        assert np.signbit(vals[vals == 0]).any()
+        n_v = mesh.n_nodes * mesh.dim
+        cross = (rows < n_v) & (cols < n_v) & (rows % mesh.dim != cols % mesh.dim)
+        assert cross.any() and vals[cross].tobytes() == np.zeros(cross.sum()).tobytes()
         if condensed:
-            n_v = mesh.n_nodes * mesh.dim
             for i in range(mesh.dim):
                 comp = (rows < n_v) & (cols < n_v) & (rows % mesh.dim == i) & (cols % mesh.dim == i)
                 assert system.blocks.K.tobytes() == vals[comp].tobytes()

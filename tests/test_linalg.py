@@ -144,7 +144,7 @@ def _stokes_system(K, G, B, Kpp, rhs):
     n = len(K)
     pattern = TripletPattern.build(n, n, np.repeat(np.arange(n), n), np.tile(np.arange(n), n))
     K, G, B = (np.asarray(a, dtype=float) for a in (K, G, B))
-    blocks = StokesBlocks(pattern, len(G), K=K.ravel(), zero=K.ravel() * 0.0,
+    blocks = StokesBlocks(pattern, len(G), K=K.ravel(),
                           G=G.reshape(len(G), -1), B=B.reshape(len(B), -1),
                           Kpp=np.asarray(Kpp, dtype=float).ravel())
     return LinearSystem(blocks, np.asarray(rhs, dtype=float))

@@ -1,12 +1,18 @@
 """Mesh generation, validation, file round-trip, and the acute fixture."""
 
 import re
+import sys
 
 import numpy as np
 import pytest
 
+from stokeslab import basis
+from stokeslab.analysis import error_norms
 from stokeslab.basis import basis_table
+from stokeslab.cases import case_by_name
 from stokeslab.cli import main
+from stokeslab.driver import solve_case
+from stokeslab.formulations import FormulationConfig, assemble
 from stokeslab.kinds import ElementKind
 from stokeslab.mesh import (
     Mesh,
@@ -104,7 +110,7 @@ def test_inverted_element_rejected():
              kind=ElementKind.T3)
 
 
-@pytest.mark.parametrize("kind", [ElementKind.T3, ElementKind.TET4])
+@pytest.mark.parametrize("kind", ALL_KINDS)
 def test_inverted_simplex_named_by_index(kind):
     mesh = generate_grid(kind, 2)
     elements = mesh.elements.copy()
@@ -114,16 +120,35 @@ def test_inverted_simplex_named_by_index(kind):
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
-def test_jacobian_dets_match_evaluation_at_every_point(kind, rng):
-    # J is evaluated once per simplex; every point must still get its bytes
+def test_one_geometry_pass_per_mesh(kind, rng, monkeypatch):
+    calls = []
+
+    def counted(name, real):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        return wrapper
+
+    geometry = counted("element_geometry", basis.element_geometry)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("stokeslab") and hasattr(module, "element_geometry"):
+            monkeypatch.setattr(module, "element_geometry", geometry)
+    monkeypatch.setattr(np.linalg, "det", counted("det", np.linalg.det))
+    # the validity check, assembly, error norms and volumes share one pass,
+    # the only place where J and detJ are formed
     mesh = generate_grid(kind, 4 if kind.dim == 2 else 2)
+    case = case_by_name("patch_constant", kind.dim)
+    assemble(mesh, FormulationConfig(scheme="enriched"))
+    error_norms(solve_case(case, mesh, "svm"), case, mesh)
+    mesh.element_volumes()
+    assert calls == ["element_geometry", "det"]
+
+    # the volumes keep the bytes of detJ evaluated at every point
     nodes = mesh.nodes + rng.uniform(-0.02, 0.02, mesh.nodes.shape)
     mesh = Mesh(dim=mesh.dim, nodes=nodes, elements=mesh.elements, kind=kind)
-    rule = rule_for(kind)
     J = np.einsum("eni,pnm->epim", nodes[mesh.elements], basis_table(kind).DN)
     dets = np.linalg.det(J)
-    assert mesh._jacobian_dets().tobytes() == dets.tobytes()
-    assert mesh.element_volumes().tobytes() == (dets @ rule.weights).tobytes()
+    assert mesh.element_volumes().tobytes() == (dets @ rule_for(kind).weights).tobytes()
 
 
 def test_repeated_node_index_rejected():
