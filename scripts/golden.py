@@ -40,6 +40,8 @@ COMMANDS = [
     "run --case patch --formulation galerkin --mesh {src}/stokeslab/data/wct_square.mesh",
     "eigen --element b8-enriched --n 3 --csv {tmp}/eig.csv",
     "convergence --case bodyforce --formulation wvm --element t3 --levels 4,8,16",
+    "convergence --case bodyforce --formulation wvm --element q4 --levels 4,8,16 "
+    "--csv {tmp}/conv.csv",
     "mesh-info --mesh grid:TET4:4x3x2",
     "mesh-info --mesh {src}/stokeslab/data/wct_square.mesh",
     # constraint folding and dof layout on paths the runs above miss

@@ -75,6 +75,8 @@ def convergence_study(case: TestCase, scheme: str, kind: ElementKind,
     repeated = [n for i, n in enumerate(levels) if n in levels[:i]]
     if repeated:
         raise ValueError(f"level {repeated[0]} is repeated; the slope fit needs distinct levels")
+    if min(levels) < 1:
+        raise ValueError(f"level {min(levels)} is below 1; a grid needs at least one division")
     if not case.has_exact:
         raise ValueError(f"case {case.name!r} has no exact solution")
     rows = []
@@ -138,14 +140,9 @@ def lbb_spectrum(mesh: Mesh, scheme: str) -> SpectrumReport:
     B = np.stack([gal.pattern.matrix(Bj).to_dense() for Bj in gal.B], -1)
     B = np.ascontiguousarray(B.reshape(n, -1)[:, free_v])  # BLAS rounding follows layout
 
-    if scheme == "galerkin":
-        C = np.zeros((n, n))
-    else:
-        stab = assemble(mesh, FormulationConfig(scheme=scheme, nu=1.0))[0].blocks
-        C = -stab.pattern.matrix(stab.Kpp).to_dense()
-
-    S = B @ np.linalg.solve(A, B.T) + C
-    S = 0.5 * (S + S.T)
+    stab = gal if scheme == "galerkin" else assemble(
+        mesh, FormulationConfig(scheme=scheme, nu=1.0))[0].blocks
+    S = B @ np.linalg.solve(A, B.T) - stab.pattern.matrix(stab.Kpp).to_dense()
     M = pressure_mass_matrix(mesh)
     lam, Q = eig_sym_generalized(S, M)
     tol = ZERO_MODE_RTOL * np.abs(lam).max()

@@ -12,7 +12,6 @@ import sys
 import numpy as np
 
 from . import analysis
-from .basis import SingularJacobianError
 from .cases import CASE_NAMES, case_by_name
 from .driver import solve_case
 from .formulations import SCHEMES, FormulationConfig
@@ -136,10 +135,10 @@ def cmd_run(args) -> int:
         rep = analysis.error_norms(sol, case, mesh)
         rows += [("velocity_l2_error", rep.velocity_l2),
                  ("pressure_h1semi_error", rep.pressure_h1semi)]
+    rows = [(key, FLOAT_FMT % val if isinstance(val, float) else str(val)) for key, val in rows]
     if args.csv:
         write_csv(args.csv, ("quantity", "value"), rows)
     for key, val in rows:
-        val = FLOAT_FMT % val if isinstance(val, float) else val
         print(f"{key} = {val}")
     return 0
 
@@ -188,7 +187,7 @@ def cmd_eigen(args) -> int:
         f"zero_count = {report.zero_count}",
         f"checkerboard_present = {report.checkerboard_present}",
     ]
-    rows = [(i, FLOAT_FMT % lam) for i, lam in enumerate(report.eigenvalues)]
+    rows = [(str(i), FLOAT_FMT % lam) for i, lam in enumerate(report.eigenvalues)]
     if args.csv:
         write_csv(args.csv, ("index", "lambda"), rows, comments=comments)
     for c in comments:
@@ -268,8 +267,7 @@ def main(argv=None) -> int:
     except (UsageError, MeshError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (SingularMatrixError, SolveAccuracyError, SingularJacobianError,
-            np.linalg.LinAlgError) as exc:
+    except (SingularMatrixError, SolveAccuracyError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

@@ -14,8 +14,6 @@ from .mesh import Mesh
 
 @dataclass(frozen=True)
 class SolutionField:
-    case: TestCase
-    scheme: str
     mesh: Mesh
     values: np.ndarray      # full dof vector
     velocity: np.ndarray    # (n_nodes, dim)
@@ -64,7 +62,7 @@ def solve_case(case: TestCase, mesh: Mesh, scheme: str, *,
     velocity, pressure = split_dofs(x, mesh.dim)
     fine = None if fine_blocks is None else recover_fine(x, fine_blocks, mesh)
     return SolutionField(
-        case=case, scheme=scheme, mesh=mesh, values=x,
+        mesh=mesh, values=x,
         velocity=velocity, pressure=pressure, fine=fine, residual=res,
         solver=solver, iterations=iterations,
     )

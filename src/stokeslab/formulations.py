@@ -30,7 +30,7 @@ import numpy as np
 
 from .basis import basis_table, element_geometry, integrate, tabulate
 from .kinds import ElementKind
-from .linalg import LinearSystem, SingularMatrixError, StokesBlocks, assemble_vector, split_dofs
+from .linalg import LinearSystem, SingularMatrixError, StokesBlocks, TripletPattern, split_dofs
 from .mesh import Mesh
 
 SCHEMES = ("galerkin", "wvm", "svm", "enriched")
@@ -183,19 +183,22 @@ def _element_stacks(mesh, config):
 def assemble(mesh: Mesh, config: FormulationConfig) -> tuple[LinearSystem, FineBlocks | None]:
     """Global (unconstrained) system of the configured scheme, and the
     FineBlocks of the enriched scheme (else None).  Every block is summed
-    on the mesh's node pattern in one call, and the right-hand side in
-    another."""
+    on the mesh's node pattern in one call, and the dim + 1 load rows on
+    the pattern of the element nodes in another."""
     (Kvv, Kvp, Kpv, Kpp), (fv, fp), fine = _element_stacks(mesh, config)
-    n_el, nen, dim = Kvp.shape[:3]
+    dim = mesh.dim
     stack = np.concatenate([Kvv[None], Kvp.transpose(2, 0, 1, 3),
                             Kpv.transpose(3, 0, 1, 2), Kpp[None]])
     sums = mesh.node_pattern.sum(stack.reshape(len(stack), -1))
     blocks = StokesBlocks(mesh.node_pattern, dim, K=sums[0], G=sums[1:1 + dim],
                           B=sums[1 + dim:1 + 2 * dim], Kpp=sums[-1])
-    velocity, pressure = split_dofs(np.arange(mesh.n_nodes * (dim + 1)), dim)
-    idx = np.concatenate([velocity[mesh.elements].reshape(n_el, -1), pressure[mesh.elements]], 1)
-    rhs = assemble_vector(velocity.size + pressure.size, idx,
-                          np.concatenate([fv.reshape(n_el, -1), fp], 1))
+    nodal = TripletPattern.build(mesh.n_nodes, 1, mesh.elements.ravel(),
+                                 np.zeros(mesh.elements.size, dtype=np.intp))
+    loads = nodal.sum(np.concatenate([fv.transpose(2, 0, 1), fp[None]]).reshape(dim + 1, -1))
+    rhs = np.zeros(mesh.n_nodes * (dim + 1))
+    velocity, pressure = split_dofs(rhs, dim)
+    velocity[nodal.rows] += loads[:dim].T  # adding to +0.0 turns a -0.0 sum into +0.0
+    pressure[nodal.rows] += loads[dim]
     return LinearSystem(blocks, rhs), fine
 
 

@@ -7,7 +7,8 @@ row * n_cols + col puts each entry's duplicates next to each other.  The
 numeric phase sorts the values within each group and adds each group with
 one np.add.reduceat, so shuffled triplet order produces a bit-identical
 compressed matrix.  A mesh computes its node pattern once, and every block
-of an equal-order Stokes system (StokesBlocks) is summed on it.
+of an equal-order Stokes system (StokesBlocks) is summed on it; the load
+vector is summed on the pattern of the element nodes, one column wide.
 
 scipy.sparse and scipy.sparse.linalg are imported by the functions that use
 them, so that importing stokeslab loads no scipy; ``linalg.sp`` and
@@ -198,19 +199,6 @@ def _residual(csr, x, b) -> float:
         denom = _norm_inf(csr) * np.abs(x).max() + np.abs(b).max()
         res = np.abs(csr @ x - b).max() / denom if denom != 0 else 0.0
     return float(res) if np.isfinite(denom) and np.isfinite(res) else math.inf
-
-
-def assemble_vector(n, idx, values) -> np.ndarray:
-    """Length-n vector summed from values at the indices idx (same shape).
-
-    The sum goes through the sorted reduction of from_triplets, so the order
-    of the entries cannot change the result's bytes.
-    """
-    col = SparseMatrix.from_triplets(n, 1, idx.ravel(),
-                                     np.zeros(idx.size, dtype=np.intp), values.ravel())
-    out = np.zeros(n)
-    out[col.rows] += col.vals  # adding to +0.0 also turns a -0.0 sum into +0.0
-    return out
 
 
 class LinearSystem:

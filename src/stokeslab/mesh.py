@@ -262,6 +262,8 @@ def load_mesh(path) -> Mesh:
         if len(parts) != 3 or parts[0] != "nodeset":
             raise MeshError(f"{path}:{ln}: expected 'nodeset <name> <count>', got {text!r}")
         name = parts[1]
+        if name in boundary_sets:
+            raise MeshError(f"{path}:{ln}: nodeset {name} is repeated")
         size = count(ln, parts[2], f"nodeset {name} count")
         idx = []
         while len(idx) < size:

@@ -3,15 +3,15 @@
 The writer emits an unstructured grid with POINT_DATA vectors/scalars; the
 reader understands exactly the grammar the writer produces and exists so
 round-trip tests can validate the files without external tooling.  Floats
-are printed with 17 significant digits so identical runs give byte-identical
-artifacts.
+are printed with 17 significant digits (FLOAT_FMT) so identical runs give
+byte-identical artifacts; the CSV writer takes cells the caller has already
+formatted with it.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .kinds import ElementKind
 from .mesh import Mesh
 
 FLOAT_FMT = "%.17g"
@@ -119,18 +119,8 @@ def read_vtk(path):
 
 
 def write_csv(path, header, rows, comments=()) -> None:
-    """Write a small CSV with deterministic float formatting."""
+    """Write a small CSV of cells that arrive already formatted as strings."""
     lines = [f"# {c}" for c in comments]
-    lines.append(",".join(header))
-    for row in rows:
-        cells = []
-        for v in row:
-            if isinstance(v, str):
-                cells.append(v)
-            elif isinstance(v, (int, np.integer)):
-                cells.append(str(int(v)))
-            else:
-                cells.append(FLOAT_FMT % v)
-        lines.append(",".join(cells))
+    lines += [",".join(row) for row in [header, *rows]]
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")

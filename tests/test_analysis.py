@@ -18,10 +18,10 @@ from stokeslab.kinds import ElementKind
 from stokeslab.mesh import generate_grid
 
 
-def _field(mesh, velocity, pressure, case):
+def _field(mesh, velocity, pressure):
     values = np.concatenate([velocity.reshape(-1), pressure])
-    return SolutionField(case=case, scheme="galerkin", mesh=mesh, values=values, velocity=velocity, pressure=pressure,
-                        fine=None, residual=0.0, solver="lu", iterations=0)
+    return SolutionField(mesh=mesh, values=values, velocity=velocity, pressure=pressure,
+                         fine=None, residual=0.0, solver="lu", iterations=0)
 
 
 def test_mesh_size_uniform_square_grid():
@@ -34,7 +34,7 @@ def test_error_norms_exact_interpolant_is_zero():
     case = case_by_name("patch_constant", 2)
     v = np.tile([10.0, 0.0], (mesh.n_nodes, 1))
     p = np.full(mesh.n_nodes, 10.0)
-    rep = error_norms(_field(mesh, v, p, case), case, mesh)
+    rep = error_norms(_field(mesh, v, p), case, mesh)
     assert rep.velocity_l2 < 1e-12
     assert rep.pressure_h1semi < 1e-12
     assert rep.h == pytest.approx(mesh_size(mesh))
@@ -45,8 +45,8 @@ def test_pressure_seminorm_ignores_constant_shift():
     case = case_by_name("body_force_cavity")
     v = np.array([case.exact_velocity(x) for x in mesh.nodes])
     p = np.array([case.exact_pressure(x) for x in mesh.nodes])
-    r0 = error_norms(_field(mesh, v, p, case), case, mesh)
-    r7 = error_norms(_field(mesh, v, p + 7.0, case), case, mesh)
+    r0 = error_norms(_field(mesh, v, p), case, mesh)
+    r7 = error_norms(_field(mesh, v, p + 7.0), case, mesh)
     assert r7.pressure_h1semi == pytest.approx(r0.pressure_h1semi, rel=1e-12)
     assert r7.velocity_l2 == pytest.approx(r0.velocity_l2, rel=1e-12)
 
@@ -63,7 +63,7 @@ def test_velocity_error_of_zero_field_against_unit_flow():
     )
     v = np.zeros((mesh.n_nodes, 2))
     p = np.zeros(mesh.n_nodes)
-    rep = error_norms(_field(mesh, v, p, case), case, mesh)
+    rep = error_norms(_field(mesh, v, p), case, mesh)
     assert rep.velocity_l2 == pytest.approx(1.0, rel=1e-12)
 
 
@@ -72,7 +72,7 @@ def test_error_norms_require_exact_solution():
     case = case_by_name("lid_cavity", 2)
     v = np.zeros((mesh.n_nodes, 2))
     with pytest.raises(ValueError, match="exact"):
-        error_norms(_field(mesh, v, np.zeros(mesh.n_nodes), case), case, mesh)
+        error_norms(_field(mesh, v, np.zeros(mesh.n_nodes)), case, mesh)
 
 
 def test_linear_fields_reproduced_exactly():
@@ -88,7 +88,7 @@ def test_linear_fields_reproduced_exactly():
     )
     v = case.exact_velocity(mesh.nodes)
     p = case.exact_pressure(mesh.nodes)
-    rep = error_norms(_field(mesh, v, p, case), case, mesh)
+    rep = error_norms(_field(mesh, v, p), case, mesh)
     assert rep.velocity_l2 < 1e-12
     assert rep.pressure_h1semi < 1e-12
 
@@ -196,14 +196,14 @@ def test_checkerboard_amplitude_of_exact_field_is_zero():
     case = case_by_name("patch_constant", 2)
     v = np.tile([10.0, 0.0], (mesh.n_nodes, 1))
     p = np.full(mesh.n_nodes, 10.0)
-    assert checkerboard_amplitude(_field(mesh, v, p, case), case, mesh) == 0.0
+    assert checkerboard_amplitude(_field(mesh, v, p), case, mesh) == 0.0
 
 
 def test_locate_vortex_rigid_rotation():
     mesh = generate_grid(ElementKind.Q4, 10)
     case = case_by_name("lid_cavity", 2)
     v = np.stack([mesh.nodes[:, 1] - 0.7, -(mesh.nodes[:, 0] - 0.5)], axis=1)
-    y = locate_vortex(_field(mesh, v, np.zeros(mesh.n_nodes), case), mesh)
+    y = locate_vortex(_field(mesh, v, np.zeros(mesh.n_nodes)), mesh)
     assert y == pytest.approx(0.7, abs=1e-12)
 
 
@@ -212,11 +212,11 @@ def test_locate_vortex_needs_centerline_and_sign_change():
     case = case_by_name("lid_cavity", 2)
     v = np.ones((mesh.n_nodes, 2))
     with pytest.raises(ValueError, match="sign change"):
-        locate_vortex(_field(mesh, v, np.zeros(mesh.n_nodes), case), mesh)
+        locate_vortex(_field(mesh, v, np.zeros(mesh.n_nodes)), mesh)
     odd = generate_grid(ElementKind.Q4, 3)  # no nodes on x = 0.5
     v3 = np.ones((odd.n_nodes, 2))
     with pytest.raises(ValueError, match="centerline"):
-        locate_vortex(_field(odd, v3, np.zeros(odd.n_nodes), case), odd)
+        locate_vortex(_field(odd, v3, np.zeros(odd.n_nodes)), odd)
 
 
 def test_solve_case_reports_small_residual():

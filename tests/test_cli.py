@@ -51,6 +51,20 @@ def test_run_csv_byte_determinism(tmp_path):
     assert csvs[0] == csvs[1]
 
 
+def test_run_csv_values_are_the_stdout_values(tmp_path, capsys):
+    csv = tmp_path / "summary.csv"
+    assert main(["run", "--case", "bodyforce", "--formulation", "wvm",
+                 "--mesh", "grid:T3:6x6", "--csv", str(csv)]) == 0
+    kv = _parse_kv(capsys.readouterr().out)
+    lines = csv.read_text().splitlines()
+    assert lines[0] == "quantity,value"
+    assert dict(line.split(",") for line in lines[1:]) == kv
+    assert kv["n_nodes"] == "49"
+    for key in ("solve_residual", "velocity_l2_error", "pressure_h1semi_error"):
+        # 17 significant digits: the printed float reads back to itself
+        assert "%.17g" % float(kv[key]) == kv[key]
+
+
 def test_run_cavity_reports_vortex(capsys):
     code = main(["run", "--case", "cavity", "--formulation", "svm",
                  "--mesh", "grid:Q4:10x10"])
@@ -248,6 +262,26 @@ def test_convergence_needs_three_levels(monkeypatch, capsys):
     assert main(["convergence", "--case", "bodyforce", "--formulation", "svm",
                  "--element", "q4", "--levels", "8"]) == 2
     assert "need >= 3 levels" in capsys.readouterr().err
+
+
+def test_convergence_level_below_one_is_refused_before_any_grid(monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("grid built before the levels were checked")
+
+    monkeypatch.setattr("stokeslab.analysis.generate_grid", refuse)
+    assert main(["convergence", "--case", "bodyforce", "--formulation", "svm",
+                 "--element", "q4", "--levels", "128,160,0"]) == 2
+    assert capsys.readouterr() == ("", "error: level 0 is below 1; a grid needs at least "
+                                       "one division\n")
+
+
+def test_repeated_nodeset_is_refused(tmp_path, capsys):
+    path = tmp_path / "square.mesh"
+    path.write_text("\n".join(["stokeslab-mesh v1", "dim 2", "kind Q4", "nodes 4",
+                               "0 0", "1 0", "1 1", "0 1", "elements 1", "0 1 2 3",
+                               "nodeset all 4", "0 1 2 3", "nodeset all 1", "0"]) + "\n")
+    assert main(["run", "--case", "patch", "--formulation", "svm", "--mesh", str(path)]) == 2
+    assert capsys.readouterr() == ("", f"error: {path}:13: nodeset all is repeated\n")
 
 
 def test_convergence_repeated_levels_are_usage_error(capsys):

@@ -267,7 +267,9 @@ def test_bad_count_line_rejected(tmp_path, text, line, count):
 @pytest.mark.parametrize("text, line, message", [
     (_TRIANGLE.replace("dim 2", "dim -1"), 2, "dim must be a non-negative integer, got '-1'"),
     (_TRIANGLE + "nodeset all 2\n0 q\n", 11, "bad node index in nodeset all"),
-], ids=["dim-negative", "nodeset-index-q"])
+    # the second block would otherwise replace the first without a word
+    (_TRIANGLE + "nodeset all 3\n0 1 2\nnodeset all 1\n0\n", 12, "nodeset all is repeated"),
+], ids=["dim-negative", "nodeset-index-q", "nodeset-repeated"])
 def test_bad_line_named_by_path_and_line(tmp_path, capsys, text, line, message):
     p = _write(tmp_path, text)
     with pytest.raises(MeshError) as err:
