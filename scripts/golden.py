@@ -52,6 +52,8 @@ COMMANDS = [
     "eigen --element q4 --n 6",
     # an enriched system with the Brezzi-Pitkaranta term through LU
     "run --case bodyforce --formulation enriched --mesh grid:Q4:6x6 --bp-epsilon 0.08",
+    # the condensed enriched coupling with non-zero lid data, through LU
+    "run --case cavity --formulation enriched --mesh grid:TET4:4x4x2",
     # tensor-kind volumes through element_volumes
     "mesh-info --mesh grid:Q4:5x3",
     "mesh-info --mesh grid:B8:2x3x4",

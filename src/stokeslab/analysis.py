@@ -137,7 +137,7 @@ def lbb_spectrum(mesh: Mesh, scheme: str) -> SpectrumReport:
     for i in range(dim):
         A[:, i, :, i] = K
     A = A.reshape(n * dim, -1)[np.ix_(free_v, free_v)]
-    B = np.stack([gal.pattern.matrix(Bj).to_dense() for Bj in gal.B], -1)
+    B = np.stack([gal.pattern.matrix(Gj).to_dense() for Gj in gal.G]).T  # B = G^T
     B = np.ascontiguousarray(B.reshape(n, -1)[:, free_v])  # BLAS rounding follows layout
 
     stab = gal if scheme == "galerkin" else assemble(

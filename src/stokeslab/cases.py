@@ -78,24 +78,11 @@ def lid_cavity(dim: int) -> TestCase:
         raise ValueError("dim must be 2 or 3")
     lid = np.zeros(dim)
     lid[0] = 1.0
-    zero = np.zeros(dim)
-    if dim == 2:
-        dirichlet = {
-            "top": _const(lid),
-            "left": _const(zero),
-            "right": _const(zero),
-            "bottom": _const(zero),
-        }
-    else:
-        out_of_plane = np.array([np.nan, np.nan, 0.0])
-        dirichlet = {
-            "front": _const(out_of_plane),
-            "back": _const(out_of_plane),
-            "top": _const(lid),
-            "left": _const(zero),
-            "right": _const(zero),
-            "bottom": _const(zero),
-        }
+    zero = _const(np.zeros(dim))
+    dirichlet = {"top": _const(lid), "left": zero, "right": zero, "bottom": zero}
+    if dim == 3:
+        out_of_plane = _const(np.array([np.nan, np.nan, 0.0]))
+        dirichlet = {"front": out_of_plane, "back": out_of_plane, **dirichlet}
     return TestCase(
         name="lid_cavity",
         dim=dim,

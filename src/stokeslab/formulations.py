@@ -20,6 +20,8 @@ b(v;q) = -(div v, q) used throughout, the pressure-pressure stabilization
 block is symmetric, and negative semidefinite like the condensed enriched
 block -K_pf K_ff^-1 K_fp where tau_eff > 0: always for wvm, but for svm
 only where lap(b) < 0, which fails at some points of distorted simplices.
+Every scheme's coupling is symmetric, so it is stored once, as the
+velocity-pressure block, and the pressure rows are its transpose.
 """
 
 from __future__ import annotations
@@ -94,8 +96,8 @@ def _element_stacks(mesh, config):
     """Element blocks and loads of every element of the mesh at once.
 
     Returns the blocks (Kvv (n_el, nen, nen), Kvp (n_el, nen, dim, nen),
-    Kpv (n_el, nen, nen, dim), Kpp (n_el, nen, nen)), where the element
-    velocity block is Kvv (x) I_dim, the loads (fv (n_el, nen, dim),
+    Kpp (n_el, nen, nen)), where the element velocity block is Kvv (x) I_dim
+    and the pressure rows are Kvp^T, the loads (fv (n_el, nen, dim),
     fp (n_el, nen)) and the FineBlocks of the enriched scheme (else None);
     the enriched blocks and loads come with the fine scales condensed out.
 
@@ -117,9 +119,7 @@ def _element_stacks(mesh, config):
                              geom.x.shape)
 
     Kvv = 2.0 * nu * np.einsum("ep,epia,epib->eab", wdet, G, G)
-    Gvp = np.einsum("ep,epia,pb->eiab", wdet, G, N)
-    Kvp = -Gvp.transpose(0, 2, 1, 3)
-    Kpv = Kvp.transpose(0, 3, 1, 2).copy()
+    Kvp = -np.einsum("ep,epia,pb->eiab", wdet, G, N).transpose(0, 2, 1, 3)
     Kpp = np.zeros((n_el, nen, nen))
     fv = np.einsum("ep,pa,epi->eai", wdet, N, bf)
     fp = np.zeros((n_el, nen))
@@ -136,11 +136,8 @@ def _element_stacks(mesh, config):
         tw = wdet * tau_eff
         tl = np.swapaxes(tw[:, :, None] * geom.lapN, 1, 2)  # (e, nen, np)
         tG = np.swapaxes((tw[:, :, None, None] * G).reshape(n_el, -1, nen), 1, 2)
-        # one product for the coupling, so B_i is G_i^T bit for bit
-        X = (tl @ G.reshape(n_el, -1, dim * nen)).reshape(n_el, nen, dim, nen)
         Kvv -= 2.0 * nu * (tl @ geom.lapN)
-        Kvp += X
-        Kpv += X.transpose(0, 3, 1, 2)
+        Kvp += (tl @ G.reshape(n_el, -1, dim * nen)).reshape(n_el, nen, dim, nen)
         Kpp -= (1.0 / (2.0 * nu)) * (tG @ G.reshape(n_el, -1, nen))
         fv += tl @ bf
         fp -= (1.0 / (2.0 * nu)) * (tG @ bf.reshape(n_el, -1, 1))[:, :, 0]
@@ -173,25 +170,22 @@ def _element_stacks(mesh, config):
         Kpf_inv = Kpf * inv[:, None, None]
         Kvv -= s[:, :, None] * s[:, None, :] / kff[:, None, None]
         Kvp -= s_inv[:, :, None, None] * Kpf.transpose(0, 2, 1)[:, None, :, :]
-        Kpv -= Kpf_inv[:, :, None, :] * s[:, None, :, None]
         Kpp -= np.matmul(Kpf_inv, Kpf.transpose(0, 2, 1))
         fv -= s_inv[:, :, None] * f_f[:, None, :]
         fp -= np.matmul(Kpf_inv, f_f[:, :, None])[:, :, 0]
-    return (Kvv, Kvp, Kpv, Kpp), (fv, fp), fine
+    return (Kvv, Kvp, Kpp), (fv, fp), fine
 
 
 def assemble(mesh: Mesh, config: FormulationConfig) -> tuple[LinearSystem, FineBlocks | None]:
     """Global (unconstrained) system of the configured scheme, and the
-    FineBlocks of the enriched scheme (else None).  Every block is summed
-    on the mesh's node pattern in one call, and the dim + 1 load rows on
-    the pattern of the element nodes in another."""
-    (Kvv, Kvp, Kpv, Kpp), (fv, fp), fine = _element_stacks(mesh, config)
+    FineBlocks of the enriched scheme (else None).  The 2 + dim blocks are
+    summed on the mesh's node pattern in one call, and the dim + 1 load
+    rows on the pattern of the element nodes in another."""
+    (Kvv, Kvp, Kpp), (fv, fp), fine = _element_stacks(mesh, config)
     dim = mesh.dim
-    stack = np.concatenate([Kvv[None], Kvp.transpose(2, 0, 1, 3),
-                            Kpv.transpose(3, 0, 1, 2), Kpp[None]])
+    stack = np.concatenate([Kvv[None], Kvp.transpose(2, 0, 1, 3), Kpp[None]])
     sums = mesh.node_pattern.sum(stack.reshape(len(stack), -1))
-    blocks = StokesBlocks(mesh.node_pattern, dim, K=sums[0], G=sums[1:1 + dim],
-                          B=sums[1 + dim:1 + 2 * dim], Kpp=sums[-1])
+    blocks = StokesBlocks(mesh.node_pattern, dim, K=sums[0], G=sums[1:1 + dim], Kpp=sums[-1])
     nodal = TripletPattern.build(mesh.n_nodes, 1, mesh.elements.ravel(),
                                  np.zeros(mesh.elements.size, dtype=np.intp))
     loads = nodal.sum(np.concatenate([fv.transpose(2, 0, 1), fp[None]]).reshape(dim + 1, -1))

@@ -18,6 +18,7 @@ them, so that importing stokeslab loads no scipy; ``linalg.sp`` and
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -91,6 +92,11 @@ class TripletPattern:
         starts = (self.starts + m * np.arange(len(v))[:, None]).ravel()
         return np.add.reduceat(v.ravel(), starts).reshape(lead + (self.rows.size,))
 
+    @cached_property
+    def transpose(self) -> np.ndarray:
+        """vals[transpose] are the entry values of the transpose, for a symmetric pattern."""
+        return np.lexsort((self.rows, self.cols))
+
     def matrix(self, vals) -> "SparseMatrix":
         """The matrix with the entry values vals (nnz,)."""
         vals.setflags(write=False)
@@ -153,17 +159,16 @@ class StokesBlocks:
     """An equal-order Stokes matrix as node-by-node blocks on one pattern.
 
     With the dofs ordered velocity (node-major, dim components), then
-    pressure, the matrix is [K (x) I_dim, G; B, Kpp]: G[i] couples velocity
-    component i (rows) to pressure, B[i] pressure (rows) to velocity
-    component i.  The cross-component velocity entries are explicit +0.0
+    pressure, the matrix is [K (x) I_dim, G; G^T, Kpp]: G[i] couples velocity
+    component i (rows) to pressure, stored once, as the pressure rows are
+    its transpose.  The cross-component velocity entries are explicit +0.0
     entries, so LU sees the pattern of the whole element matrix.
     """
 
-    pattern: TripletPattern  # n_nodes x n_nodes
+    pattern: TripletPattern  # n_nodes x n_nodes, symmetric
     dim: int
     K: np.ndarray    # (nnz,)
     G: np.ndarray    # (dim, nnz)
-    B: np.ndarray    # (dim, nnz)
     Kpp: np.ndarray  # (nnz,)
 
     def triplets(self):
@@ -174,7 +179,7 @@ class StokesBlocks:
         vals = np.zeros((self.K.size, d + 1, d + 1))
         vals[:, range(d), range(d)] = self.K[:, None]
         vals[:, :d, d] = self.G.T
-        vals[:, d, :d] = self.B.T
+        vals[:, d, :d] = self.G[:, self.pattern.transpose].T
         vals[:, d, d] = self.Kpp
         return (np.broadcast_to(dofs[self.pattern.rows][:, :, None], vals.shape).ravel(),
                 np.broadcast_to(dofs[self.pattern.cols][:, None, :], vals.shape).ravel(),
@@ -281,10 +286,15 @@ def solve_direct(system: LinearSystem, pivot_rtol: float = 1e-14,
     import scipy.sparse.linalg as spla
     A = system.matrix.to_scipy()  # one CSR for the factor, matvecs and norm
     b = np.asarray(system.rhs, dtype=float)
+    saved = os.dup(1)
+    os.dup2(2, 1)  # SuperLU's BLAS calls print to fd 1 on an exactly singular factor
     try:
         lu = spla.splu(A.tocsc())
     except RuntimeError as exc:
         raise SingularMatrixError(str(exc)) from exc
+    finally:
+        os.dup2(saved, 1)
+        os.close(saved)
     pivots = np.abs(lu.U.diagonal())
     scale = float(pivots.max()) if pivots.size else 0.0
     if scale == 0.0 or pivots.min() < pivot_rtol * scale:
@@ -316,7 +326,7 @@ def solve_schur(system: LinearSystem, residual_rtol: float = 1e-10,
     Reads the system's blocks.  On the free (unconstrained) dofs, with the
     velocities ordered component by component, the system reads
     [V G; B K_pp] [v; p] = [f_v; f_p], where V is K on each component's
-    free nodes.  K is factored once per component, or once for all of them
+    free nodes, and B = G^T.  K is factored once per component, or once for all of them
     when they have the same free nodes, as an LDL^T (no row pivoting);
     preconditioned CG then solves S p = B V^-1 f_v - f_p with
     S = B V^-1 G - K_pp and the preconditioner
@@ -372,10 +382,11 @@ def solve_schur(system: LinearSystem, residual_rtol: float = 1e-10,
     pf = dofs_p[p_nodes]
     G = sp.vstack([blocks.pattern.matrix(blocks.G[c]).to_scipy()[nodes[c]][:, p_nodes]
                    for c in comps], format="csr")
-    # B with its columns in velocity dof order, so each row adds its terms
-    # in the column order of the monolithic matrix
-    B = sp.csr_matrix((blocks.B.T.ravel(), dofs_v[blocks.pattern.cols].ravel(),
-                       K.indptr * dim), shape=(n, dofs_v.size))[p_nodes][:, vf]
+    # B = G^T with its columns in velocity dof order, so each row adds its
+    # terms in the column order of the monolithic matrix
+    B = sp.csr_matrix((blocks.G[:, blocks.pattern.transpose].T.ravel(),
+                       dofs_v[blocks.pattern.cols].ravel(), K.indptr * dim),
+                      shape=(n, dofs_v.size))[p_nodes][:, vf]
     Kpp = Kpp[p_nodes][:, p_nodes]
     d = (B.multiply(B) @ (1.0 / np.concatenate([K.diagonal()[nodes[c]] for c in comps]))
          - Kpp.diagonal())

@@ -124,6 +124,23 @@ def test_singular_solve_is_numerical_failure(capsys):
     assert "singular" in capsys.readouterr().err.lower()
 
 
+def test_exactly_singular_factor_writes_nothing_to_stdout(tmp_path, capfd):
+    # Galerkin on a distorted TET4 grid: SuperLU meets an exactly zero pivot,
+    # and its BLAS calls print their errors at the C level before it raises
+    from test_equivalence import _grid
+
+    from stokeslab.kinds import ElementKind
+    from stokeslab.mesh import write_mesh
+
+    path = tmp_path / "tet4.mesh"
+    write_mesh(_grid(ElementKind.TET4, 1), path)
+    code = main(["run", "--case", "patch", "--formulation", "galerkin", "--mesh", str(path)])
+    out, err = capfd.readouterr()
+    assert code == 1
+    assert out == ""
+    assert "numerical failure: Factor is exactly singular" in err
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("case, nu", [("patch", "1e160"), ("bodyforce", "1e-200")])
 def test_overflowing_residual_scale_is_numerical_failure(case, nu, capsys):

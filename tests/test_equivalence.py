@@ -57,7 +57,7 @@ def _gaps(kind, seed, body_force):
     enr, wvm = (assemble(mesh, FormulationConfig(scheme, nu=NU, body_force=bf))[0]
                 for scheme in ("enriched", "wvm"))
     pairs = {name: (getattr(enr.blocks, name), getattr(wvm.blocks, name))
-             for name in ("K", "G", "B", "Kpp")}
+             for name in ("K", "G", "Kpp")}
     pairs["rhs"] = (enr.rhs, wvm.rhs)
     return {name: np.abs(a - b).max() / max(np.abs(b).max(), np.finfo(float).tiny)
             for name, (a, b) in pairs.items()}

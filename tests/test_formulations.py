@@ -9,6 +9,7 @@ from conftest import REFERENCE_CORNERS, enriched_full, fine_dofs_free, lexsort_s
 from stokeslab.basis import basis_table
 from stokeslab.cases import case_by_name, case_constraints
 from stokeslab.formulations import (
+    SCHEMES,
     FormulationConfig,
     _element_stacks,
     _wvm_coefficient,
@@ -289,7 +290,7 @@ def test_assembly_independent_of_element_order(rng):
     two, _ = assemble(shuffled, config)
     for name in ("rows", "cols"):
         assert np.array_equal(getattr(one.blocks.pattern, name), getattr(two.blocks.pattern, name))
-    for name in ("K", "G", "B", "Kpp"):
+    for name in ("K", "G", "Kpp"):
         assert getattr(one.blocks, name).tobytes() == getattr(two.blocks, name).tobytes()
     assert np.array_equal(one.matrix.rows, two.matrix.rows)
     assert np.array_equal(one.matrix.cols, two.matrix.cols)
@@ -307,7 +308,7 @@ def _monolithic_scatter(mesh, config, condensed=True):
     With condensed=False, the enriched system before condensation: the
     Galerkin element blocks bordered by the fine blocks."""
     coarse = config if condensed else dataclasses.replace(config, scheme="galerkin")
-    (Kvv, Kvp, Kpv, Kpp), (fv, fp), _ = _element_stacks(mesh, coarse)
+    (Kvv, Kvp, Kpp), (fv, fp), _ = _element_stacks(mesh, coarse)
     n_el, nen, dim = Kvp.shape[:3]
     nd, eye = nen * dim, np.eye(dim)
 
@@ -316,7 +317,8 @@ def _monolithic_scatter(mesh, config, condensed=True):
 
     Kv = kron_eye(Kvv)
     Kv[:, np.arange(nd)[:, None] % dim != np.arange(nd) % dim] = 0.0
-    blocks = [[Kv, Kvp.reshape(n_el, nd, nen)], [Kpv.reshape(n_el, nen, nd), Kpp]]
+    Kvp = Kvp.reshape(n_el, nd, nen)
+    blocks = [[Kv, Kvp], [Kvp.transpose(0, 2, 1), Kpp]]  # the pressure rows are Kvp^T
     # the dof layout written out by hand, independently of linalg.split_dofs
     e = mesh.elements
     idx = [(e[:, :, None] * dim + np.arange(dim)).reshape(n_el, nd), mesh.n_nodes * dim + e]
@@ -429,7 +431,7 @@ def _einsum_stabilized_stacks(mesh, config):
     """Reference wvm/svm element blocks and loads: the Galerkin stacks plus
     the stabilization terms by the einsum formulas the kernel used before
     they became stacked matmuls, on the mesh's own geometry."""
-    (Kvv, Kvp, Kpv, Kpp), (fv, fp), _ = _element_stacks(
+    (Kvv, Kvp, Kpp), (fv, fp), _ = _element_stacks(
         mesh, dataclasses.replace(config, scheme="galerkin"))
     table = basis_table(mesh.kind)
     geom, nu = mesh.geometry, config.nu
@@ -443,11 +445,10 @@ def _einsum_stabilized_stacks(mesh, config):
     tw = geom.wdet * tau_eff
     Kvv -= 2.0 * nu * np.einsum("ep,epa,epb->eab", tw, lapN, lapN)
     Kvp += np.einsum("ep,epa,epib->eiab", tw, lapN, G).transpose(0, 2, 1, 3)
-    Kpv += np.einsum("ep,epja,epb->eabj", tw, G, lapN)
     Kpp -= (1.0 / (2.0 * nu)) * np.einsum("ep,epia,epib->eab", tw, G, G)
     fv += np.einsum("ep,epa,epi->eai", tw, lapN, bf)
     fp -= (1.0 / (2.0 * nu)) * np.einsum("ep,epia,epi->ea", tw, G, bf)
-    return Kvv, Kvp, Kpv, Kpp, fv, fp
+    return Kvv, Kvp, Kpp, fv, fp
 
 
 @pytest.mark.parametrize("scheme", ["wvm", "svm"])
@@ -459,21 +460,20 @@ def test_stabilized_stacks_match_einsum_reference(kind, perturbed, scheme):
     for body_force in (None, _body_force):
         config = FormulationConfig(scheme=scheme, nu=0.7, body_force=body_force)
         blocks, loads, _ = _element_stacks(mesh, config)
-        for name, got, want in zip(("Kvv", "Kvp", "Kpv", "Kpp", "fv", "fp"), blocks + loads,
+        for name, got, want in zip(("Kvv", "Kvp", "Kpp", "fv", "fp"), blocks + loads,
                                    _einsum_stabilized_stacks(mesh, config)):
             assert got.shape == want.shape, name
             assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max(), name
 
 
-@pytest.mark.parametrize("scheme", ["wvm", "svm"])
+@pytest.mark.parametrize("scheme", SCHEMES)
 @pytest.mark.parametrize("kind", list(ElementKind))
-def test_stabilized_pressure_coupling_is_transpose_bit_for_bit(kind, scheme):
-    """B_i is G_i^T to the last bit: both come from one element product."""
+def test_pressure_rows_are_coupling_transpose_bit_for_bit(kind, scheme):
+    """In the matrix the LU factors, the pressure-velocity block is the
+    velocity-pressure block transposed, to the last bit."""
     mesh = _perturbed(generate_grid(kind, 6 if kind.dim == 2 else 3))
-    blocks = assemble(mesh, FormulationConfig(scheme=scheme, nu=0.7,
-                                              body_force=_body_force))[0].blocks
-    pattern = blocks.pattern
-    transpose = np.lexsort((pattern.rows, pattern.cols))  # (col, row) order
-    assert np.array_equal(pattern.rows[transpose], pattern.cols)
-    for i in range(mesh.dim):
-        assert blocks.B[i].tobytes() == blocks.G[i][transpose].tobytes()
+    system, _ = assemble(mesh, FormulationConfig(scheme=scheme, nu=0.7, body_force=_body_force))
+    A, n_v = system.matrix.to_scipy(), mesh.n_nodes * mesh.dim
+    pv, vp_t = A[n_v:, :n_v], A[:n_v, n_v:].T.tocsr()
+    for name in ("indptr", "indices", "data"):
+        assert getattr(pv, name).tobytes() == getattr(vp_t, name).tobytes(), name

@@ -138,24 +138,26 @@ def test_split_dofs_dense_disjoint_and_writable_views(dim):
 
 # ------------------------------------------------------------------ constraints
 
-def _stokes_system(K, G, B, Kpp, rhs):
-    """Stokes system from dense node blocks: K and Kpp (n, n), G and B
-    (dim, n, n), every node pair in the pattern."""
+def _stokes_system(K, G, Kpp, rhs):
+    """Stokes system from dense node blocks: K and Kpp (n, n), G (dim, n, n),
+    every node pair in the pattern."""
     n = len(K)
     pattern = TripletPattern.build(n, n, np.repeat(np.arange(n), n), np.tile(np.arange(n), n))
-    K, G, B = (np.asarray(a, dtype=float) for a in (K, G, B))
-    blocks = StokesBlocks(pattern, len(G), K=K.ravel(),
-                          G=G.reshape(len(G), -1), B=B.reshape(len(B), -1),
+    K, G = (np.asarray(a, dtype=float) for a in (K, G))
+    blocks = StokesBlocks(pattern, len(G), K=K.ravel(), G=G.reshape(len(G), -1),
                           Kpp=np.asarray(Kpp, dtype=float).ravel())
     return LinearSystem(blocks, np.asarray(rhs, dtype=float))
 
 
 def _system_from_dense(A, b):
     """An even-sized dense A as a dim-1 Stokes system on the full node
-    pattern: K = A[:n, :n], G = A[:n, n:], B = A[n:, :n], Kpp = A[n:, n:]."""
+    pattern: K = A[:n, :n], G = A[:n, n:], Kpp = A[n:, n:].  The pressure
+    rows A[n:, :n] must be G^T, the only coupling StokesBlocks holds."""
     A = np.asarray(A, dtype=float)
     n = len(A) // 2
-    return _stokes_system(A[:n, :n], A[None, :n, n:], A[None, n:, :n], A[n:, n:], b)
+    if not np.array_equal(A[n:, :n], A[:n, n:].T):
+        raise ValueError("the pressure rows of A are not its pressure columns transposed")
+    return _stokes_system(A[:n, :n], A[None, :n, n:], A[n:, n:], b)
 
 
 def test_constrained_rows_become_identity():
@@ -192,6 +194,7 @@ def test_constraint_folding_matches_from_triplets(seed):
     m = rng.integers(1, 120)
     A = SparseMatrix.from_triplets(n, n, rng.integers(0, n, m), rng.integers(0, n, m),
                                    rng.standard_normal(m)).to_dense()
+    A[n // 2:, :n // 2] = A[:n // 2, n // 2:].T
     con = rng.choice(n, rng.integers(1, n), replace=False)
     constraints = np.full(n, np.nan)
     constraints[con] = 1.0
@@ -259,6 +262,7 @@ def test_pivot_escape_hatch_with_relaxed_residual():
 
 def test_zero_residual_tolerance_raises(rng):
     A = rng.standard_normal((8, 8)) + 8 * np.eye(8)
+    A[4:, :4] = A[:4, 4:].T
     b = rng.standard_normal(8)
     with pytest.raises(SolveAccuracyError, match="residual"):
         solve_direct(_system_from_dense(A, b), residual_rtol=0.0)
@@ -267,7 +271,7 @@ def test_zero_residual_tolerance_raises(rng):
 # ----------------------------------------------------------- schur-complement CG
 
 # one node with two velocity components (K = 2 for each) and one pressure
-SADDLE = dict(K=[[2.0]], G=[[[1.0]], [[-1.0]]], B=[[[1.0]], [[-1.0]]], Kpp=[[-0.5]])
+SADDLE = dict(K=[[2.0]], G=[[[1.0]], [[-1.0]]], Kpp=[[-0.5]])
 
 
 def test_schur_small_saddle_point_system():
@@ -287,7 +291,7 @@ def test_schur_refuses_indefinite_velocity_block():
 
 @pytest.mark.parametrize("rhs", [[np.nan, 1.0], [1.0, np.nan]])
 def test_nan_rhs_is_refused_by_both_solvers(rhs):
-    system = _stokes_system([[2.0]], [[[1.0]]], [[[1.0]]], [[-1.0]], rhs)
+    system = _stokes_system([[2.0]], [[[1.0]]], [[-1.0]], rhs)
     with pytest.raises(SolveAccuracyError, match="not finite"):
         solve_direct(system)
     assert solve_schur(system) is None
