@@ -54,6 +54,8 @@ COMMANDS = [
     "run --case bodyforce --formulation enriched --mesh grid:Q4:6x6 --bp-epsilon 0.08",
     # the condensed enriched coupling with non-zero lid data, through LU
     "run --case cavity --formulation enriched --mesh grid:TET4:4x4x2",
+    # a 3-D svm Schur-CG solve whose velocity components have different free nodes
+    "run --case cavity --formulation svm --mesh grid:B8:6x6x3",
     # tensor-kind volumes through element_volumes
     "mesh-info --mesh grid:Q4:5x3",
     "mesh-info --mesh grid:B8:2x3x4",

@@ -35,7 +35,9 @@ def solve_case(case: TestCase, mesh: Mesh, scheme: str, *,
     indefinite velocity block, no convergence, a residual above
     ``residual_rtol``), and always for galerkin and enriched, whose pivot
     diagnostics matter, the sparse LU of ``linalg.solve_direct`` solves it.
-    ``solver`` and ``iterations`` on the result say which one ran.
+    ``solver`` and ``iterations`` on the result say which one ran.  The
+    cases pin one pressure, so the CG runs on all pressures, on the
+    quotient by the constants, and shifts p to the pin afterwards.
 
     ``pivot_rtol=0`` lets exactly singular-but-consistent systems (the
     enriched Q4/B8 patch test) run to completion so the unstable pressure

@@ -25,8 +25,9 @@ from functools import cached_property
 import numpy as np
 
 
-# solve_schur: CG stops when its residual falls to CG_RTOL times the reduced
-# right-hand side, and gives up after CG_MAXITER iterations
+# solve_schur: CG stops when its residual falls to CG_RTOL times the scale of
+# the terms of the reduced right-hand side, and gives up after CG_MAXITER
+# iterations
 CG_RTOL = 1e-13
 CG_MAXITER = 1000
 
@@ -328,11 +329,24 @@ def solve_schur(system: LinearSystem, residual_rtol: float = 1e-10,
     [V G; B K_pp] [v; p] = [f_v; f_p], where V is K on each component's
     free nodes, and B = G^T.  K is factored once per component, or once for all of them
     when they have the same free nodes, as an LDL^T (no row pivoting);
-    preconditioned CG then solves S p = B V^-1 f_v - f_p with
+    preconditioned CG then solves S p = g = B V^-1 f_v - f_p with
     S = B V^-1 G - K_pp and the preconditioner
     diag(B diag(V)^-1 B^T) - diag(K_pp), and v = V^-1 (f_v - G p).
 
-    Returns (x, residual, cg_iterations), the residual as in solve_direct.
+    When exactly one pressure dof is constrained, CG runs on all pressures:
+    the pin's column goes back into f_v and f_p, its row of g is set so
+    that the entries of g sum to 0, and p is shifted afterwards to the
+    pinned value.  Where G 1 vanishes on the free velocity rows and
+    K_pp 1 = 0, the constants are the kernel of this S, and CG works on
+    the quotient by them without the small eigenvalue that a pin leaves.
+    Where they are not, the shifted p does not solve the constrained
+    system, and the residual check below refuses it.
+    Any other number of pressure constraints keeps the free pressures.
+    CG stops when |r| <= CG_RTOL (| |B| |V^-1 f_v| | + |f_p|), a scale
+    that does not cancel when the exact pressure lies in the kernel.
+
+    Returns (x, residual, cg_iterations), the residual as in solve_direct,
+    of the constrained system.
     Returns None when a factor pivoted rows or has a pivot <= pivot_rtol
     times its largest (V is not positive definite), the preconditioner or
     q^T S q is not positive, CG has not converged after CG_MAXITER
@@ -377,31 +391,56 @@ def solve_schur(system: LinearSystem, residual_rtol: float = 1e-10,
             return np.concatenate([lu.solve(part)
                                    for lu, part in zip(lus, np.split(y, cuts))])
 
+    # a single pressure pin is freed, as the docstring says
+    pinned = np.flatnonzero(~free_p)
+    pin = pinned[0] if pinned.size == 1 else None
+    cg_nodes = p_nodes if pin is None else np.arange(n)
     dofs_v, dofs_p = split_dofs(np.arange(b.size), dim)
     vf = np.concatenate([dofs_v[nodes[c], c] for c in comps])
     pf = dofs_p[p_nodes]
-    G = sp.vstack([blocks.pattern.matrix(blocks.G[c]).to_scipy()[nodes[c]][:, p_nodes]
+    G = sp.vstack([blocks.pattern.matrix(blocks.G[c]).to_scipy()[nodes[c]][:, cg_nodes]
                    for c in comps], format="csr")
     # B = G^T with its columns in velocity dof order, so each row adds its
     # terms in the column order of the monolithic matrix
     B = sp.csr_matrix((blocks.G[:, blocks.pattern.transpose].T.ravel(),
                        dofs_v[blocks.pattern.cols].ravel(), K.indptr * dim),
-                      shape=(n, dofs_v.size))[p_nodes][:, vf]
-    Kpp = Kpp[p_nodes][:, p_nodes]
+                      shape=(n, dofs_v.size))[cg_nodes][:, vf]
+    Kpp = Kpp[cg_nodes][:, cg_nodes]
     d = (B.multiply(B) @ (1.0 / np.concatenate([K.diagonal()[nodes[c]] for c in comps]))
          - Kpp.diagonal())
     if not np.all(d > 0):
         return None
-    f_v, f_p = b[vf], b[pf]
-    cg = _pcg(lambda q: B @ v_solve(G @ q) - Kpp @ q, B @ v_solve(f_v) - f_p, 1.0 / d)
+    f_v, f_p = b[vf], b[dofs_p[cg_nodes]]
+    if pin is not None:  # unfold the pin's column back into the right-hand side
+        u = np.zeros(n)
+        u[pin] = b[dofs_p[pin]]
+        f_p[pin] = 0.0
+        f_v, f_p = f_v + G @ u, f_p + Kpp @ u
+    with np.errstate(over="ignore", invalid="ignore"):
+        w = v_solve(f_v)
+        g = B @ w - f_p
+        # |B| |w| does not cancel where the exact pressure lies in S's kernel
+        # (abs(B) would sort B's indices in place, as _norm_inf notes)
+        scale = (np.linalg.norm(sp.csr_matrix((np.abs(B.data), B.indices, B.indptr),
+                                              shape=B.shape) @ np.abs(w))
+                 + np.linalg.norm(f_p))
+        if pin is not None:  # the pin's row of g is unknown: make g orthogonal to 1
+            g[pin] = 0.0
+            g[pin] = -g.sum()
+    cg = _pcg(lambda q: B @ v_solve(G @ q) - Kpp @ q, g, 1.0 / d, scale)
     if cg is None:
         return None
     p, iterations = cg
+    if pin is not None:
+        p += u[pin] - p[pin]
+        p[pin] = u[pin]
     x = b.copy()  # constrained rows are identity rows
-    x[pf] = p
+    x[dofs_p[cg_nodes]] = p
     x[vf] = v_solve(f_v - G @ p)
     if not np.all(np.isfinite(x)):
         return None
+    if pin is not None:  # back to the free pressures of the constrained system
+        G, B, Kpp = G[:, p_nodes], B[p_nodes], Kpp[p_nodes][:, p_nodes]
     # the residual of the whole constrained matrix, its dofs permuted to
     # (vf, pf, constrained); every block is CSR, so bmat keeps each row's order
     con = np.flatnonzero(~free)
@@ -417,13 +456,17 @@ def solve_schur(system: LinearSystem, residual_rtol: float = 1e-10,
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _pcg(apply_S, g, d_inv):
+def _pcg(apply_S, g, d_inv, scale):
     """Preconditioned CG on S p = g from p = 0.  Returns (p, iterations), or
-    None when q^T S q <= 0 or when |r| > CG_RTOL |g| after CG_MAXITER steps;
-    an overflow ends in one of the two, so numpy's warning is silenced."""
+    None when q^T S q <= 0 or when |r| > CG_RTOL scale after CG_MAXITER steps;
+    an overflow ends in one of the two, so numpy's warning is silenced.
+
+    S may be singular if g is orthogonal to its kernel: r stays in S's
+    range, and p gains a component in the kernel that the caller removes.
+    scale is the size of the terms that make up g, so a g that cancels to
+    roundoff (a pressure in the kernel) stops after one step."""
     p, r = np.zeros_like(g), g
-    g_norm = np.linalg.norm(g)
-    if g_norm == 0:
+    if not g.any():
         return p, 0
     z = d_inv * r
     q, rz = z, r @ z
@@ -435,7 +478,7 @@ def _pcg(apply_S, g, d_inv):
         alpha = rz / qSq
         p = p + alpha * q
         r = r - alpha * Sq
-        if np.linalg.norm(r) <= CG_RTOL * g_norm:
+        if np.linalg.norm(r) <= CG_RTOL * scale:
             return p, it
         z = d_inv * r
         rz, rz_old = r @ z, rz

@@ -6,12 +6,15 @@ import dataclasses
 import numpy as np
 import pytest
 
+from test_equivalence import _grid
+
 from stokeslab import linalg
-from stokeslab.cases import apply_case, case_by_name
+from stokeslab.cases import apply_case, case_by_name, case_constraints, pin_node
 from stokeslab.driver import solve_case
 from stokeslab.formulations import FormulationConfig, assemble
 from stokeslab.kinds import ElementKind
-from stokeslab.linalg import SolveAccuracyError, solve_direct, solve_schur
+from stokeslab.linalg import (SolveAccuracyError, apply_constraints, solve_direct,
+                              solve_schur, split_dofs)
 from stokeslab.mesh import generate_grid
 
 COMBOS = [(kind, case_name)
@@ -104,6 +107,93 @@ def test_schur_refuses_when_cg_hits_its_cap(monkeypatch):
     assert solve_schur(system) is not None
     monkeypatch.setattr(linalg, "CG_MAXITER", 2)
     assert solve_schur(system) is None
+
+
+def _constant_pressure_defect(system):
+    """max|G 1| over the free velocity rows and max|K_pp 1|, each relative
+    to the block's largest absolute row sum."""
+    blocks = system.blocks
+    free_v, _ = split_dofs(np.isnan(system.constraints), blocks.dim)
+    ones = np.ones(blocks.pattern.n_rows)
+
+    def defect(vals, rows):
+        M = blocks.pattern.matrix(vals).to_dense()
+        return np.abs(M @ ones)[rows].max(initial=0.0) / np.abs(M).sum(1).max()
+
+    return (max(defect(blocks.G[c], free_v[:, c]) for c in range(blocks.dim)),
+            defect(blocks.Kpp, slice(None)))
+
+
+@pytest.mark.parametrize("seed", [None, 0, 1], ids=["uniform", "seed0", "seed1"])
+@pytest.mark.parametrize("case_name", ["patch_constant", "lid_cavity"])
+@pytest.mark.parametrize("scheme", ["wvm", "svm"])
+@pytest.mark.parametrize("kind", list(ElementKind), ids=lambda k: k.name)
+def test_constants_span_the_kernel_that_unpinning_relies_on(kind, scheme, case_name, seed):
+    # S = B V^-1 G - K_pp maps constants to zero when G 1 vanishes on the
+    # free velocity rows and K_pp 1 vanishes: then solve_schur may free the
+    # pin, solve on all pressures and shift p afterwards
+    system = _constrained(case_by_name(case_name, kind.dim), _grid(kind, seed), scheme)
+    g_defect, kpp_defect = _constant_pressure_defect(system)
+    assert g_defect <= 1e-13
+    assert kpp_defect <= 1e-13
+
+
+def test_unpinned_cg_iterations_on_the_q4_cavity():
+    # 68 iterations with the pressure pin held in the CG
+    sol = solve_case(case_by_name("lid_cavity", 2), generate_grid(ElementKind.Q4, 40), "svm")
+    assert sol.solver == "schur-cg"
+    assert sol.iterations <= 55
+
+
+def test_b8_patch_pressure_in_the_kernel_stops_at_once():
+    # the exact pressure is constant, so the reduced right-hand side is
+    # roundoff; the stopping scale |B| |V^-1 f_v| + |f_p| does not vanish
+    case = case_by_name("patch_constant", 3)
+    sol = solve_case(case, generate_grid(ElementKind.B8, 8), "svm")
+    assert sol.solver == "schur-cg"
+    assert 1 <= sol.iterations <= 2
+    assert np.abs(sol.pressure - 10.0).max() < 1e-8
+
+
+def test_nonzero_pin_value_is_kept_exactly():
+    base = case_by_name("lid_cavity", 2)
+    case = dataclasses.replace(base, pressure_pin=(base.pressure_pin[0], 3.0))
+    mesh = generate_grid(ElementKind.Q4, 16)
+    x_lu, _ = solve_direct(_constrained(case, mesh, "svm"))
+    sol = solve_case(case, mesh, "svm")
+    assert sol.solver == "schur-cg"
+    assert sol.pressure[pin_node(case, mesh)] == 3.0
+    assert _rel_diff(sol.values, x_lu) <= 1e-10
+
+
+def _schur_or_lu(system):
+    solved = solve_schur(system)
+    return solve_direct(system)[0] if solved is None else solved[0]
+
+
+def test_pin_that_is_not_a_pure_pin_still_gives_the_constrained_solution():
+    # the right wall leaves its normal velocity free, so G 1 no longer
+    # vanishes on the free rows and the pin fixes more than a constant
+    base = case_by_name("lid_cavity", 2)
+    outflow = lambda x: np.broadcast_to([np.nan, 0.0], x.shape)  # noqa: E731
+    case = dataclasses.replace(base, dirichlet={**base.dirichlet, "right": outflow})
+    system = _constrained(case, generate_grid(ElementKind.Q4, 12), "svm")
+    assert _constant_pressure_defect(system)[0] > 1e-3
+    x_lu, _ = solve_direct(system)
+    assert _rel_diff(_schur_or_lu(system), x_lu) <= 1e-10
+
+
+def test_two_pressure_constraints_keep_the_constrained_free_set():
+    case = case_by_name("lid_cavity", 2)
+    mesh = generate_grid(ElementKind.Q4, 12)
+    constraints = case_constraints(case, mesh)
+    split_dofs(constraints, 2)[1][mesh.n_nodes // 2] = 0.5
+    system = apply_constraints(assemble(mesh, FormulationConfig("svm", nu=case.nu))[0],
+                               constraints)
+    x_lu, _ = solve_direct(system)
+    x = _schur_or_lu(system)
+    assert split_dofs(x, 2)[1][mesh.n_nodes // 2] == 0.5
+    assert _rel_diff(x, x_lu) <= 1e-10
 
 
 def test_nan_body_force_is_a_solve_failure():
