@@ -56,6 +56,8 @@ COMMANDS = [
     "run --case cavity --formulation enriched --mesh grid:TET4:4x4x2",
     # a 3-D svm Schur-CG solve whose velocity components have different free nodes
     "run --case cavity --formulation svm --mesh grid:B8:6x6x3",
+    # B8 Galerkin and Brezzi-Pitkaranta blocks, with errors at roundoff level
+    "run --case patch3d --formulation galerkin --mesh grid:B8:3x3x3 --bp-epsilon 0.1",
     # tensor-kind volumes through element_volumes
     "mesh-info --mesh grid:Q4:5x3",
     "mesh-info --mesh grid:B8:2x3x4",

@@ -33,9 +33,11 @@ class SpectrumReport:
 
 
 def mesh_size(mesh: Mesh) -> float:
-    """Largest element diameter (max pairwise node distance per element)."""
+    """Largest element diameter (max pairwise node distance per element),
+    over each pair of an element's nodes once."""
     coords = mesh.nodes[mesh.elements]  # (nel, nen, dim)
-    diff = coords[:, :, None, :] - coords[:, None, :, :]
+    a, b = np.triu_indices(coords.shape[1], 1)
+    diff = coords[:, a] - coords[:, b]
     return float(np.sqrt((diff**2).sum(axis=-1)).max())
 
 

@@ -143,7 +143,9 @@ def element_geometry(table: BasisTable, coords) -> ElementGeometry:
     a stack.  Refuses the first element whose detJ is not finite and
     positive, with its own minimum (a lone one is element 0).  The second
     derivatives are contracted over their flattened (m, s) axis by stacked
-    matmuls, one small product per point.
+    matmuls, one small product per point.  G has the bits and the strides
+    of np.einsum("...pmi,pnm->...pin", Jinv, DN), on which the Galerkin and
+    enriched blocks rest; J, its inverse, gb and x keep their einsums.
     """
     coords = np.asarray(coords, dtype=float)
     d = coords.shape[-1]
@@ -160,7 +162,13 @@ def element_geometry(table: BasisTable, coords) -> ElementGeometry:
     # H[n] = D2N[n] : JJT, so div(J^-1) = -Jinv xhat^T H needs no (i, m, s) array
     H = table.D2N @ JJT
     divJinv = -(Jinv @ (np.swapaxes(coords, -1, -2)[..., None, :, :] @ H))
-    G = np.einsum("...pmi,pnm->...pin", Jinv, table.DN)
+    # G[..., p, i, n] = sum_m Jinv[..., p, m, i] DN[p, n, m], added onto zeros
+    # in m order, stored (..., p, nen, dim) as the einsum stores it: the
+    # einsums over G sum in the order its strides set
+    Gt = np.zeros(J.shape[:-2] + table.DN.shape[1:])
+    for m in range(d):
+        Gt += table.DN[:, :, m, None] * Jinv[..., :, None, m, :]
+    G = np.swapaxes(Gt, -1, -2)
     lapN = (H + table.DN @ divJinv)[..., 0]
     gb = np.einsum("...pki,pk->...pi", Jinv, table.gb)
     lapb = (table.Hb[:, None, :] @ JJT + table.gb[:, None, :] @ divJinv)[..., 0, 0]

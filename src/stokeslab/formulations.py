@@ -101,10 +101,13 @@ def _element_stacks(mesh, config):
     fp (n_el, nen)) and the FineBlocks of the enriched scheme (else None);
     the enriched blocks and loads come with the fine scales condensed out.
 
-    The wvm/svm terms are stacked matmuls over the flattened quadrature and
-    component axes; the other terms keep their einsums, because acceptance
-    criterion 2 solves singular enriched systems whose verdict turns on the
-    last bits of these blocks.
+    Every wvm/svm block and load, its Galerkin part included, is a stacked
+    matmul over the flattened (quadrature, component) axis; the operands
+    are multiplied separately, not concatenated, which would hold a second
+    copy of G.  The galerkin and enriched schemes and the Brezzi-Pitkaranta
+    term keep their einsums over G, because acceptance criterion 2 solves
+    singular enriched systems whose verdict turns on the last bits of
+    these blocks.
     """
     kind, dim = mesh.kind, mesh.dim
     n_el, nen = mesh.elements.shape
@@ -118,12 +121,6 @@ def _element_stacks(mesh, config):
         bf = np.broadcast_to(np.asarray(config.body_force(geom.x), dtype=float),
                              geom.x.shape)
 
-    Kvv = 2.0 * nu * np.einsum("ep,epia,epib->eab", wdet, G, G)
-    Kvp = -np.einsum("ep,epia,pb->eiab", wdet, G, N).transpose(0, 2, 1, 3)
-    Kpp = np.zeros((n_el, nen, nen))
-    fv = np.einsum("ep,pa,epi->eai", wdet, N, bf)
-    fp = np.zeros((n_el, nen))
-
     if config.scheme in ("wvm", "svm"):
         # Substituting v' = (1/2nu)*tau_eff*r into the coarse-scale problem
         # (momentum += c(w,v'), continuity += d(v',q)) gives identical terms
@@ -134,13 +131,25 @@ def _element_stacks(mesh, config):
         else:
             tau_eff = -(table.b / geom.lapb)
         tw = wdet * tau_eff
+        Gf = G.reshape(n_el, -1, nen)  # (e, np*dim, nen), C-contiguous
         tl = np.swapaxes(tw[:, :, None] * geom.lapN, 1, 2)  # (e, nen, np)
-        tG = np.swapaxes((tw[:, :, None, None] * G).reshape(n_el, -1, nen), 1, 2)
-        Kvv -= 2.0 * nu * (tl @ geom.lapN)
-        Kvp += (tl @ G.reshape(n_el, -1, dim * nen)).reshape(n_el, nen, dim, nen)
-        Kpp -= (1.0 / (2.0 * nu)) * (tG @ G.reshape(n_el, -1, nen))
-        fv += tl @ bf
-        fp -= (1.0 / (2.0 * nu)) * (tG @ bf.reshape(n_el, -1, 1))[:, :, 0]
+        wG = np.repeat(wdet, dim, axis=1)[:, :, None] * Gf
+        Kvv = 2.0 * nu * (np.swapaxes(wG, 1, 2) @ Gf - tl @ geom.lapN)
+        wGN = np.swapaxes(wG.reshape(n_el, -1, dim * nen), 1, 2) @ N  # (e, dim*nen, nen)
+        del wG
+        Kvp = (tl @ Gf.reshape(n_el, -1, dim * nen)).reshape(n_el, nen, dim, nen)
+        Kvp -= wGN.reshape(n_el, dim, nen, nen).transpose(0, 2, 1, 3)
+        del wGN
+        tG = np.swapaxes(np.repeat(tw, dim, axis=1)[:, :, None] * Gf, 1, 2)  # (e, nen, np*dim)
+        Kpp = -(1.0 / (2.0 * nu)) * (tG @ Gf)
+        fv = (np.swapaxes(wdet[:, :, None] * N, 1, 2) + tl) @ bf
+        fp = -(1.0 / (2.0 * nu)) * (tG @ bf.reshape(n_el, -1, 1))[:, :, 0]
+    else:
+        Kvv = 2.0 * nu * np.einsum("ep,epia,epib->eab", wdet, G, G)
+        Kvp = -np.einsum("ep,epia,pb->eiab", wdet, G, N).transpose(0, 2, 1, 3)
+        Kpp = np.zeros((n_el, nen, nen))
+        fv = np.einsum("ep,pa,epi->eai", wdet, N, bf)
+        fp = np.zeros((n_el, nen))
 
     if config.bp_epsilon > 0.0:
         # pressure-Laplacian stabilization, eps ~ h^2; negative because the

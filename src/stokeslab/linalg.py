@@ -172,18 +172,21 @@ class StokesBlocks:
     G: np.ndarray    # (dim, nnz)
     Kpp: np.ndarray  # (nnz,)
 
-    def triplets(self):
-        """The monolithic matrix as unique (rows, cols, vals) triplets."""
+    def triplets(self, entries=slice(None)):
+        """The monolithic matrix as unique (rows, cols, vals) triplets, or
+        the triplets of the node-by-node blocks at the given pattern entries,
+        in the same order."""
         n, d = self.pattern.n_rows, self.dim
         velocity, pressure = split_dofs(np.arange(n * (d + 1)), d)
         dofs = np.concatenate([velocity, pressure[:, None]], 1)  # (n, d + 1) per node
-        vals = np.zeros((self.K.size, d + 1, d + 1))
-        vals[:, range(d), range(d)] = self.K[:, None]
-        vals[:, :d, d] = self.G.T
-        vals[:, d, :d] = self.G[:, self.pattern.transpose].T
-        vals[:, d, d] = self.Kpp
-        return (np.broadcast_to(dofs[self.pattern.rows][:, :, None], vals.shape).ravel(),
-                np.broadcast_to(dofs[self.pattern.cols][:, None, :], vals.shape).ravel(),
+        K = self.K[entries]
+        vals = np.zeros((K.size, d + 1, d + 1))
+        vals[:, range(d), range(d)] = K[:, None]
+        vals[:, :d, d] = self.G[:, entries].T
+        vals[:, d, :d] = self.G[:, self.pattern.transpose[entries]].T
+        vals[:, d, d] = self.Kpp[entries]
+        return (np.broadcast_to(dofs[self.pattern.rows[entries]][:, :, None], vals.shape).ravel(),
+                np.broadcast_to(dofs[self.pattern.cols[entries]][:, None, :], vals.shape).ravel(),
                 vals.ravel())
 
 
@@ -251,7 +254,13 @@ def apply_constraints(system: LinearSystem, constraints) -> LinearSystem:
     is_con = ~np.isnan(constraints)
     cvals = np.where(is_con, constraints, 0.0)
     rhs = np.array(system.rhs, dtype=float)
-    rows, cols, vals = system.blocks.triplets()
+    # only the blocks of a row node with a free dof and a column node with a
+    # constrained dof hold terms that move
+    con_v, con_p = split_dofs(is_con, system.blocks.dim)
+    any_free, any_con = ~(con_v.all(1) & con_p), con_v.any(1) | con_p
+    pattern = system.blocks.pattern
+    rows, cols, vals = system.blocks.triplets(
+        np.flatnonzero(any_free[pattern.rows] & any_con[pattern.cols]))
     moved = is_con[cols] & ~is_con[rows]
     r, c, v = rows[moved], cols[moved], vals[moved]
     at = np.argsort(r * n + c)  # each row takes its terms in column order

@@ -1,5 +1,7 @@
 """Error norms, convergence machinery, pressure-mode spectra, vortex location."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -27,6 +29,18 @@ def _field(mesh, velocity, pressure):
 def test_mesh_size_uniform_square_grid():
     mesh = generate_grid(ElementKind.Q4, 4)
     assert mesh_size(mesh) == pytest.approx(np.sqrt(2) / 4, rel=1e-12)
+
+
+@pytest.mark.parametrize("perturbed", [False, True], ids=["regular", "perturbed"])
+@pytest.mark.parametrize("kind", list(ElementKind))
+def test_mesh_size_is_the_all_pairs_maximum(kind, perturbed, rng):
+    mesh = generate_grid(kind, 5 if kind.dim == 2 else 3)
+    if perturbed:
+        nodes = mesh.nodes + rng.uniform(-0.05, 0.05, mesh.nodes.shape)
+        mesh = dataclasses.replace(mesh, nodes=nodes)
+    coords = mesh.nodes[mesh.elements]
+    diff = coords[:, :, None, :] - coords[:, None, :, :]
+    assert mesh_size(mesh) == float(np.sqrt((diff**2).sum(axis=-1)).max())
 
 
 def test_error_norms_exact_interpolant_is_zero():

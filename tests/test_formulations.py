@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import REFERENCE_CORNERS, enriched_full, fine_dofs_free, lexsort_sum, solve_reduced
-from stokeslab.basis import basis_table
+from stokeslab.basis import basis_table, integrate
 from stokeslab.cases import case_by_name, case_constraints
 from stokeslab.formulations import (
     SCHEMES,
@@ -425,12 +425,81 @@ def test_blocks_match_monolithic_scatter(kind, perturbed, scheme, bp_epsilon, co
                 assert system.blocks.K.tobytes() == vals[comp].tobytes()
 
 
-# ----------------------------------------- stabilization terms as stacked matmuls
+# ------------------------------------- the bits acceptance criterion 2 rests on
+
+def _einsum_G(mesh):
+    return np.einsum("...pmi,pnm->...pin", mesh.geometry.Jinv, basis_table(mesh.kind).DN)
+
+
+@pytest.mark.parametrize("perturbed", [False, True], ids=["regular", "perturbed"])
+@pytest.mark.parametrize("kind", list(ElementKind))
+def test_geometry_G_is_the_einsum_in_bytes_and_strides(kind, perturbed):
+    """The einsums over G sum in the order its strides set, so a G with the
+    same values in another layout would still move the Galerkin blocks."""
+    mesh = generate_grid(kind, 6 if kind.dim == 2 else 3)
+    mesh = _perturbed(mesh) if perturbed else mesh
+    got, want = mesh.geometry.G, _einsum_G(mesh)
+    assert got.strides == want.strides
+    assert got.tobytes() == want.tobytes()
+
+
+def _einsum_galerkin_stacks(mesh, config):
+    """Reference galerkin/enriched element blocks and loads: the einsum
+    formulas on the einsum G, with the enriched fine scales condensed out
+    as _element_stacks condenses them."""
+    table = basis_table(mesh.kind)
+    geom, nu, dim = mesh.geometry, config.nu, mesh.dim
+    wdet, G, N, b, gb = geom.wdet, _einsum_G(mesh), table.N, table.b, geom.gb
+    n_el, nen = mesh.elements.shape
+    bf = (np.zeros_like(geom.x) if config.body_force is None
+          else np.broadcast_to(config.body_force(geom.x), geom.x.shape))
+    Kvv = 2.0 * nu * np.einsum("ep,epia,epib->eab", wdet, G, G)
+    Kvp = -np.einsum("ep,epia,pb->eiab", wdet, G, N).transpose(0, 2, 1, 3)
+    Kpp = np.zeros((n_el, nen, nen))
+    fv = np.einsum("ep,pa,epi->eai", wdet, N, bf)
+    fp = np.zeros((n_el, nen))
+    if config.bp_epsilon > 0.0:
+        eps = config.bp_epsilon * geom.detJ ** (2.0 / dim)
+        Kpp -= np.einsum("ep,epia,epib->eab", wdet * eps, G, G)
+    if config.scheme == "enriched":
+        s = 2.0 * nu * np.einsum("ep,epia,epi->ea", wdet, G, gb)
+        kff = 2.0 * nu * integrate(wdet, np.einsum("epi,epi->ep", gb, gb))
+        Kpf = -np.einsum("ep,pa,epi->eai", wdet, N, gb)
+        f_f = np.einsum("ep,p,epi->ei", wdet, b, bf)
+        s_inv, Kpf_inv = s * (1.0 / kff)[:, None], Kpf * (1.0 / kff)[:, None, None]
+        Kvv -= s[:, :, None] * s[:, None, :] / kff[:, None, None]
+        Kvp -= s_inv[:, :, None, None] * Kpf.transpose(0, 2, 1)[:, None, :, :]
+        Kpp -= np.matmul(Kpf_inv, Kpf.transpose(0, 2, 1))
+        fv -= s_inv[:, :, None] * f_f[:, None, :]
+        fp -= np.matmul(Kpf_inv, f_f[:, :, None])[:, :, 0]
+    return Kvv, Kvp, Kpp, fv, fp
+
+
+@pytest.mark.parametrize("scheme, bp_epsilon", [
+    ("galerkin", 0.0), ("galerkin", 0.07), ("enriched", 0.0), ("enriched", 0.07),
+])
+@pytest.mark.parametrize("perturbed", [False, True], ids=["regular", "perturbed"])
+@pytest.mark.parametrize("kind", list(ElementKind))
+def test_galerkin_and_enriched_stacks_are_the_einsums_bit_for_bit(kind, perturbed, scheme,
+                                                                 bp_epsilon):
+    mesh = generate_grid(kind, 6 if kind.dim == 2 else 3)
+    mesh = _perturbed(mesh) if perturbed else mesh
+    for body_force in (None, _body_force):
+        config = FormulationConfig(scheme=scheme, nu=0.7, bp_epsilon=bp_epsilon,
+                                   body_force=body_force)
+        blocks, loads, _ = _element_stacks(mesh, config)
+        for name, got, want in zip(("Kvv", "Kvp", "Kpp", "fv", "fp"), blocks + loads,
+                                   _einsum_galerkin_stacks(mesh, config)):
+            assert got.shape == want.shape, name
+            assert got.tobytes() == want.tobytes(), name
+
+
+# ------------------------------------------- wvm/svm stacks as stacked matmuls
 
 def _einsum_stabilized_stacks(mesh, config):
-    """Reference wvm/svm element blocks and loads: the Galerkin stacks plus
-    the stabilization terms by the einsum formulas the kernel used before
-    they became stacked matmuls, on the mesh's own geometry."""
+    """Reference wvm/svm element blocks and loads: the Galerkin einsum
+    stacks plus the stabilization terms by einsum formulas, on the mesh's
+    own geometry; the kernel forms both parts by stacked matmuls."""
     (Kvv, Kvp, Kpp), (fv, fp), _ = _element_stacks(
         mesh, dataclasses.replace(config, scheme="galerkin"))
     table = basis_table(mesh.kind)
