@@ -6,9 +6,12 @@
 Each command runs as `python -m stokeslab.cli ...` in a fresh child process
 and a fresh working directory, with PYTHONPATH=SRC (the directory that holds
 the `stokeslab` package) and BLAS capped at one thread.  The record holds,
-per command, the exit code and the sha256 of stdout and of every file the
-run wrote.  `--compare` prints every command whose record differs and exits
-1 if there is any.
+per command, the exit code, the stdout text and its sha256, and the sha256
+of every file the run wrote.  `--compare` prints every command whose record
+differs and exits 1 if there is any.  Where both records hold the stdout
+text, it prints the largest relative change among the printed numbers of
+size >= 1e-8 and the largest absolute change among the smaller ones, in
+place of the two records; records without the text compare by hash.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -83,21 +87,65 @@ def record(src: Path) -> dict:
                                   cwd=tmp, env=env, capture_output=True)
             files = {p.name: _sha(p.read_bytes()) for p in sorted(Path(tmp).iterdir())}
         out[command] = {"exit": proc.returncode, "stdout": _sha(proc.stdout),
-                        "files": files}
+                        "files": files, "text": proc.stdout.decode()}
         print(f"exit {proc.returncode}  {command}", file=sys.stderr)
     return out
 
 
+_NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|[-+]?(?:nan|inf)")
+_SMALL = 1e-8
+
+
+def text_change(a: str, b: str) -> str:
+    """The largest change between the numbers printed in two stdout texts
+    that differ only in their numbers."""
+    if _NUMBER.split(a) != _NUMBER.split(b):
+        return "stdout text differs beyond its numbers"
+    numbers = list(zip(_NUMBER.findall(a), _NUMBER.findall(b)))
+    pairs = [(float(x), float(y)) for x, y in numbers if x != y]
+    big = [(abs(x - y) / max(abs(x), abs(y)), x, y) for x, y in pairs
+           if max(abs(x), abs(y)) >= _SMALL]
+    small = [(abs(x - y), x, y) for x, y in pairs if max(abs(x), abs(y)) < _SMALL]
+    parts = [f"{len(pairs)} of {len(numbers)} printed numbers moved"]
+    for what, changes in (("relative", big), (f"absolute (|v| < {_SMALL:g})", small)):
+        if changes:
+            change, x, y = max(changes, key=lambda c: (c[0] != c[0], c[0]))
+            parts.append(f"largest {what} change {change:.2e} ({x!r} -> {y!r})")
+    return "; ".join(parts)
+
+
+def _hashes(record):
+    return record and {k: v for k, v in record.items() if k != "text"}
+
+
 def compare(a: dict, b: dict) -> list:
-    return [f"{command}\n  {a.get(command)}\n  {b.get(command)}"
-            for command in dict.fromkeys([*a, *b]) if a.get(command) != b.get(command)]
+    diffs = []
+    for command in dict.fromkeys([*a, *b]):
+        ra, rb = a.get(command), b.get(command)
+        if _hashes(ra) == _hashes(rb):
+            continue
+        if ra is None or rb is None or "text" not in ra or "text" not in rb:
+            diffs.append(f"{command}\n  {_hashes(ra)}\n  {_hashes(rb)}")
+            continue
+        lines = [command]
+        if ra["exit"] != rb["exit"]:
+            lines.append(f"  exit {ra['exit']} -> {rb['exit']}")
+        if ra["stdout"] != rb["stdout"]:
+            lines.append(f"  stdout: {text_change(ra['text'], rb['text'])}")
+        if ra["files"] != rb["files"]:
+            moved = sorted(n for n in {*ra["files"], *rb["files"]}
+                           if ra["files"].get(n) != rb["files"].get(n))
+            lines.append(f"  files moved: {', '.join(moved)}")
+        diffs.append("\n".join(lines))
+    return diffs
 
 
 def main(argv) -> int:
     if len(argv) == 3 and argv[0] == "--compare":
         a, b = (json.loads(Path(p).read_text()) for p in argv[1:])
         diffs = compare(a, b)
-        print("\n".join(diffs) or f"identical: {len(a)} commands")
+        print("\n".join(diffs + [f"moved: {len(diffs)} of {len(b)} commands"])
+              if diffs else f"identical: {len(a)} commands")
         return 1 if diffs else 0
     if len(argv) != 2:
         print(__doc__, file=sys.stderr)

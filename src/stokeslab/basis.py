@@ -140,24 +140,38 @@ def element_geometry(table: BasisTable, coords) -> ElementGeometry:
     coords (nen, dim), or of a stack of elements, coords (..., nen, dim).
 
     Each element's values are the same whether it is evaluated alone or in
-    a stack.  Refuses the first element whose detJ is not finite and
-    positive, with its own minimum (a lone one is element 0).  The second
-    derivatives are contracted over their flattened (m, s) axis by stacked
-    matmuls, one small product per point.  G has the bits and the strides
-    of np.einsum("...pmi,pnm->...pin", Jinv, DN), on which the Galerkin and
-    enriched blocks rest; J, its inverse, gb and x keep their einsums.
+    a stack.  Refuses the first element whose detJ is not finite or is
+    below the smallest normal double, with its own minimum (a lone one is
+    element 0): below it adj(J) / detJ loses digits.  detJ is numpy's det;
+    J^-1 is adj(J) / detJ, C-contiguous.  The second derivatives are
+    contracted over their flattened (m, s) axis by stacked matmuls, one
+    small product per point.  G has the bits and the strides of
+    np.einsum("...pmi,pnm->...pin", Jinv, DN), on which the Galerkin and
+    enriched blocks rest; J, gb and x keep their einsums.
     """
     coords = np.asarray(coords, dtype=float)
     d = coords.shape[-1]
     J = np.einsum("...ni,pnm->...pim", coords, table.DN)
-    detJ = np.linalg.det(J)
+    with np.errstate(over="ignore", under="ignore"):
+        detJ = np.linalg.det(J)
     per_element = detJ.reshape(-1, detJ.shape[-1])
-    ok = (np.isfinite(per_element) & (per_element > 0)).all(axis=1)
+    ok = (np.isfinite(per_element) & (per_element >= np.finfo(float).tiny)).all(axis=1)
     if not ok.all():
         e = int(np.argmin(ok))
-        raise SingularJacobianError(
-            f"element {e} is inverted (min detJ={per_element[e].min():.3e})")
-    Jinv = np.linalg.inv(J)
+        low = per_element[e].min()
+        raise SingularJacobianError(f"element {e} is {'degenerate' if low >= 0 else 'inverted'} "
+                                    f"(min detJ={low:.3e})")
+    # J^-1 = adj(J) / detJ, written into one C-contiguous array and divided
+    # in place, so no other (..., p, dim, dim) array is made: column k of a
+    # 3x3 adjugate is the cross product of rows k+1 and k+2 of J
+    Jinv = np.empty_like(J)
+    if d == 2:
+        np.multiply(np.swapaxes(J[..., ::-1, ::-1], -1, -2), [[1, -1], [-1, 1]], out=Jinv)
+    else:
+        for i, k in np.ndindex(3, 3):
+            a, b, m, n = J[..., (k + 1) % 3, :], J[..., (k + 2) % 3, :], (i + 1) % 3, (i + 2) % 3
+            np.subtract(a[..., m] * b[..., n], a[..., n] * b[..., m], out=Jinv[..., i, k])
+    Jinv /= detJ[..., None, None]
     JJT = (Jinv @ np.swapaxes(Jinv, -1, -2)).reshape(J.shape[:-2] + (d * d, 1))
     # H[n] = D2N[n] : JJT, so div(J^-1) = -Jinv xhat^T H needs no (i, m, s) array
     H = table.D2N @ JJT

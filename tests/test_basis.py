@@ -1,5 +1,8 @@
 """Shape functions, bubbles, and the isoparametric Jacobian calculus."""
 
+import re
+import warnings
+
 import numpy as np
 import pytest
 
@@ -7,7 +10,7 @@ from conftest import REFERENCE_CORNERS, at_point, distorted_element, random_inte
 from stokeslab.basis import SingularJacobianError, basis_table, element_geometry, tabulate
 from stokeslab.formulations import tau_at
 from stokeslab.kinds import ElementKind
-from stokeslab.mesh import generate_grid
+from stokeslab.mesh import Mesh, MeshError, generate_grid
 
 ALL_KINDS = list(ElementKind)
 
@@ -376,3 +379,95 @@ def test_second_order_geometry_matches_einsum_reference(kind, perturbed, rng):
     geom = element_geometry(table, coords)
     for name, (want, magnitude) in _einsum_second_order(table, coords).items():
         assert np.all(np.abs(getattr(geom, name) - want) <= 1e-13 * magnitude), name
+
+
+# ------------------------------------------------- the closed-form inverse
+
+def _grid(kind, perturbed, divisions=None):
+    """A small grid, with every interior node moved by up to 0.2 of the
+    grid step when perturbed."""
+    mesh = generate_grid(kind, divisions or (4 if kind.dim == 2 else 2))
+    if not perturbed:
+        return mesh
+    interior = np.ones(mesh.n_nodes, dtype=bool)
+    interior[list(mesh.nodeset("all"))] = False
+    h = np.ptp(mesh.nodes[mesh.elements], axis=1).max()
+    nodes = mesh.nodes.copy()
+    nodes[interior] += np.random.default_rng(0).uniform(-0.2 * h, 0.2 * h,
+                                                        (interior.sum(), mesh.dim))
+    return Mesh(dim=mesh.dim, nodes=nodes, elements=mesh.elements, kind=kind)
+
+
+def _jacobians(mesh):
+    """J by the einsum element_geometry forms it with."""
+    return np.einsum("...ni,pnm->...pim", mesh.nodes[mesh.elements], basis_table(mesh.kind).DN)
+
+
+def _relative_error(got, want):
+    """max |got - want| over each point's matrix, relative to max |want|."""
+    return (np.abs(got - want).max(axis=(-1, -2)) / np.abs(want).max(axis=(-1, -2))).max()
+
+
+@pytest.mark.parametrize("perturbed", [False, True], ids=["regular", "perturbed"])
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_closed_form_inverse_matches_lapack(kind, perturbed):
+    mesh = _grid(kind, perturbed)
+    J, Jinv = _jacobians(mesh), mesh.geometry.Jinv
+    assert Jinv.flags.c_contiguous and Jinv.shape == J.shape
+    assert _relative_error(Jinv, np.linalg.inv(J)) <= 1e-12
+    assert np.abs(J @ Jinv - np.eye(kind.dim)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_element_geometry_never_calls_inv(kind, monkeypatch):
+    calls = []
+    real = np.linalg.inv
+    monkeypatch.setattr(np.linalg, "inv", lambda *a, **k: calls.append(1) or real(*a, **k))
+    mesh = _grid(kind, perturbed=True)
+    element_geometry(basis_table(kind), mesh.nodes[mesh.elements])
+    assert calls == []
+
+
+@pytest.mark.parametrize("perturbed", [False, True], ids=["regular", "perturbed"])
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_first_order_geometry_keeps_the_lapack_det_bytes(kind, perturbed):
+    """detJ is numpy's det of the einsum J, wdet, x and the volumes follow
+    from it and from the einsum of the mapped points."""
+    mesh = _grid(kind, perturbed)
+    table, geom = basis_table(kind), mesh.geometry
+    detJ = np.linalg.det(_jacobians(mesh))
+    x = np.einsum("pn,...ni->...pi", table.N, mesh.nodes[mesh.elements])
+    assert geom.detJ.tobytes() == detJ.tobytes()
+    assert geom.wdet.tobytes() == (table.weights * detJ).tobytes()
+    assert geom.x.tobytes() == x.tobytes()
+    assert mesh.element_volumes().tobytes() == (detJ @ table.weights).tobytes()
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_scaled_mesh_is_refused_or_inverted_accurately(kind):
+    """A mesh scaled by 10^k either is refused, when its detJ overflows or
+    falls below the smallest normal number, or gets a J^-1 as accurate as
+    LAPACK's; no numpy warning is emitted on the way."""
+    base = _grid(kind, perturbed=True, divisions=3 if kind.dim == 2 else 2)
+    accepted = []
+    for k in range(-170, 171):
+        nodes = base.nodes * 10.0 ** k
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                mesh = Mesh(dim=base.dim, nodes=nodes, elements=base.elements, kind=kind)
+            except MeshError as exc:
+                assert re.match(r"^element \d+ is degenerate \(min detJ=", str(exc)), str(exc)
+                continue
+        accepted.append(k)
+        assert _relative_error(mesh.geometry.Jinv, np.linalg.inv(_jacobians(mesh))) <= 1e-12, k
+    # the refused scales are the two ends of the sweep
+    assert accepted == list(range(accepted[0], accepted[-1] + 1))
+    assert accepted[0] < -90 and accepted[-1] > 90
+
+
+def test_subnormal_detj_is_refused_as_degenerate():
+    coords = REFERENCE_CORNERS[ElementKind.Q4] * 1e-155
+    with pytest.raises(SingularJacobianError,
+                       match=r"^element 0 is degenerate \(min detJ=[0-9.]+e-3\d\d\)$"):
+        element_geometry(basis_table(ElementKind.Q4), coords)
