@@ -146,8 +146,8 @@ def element_geometry(table: BasisTable, coords) -> ElementGeometry:
     J^-1 is adj(J) / detJ, C-contiguous.  The second derivatives are
     contracted over their flattened (m, s) axis by stacked matmuls, one
     small product per point.  G has the bits and the strides of
-    np.einsum("...pmi,pnm->...pin", Jinv, DN), on which the Galerkin and
-    enriched blocks rest; J, gb and x keep their einsums.
+    np.einsum("...pmi,pnm->...pin", Jinv, DN), which set the summation
+    order of error_norms' einsum over G; J, gb and x keep their einsums.
     """
     coords = np.asarray(coords, dtype=float)
     d = coords.shape[-1]
@@ -177,8 +177,8 @@ def element_geometry(table: BasisTable, coords) -> ElementGeometry:
     H = table.D2N @ JJT
     divJinv = -(Jinv @ (np.swapaxes(coords, -1, -2)[..., None, :, :] @ H))
     # G[..., p, i, n] = sum_m Jinv[..., p, m, i] DN[p, n, m], added onto zeros
-    # in m order, stored (..., p, nen, dim) as the einsum stores it: the
-    # einsums over G sum in the order its strides set
+    # in m order, stored (..., p, nen, dim) as the einsum stores it, the
+    # layout whose strides set the summation order of error_norms' einsum
     Gt = np.zeros(J.shape[:-2] + table.DN.shape[1:])
     for m in range(d):
         Gt += table.DN[:, :, m, None] * Jinv[..., :, None, m, :]

@@ -190,14 +190,17 @@ class StokesBlocks:
                 vals.ravel())
 
 
+def _abs(csr):
+    """|csr| in csr's own index order; abs(csr) would sort unsorted indices."""
+    import scipy.sparse as sp
+    return sp.csr_matrix((np.abs(csr.data), csr.indices, csr.indptr), shape=csr.shape)
+
+
 def _norm_inf(csr) -> float:
     if not csr.shape[0]:
         return 0.0
-    import scipy.sparse as sp
     # row sums as a product with ones: each row adds in its stored order
-    # (abs(csr) would sort the indices of a matrix that is not canonical)
-    csr = sp.csr_matrix((np.abs(csr.data), csr.indices, csr.indptr), shape=csr.shape)
-    return float((csr @ np.ones(csr.shape[1])).max())
+    return float((_abs(csr) @ np.ones(csr.shape[1])).max())
 
 
 def _residual(csr, x, b) -> float:
@@ -429,10 +432,7 @@ def solve_schur(system: LinearSystem, residual_rtol: float = 1e-10,
         w = v_solve(f_v)
         g = B @ w - f_p
         # |B| |w| does not cancel where the exact pressure lies in S's kernel
-        # (abs(B) would sort B's indices in place, as _norm_inf notes)
-        scale = (np.linalg.norm(sp.csr_matrix((np.abs(B.data), B.indices, B.indptr),
-                                              shape=B.shape) @ np.abs(w))
-                 + np.linalg.norm(f_p))
+        scale = np.linalg.norm(_abs(B) @ np.abs(w)) + np.linalg.norm(f_p)
         if pin is not None:  # the pin's row of g is unknown: make g orthogonal to 1
             g[pin] = 0.0
             g[pin] = -g.sum()

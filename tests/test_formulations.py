@@ -279,13 +279,16 @@ def test_only_enriched_returns_fine_blocks(scheme):
 
 # ------------------------------------------------------ element-order determinism
 
-def test_assembly_independent_of_element_order(rng):
-    mesh = generate_grid(ElementKind.Q4, 7)
+@pytest.mark.parametrize("scheme", SCHEMES)
+@pytest.mark.parametrize("kind", list(ElementKind))
+def test_assembly_independent_of_element_order(kind, scheme, rng):
+    mesh = generate_grid(kind, 7 if kind.dim == 2 else 3)
     shuffled = Mesh(dim=mesh.dim, nodes=mesh.nodes,
                     elements=mesh.elements[rng.permutation(mesh.n_elements)],
                     kind=mesh.kind, boundary_sets=mesh.boundary_sets)
-    config = FormulationConfig(scheme="svm", nu=0.5,
-                               body_force=case_by_name("body_force_cavity").body_force)
+    config = FormulationConfig(scheme=scheme, nu=0.5,
+                               bp_epsilon=0.0 if scheme in ("wvm", "svm") else 0.07,
+                               body_force=_body_force)
     one, _ = assemble(mesh, config)
     two, _ = assemble(shuffled, config)
     for name in ("rows", "cols"):
@@ -425,7 +428,7 @@ def test_blocks_match_monolithic_scatter(kind, perturbed, scheme, bp_epsilon, co
                 assert system.blocks.K.tobytes() == vals[comp].tobytes()
 
 
-# ------------------------------------- the bits acceptance criterion 2 rests on
+# ----------------------------------- G's layout, and the element stacks' formulas
 
 def _einsum_G(mesh):
     return np.einsum("...pmi,pnm->...pin", mesh.geometry.Jinv, basis_table(mesh.kind).DN)
@@ -434,8 +437,10 @@ def _einsum_G(mesh):
 @pytest.mark.parametrize("perturbed", [False, True], ids=["regular", "perturbed"])
 @pytest.mark.parametrize("kind", list(ElementKind))
 def test_geometry_G_is_the_einsum_in_bytes_and_strides(kind, perturbed):
-    """The einsums over G sum in the order its strides set, so a G with the
-    same values in another layout would still move the Galerkin blocks."""
+    """analysis.error_norms' einsum over G sums in the order G's strides
+    set, so a G with the same values in another layout would move the
+    pressure-gradient error of a solve; the element kernel copies G to its
+    own (e, np*dim, nen) layout and is indifferent to it."""
     mesh = generate_grid(kind, 6 if kind.dim == 2 else 3)
     mesh = _perturbed(mesh) if perturbed else mesh
     got, want = mesh.geometry.G, _einsum_G(mesh)
@@ -475,36 +480,14 @@ def _einsum_galerkin_stacks(mesh, config):
     return Kvv, Kvp, Kpp, fv, fp
 
 
-@pytest.mark.parametrize("scheme, bp_epsilon", [
-    ("galerkin", 0.0), ("galerkin", 0.07), ("enriched", 0.0), ("enriched", 0.07),
-])
-@pytest.mark.parametrize("perturbed", [False, True], ids=["regular", "perturbed"])
-@pytest.mark.parametrize("kind", list(ElementKind))
-def test_galerkin_and_enriched_stacks_are_the_einsums_bit_for_bit(kind, perturbed, scheme,
-                                                                 bp_epsilon):
-    mesh = generate_grid(kind, 6 if kind.dim == 2 else 3)
-    mesh = _perturbed(mesh) if perturbed else mesh
-    for body_force in (None, _body_force):
-        config = FormulationConfig(scheme=scheme, nu=0.7, bp_epsilon=bp_epsilon,
-                                   body_force=body_force)
-        blocks, loads, _ = _element_stacks(mesh, config)
-        for name, got, want in zip(("Kvv", "Kvp", "Kpp", "fv", "fp"), blocks + loads,
-                                   _einsum_galerkin_stacks(mesh, config)):
-            assert got.shape == want.shape, name
-            assert got.tobytes() == want.tobytes(), name
-
-
-# ------------------------------------------- wvm/svm stacks as stacked matmuls
-
 def _einsum_stabilized_stacks(mesh, config):
     """Reference wvm/svm element blocks and loads: the Galerkin einsum
-    stacks plus the stabilization terms by einsum formulas, on the mesh's
-    own geometry; the kernel forms both parts by stacked matmuls."""
-    (Kvv, Kvp, Kpp), (fv, fp), _ = _element_stacks(
+    stacks plus the stabilization terms by einsum formulas."""
+    Kvv, Kvp, Kpp, fv, fp = _einsum_galerkin_stacks(
         mesh, dataclasses.replace(config, scheme="galerkin"))
     table = basis_table(mesh.kind)
     geom, nu = mesh.geometry, config.nu
-    G, lapN = geom.G, geom.lapN
+    G, lapN = _einsum_G(mesh), geom.lapN
     bf = (np.zeros_like(geom.x) if config.body_force is None
           else np.broadcast_to(config.body_force(geom.x), geom.x.shape))
     if config.scheme == "wvm":
@@ -520,17 +503,23 @@ def _einsum_stabilized_stacks(mesh, config):
     return Kvv, Kvp, Kpp, fv, fp
 
 
-@pytest.mark.parametrize("scheme", ["wvm", "svm"])
+@pytest.mark.parametrize("scheme, bp_epsilon", [
+    ("galerkin", 0.0), ("galerkin", 0.07), ("wvm", 0.0), ("svm", 0.0),
+    ("enriched", 0.0), ("enriched", 0.07),
+])
 @pytest.mark.parametrize("perturbed", [False, True], ids=["regular", "perturbed"])
 @pytest.mark.parametrize("kind", list(ElementKind))
-def test_stabilized_stacks_match_einsum_reference(kind, perturbed, scheme):
+def test_element_stacks_match_einsum_reference(kind, perturbed, scheme, bp_epsilon):
     mesh = generate_grid(kind, 6 if kind.dim == 2 else 3)
     mesh = _perturbed(mesh) if perturbed else mesh
+    reference = (_einsum_stabilized_stacks if scheme in ("wvm", "svm")
+                 else _einsum_galerkin_stacks)
     for body_force in (None, _body_force):
-        config = FormulationConfig(scheme=scheme, nu=0.7, body_force=body_force)
+        config = FormulationConfig(scheme=scheme, nu=0.7, bp_epsilon=bp_epsilon,
+                                   body_force=body_force)
         blocks, loads, _ = _element_stacks(mesh, config)
         for name, got, want in zip(("Kvv", "Kvp", "Kpp", "fv", "fp"), blocks + loads,
-                                   _einsum_stabilized_stacks(mesh, config)):
+                                   reference(mesh, config)):
             assert got.shape == want.shape, name
             assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max(), name
 
