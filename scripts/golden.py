@@ -43,6 +43,8 @@ COMMANDS = [
     "run --case patch --formulation galerkin --mesh grid:Q4:6x6",
     "run --case patch --formulation galerkin --mesh {src}/stokeslab/data/wct_square.mesh",
     "eigen --element b8-enriched --n 3 --csv {tmp}/eig.csv",
+    # the 3-D spectrum with a stabilization C, summed over three components
+    "eigen --element b8-svm --n 3",
     "convergence --case bodyforce --formulation wvm --element t3 --levels 4,8,16",
     "convergence --case bodyforce --formulation wvm --element q4 --levels 4,8,16 "
     "--csv {tmp}/conv.csv",

@@ -12,7 +12,7 @@ from .cases import TestCase
 from .driver import solve_case
 from .formulations import FormulationConfig, assemble
 from .kinds import ElementKind
-from .linalg import eig_sym_generalized, split_dofs
+from .linalg import eig_sym_generalized
 from .mesh import Mesh, generate_grid
 
 ZERO_MODE_RTOL = 1e-10
@@ -120,31 +120,28 @@ def lbb_spectrum(mesh: Mesh, scheme: str) -> SpectrumReport:
     """Eigenvalues of the pressure Schur complement S = B A^-1 B^T + C
     against the pressure mass matrix, under homogeneous Dirichlet velocity.
 
-    A and B are the Galerkin velocity block and coupling; C is the scheme's
-    positive semidefinite pressure stabilization operator (zero for plain
-    Galerkin).  The kernel of S is exactly the span of the surviving pure
-    pressure modes: the hydrostatic mode, plus the checkerboard when the
-    scheme fails to control it.
+    A and B are the Galerkin velocity block and coupling.  The Dirichlet set
+    `all` leaves every component the same free (interior) nodes, so
+    A = K (x) I_dim there and B A^-1 B^T = sum_c G_c^T K^-1 G_c, with K the
+    scalar Galerkin block and G_c component c's coupling rows on those nodes.
+    C = -K_pp is the scheme's pressure stabilization: zero for Galerkin,
+    positive semidefinite for wvm and enriched, indefinite for svm where
+    lap(b) >= 0 (on distorted simplices).  The kernel of S is the span of
+    the surviving pure pressure modes: the hydrostatic mode, plus the
+    checkerboard when the scheme fails to control it.
     """
-    n, dim = mesh.n_nodes, mesh.dim
-    interior = np.ones(n, dtype=bool)
+    interior = np.ones(mesh.n_nodes, dtype=bool)
     interior[list(mesh.nodeset("all"))] = False
-    free_v = split_dofs(np.arange(n * (dim + 1)), dim)[0][interior].ravel()
-    if free_v.size == 0:
+    if not interior.any():
         raise ValueError("no interior velocity dofs")
 
     gal = assemble(mesh, FormulationConfig(scheme="galerkin", nu=1.0))[0].blocks
-    K = gal.pattern.matrix(gal.K).to_dense()
-    A = np.zeros((n, dim, n, dim))
-    for i in range(dim):
-        A[:, i, :, i] = K
-    A = A.reshape(n * dim, -1)[np.ix_(free_v, free_v)]
-    B = np.stack([gal.pattern.matrix(Gj).to_dense() for Gj in gal.G]).T  # B = G^T
-    B = np.ascontiguousarray(B.reshape(n, -1)[:, free_v])  # BLAS rounding follows layout
-
+    K = gal.pattern.matrix(gal.K).to_dense()[interior][:, interior]
+    G = np.stack([gal.pattern.matrix(Gc).to_dense()[interior] for Gc in gal.G])
     stab = gal if scheme == "galerkin" else assemble(
         mesh, FormulationConfig(scheme=scheme, nu=1.0))[0].blocks
-    S = B @ np.linalg.solve(A, B.T) - stab.pattern.matrix(stab.Kpp).to_dense()
+    S = sum(Gc.T @ Xc for Gc, Xc in zip(G, np.linalg.solve(K, G)))
+    S -= stab.pattern.matrix(stab.Kpp).to_dense()
     M = pressure_mass_matrix(mesh)
     lam, Q = eig_sym_generalized(S, M)
     tol = ZERO_MODE_RTOL * np.abs(lam).max()

@@ -61,6 +61,17 @@ def distorted_element(kind, rng, amount=0.15):
     raise RuntimeError("could not build a valid distorted element")
 
 
+def perturb_interior(mesh, amount, seed):
+    """mesh with every interior node (outside the `all` node set) moved by
+    uniform(-amount, amount) in each coordinate, drawn from default_rng(seed)."""
+    interior = np.ones(mesh.n_nodes, dtype=bool)
+    interior[list(mesh.nodeset("all"))] = False
+    nodes = mesh.nodes.copy()
+    nodes[interior] += np.random.default_rng(seed).uniform(-amount, amount,
+                                                           (interior.sum(), mesh.dim))
+    return dataclasses.replace(mesh, nodes=nodes)
+
+
 def lexsort_sum(rows, cols, vals):
     """Reference triplet summation: one three-key lexsort by (row, col,
     value), then np.add.reduceat over each (row, col) group.  Returns the

@@ -5,7 +5,11 @@ import dataclasses
 import numpy as np
 import pytest
 
+from conftest import perturb_interior
 from stokeslab.analysis import (
+    ZERO_MODE_RTOL,
+    SpectrumReport,
+    _grid_parity_pattern,
     checkerboard_amplitude,
     convergence_study,
     error_norms,
@@ -16,8 +20,10 @@ from stokeslab.analysis import (
 )
 from stokeslab.cases import case_by_name
 from stokeslab.driver import SolutionField, solve_case
+from stokeslab.formulations import FormulationConfig, assemble
 from stokeslab.kinds import ElementKind
-from stokeslab.mesh import generate_grid
+from stokeslab.linalg import eig_sym_generalized, split_dofs
+from stokeslab.mesh import generate_grid, load_mesh, wct_fixture_path
 
 
 def _field(mesh, velocity, pressure):
@@ -201,6 +207,63 @@ def test_lbb_spectrum_degenerate_single_element():
     mesh = generate_grid(ElementKind.Q4, 1)
     with pytest.raises(ValueError, match="interior velocity"):
         lbb_spectrum(mesh, "svm")
+
+
+def _expanded_spectrum(mesh, scheme):
+    """Reference for lbb_spectrum: A expanded to the dense velocity matrix
+    K (x) I_dim over the node-major (node, component) dofs, restricted to
+    the interior nodes' dofs, and S = B A^-1 B^T + C solved as a whole."""
+    n, dim = mesh.n_nodes, mesh.dim
+    interior = np.ones(n, dtype=bool)
+    interior[list(mesh.nodeset("all"))] = False
+    free_v = split_dofs(np.arange(n * (dim + 1)), dim)[0][interior].ravel()
+    gal = assemble(mesh, FormulationConfig(scheme="galerkin", nu=1.0))[0].blocks
+    K = gal.pattern.matrix(gal.K).to_dense()
+    A = np.zeros((n, dim, n, dim))
+    for i in range(dim):
+        A[:, i, :, i] = K
+    A = A.reshape(n * dim, -1)[np.ix_(free_v, free_v)]
+    B = np.stack([gal.pattern.matrix(Gj).to_dense() for Gj in gal.G]).T  # B = G^T
+    B = B.reshape(n, -1)[:, free_v]
+    stab = assemble(mesh, FormulationConfig(scheme=scheme, nu=1.0))[0].blocks
+    S = B @ np.linalg.solve(A, B.T) - stab.pattern.matrix(stab.Kpp).to_dense()
+    lam, Q = eig_sym_generalized(S, pressure_mass_matrix(mesh))
+    zero = np.abs(lam) < ZERO_MODE_RTOL * np.abs(lam).max()
+    checkerboard = False
+    if zero.sum() >= 2:
+        pattern = _grid_parity_pattern(mesh)
+        basis, _ = np.linalg.qr(Q[:, zero])
+        checkerboard = np.linalg.norm(basis @ (basis.T @ pattern)) > 0.9 * np.linalg.norm(pattern)
+    return SpectrumReport(lam, int(zero.sum()), bool(checkerboard))
+
+
+@pytest.mark.parametrize("perturbed", [False, True], ids=["regular", "perturbed"])
+@pytest.mark.parametrize("scheme", ["galerkin", "wvm", "svm", "enriched"])
+@pytest.mark.parametrize("kind", list(ElementKind))
+def test_spectrum_matches_the_expanded_velocity_matrix(kind, scheme, perturbed):
+    n = 6 if kind.dim == 2 else 3
+    mesh = generate_grid(kind, n)
+    if perturbed:
+        mesh = perturb_interior(mesh, 0.12 / n, seed=0)
+    got, want = lbb_spectrum(mesh, scheme), _expanded_spectrum(mesh, scheme)
+    scale = np.abs(want.eigenvalues).max()
+    assert np.abs(got.eigenvalues - want.eigenvalues).max() <= 1e-12 * scale
+    assert got.zero_count == want.zero_count
+    assert got.checkerboard_present == want.checkerboard_present
+
+
+@pytest.mark.parametrize("scheme", ["galerkin", "wvm", "svm", "enriched"])
+def test_acute_fixture_spectrum(scheme):
+    """On the acute fixture the Galerkin pressure Schur complement has one
+    nearly singular mode besides the hydrostatic one (3.6e-6; the next is
+    1.1e-4), which the stabilized schemes lift above 1e-2 (4.0e-2 to 4.6e-2)."""
+    report = lbb_spectrum(load_mesh(wct_fixture_path()), scheme)
+    assert report.zero_count == 1
+    lowest = np.sort(np.abs(report.eigenvalues))[1]
+    if scheme == "galerkin":
+        assert 1e-6 <= lowest <= 1e-5
+    else:
+        assert lowest >= 1e-2
 
 
 # --------------------------------------------------------------- diagnostics

@@ -6,7 +6,8 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import REFERENCE_CORNERS, at_point, distorted_element, random_interior_point
+from conftest import (REFERENCE_CORNERS, at_point, distorted_element, perturb_interior,
+                      random_interior_point)
 from stokeslab.basis import SingularJacobianError, basis_table, element_geometry, tabulate
 from stokeslab.formulations import tau_at
 from stokeslab.kinds import ElementKind
@@ -389,13 +390,8 @@ def _grid(kind, perturbed, divisions=None):
     mesh = generate_grid(kind, divisions or (4 if kind.dim == 2 else 2))
     if not perturbed:
         return mesh
-    interior = np.ones(mesh.n_nodes, dtype=bool)
-    interior[list(mesh.nodeset("all"))] = False
     h = np.ptp(mesh.nodes[mesh.elements], axis=1).max()
-    nodes = mesh.nodes.copy()
-    nodes[interior] += np.random.default_rng(0).uniform(-0.2 * h, 0.2 * h,
-                                                        (interior.sum(), mesh.dim))
-    return Mesh(dim=mesh.dim, nodes=nodes, elements=mesh.elements, kind=kind)
+    return perturb_interior(mesh, 0.2 * h, seed=0)
 
 
 def _jacobians(mesh):

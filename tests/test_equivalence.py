@@ -17,7 +17,7 @@ centroid.  Only distorted B8 elements leave a residual at every grid.
 import numpy as np
 import pytest
 
-from conftest import REFERENCE_CORNERS
+from conftest import REFERENCE_CORNERS, perturb_interior
 from stokeslab.basis import element_geometry, tabulate
 from stokeslab.cases import case_by_name
 from stokeslab.formulations import FormulationConfig, assemble
@@ -40,13 +40,7 @@ def _grid(kind, seed):
     """6x6 or 3x3x3 unit grid; with a seed, interior nodes moved by up to 0.12h."""
     n = 6 if kind.dim == 2 else 3
     mesh = generate_grid(kind, n)
-    if seed is None:
-        return mesh
-    nodes = mesh.nodes.copy()
-    inner = np.all((nodes > 0) & (nodes < 1), axis=1)
-    nodes[inner] += np.random.default_rng(seed).uniform(-0.12 / n, 0.12 / n,
-                                                        (inner.sum(), kind.dim))
-    return Mesh(mesh.dim, nodes, mesh.elements, kind, mesh.boundary_sets)
+    return mesh if seed is None else perturb_interior(mesh, 0.12 / n, seed)
 
 
 def _gaps(kind, seed, body_force):

@@ -5,7 +5,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import REFERENCE_CORNERS, enriched_full, fine_dofs_free, lexsort_sum, solve_reduced
+from conftest import (REFERENCE_CORNERS, enriched_full, fine_dofs_free, lexsort_sum,
+                      perturb_interior, solve_reduced)
 from stokeslab.basis import basis_table, integrate
 from stokeslab.cases import case_by_name, case_constraints
 from stokeslab.formulations import (
@@ -114,12 +115,7 @@ def test_svm_pressure_stabilization_indefinite_on_distorted_triangles():
     """svm's tau_eff = -b/lap(b) is positive only where lap(b) < 0; on this
     distorted T3 grid lap(b) >= 0 at some points and the svm operator is
     indefinite, while wvm's stays positive semidefinite."""
-    mesh = generate_grid(ElementKind.T3, 6)
-    inner = np.all((mesh.nodes > 0) & (mesh.nodes < 1), axis=1)
-    nodes = mesh.nodes.copy()
-    h = 1.0 / 6.0
-    nodes[inner] += np.random.default_rng(1).uniform(-0.12 * h, 0.12 * h, (inner.sum(), 2))
-    mesh = Mesh(dim=2, nodes=nodes, elements=mesh.elements, kind=ElementKind.T3)
+    mesh = perturb_interior(generate_grid(ElementKind.T3, 6), 0.12 * (1.0 / 6.0), seed=1)
     assert np.any(mesh.geometry.lapb >= 0)
     lam = {}
     for scheme in ("wvm", "svm"):
@@ -355,13 +351,8 @@ def _body_force(x):
 
 def _perturbed(mesh, seed=7):
     """mesh with every interior node moved by up to 0.1 of the grid step."""
-    interior = np.ones(mesh.n_nodes, dtype=bool)
-    interior[list(mesh.nodeset("all"))] = False
     h = np.ptp(mesh.nodes[mesh.elements], axis=1).max()
-    nodes = mesh.nodes.copy()
-    nodes[interior] += np.random.default_rng(seed).uniform(-0.1 * h, 0.1 * h,
-                                                           (interior.sum(), mesh.dim))
-    return dataclasses.replace(mesh, nodes=nodes)
+    return perturb_interior(mesh, 0.1 * h, seed)
 
 
 def _fold_monolithic(matrix, rhs, constraints):

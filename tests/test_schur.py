@@ -6,6 +6,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from conftest import perturb_interior
 from test_equivalence import _grid
 
 from stokeslab import linalg
@@ -34,14 +35,10 @@ def _rel_diff(x, y):
 
 def _perturbed_q4(n=30, amount=0.3):
     """Q4 n x n grid with interior nodes moved by up to amount * h."""
-    mesh = generate_grid(ElementKind.Q4, n)
+    mesh = perturb_interior(generate_grid(ElementKind.Q4, n), amount * (1.0 / n), seed=0)
     interior = np.ones(mesh.n_nodes, dtype=bool)
     interior[list(mesh.nodeset("all"))] = False
-    h = 1.0 / n
-    nodes = mesh.nodes.copy()
-    rng = np.random.default_rng(0)
-    nodes[interior] += rng.uniform(-amount * h, amount * h, (interior.sum(), 2))
-    return dataclasses.replace(mesh, nodes=nodes), interior
+    return mesh, interior
 
 
 @pytest.mark.parametrize("scheme", ["wvm", "svm"])
