@@ -6,10 +6,11 @@
 Each command runs as `python -m stokeslab.cli ...` in a fresh child process
 and a fresh working directory, with PYTHONPATH=SRC (the directory that holds
 the `stokeslab` package) and BLAS capped at one thread.  The record holds,
-per command, the exit code, the stdout text and its sha256, and the sha256
-of every file the run wrote.  `--compare` prints every command whose record
-differs and exits 1 if there is any.  Where both records hold the stdout
-text, it prints the largest relative change among the printed numbers of
+per command, the exit code, the stdout text and its sha256, the sha256 of
+every file the run wrote, and the text of each written file of at most
+SMALL_FILE bytes.  `--compare` prints every command whose record differs
+and exits 1 if there is any.  Where both records hold the text of a moved
+stdout or file, it prints the largest relative change among its numbers of
 size >= 1e-8 and the largest absolute change among the smaller ones, in
 place of the two records; records without the text compare by hash.
 """
@@ -75,6 +76,9 @@ _ONE_THREAD = {k: "1" for k in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
                                 "MKL_NUM_THREADS", "BLIS_NUM_THREADS")}
 
 
+SMALL_FILE = 64 * 1024
+
+
 def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
@@ -87,9 +91,12 @@ def record(src: Path) -> dict:
             argv = command.format(tmp=tmp, src=src).split()
             proc = subprocess.run([sys.executable, "-m", "stokeslab.cli", *argv],
                                   cwd=tmp, env=env, capture_output=True)
-            files = {p.name: _sha(p.read_bytes()) for p in sorted(Path(tmp).iterdir())}
+            files = {p.name: p.read_bytes() for p in sorted(Path(tmp).iterdir())}
         out[command] = {"exit": proc.returncode, "stdout": _sha(proc.stdout),
-                        "files": files, "text": proc.stdout.decode()}
+                        "files": {name: _sha(data) for name, data in files.items()},
+                        "text": proc.stdout.decode(),
+                        "file_text": {name: data.decode() for name, data in files.items()
+                                      if len(data) <= SMALL_FILE}}
         print(f"exit {proc.returncode}  {command}", file=sys.stderr)
     return out
 
@@ -99,10 +106,10 @@ _SMALL = 1e-8
 
 
 def text_change(a: str, b: str) -> str:
-    """The largest change between the numbers printed in two stdout texts
+    """The largest change between the numbers in two texts (stdouts or files)
     that differ only in their numbers."""
     if _NUMBER.split(a) != _NUMBER.split(b):
-        return "stdout text differs beyond its numbers"
+        return "text differs beyond its numbers"
     numbers = list(zip(_NUMBER.findall(a), _NUMBER.findall(b)))
     pairs = [(float(x), float(y)) for x, y in numbers if x != y]
     big = [(abs(x - y) / max(abs(x), abs(y)), x, y) for x, y in pairs
@@ -117,7 +124,7 @@ def text_change(a: str, b: str) -> str:
 
 
 def _hashes(record):
-    return record and {k: v for k, v in record.items() if k != "text"}
+    return record and {k: v for k, v in record.items() if k not in ("text", "file_text")}
 
 
 def compare(a: dict, b: dict) -> list:
@@ -134,10 +141,11 @@ def compare(a: dict, b: dict) -> list:
             lines.append(f"  exit {ra['exit']} -> {rb['exit']}")
         if ra["stdout"] != rb["stdout"]:
             lines.append(f"  stdout: {text_change(ra['text'], rb['text'])}")
-        if ra["files"] != rb["files"]:
-            moved = sorted(n for n in {*ra["files"], *rb["files"]}
-                           if ra["files"].get(n) != rb["files"].get(n))
-            lines.append(f"  files moved: {', '.join(moved)}")
+        for name in sorted({*ra["files"], *rb["files"]}):
+            if ra["files"].get(name) != rb["files"].get(name):
+                ta, tb = (r.get("file_text", {}).get(name) for r in (ra, rb))
+                change = "hash differs" if ta is None or tb is None else text_change(ta, tb)
+                lines.append(f"  file {name}: {change}")
         diffs.append("\n".join(lines))
     return diffs
 

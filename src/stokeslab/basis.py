@@ -145,9 +145,9 @@ def element_geometry(table: BasisTable, coords) -> ElementGeometry:
     element 0): below it adj(J) / detJ loses digits.  detJ is numpy's det;
     J^-1 is adj(J) / detJ, C-contiguous.  The second derivatives are
     contracted over their flattened (m, s) axis by stacked matmuls, one
-    small product per point.  G has the bits and the strides of
-    np.einsum("...pmi,pnm->...pin", Jinv, DN), which set the summation
-    order of error_norms' einsum over G; J, gb and x keep their einsums.
+    small product per point.  G has the bits of
+    np.einsum("...pmi,pnm->...pin", Jinv, DN), stored C-contiguous;
+    J, gb and x keep their einsums.
     """
     coords = np.asarray(coords, dtype=float)
     d = coords.shape[-1]
@@ -177,12 +177,11 @@ def element_geometry(table: BasisTable, coords) -> ElementGeometry:
     H = table.D2N @ JJT
     divJinv = -(Jinv @ (np.swapaxes(coords, -1, -2)[..., None, :, :] @ H))
     # G[..., p, i, n] = sum_m Jinv[..., p, m, i] DN[p, n, m], added onto zeros
-    # in m order, stored (..., p, nen, dim) as the einsum stores it, the
-    # layout whose strides set the summation order of error_norms' einsum
-    Gt = np.zeros(J.shape[:-2] + table.DN.shape[1:])
+    # in m order: the einsum's values, C-contiguous
+    DN = np.ascontiguousarray(np.swapaxes(table.DN, 1, 2))  # (np, dim, nen)
+    G = np.zeros(J.shape[:-1] + DN.shape[-1:])
     for m in range(d):
-        Gt += table.DN[:, :, m, None] * Jinv[..., :, None, m, :]
-    G = np.swapaxes(Gt, -1, -2)
+        G += Jinv[..., m, :, None] * DN[:, m, None, :]
     lapN = (H + table.DN @ divJinv)[..., 0]
     gb = np.einsum("...pki,pk->...pi", Jinv, table.gb)
     lapb = (table.Hb[:, None, :] @ JJT + table.gb[:, None, :] @ divJinv)[..., 0, 0]

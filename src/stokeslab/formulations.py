@@ -108,7 +108,8 @@ def _element_stacks(mesh, config):
     the enriched blocks and loads come with the fine scales condensed out.
 
     Every block and load is a stacked matmul over the flattened
-    (quadrature, component) axis of G, viewed as (e, np*dim, nen).  Every
+    (quadrature, component) axis of G, a view of the geometry's
+    C-contiguous G as (e, np*dim, nen).  Every
     scheme forms the same Galerkin part, to which wvm/svm add their terms
     in place; the Brezzi-Pitkaranta term and the enriched fine blocks use
     the same operands, multiplied separately rather than concatenated,
@@ -123,7 +124,7 @@ def _element_stacks(mesh, config):
         bf = np.broadcast_to(np.asarray(config.body_force(geom.x), dtype=float),
                              geom.x.shape)
 
-    Gf = geom.G.reshape(n_el, -1, nen)  # (e, np*dim, nen), C-contiguous
+    Gf = geom.G.reshape(n_el, -1, nen)  # (e, np*dim, nen)
     wG = np.repeat(wdet, dim, axis=1)[:, :, None] * Gf
     Kvv = np.swapaxes(wG, 1, 2) @ Gf
     Kvp = -(np.swapaxes(wG.reshape(n_el, -1, dim * nen), 1, 2) @ N).reshape(

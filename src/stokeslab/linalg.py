@@ -339,8 +339,9 @@ def solve_schur(system: LinearSystem, residual_rtol: float = 1e-10,
     Reads the system's blocks.  On the free (unconstrained) dofs, with the
     velocities ordered component by component, the system reads
     [V G; B K_pp] [v; p] = [f_v; f_p], where V is K on each component's
-    free nodes, and B = G^T.  K is factored once per component, or once for all of them
-    when they have the same free nodes, as an LDL^T (no row pivoting);
+    free nodes, and B = G^T, the CSR of G's transpose.  K is factored
+    once per component, or once for all of them when they have the same
+    free nodes, as an LDL^T (no row pivoting);
     preconditioned CG then solves S p = g = B V^-1 f_v - f_p with
     S = B V^-1 G - K_pp and the preconditioner
     diag(B diag(V)^-1 B^T) - diag(K_pp), and v = V^-1 (f_v - G p).
@@ -412,11 +413,7 @@ def solve_schur(system: LinearSystem, residual_rtol: float = 1e-10,
     pf = dofs_p[p_nodes]
     G = sp.vstack([blocks.pattern.matrix(blocks.G[c]).to_scipy()[nodes[c]][:, cg_nodes]
                    for c in comps], format="csr")
-    # B = G^T with its columns in velocity dof order, so each row adds its
-    # terms in the column order of the monolithic matrix
-    B = sp.csr_matrix((blocks.G[:, blocks.pattern.transpose].T.ravel(),
-                       dofs_v[blocks.pattern.cols].ravel(), K.indptr * dim),
-                      shape=(n, dofs_v.size))[cg_nodes][:, vf]
+    B = G.T.tocsr()
     Kpp = Kpp[cg_nodes][:, cg_nodes]
     d = (B.multiply(B) @ (1.0 / np.concatenate([K.diagonal()[nodes[c]] for c in comps]))
          - Kpp.diagonal())

@@ -18,6 +18,7 @@ from stokeslab.analysis import (
     mesh_size,
     pressure_mass_matrix,
 )
+from stokeslab.basis import basis_table
 from stokeslab.cases import case_by_name
 from stokeslab.driver import SolutionField, solve_case
 from stokeslab.formulations import FormulationConfig, assemble
@@ -111,6 +112,35 @@ def test_linear_fields_reproduced_exactly():
     rep = error_norms(_field(mesh, v, p), case, mesh)
     assert rep.velocity_l2 < 1e-12
     assert rep.pressure_h1semi < 1e-12
+
+
+@pytest.mark.parametrize("kind", list(ElementKind))
+def test_error_norms_of_random_fields_on_distorted_grids(kind):
+    """Random nodal fields on a 0.12h-perturbed grid against smooth exact
+    fields: both norms match a reference that forms grad p_h point by point
+    from J^-1 and the parametric shape gradients, not from the stored G."""
+    n = 4 if kind.dim == 2 else 3
+    mesh = perturb_interior(generate_grid(kind, n), 0.12 / n, seed=3)
+    base = case_by_name("patch_constant", kind.dim)
+    case = dataclasses.replace(
+        base, name="smooth",
+        exact_velocity=lambda x: np.sin(3.0 * x + 1.0),
+        exact_pressure=lambda x: np.cos(x).prod(axis=-1),
+        exact_pressure_grad=lambda x: np.cos(2.0 * x),
+    )
+    rng = np.random.default_rng(11)
+    v, p = rng.standard_normal((mesh.n_nodes, kind.dim)), rng.standard_normal(mesh.n_nodes)
+    rep = error_norms(_field(mesh, v, p), case, mesh)
+
+    table, geom = basis_table(kind), mesh.geometry
+    vh = table.N @ v[mesh.elements]
+    dp = (np.swapaxes(table.DN, 1, 2) @ p[mesh.elements][:, None, :, None])[..., 0]
+    gph = (np.swapaxes(geom.Jinv, -1, -2) @ dp[..., None])[..., 0]
+    v2 = (geom.wdet * ((vh - case.exact_velocity(geom.x)) ** 2).sum(-1)).sum()
+    p2 = (geom.wdet * ((gph - case.exact_pressure_grad(geom.x)) ** 2).sum(-1)).sum()
+    assert rep.velocity_l2 == pytest.approx(np.sqrt(v2), rel=1e-13)
+    assert rep.pressure_h1semi == pytest.approx(np.sqrt(p2), rel=1e-13)
+    assert rep.pressure_h1semi > 1.0  # the random field's gradient dominates
 
 
 def test_convergence_study_flags_exactly_reproduced_case():

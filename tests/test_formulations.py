@@ -125,6 +125,22 @@ def test_svm_pressure_stabilization_indefinite_on_distorted_triangles():
     assert lam["wvm"].min() > -1e-10 * lam["wvm"].max()
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("kind", [ElementKind.Q4, ElementKind.T3])
+def test_svm_pointwise_tau_is_unbounded_on_distorted_grids(kind, seed):
+    """svm's tau_eff = -b/lap(b) on 16x16 grids whose interior nodes move by
+    up to 0.2h: lap(b) >= 0 at some quadrature points (1.2-2.0% of them),
+    and max|tau_eff|/h^2 is 1.5 to 65, against at most 0.0625 on the
+    undistorted grid.  Stabilization theory needs 0 < tau <= C h^2 / 2nu."""
+    n, b = 16, basis_table(kind).b
+    h = 1.0 / n
+    uniform = generate_grid(kind, n)
+    bound = np.abs(b / uniform.geometry.lapb).max() / h**2
+    lapb = perturb_interior(uniform, 0.2 * h, seed).geometry.lapb
+    assert np.any(lapb >= 0)
+    assert np.abs(b / lapb).max() / h**2 >= 10 * bound
+
+
 def test_system_symmetry_galerkin_and_enriched():
     mesh = generate_grid(ElementKind.Q4, 3)
     for scheme in ("galerkin", "enriched"):
@@ -428,15 +444,14 @@ def _einsum_G(mesh):
 @pytest.mark.parametrize("perturbed", [False, True], ids=["regular", "perturbed"])
 @pytest.mark.parametrize("kind", list(ElementKind))
 def test_geometry_G_is_the_einsum_in_bytes_and_strides(kind, perturbed):
-    """analysis.error_norms' einsum over G sums in the order G's strides
-    set, so a G with the same values in another layout would move the
-    pressure-gradient error of a solve; the element kernel copies G to its
-    own (e, np*dim, nen) layout and is indifferent to it."""
+    """G holds the einsum's values with C-contiguous strides, (..., p, dim,
+    nen), so the element kernel's (e, np*dim, nen) operand is a view of it."""
     mesh = generate_grid(kind, 6 if kind.dim == 2 else 3)
     mesh = _perturbed(mesh) if perturbed else mesh
     got, want = mesh.geometry.G, _einsum_G(mesh)
-    assert got.strides == want.strides
-    assert got.tobytes() == want.tobytes()
+    assert got.flags.c_contiguous
+    assert got.tobytes() == np.ascontiguousarray(want).tobytes()
+    assert np.shares_memory(got.reshape(len(mesh.elements), -1, got.shape[-1]), got)
 
 
 def _einsum_galerkin_stacks(mesh, config):

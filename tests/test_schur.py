@@ -54,9 +54,12 @@ def test_schur_cg_matches_lu(kind, case_name, scheme):
     assert sol.iterations > 0
     assert sol.residual < 1e-12
     assert _rel_diff(sol.values, x_lu) <= 1e-10
-    # the residual read from the blocks is the monolithic matrix's, to the bit
+    # the residual read from the blocks is the monolithic matrix's, but
+    # B = G^T sums each pressure row in G's order, not the monolithic one:
+    # that moved the residual by at most 9.3e-4 of itself over these cases
     A = constrained.matrix.to_scipy()
-    assert sol.residual == linalg._residual(A, sol.values, constrained.rhs)
+    assert sol.residual == pytest.approx(linalg._residual(A, sol.values, constrained.rhs),
+                                         rel=1e-2, abs=0)
 
 
 @pytest.mark.parametrize("scheme", ["wvm", "svm"])
@@ -85,6 +88,17 @@ def test_indefinite_velocity_block_falls_back_to_lu():
     assert sol.iterations == 0
     assert sol.values.tobytes() == x_lu.tobytes()
     assert sol.residual == res
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_svm_falls_back_to_lu_on_distorted_q4_while_wvm_converges(seed):
+    """On a 16x16 Q4 grid with interior nodes moved by up to 0.2h, svm's
+    pointwise tau makes its velocity block indefinite, so the body-force
+    cavity goes to LU; wvm's CG converges (50 iterations)."""
+    mesh = perturb_interior(generate_grid(ElementKind.Q4, 16), 0.2 / 16, seed)
+    case = case_by_name("body_force_cavity", 2)
+    assert solve_case(case, mesh, "svm").solver == "lu"
+    assert solve_case(case, mesh, "wvm").solver == "schur-cg"
 
 
 @pytest.mark.parametrize("kind, scheme, bp_epsilon", [
