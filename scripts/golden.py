@@ -6,13 +6,13 @@
 Each command runs as `python -m stokeslab.cli ...` in a fresh child process
 and a fresh working directory, with PYTHONPATH=SRC (the directory that holds
 the `stokeslab` package) and BLAS capped at one thread.  The record holds,
-per command, the exit code, the stdout text and its sha256, the sha256 of
-every file the run wrote, and the text of each written file of at most
-SMALL_FILE bytes.  `--compare` prints every command whose record differs
-and exits 1 if there is any.  Where both records hold the text of a moved
-stdout or file, it prints the largest relative change among its numbers of
-size >= 1e-8 and the largest absolute change among the smaller ones, in
-place of the two records; records without the text compare by hash.
+per command, the exit code, the stdout text and its sha256, and the sha256
+and the text of every file the run wrote.  `--compare` prints every command
+whose record differs and exits 1 if there is any.  Where both records hold
+the text of a moved stdout or file, it prints the largest relative change
+among its numbers of size >= 1e-8 and the largest absolute change among the
+smaller ones, in place of the two records; records without the text
+compare by hash.
 """
 
 from __future__ import annotations
@@ -76,9 +76,6 @@ _ONE_THREAD = {k: "1" for k in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
                                 "MKL_NUM_THREADS", "BLIS_NUM_THREADS")}
 
 
-SMALL_FILE = 64 * 1024
-
-
 def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
@@ -95,8 +92,7 @@ def record(src: Path) -> dict:
         out[command] = {"exit": proc.returncode, "stdout": _sha(proc.stdout),
                         "files": {name: _sha(data) for name, data in files.items()},
                         "text": proc.stdout.decode(),
-                        "file_text": {name: data.decode() for name, data in files.items()
-                                      if len(data) <= SMALL_FILE}}
+                        "file_text": {name: data.decode() for name, data in files.items()}}
         print(f"exit {proc.returncode}  {command}", file=sys.stderr)
     return out
 

@@ -126,8 +126,7 @@ def main():
         if u[0] * v[1] - u[1] * v[0] < 0:
             tris[k] = (a, c, b)
     boundary_sets = {"all": np.nonzero(on_boundary)[0]}
-    mesh = Mesh(dim=2, nodes=verts, elements=tris, kind=ElementKind.T3,
-                boundary_sets=boundary_sets)
+    mesh = Mesh(verts, tris, ElementKind.T3, boundary_sets)
     angles = triangle_angles(mesh)
     print(f"{mesh.n_elements} triangles, max angle {np.degrees(angles.max()):.6f} deg")
     assert np.degrees(angles.max()) < 90.0

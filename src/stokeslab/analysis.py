@@ -135,11 +135,11 @@ def lbb_spectrum(mesh: Mesh, scheme: str) -> SpectrumReport:
     if not interior.any():
         raise ValueError("no interior velocity dofs")
 
-    gal = assemble(mesh, FormulationConfig(scheme="galerkin", nu=1.0))[0].blocks
+    gal = assemble(mesh, FormulationConfig(scheme="galerkin", nu=1.0))[0]
     K = gal.pattern.matrix(gal.K).to_dense()[interior][:, interior]
     G = np.stack([gal.pattern.matrix(Gc).to_dense()[interior] for Gc in gal.G])
     stab = gal if scheme == "galerkin" else assemble(
-        mesh, FormulationConfig(scheme=scheme, nu=1.0))[0].blocks
+        mesh, FormulationConfig(scheme=scheme, nu=1.0))[0]
     S = sum(Gc.T @ Xc for Gc, Xc in zip(G, np.linalg.solve(K, G)))
     S -= stab.pattern.matrix(stab.Kpp).to_dense()
     M = pressure_mass_matrix(mesh)

@@ -34,7 +34,7 @@ import numpy as np
 
 from .basis import basis_table, element_geometry, integrate, tabulate
 from .kinds import ElementKind
-from .linalg import LinearSystem, SingularMatrixError, StokesBlocks, TripletPattern, split_dofs
+from .linalg import LinearSystem, SingularMatrixError, TripletPattern, split_dofs
 from .mesh import Mesh
 
 SCHEMES = ("galerkin", "wvm", "svm", "enriched")
@@ -195,7 +195,6 @@ def assemble(mesh: Mesh, config: FormulationConfig) -> tuple[LinearSystem, FineB
     dim = mesh.dim
     stack = np.concatenate([Kvv[None], Kvp.transpose(2, 0, 1, 3), Kpp[None]])
     sums = mesh.node_pattern.sum(stack.reshape(len(stack), -1))
-    blocks = StokesBlocks(mesh.node_pattern, dim, K=sums[0], G=sums[1:1 + dim], Kpp=sums[-1])
     nodal = TripletPattern.build(mesh.n_nodes, 1, mesh.elements.ravel(),
                                  np.zeros(mesh.elements.size, dtype=np.intp))
     loads = nodal.sum(np.concatenate([fv.transpose(2, 0, 1), fp[None]]).reshape(dim + 1, -1))
@@ -203,7 +202,8 @@ def assemble(mesh: Mesh, config: FormulationConfig) -> tuple[LinearSystem, FineB
     velocity, pressure = split_dofs(rhs, dim)
     velocity[nodal.rows] += loads[:dim].T  # adding to +0.0 turns a -0.0 sum into +0.0
     pressure[nodal.rows] += loads[dim]
-    return LinearSystem(blocks, rhs), fine
+    return LinearSystem(mesh.node_pattern, K=sums[0], G=sums[1:1 + dim], Kpp=sums[-1], rhs=rhs,
+                        constraints=np.full(rhs.size, np.nan)), fine
 
 
 def recover_fine(solution, fine: FineBlocks, mesh: Mesh) -> np.ndarray:

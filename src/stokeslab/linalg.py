@@ -7,7 +7,7 @@ row * n_cols + col puts each entry's duplicates next to each other.  The
 numeric phase sorts the values within each group and adds each group with
 one np.add.reduceat, so shuffled triplet order produces a bit-identical
 compressed matrix.  A mesh computes its node pattern once, and every block
-of an equal-order Stokes system (StokesBlocks) is summed on it; the load
+of an equal-order Stokes system (LinearSystem) is summed on it; the load
 vector is summed on the pattern of the element nodes, one column wide.
 
 scipy.sparse and scipy.sparse.linalg are imported by the functions that use
@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -155,41 +155,6 @@ def split_dofs(x, dim):
     return x[:n * dim].reshape(n, dim), x[n * dim:]
 
 
-@dataclass(frozen=True)
-class StokesBlocks:
-    """An equal-order Stokes matrix as node-by-node blocks on one pattern.
-
-    With the dofs ordered velocity (node-major, dim components), then
-    pressure, the matrix is [K (x) I_dim, G; G^T, Kpp]: G[i] couples velocity
-    component i (rows) to pressure, stored once, as the pressure rows are
-    its transpose.  The cross-component velocity entries are explicit +0.0
-    entries, so LU sees the pattern of the whole element matrix.
-    """
-
-    pattern: TripletPattern  # n_nodes x n_nodes, symmetric
-    dim: int
-    K: np.ndarray    # (nnz,)
-    G: np.ndarray    # (dim, nnz)
-    Kpp: np.ndarray  # (nnz,)
-
-    def triplets(self, entries=slice(None)):
-        """The monolithic matrix as unique (rows, cols, vals) triplets, or
-        the triplets of the node-by-node blocks at the given pattern entries,
-        in the same order."""
-        n, d = self.pattern.n_rows, self.dim
-        velocity, pressure = split_dofs(np.arange(n * (d + 1)), d)
-        dofs = np.concatenate([velocity, pressure[:, None]], 1)  # (n, d + 1) per node
-        K = self.K[entries]
-        vals = np.zeros((K.size, d + 1, d + 1))
-        vals[:, range(d), range(d)] = K[:, None]
-        vals[:, :d, d] = self.G[:, entries].T
-        vals[:, d, :d] = self.G[:, self.pattern.transpose[entries]].T
-        vals[:, d, d] = self.Kpp[entries]
-        return (np.broadcast_to(dofs[self.pattern.rows[entries]][:, :, None], vals.shape).ravel(),
-                np.broadcast_to(dofs[self.pattern.cols[entries]][:, None, :], vals.shape).ravel(),
-                vals.ravel())
-
-
 def _abs(csr):
     """|csr| in csr's own index order; abs(csr) would sort unsorted indices."""
     import scipy.sparse as sp
@@ -213,9 +178,16 @@ def _residual(csr, x, b) -> float:
     return float(res) if np.isfinite(denom) and np.isfinite(res) else math.inf
 
 
+@dataclass(frozen=True, eq=False)
 class LinearSystem:
-    """An equal-order Stokes system as its blocks and right-hand side, and
-    the point constraints folded into them.
+    """An equal-order Stokes system as node-by-node blocks on one pattern,
+    its right-hand side, and the point constraints folded into them.
+
+    With the dofs ordered velocity (node-major, dim components), then
+    pressure, the matrix is [K (x) I_dim, G; G^T, Kpp]: G[i] couples velocity
+    component i (rows) to pressure, stored once, as the pressure rows are
+    its transpose.  The cross-component velocity entries are explicit +0.0
+    entries, so LU sees the pattern of the whole element matrix.
 
     ``constraints`` holds the prescribed value of each dof, NaN where the
     dof is free; only apply_constraints makes a system with any.
@@ -224,14 +196,37 @@ class LinearSystem:
     blocks on first use.
     """
 
-    def __init__(self, blocks: StokesBlocks, rhs, constraints=None):
-        self.blocks = blocks
-        self.rhs = rhs
-        self.constraints = np.full(len(rhs), np.nan) if constraints is None else constraints
+    pattern: TripletPattern  # n_nodes x n_nodes, symmetric
+    K: np.ndarray    # (nnz,)
+    G: np.ndarray    # (dim, nnz)
+    Kpp: np.ndarray  # (nnz,)
+    rhs: np.ndarray
+    constraints: np.ndarray
+
+    @property
+    def dim(self) -> int:
+        return len(self.G)
+
+    def triplets(self, entries=slice(None)):
+        """The monolithic matrix as unique (rows, cols, vals) triplets, or
+        the triplets of the node-by-node blocks at the given pattern entries,
+        in the same order."""
+        n, d = self.pattern.n_rows, self.dim
+        velocity, pressure = split_dofs(np.arange(n * (d + 1)), d)
+        dofs = np.concatenate([velocity, pressure[:, None]], 1)  # (n, d + 1) per node
+        K = self.K[entries]
+        vals = np.zeros((K.size, d + 1, d + 1))
+        vals[:, range(d), range(d)] = K[:, None]
+        vals[:, :d, d] = self.G[:, entries].T
+        vals[:, d, :d] = self.G[:, self.pattern.transpose[entries]].T
+        vals[:, d, d] = self.Kpp[entries]
+        return (np.broadcast_to(dofs[self.pattern.rows[entries]][:, :, None], vals.shape).ravel(),
+                np.broadcast_to(dofs[self.pattern.cols[entries]][:, None, :], vals.shape).ravel(),
+                vals.ravel())
 
     @cached_property
     def matrix(self) -> SparseMatrix:
-        rows, cols, vals = self.blocks.triplets()
+        rows, cols, vals = self.triplets()
         n = self.rhs.size
         is_con = ~np.isnan(self.constraints)
         con = np.flatnonzero(is_con)
@@ -259,17 +254,17 @@ def apply_constraints(system: LinearSystem, constraints) -> LinearSystem:
     rhs = np.array(system.rhs, dtype=float)
     # only the blocks of a row node with a free dof and a column node with a
     # constrained dof hold terms that move
-    con_v, con_p = split_dofs(is_con, system.blocks.dim)
+    con_v, con_p = split_dofs(is_con, system.dim)
     any_free, any_con = ~(con_v.all(1) & con_p), con_v.any(1) | con_p
-    pattern = system.blocks.pattern
-    rows, cols, vals = system.blocks.triplets(
+    pattern = system.pattern
+    rows, cols, vals = system.triplets(
         np.flatnonzero(any_free[pattern.rows] & any_con[pattern.cols]))
     moved = is_con[cols] & ~is_con[rows]
     r, c, v = rows[moved], cols[moved], vals[moved]
     at = np.argsort(r * n + c)  # each row takes its terms in column order
     np.add.at(rhs, r[at], -v[at] * cvals[c[at]])
     rhs[is_con] = cvals[is_con]
-    return LinearSystem(system.blocks, rhs, constraints)
+    return replace(system, rhs=rhs, constraints=constraints)
 
 
 def _check_tolerances(pivot_rtol, residual_rtol) -> None:
@@ -336,8 +331,8 @@ def solve_schur(system: LinearSystem, residual_rtol: float = 1e-10,
     """Solve a stabilized Stokes system by CG on its pressure Schur
     complement, or return None where that route does not apply.
 
-    Reads the system's blocks.  On the free (unconstrained) dofs, with the
-    velocities ordered component by component, the system reads
+    On the free (unconstrained) velocity dofs, ordered component by
+    component, and all pressures, the system reads
     [V G; B K_pp] [v; p] = [f_v; f_p], where V is K on each component's
     free nodes, and B = G^T, the CSR of G's transpose.  K is factored
     once per component, or once for all of them when they have the same
@@ -346,7 +341,7 @@ def solve_schur(system: LinearSystem, residual_rtol: float = 1e-10,
     S = B V^-1 G - K_pp and the preconditioner
     diag(B diag(V)^-1 B^T) - diag(K_pp), and v = V^-1 (f_v - G p).
 
-    When exactly one pressure dof is constrained, CG runs on all pressures:
+    CG always runs on all pressures.  When one pressure dof is constrained,
     the pin's column goes back into f_v and f_p, its row of g is set so
     that the entries of g sum to 0, and p is shifted afterwards to the
     pinned value.  Where G 1 vanishes on the free velocity rows and
@@ -354,32 +349,31 @@ def solve_schur(system: LinearSystem, residual_rtol: float = 1e-10,
     the quotient by them without the small eigenvalue that a pin leaves.
     Where they are not, the shifted p does not solve the constrained
     system, and the residual check below refuses it.
-    Any other number of pressure constraints keeps the free pressures.
     CG stops when |r| <= CG_RTOL (| |B| |V^-1 f_v| | + |f_p|), a scale
     that does not cancel when the exact pressure lies in the kernel.
 
     Returns (x, residual, cg_iterations), the residual as in solve_direct,
     of the constrained system.
-    Returns None when a factor pivoted rows or has a pivot <= pivot_rtol
+    Returns None when more than one pressure dof or every velocity dof is
+    constrained, a factor pivoted rows or has a pivot <= pivot_rtol
     times its largest (V is not positive definite), the preconditioner or
     q^T S q is not positive, CG has not converged after CG_MAXITER
     iterations, x is not finite, or the residual exceeds residual_rtol.
     Raises ValueError as solve_direct does.
     """
     _check_tolerances(pivot_rtol, residual_rtol)
-    blocks = system.blocks
-    n, dim = blocks.pattern.n_rows, blocks.dim
+    n, dim = system.pattern.n_rows, system.dim
     b = np.asarray(system.rhs, dtype=float)
     free = np.isnan(system.constraints)
     free_v, free_p = split_dofs(free, dim)
     nodes = [np.flatnonzero(free_v[:, c]) for c in range(dim)]  # free, per component
     comps = [c for c in range(dim) if nodes[c].size]
-    p_nodes = np.flatnonzero(free_p)
-    if not comps or p_nodes.size == 0:
+    p_nodes, pinned = np.flatnonzero(free_p), np.flatnonzero(~free_p)
+    if not comps or pinned.size > 1:
         return None
     import scipy.sparse as sp
     import scipy.sparse.linalg as spla
-    K, Kpp = (blocks.pattern.matrix(v).to_scipy() for v in (blocks.K, blocks.Kpp))
+    K = system.pattern.matrix(system.K).to_scipy()
     Vs = [K[nodes[c]][:, nodes[c]] for c in comps]
     shared = all(np.array_equal(nodes[comps[0]], nodes[c]) for c in comps)
     lus = []
@@ -404,22 +398,18 @@ def solve_schur(system: LinearSystem, residual_rtol: float = 1e-10,
             return np.concatenate([lu.solve(part)
                                    for lu, part in zip(lus, np.split(y, cuts))])
 
-    # a single pressure pin is freed, as the docstring says
-    pinned = np.flatnonzero(~free_p)
-    pin = pinned[0] if pinned.size == 1 else None
-    cg_nodes = p_nodes if pin is None else np.arange(n)
+    pin = pinned[0] if pinned.size else None  # freed, as the docstring says
     dofs_v, dofs_p = split_dofs(np.arange(b.size), dim)
     vf = np.concatenate([dofs_v[nodes[c], c] for c in comps])
-    pf = dofs_p[p_nodes]
-    G = sp.vstack([blocks.pattern.matrix(blocks.G[c]).to_scipy()[nodes[c]][:, cg_nodes]
-                   for c in comps], format="csr")
+    G = sp.vstack([system.pattern.matrix(system.G[c]).to_scipy()[nodes[c]] for c in comps],
+                  format="csr")
     B = G.T.tocsr()
-    Kpp = Kpp[cg_nodes][:, cg_nodes]
+    Kpp = system.pattern.matrix(system.Kpp).to_scipy()
     d = (B.multiply(B) @ (1.0 / np.concatenate([K.diagonal()[nodes[c]] for c in comps]))
          - Kpp.diagonal())
     if not np.all(d > 0):
         return None
-    f_v, f_p = b[vf], b[dofs_p[cg_nodes]]
+    f_v, f_p = b[vf], b[dofs_p]
     if pin is not None:  # unfold the pin's column back into the right-hand side
         u = np.zeros(n)
         u[pin] = b[dofs_p[pin]]
@@ -441,7 +431,7 @@ def solve_schur(system: LinearSystem, residual_rtol: float = 1e-10,
         p += u[pin] - p[pin]
         p[pin] = u[pin]
     x = b.copy()  # constrained rows are identity rows
-    x[dofs_p[cg_nodes]] = p
+    x[dofs_p] = p
     x[vf] = v_solve(f_v - G @ p)
     if not np.all(np.isfinite(x)):
         return None
@@ -450,6 +440,7 @@ def solve_schur(system: LinearSystem, residual_rtol: float = 1e-10,
     # the residual of the whole constrained matrix, its dofs permuted to
     # (vf, pf, constrained); every block is CSR, so bmat keeps each row's order
     con = np.flatnonzero(~free)
+    pf = dofs_p[p_nodes]
     sizes = (vf.size, pf.size, con.size)
     M = [[sp.csr_matrix((r, c)) for c in sizes] for r in sizes]
     M[0][:2], M[1][:2] = [sp.block_diag(Vs, format="csr"), G], [B, Kpp]

@@ -44,7 +44,6 @@ class Mesh:
     boundary_sets maps tag names to node-index sets.
     """
 
-    dim: int
     nodes: np.ndarray       # (n_nodes, dim)
     elements: np.ndarray    # (n_elements, nodes_per_element)
     kind: ElementKind
@@ -60,8 +59,6 @@ class Mesh:
         self._validate()
 
     def _validate(self):
-        if self.dim != self.kind.dim:
-            raise MeshError(f"dim {self.dim} inconsistent with kind {self.kind.value}")
         if self.nodes.ndim != 2 or self.nodes.shape[1] != self.dim:
             raise MeshError("nodes must be (n_nodes, dim)")
         finite = np.isfinite(self.nodes).all(axis=1)
@@ -82,6 +79,10 @@ class Mesh:
                 raise MeshError(f"element {e} has repeated node indices")
             node = self.elements[e][outside[e]][0]
             raise MeshError(f"element {e} references node {node} of {n}")
+        for name, idx in self.boundary_sets.items():
+            bad = sorted(i for i in idx if not 0 <= i < n)
+            if bad:
+                raise MeshError(f"nodeset {name} references node {bad[0]} of {n}")
         if not self.n_elements:
             raise MeshError("mesh has no elements")
         used = np.zeros(n, dtype=bool)
@@ -107,6 +108,10 @@ class Mesh:
         return TripletPattern.build(self.n_nodes, self.n_nodes,
                                     np.repeat(self.elements, nen, axis=1).ravel(),
                                     np.tile(self.elements, nen).ravel())
+
+    @property
+    def dim(self) -> int:
+        return self.kind.dim
 
     @property
     def n_nodes(self) -> int:
@@ -170,8 +175,7 @@ def generate_grid(kind: ElementKind, divisions) -> Mesh:
     else:
         elements = cells
 
-    return Mesh(dim=dim, nodes=nodes, elements=elements, kind=kind,
-                boundary_sets=_face_tag_sets(nodes))
+    return Mesh(nodes, elements, kind, _face_tag_sets(nodes))
 
 
 def load_mesh(path) -> Mesh:
@@ -224,6 +228,8 @@ def load_mesh(path) -> Mesh:
         kind = kind_from_name(kval)
     except ValueError as exc:
         raise MeshError(f"{path}:{ln}: {exc}") from None
+    if dim != kind.dim:
+        raise MeshError(f"{path}:{ln}: dim {dim} inconsistent with kind {kind.value}")
 
     ln, nval = expect_kv("nodes", "node count")
     n_nodes = count(ln, nval, "node count", one_per_line=True)
@@ -274,14 +280,10 @@ def load_mesh(path) -> Mesh:
                 raise MeshError(f"{path}:{ln}: bad node index in nodeset {name}") from None
         if len(idx) != size:
             raise MeshError(f"{path}:{ln}: nodeset {name} has {len(idx)} indices, expected {size}")
-        bad = [i for i in idx if i < 0 or i >= n_nodes]
-        if bad:
-            raise MeshError(f"{path}:{ln}: nodeset {name} references node {bad[0]} of {n_nodes}")
         boundary_sets[name] = frozenset(idx)
 
     try:
-        return Mesh(dim=dim, nodes=nodes, elements=elements, kind=kind,
-                    boundary_sets=boundary_sets)
+        return Mesh(nodes, elements, kind, boundary_sets)
     except MeshError as exc:
         raise MeshError(f"{path}: {exc}") from None
 

@@ -105,7 +105,7 @@ def enriched_full(mesh, config):
     fdofs = n + np.arange(n_el * dim).reshape(n_el, dim)
     Kcf = np.concatenate([(fine.s[:, :, None, None] * np.eye(dim)).reshape(n_el, -1, dim),
                           fine.kpf], 1)
-    parts = [system.blocks.triplets(),
+    parts = [system.triplets(),
              (coarse[:, :, None], fdofs[:, None, :], Kcf),
              (fdofs[:, :, None], coarse[:, None, :], Kcf.transpose(0, 2, 1)),
              (fdofs[:, :, None], fdofs[:, None, :], fine.kff[:, None, None] * np.eye(dim))]

@@ -235,7 +235,7 @@ def test_criterion_10_invariant_suite(rng):
     for scheme in ("wvm", "svm", "enriched"):
         mesh = generate_grid(ElementKind.Q4, 4)
         system, _ = assemble(mesh, FormulationConfig(scheme=scheme))
-        C = -system.blocks.pattern.matrix(system.blocks.Kpp).to_dense()
+        C = -system.pattern.matrix(system.Kpp).to_dense()
         lam = np.linalg.eigvalsh(0.5 * (C + C.T))
         psd = psd and lam.min() > -1e-10 * max(1.0, lam.max())
     checks.append(("pressure stabilization operator PSD", psd))

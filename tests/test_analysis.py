@@ -247,7 +247,7 @@ def _expanded_spectrum(mesh, scheme):
     interior = np.ones(n, dtype=bool)
     interior[list(mesh.nodeset("all"))] = False
     free_v = split_dofs(np.arange(n * (dim + 1)), dim)[0][interior].ravel()
-    gal = assemble(mesh, FormulationConfig(scheme="galerkin", nu=1.0))[0].blocks
+    gal = assemble(mesh, FormulationConfig(scheme="galerkin", nu=1.0))[0]
     K = gal.pattern.matrix(gal.K).to_dense()
     A = np.zeros((n, dim, n, dim))
     for i in range(dim):
@@ -255,7 +255,7 @@ def _expanded_spectrum(mesh, scheme):
     A = A.reshape(n * dim, -1)[np.ix_(free_v, free_v)]
     B = np.stack([gal.pattern.matrix(Gj).to_dense() for Gj in gal.G]).T  # B = G^T
     B = B.reshape(n, -1)[:, free_v]
-    stab = assemble(mesh, FormulationConfig(scheme=scheme, nu=1.0))[0].blocks
+    stab = assemble(mesh, FormulationConfig(scheme=scheme, nu=1.0))[0]
     S = B @ np.linalg.solve(A, B.T) - stab.pattern.matrix(stab.Kpp).to_dense()
     lam, Q = eig_sym_generalized(S, pressure_mass_matrix(mesh))
     zero = np.abs(lam) < ZERO_MODE_RTOL * np.abs(lam).max()

@@ -451,7 +451,7 @@ def test_scaled_mesh_is_refused_or_inverted_accurately(kind):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             try:
-                mesh = Mesh(dim=base.dim, nodes=nodes, elements=base.elements, kind=kind)
+                mesh = Mesh(nodes=nodes, elements=base.elements, kind=kind)
             except MeshError as exc:
                 assert re.match(r"^element \d+ is degenerate \(min detJ=", str(exc)), str(exc)
                 continue

@@ -50,7 +50,7 @@ def _gaps(kind, seed, body_force):
     bf = BODY_FORCE[kind.dim] if body_force else None
     enr, wvm = (assemble(mesh, FormulationConfig(scheme, nu=NU, body_force=bf))[0]
                 for scheme in ("enriched", "wvm"))
-    pairs = {name: (getattr(enr.blocks, name), getattr(wvm.blocks, name))
+    pairs = {name: (getattr(enr, name), getattr(wvm, name))
              for name in ("K", "G", "Kpp")}
     pairs["rhs"] = (enr.rhs, wvm.rhs)
     return {name: np.abs(a - b).max() / max(np.abs(b).max(), np.finfo(float).tiny)
@@ -80,11 +80,11 @@ def test_element_pressure_block_ranks(kind, enriched_rank, stabilized_rank):
     """The pressure block of one reference element: enriched has rank
     <= dim, wvm and svm nen - 1."""
     nen = kind.nodes_per_element
-    mesh = Mesh(kind.dim, REFERENCE_CORNERS[kind], [list(range(nen))], kind)
+    mesh = Mesh(REFERENCE_CORNERS[kind], [list(range(nen))], kind)
     ranks = {}
     for scheme in ("enriched", "wvm", "svm"):
-        blocks = assemble(mesh, FormulationConfig(scheme, nu=NU))[0].blocks
-        ranks[scheme] = np.linalg.matrix_rank(blocks.pattern.matrix(blocks.Kpp).to_dense())
+        system = assemble(mesh, FormulationConfig(scheme, nu=NU))[0]
+        ranks[scheme] = np.linalg.matrix_rank(system.pattern.matrix(system.Kpp).to_dense())
     assert ranks == {"enriched": enriched_rank, "wvm": stabilized_rank,
                      "svm": stabilized_rank}
 
@@ -95,9 +95,9 @@ def _tau_fit_residual(kind, coords, n):
     Gauss points: sum_q tau_q (-grad N_a . grad N_b)(x_q)."""
     from scipy.optimize import nnls
 
-    mesh = Mesh(kind.dim, coords, [list(range(kind.nodes_per_element))], kind)
-    blocks = assemble(mesh, FormulationConfig("enriched", nu=NU))[0].blocks
-    target = blocks.pattern.matrix(blocks.Kpp).to_dense()
+    mesh = Mesh(coords, [list(range(kind.nodes_per_element))], kind)
+    system = assemble(mesh, FormulationConfig("enriched", nu=NU))[0]
+    target = system.pattern.matrix(system.Kpp).to_dense()
     x = np.polynomial.legendre.leggauss(n)[0]
     points = np.stack(np.meshgrid(*[x] * kind.dim, indexing="ij"), -1).reshape(-1, kind.dim)
     G = element_geometry(tabulate(kind, points, np.ones(len(points))), coords).G

@@ -90,7 +90,7 @@ def test_svm_tau_scales_with_squared_element_size(kind):
 # --------------------------------------------------------------- block structure
 
 def _pp_block(system):
-    return system.blocks.pattern.matrix(system.blocks.Kpp).to_dense()
+    return system.pattern.matrix(system.Kpp).to_dense()
 
 
 def test_galerkin_pressure_pressure_block_zero():
@@ -295,7 +295,7 @@ def test_only_enriched_returns_fine_blocks(scheme):
 @pytest.mark.parametrize("kind", list(ElementKind))
 def test_assembly_independent_of_element_order(kind, scheme, rng):
     mesh = generate_grid(kind, 7 if kind.dim == 2 else 3)
-    shuffled = Mesh(dim=mesh.dim, nodes=mesh.nodes,
+    shuffled = Mesh(nodes=mesh.nodes,
                     elements=mesh.elements[rng.permutation(mesh.n_elements)],
                     kind=mesh.kind, boundary_sets=mesh.boundary_sets)
     config = FormulationConfig(scheme=scheme, nu=0.5,
@@ -304,9 +304,9 @@ def test_assembly_independent_of_element_order(kind, scheme, rng):
     one, _ = assemble(mesh, config)
     two, _ = assemble(shuffled, config)
     for name in ("rows", "cols"):
-        assert np.array_equal(getattr(one.blocks.pattern, name), getattr(two.blocks.pattern, name))
+        assert np.array_equal(getattr(one.pattern, name), getattr(two.pattern, name))
     for name in ("K", "G", "Kpp"):
-        assert getattr(one.blocks, name).tobytes() == getattr(two.blocks, name).tobytes()
+        assert getattr(one, name).tobytes() == getattr(two, name).tobytes()
     assert np.array_equal(one.matrix.rows, two.matrix.rows)
     assert np.array_equal(one.matrix.cols, two.matrix.cols)
     assert one.matrix.vals.tobytes() == two.matrix.vals.tobytes()
@@ -432,7 +432,7 @@ def test_blocks_match_monolithic_scatter(kind, perturbed, scheme, bp_epsilon, co
         if condensed:
             for i in range(mesh.dim):
                 comp = (rows < n_v) & (cols < n_v) & (rows % mesh.dim == i) & (cols % mesh.dim == i)
-                assert system.blocks.K.tobytes() == vals[comp].tobytes()
+                assert system.K.tobytes() == vals[comp].tobytes()
 
 
 # ----------------------------------- G's layout, and the element stacks' formulas

@@ -11,7 +11,6 @@ from stokeslab.linalg import (
     SingularMatrixError,
     SolveAccuracyError,
     SparseMatrix,
-    StokesBlocks,
     TripletPattern,
     apply_constraints,
     eig_sym_generalized,
@@ -144,15 +143,16 @@ def _stokes_system(K, G, Kpp, rhs):
     n = len(K)
     pattern = TripletPattern.build(n, n, np.repeat(np.arange(n), n), np.tile(np.arange(n), n))
     K, G = (np.asarray(a, dtype=float) for a in (K, G))
-    blocks = StokesBlocks(pattern, len(G), K=K.ravel(), G=G.reshape(len(G), -1),
-                          Kpp=np.asarray(Kpp, dtype=float).ravel())
-    return LinearSystem(blocks, np.asarray(rhs, dtype=float))
+    rhs = np.asarray(rhs, dtype=float)
+    return LinearSystem(pattern, K=K.ravel(), G=G.reshape(len(G), -1),
+                        Kpp=np.asarray(Kpp, dtype=float).ravel(), rhs=rhs,
+                        constraints=np.full(rhs.size, np.nan))
 
 
 def _system_from_dense(A, b):
     """An even-sized dense A as a dim-1 Stokes system on the full node
     pattern: K = A[:n, :n], G = A[:n, n:], Kpp = A[n:, n:].  The pressure
-    rows A[n:, :n] must be G^T, the only coupling StokesBlocks holds."""
+    rows A[n:, :n] must be G^T, the only coupling LinearSystem holds."""
     A = np.asarray(A, dtype=float)
     n = len(A) // 2
     if not np.array_equal(A[n:, :n], A[:n, n:].T):

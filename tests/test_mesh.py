@@ -106,8 +106,7 @@ def test_tet_split_conforms_and_fills_each_cell():
 def test_inverted_element_rejected():
     nodes = np.array([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)])
     with pytest.raises(MeshError, match="inverted"):
-        Mesh(dim=2, nodes=nodes, elements=np.array([[0, 2, 1]]),
-             kind=ElementKind.T3)
+        Mesh(nodes=nodes, elements=np.array([[0, 2, 1]]), kind=ElementKind.T3)
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
@@ -116,7 +115,7 @@ def test_inverted_simplex_named_by_index(kind):
     elements = mesh.elements.copy()
     elements[3, :2] = elements[3, 1::-1]
     with pytest.raises(MeshError, match=r"^element 3 is inverted \(min detJ=-"):
-        Mesh(dim=mesh.dim, nodes=mesh.nodes, elements=elements, kind=kind)
+        Mesh(nodes=mesh.nodes, elements=elements, kind=kind)
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
@@ -145,7 +144,7 @@ def test_one_geometry_pass_per_mesh(kind, rng, monkeypatch):
 
     # the volumes keep the bytes of detJ evaluated at every point
     nodes = mesh.nodes + rng.uniform(-0.02, 0.02, mesh.nodes.shape)
-    mesh = Mesh(dim=mesh.dim, nodes=nodes, elements=mesh.elements, kind=kind)
+    mesh = Mesh(nodes=nodes, elements=mesh.elements, kind=kind)
     J = np.einsum("eni,pnm->epim", nodes[mesh.elements], basis_table(kind).DN)
     dets = np.linalg.det(J)
     assert mesh.element_volumes().tobytes() == (dets @ rule_for(kind).weights).tobytes()
@@ -154,16 +153,14 @@ def test_one_geometry_pass_per_mesh(kind, rng, monkeypatch):
 def test_repeated_node_index_rejected():
     nodes = np.array([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)])
     with pytest.raises(MeshError, match="repeated"):
-        Mesh(dim=2, nodes=nodes, elements=np.array([[0, 1, 1]]),
-             kind=ElementKind.T3)
+        Mesh(nodes=nodes, elements=np.array([[0, 1, 1]]), kind=ElementKind.T3)
 
 
 def test_out_of_range_node_rejected():
     nodes = np.array([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)])
     for bad in (5, -1):
         with pytest.raises(MeshError, match=f"element 0 references node {bad} of 3"):
-            Mesh(dim=2, nodes=nodes, elements=np.array([[0, 1, bad]]),
-                 kind=ElementKind.T3)
+            Mesh(nodes=nodes, elements=np.array([[0, 1, bad]]), kind=ElementKind.T3)
 
 
 @pytest.mark.parametrize("nodes, elements, message", [
@@ -172,7 +169,7 @@ def test_out_of_range_node_rejected():
 ])
 def test_node_outside_every_element_rejected(nodes, elements, message):
     with pytest.raises(MeshError, match=f"^{message}$"):
-        Mesh(dim=2, nodes=np.array(nodes, dtype=float), elements=np.array(elements),
+        Mesh(nodes=np.array(nodes, dtype=float), elements=np.array(elements),
              kind=ElementKind.T3)
 
 
@@ -266,10 +263,11 @@ def test_bad_count_line_rejected(tmp_path, text, line, count):
 
 @pytest.mark.parametrize("text, line, message", [
     (_TRIANGLE.replace("dim 2", "dim -1"), 2, "dim must be a non-negative integer, got '-1'"),
+    (_TRIANGLE.replace("dim 2", "dim 3"), 3, "dim 3 inconsistent with kind T3"),
     (_TRIANGLE + "nodeset all 2\n0 q\n", 11, "bad node index in nodeset all"),
     # the second block would otherwise replace the first without a word
     (_TRIANGLE + "nodeset all 3\n0 1 2\nnodeset all 1\n0\n", 12, "nodeset all is repeated"),
-], ids=["dim-negative", "nodeset-index-q", "nodeset-repeated"])
+], ids=["dim-negative", "dim-kind", "nodeset-index-q", "nodeset-repeated"])
 def test_bad_line_named_by_path_and_line(tmp_path, capsys, text, line, message):
     p = _write(tmp_path, text)
     with pytest.raises(MeshError) as err:
@@ -287,6 +285,14 @@ def test_nodeset_out_of_range_rejected(tmp_path):
     )
     with pytest.raises(MeshError, match="references node"):
         load_mesh(p)
+
+
+@pytest.mark.parametrize("bad", [-1, 9])
+def test_directly_built_mesh_checks_its_nodesets(bad):
+    """-1 would wrap to the last node, and 9 fail later with an IndexError."""
+    mesh = generate_grid(ElementKind.Q4, 2)
+    with pytest.raises(MeshError, match=f"^nodeset all references node {bad} of 9$"):
+        Mesh(mesh.nodes, mesh.elements, mesh.kind, {"all": frozenset({bad, 0})})
 
 
 def test_comments_and_blank_lines_ignored(tmp_path):
@@ -321,7 +327,6 @@ def test_angle_audit_rejects_non_triangle_mesh():
 
 def test_right_triangle_angles_exact():
     nodes = np.array([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)])
-    mesh = Mesh(dim=2, nodes=nodes, elements=np.array([[0, 1, 2]]),
-                kind=ElementKind.T3)
+    mesh = Mesh(nodes=nodes, elements=np.array([[0, 1, 2]]), kind=ElementKind.T3)
     ang = np.sort(triangle_angles(mesh)[0])
     assert np.allclose(ang, [np.pi / 4, np.pi / 4, np.pi / 2], atol=1e-12)

@@ -79,7 +79,7 @@ def test_indefinite_velocity_block_falls_back_to_lu():
     case = case_by_name("lid_cavity", 2)
     system = _constrained(case, mesh, "svm")
     # the svm velocity block of one component has two negative eigenvalues
-    K = system.blocks.pattern.matrix(system.blocks.K).to_dense()
+    K = system.pattern.matrix(system.K).to_dense()
     assert (np.linalg.eigvalsh(K[np.ix_(interior, interior)]) < 0).sum() == 2
     assert solve_schur(system) is None
     x_lu, res = solve_direct(system)
@@ -123,16 +123,15 @@ def test_schur_refuses_when_cg_hits_its_cap(monkeypatch):
 def _constant_pressure_defect(system):
     """max|G 1| over the free velocity rows and max|K_pp 1|, each relative
     to the block's largest absolute row sum."""
-    blocks = system.blocks
-    free_v, _ = split_dofs(np.isnan(system.constraints), blocks.dim)
-    ones = np.ones(blocks.pattern.n_rows)
+    free_v, _ = split_dofs(np.isnan(system.constraints), system.dim)
+    ones = np.ones(system.pattern.n_rows)
 
     def defect(vals, rows):
-        M = blocks.pattern.matrix(vals).to_dense()
+        M = system.pattern.matrix(vals).to_dense()
         return np.abs(M @ ones)[rows].max(initial=0.0) / np.abs(M).sum(1).max()
 
-    return (max(defect(blocks.G[c], free_v[:, c]) for c in range(blocks.dim)),
-            defect(blocks.Kpp, slice(None)))
+    return (max(defect(system.G[c], free_v[:, c]) for c in range(system.dim)),
+            defect(system.Kpp, slice(None)))
 
 
 @pytest.mark.parametrize("seed", [None, 0, 1], ids=["uniform", "seed0", "seed1"])
@@ -201,6 +200,7 @@ def test_two_pressure_constraints_keep_the_constrained_free_set():
     split_dofs(constraints, 2)[1][mesh.n_nodes // 2] = 0.5
     system = apply_constraints(assemble(mesh, FormulationConfig("svm", nu=case.nu))[0],
                                constraints)
+    assert solve_schur(system) is None  # one gauge path: LU takes a second pin
     x_lu, _ = solve_direct(system)
     x = _schur_or_lu(system)
     assert split_dofs(x, 2)[1][mesh.n_nodes // 2] == 0.5
