@@ -135,6 +135,18 @@ def integrate(wdet, values) -> np.ndarray:
     return np.matmul(wdet[..., None, :], values[..., :, None])[..., 0, 0]
 
 
+def corner_detJ(kind: ElementKind, coords) -> np.ndarray:
+    """detJ of Q4/B8 elements (..., nen, dim) at their corners: the cross or
+    triple product of the half edges to corners a ^ (1, 3, 4).  detJ > 0 there
+    is exact on Q4 (detJ is affine in each variable), necessary only on B8."""
+    corners = _Q4_CORNERS if kind.dim == 2 else _B8_CORNERS
+    across = np.arange(len(corners))[:, None] ^ np.array([1, 3, 4][:kind.dim])
+    D = (coords[..., across, :] - coords[..., None, :]) * (-0.5 * corners)[..., None]
+    if kind.dim == 2:
+        return D[..., 0, 0] * D[..., 1, 1] - D[..., 0, 1] * D[..., 1, 0]
+    return (D[..., 0, :] * np.cross(D[..., 1, :], D[..., 2, :])).sum(axis=-1)
+
+
 def element_geometry(table: BasisTable, coords) -> ElementGeometry:
     """Evaluate Jacobian calculus at every tabulated point of one element,
     coords (nen, dim), or of a stack of elements, coords (..., nen, dim).
@@ -142,52 +154,64 @@ def element_geometry(table: BasisTable, coords) -> ElementGeometry:
     Each element's values are the same whether it is evaluated alone or in
     a stack.  Refuses the first element whose detJ is not finite or is
     below the smallest normal double, with its own minimum (a lone one is
-    element 0): below it adj(J) / detJ loses digits.  detJ is numpy's det;
-    J^-1 is adj(J) / detJ, C-contiguous.  The second derivatives are
-    contracted over their flattened (m, s) axis by stacked matmuls, one
-    small product per point.  G has the bits of
-    np.einsum("...pmi,pnm->...pin", Jinv, DN), stored C-contiguous;
-    J, gb and x keep their einsums.
+    element 0): below it adj(J) / detJ loses digits.  detJ is numpy's det.
+    Work arrays are component-major, (c..., np, E): each term is one product
+    over all points added onto zeros; J, gb, x and G keep their einsum bits.
     """
     coords = np.asarray(coords, dtype=float)
-    d = coords.shape[-1]
-    J = np.einsum("...ni,pnm->...pim", coords, table.DN)
+    lead, (nen, d), n_p = coords.shape[:-2], coords.shape[-2:], len(table.weights)
+    X = np.ascontiguousarray(coords.reshape(-1, nen, d).T)  # (dim, nen, E)
+    N, DN, D2N, gbh, Hb = (np.moveaxis(a, 0, -1)[..., None]  # table columns, (..., np, 1)
+                           for a in (table.N, table.DN, table.D2N, table.gb, table.Hb))
+    buf = np.empty((n_p, X.shape[-1]))
+
+    def field(shape, terms, out=None):  # component c adds a * b over terms(*c) onto zeros
+        out = np.zeros(shape + buf.shape) if out is None else out
+        for c in np.ndindex(*shape):
+            for a, b in terms(*c):
+                out[c] += np.multiply(a, b, out=buf)
+        return out
+
+    def point_major(a):  # as (..., np, c...), copied ~64 rows of E at a time: 3x faster
+        out = np.empty(buf.shape[::-1] + a.shape[:-2])
+        for p in range(0, n_p, step := max(1, 64 * n_p // a[..., 0].size)):
+            out[:, p:p + step] = np.moveaxis(a[..., p:p + step, :], (-1, -2), (0, 1))
+        return out.reshape(lead + out.shape[1:])
+
+    J = field((d, d), lambda i, m: zip(X[i], DN[:, m]))
     with np.errstate(over="ignore", under="ignore"):
-        detJ = np.linalg.det(J)
-    per_element = detJ.reshape(-1, detJ.shape[-1])
-    ok = (np.isfinite(per_element) & (per_element >= np.finfo(float).tiny)).all(axis=1)
+        det = np.linalg.det(np.moveaxis(J, (-1, -2), (0, 1))).T
+    detJ = point_major(det)
+    ok = (np.isfinite(det) & (det >= np.finfo(float).tiny)).all(axis=0)
     if not ok.all():
         e = int(np.argmin(ok))
-        low = per_element[e].min()
+        low = det[:, e].min()
         raise SingularJacobianError(f"element {e} is {'degenerate' if low >= 0 else 'inverted'} "
                                     f"(min detJ={low:.3e})")
-    # J^-1 = adj(J) / detJ, written into one C-contiguous array and divided
-    # in place, so no other (..., p, dim, dim) array is made: column k of a
-    # 3x3 adjugate is the cross product of rows k+1 and k+2 of J
-    Jinv = np.empty_like(J)
+    # J^-1 = adj(J) / detJ; column k of a 3x3 adj(J) is row k+1 x row k+2 of J
     if d == 2:
-        np.multiply(np.swapaxes(J[..., ::-1, ::-1], -1, -2), [[1, -1], [-1, 1]], out=Jinv)
+        Jinv = np.swapaxes(J[::-1, ::-1], 0, 1) * np.reshape([1.0, -1.0, -1.0, 1.0], (2, 2, 1, 1))
     else:
+        Jinv = np.empty_like(J)
         for i, k in np.ndindex(3, 3):
-            a, b, m, n = J[..., (k + 1) % 3, :], J[..., (k + 2) % 3, :], (i + 1) % 3, (i + 2) % 3
-            np.subtract(a[..., m] * b[..., n], a[..., n] * b[..., m], out=Jinv[..., i, k])
-    Jinv /= detJ[..., None, None]
-    JJT = (Jinv @ np.swapaxes(Jinv, -1, -2)).reshape(J.shape[:-2] + (d * d, 1))
-    # H[n] = D2N[n] : JJT, so div(J^-1) = -Jinv xhat^T H needs no (i, m, s) array
-    H = table.D2N @ JJT
-    divJinv = -(Jinv @ (np.swapaxes(coords, -1, -2)[..., None, :, :] @ H))
-    # G[..., p, i, n] = sum_m Jinv[..., p, m, i] DN[p, n, m], added onto zeros
-    # in m order: the einsum's values, C-contiguous
-    DN = np.ascontiguousarray(np.swapaxes(table.DN, 1, 2))  # (np, dim, nen)
-    G = np.zeros(J.shape[:-1] + DN.shape[-1:])
-    for m in range(d):
-        G += Jinv[..., m, :, None] * DN[:, m, None, :]
-    lapN = (H + table.DN @ divJinv)[..., 0]
-    gb = np.einsum("...pki,pk->...pi", Jinv, table.gb)
-    lapb = (table.Hb[:, None, :] @ JJT + table.gb[:, None, :] @ divJinv)[..., 0, 0]
-    divJinv = divJinv[..., 0]
-    x = np.einsum("pn,...ni->...pi", table.N, coords)
+            a, b, m, n = (k + 1) % 3, (k + 2) % 3, (i + 1) % 3, (i + 2) % 3
+            np.subtract(J[a, m] * J[b, n], np.multiply(J[a, n], J[b, m], out=buf), out=Jinv[i, k])
+    Jinv /= det
+    del J, det
+    # H[n] = D2N[n] : J^-1 J^-T (nonzero columns only), div(J^-1) = -J^-1 (x^T H)
+    JJT = field((d * d,), lambda k: zip(Jinv[k // d], Jinv[k % d]))
+    H = field((nen,), lambda n: [t for t in zip(D2N[n], JJT) if t[0].any()])
+    C = field((d,), lambda i: zip(X[i], H))
+    divJinv = -field((d,), lambda q: zip(Jinv[q], C))
+    lapb = field((), lambda: [*zip(Hb, JJT), *zip(gbh, divJinv)])
+    lapN = point_major(field((nen,), lambda n: zip(DN[n], divJinv), out=H))
+    del JJT, C, H
+    gb = field((d,), lambda i: zip(Jinv[:, i], gbh))
+    x = field((d,), lambda i: zip(N, X[i]))
+    lapb, divJinv, gb, x = (point_major(a) for a in (lapb, divJinv, gb, x))  # G, the largest, last
+    G = field((d, nen), lambda i, n: zip(Jinv[:, i], DN[n]))
+    Jinv = point_major(Jinv)
     return ElementGeometry(
-        detJ=detJ, Jinv=Jinv, divJinv=divJinv, G=G, lapN=lapN,
+        detJ=detJ, Jinv=Jinv, divJinv=divJinv, G=point_major(G), lapN=lapN,
         gb=gb, lapb=lapb, x=x, wdet=table.weights * detJ,
     )

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .basis import SingularJacobianError, basis_table, element_geometry
+from .basis import SingularJacobianError, basis_table, corner_detJ, element_geometry
 from .kinds import ElementKind, kind_from_name
 from .linalg import TripletPattern
 
@@ -93,6 +93,12 @@ class Mesh:
             self.geometry
         except SingularJacobianError as exc:
             raise MeshError(str(exc)) from None
+        if not self.kind.is_simplex:  # a fold at a corner can have detJ > 0 at every point
+            corner = corner_detJ(self.kind, self.nodes[self.elements])
+            if (corner < 0).any():
+                e, a = np.argwhere(corner < 0)[0]
+                raise MeshError(f"element {e} is inverted at node {self.elements[e, a]} "
+                                f"(corner detJ={corner[e, a]:.3e})")
 
     @cached_property
     def geometry(self):

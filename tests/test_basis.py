@@ -1,6 +1,7 @@
 """Shape functions, bubbles, and the isoparametric Jacobian calculus."""
 
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -8,7 +9,8 @@ import pytest
 
 from conftest import (REFERENCE_CORNERS, at_point, distorted_element, perturb_interior,
                       random_interior_point)
-from stokeslab.basis import SingularJacobianError, basis_table, element_geometry, tabulate
+from stokeslab.basis import (SingularJacobianError, basis_table, corner_detJ,
+                             element_geometry, tabulate)
 from stokeslab.formulations import tau_at
 from stokeslab.kinds import ElementKind
 from stokeslab.mesh import Mesh, MeshError, generate_grid
@@ -342,9 +344,10 @@ def test_element_geometry_of_a_stack_matches_each_element(kind, rng):
 
 
 def _einsum_second_order(table, coords):
-    """div(J^-1), lapN and lapb by the einsum chain element_geometry used
-    before its second derivatives were contracted by matmul, each with the
-    sum of the magnitudes of its terms, which bounds the roundoff of either."""
+    """div(J^-1), lapN and lapb by an einsum chain over LAPACK's J^-1, a
+    reference independent of element_geometry's elementwise sums, each with
+    the sum of the magnitudes of its terms, which bounds the roundoff of
+    either."""
     d = coords.shape[-1]
     D2N = table.D2N.reshape(table.DN.shape + (d,))
     Hb = table.Hb.reshape(-1, d, d)
@@ -437,6 +440,63 @@ def test_first_order_geometry_keeps_the_lapack_det_bytes(kind, perturbed):
     assert geom.wdet.tobytes() == (table.weights * detJ).tobytes()
     assert geom.x.tobytes() == x.tobytes()
     assert mesh.element_volumes().tobytes() == (detJ @ table.weights).tobytes()
+
+
+def _adjugate_inverse(J, detJ):
+    """J^-1 = adj(J) / detJ, formed point by point on (..., p, dim, dim)
+    arrays: column k of a 3x3 adjugate is the cross product of rows k+1 and
+    k+2 of J."""
+    Jinv = np.empty_like(J)
+    if J.shape[-1] == 2:
+        np.multiply(np.swapaxes(J[..., ::-1, ::-1], -1, -2), [[1, -1], [-1, 1]], out=Jinv)
+    else:
+        for i, k in np.ndindex(3, 3):
+            a, b, m, n = J[..., (k + 1) % 3, :], J[..., (k + 2) % 3, :], (i + 1) % 3, (i + 2) % 3
+            np.subtract(a[..., m] * b[..., n], a[..., n] * b[..., m], out=Jinv[..., i, k])
+    Jinv /= detJ[..., None, None]
+    return Jinv
+
+
+@pytest.mark.parametrize("perturbed", [False, True], ids=["regular", "perturbed"])
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_first_order_geometry_keeps_the_adjugate_and_einsum_bytes(kind, perturbed):
+    """J^-1 has the bits of the point-major adjugate of the einsum J, and gb
+    those of the einsum over it: the galerkin and enriched blocks rest on
+    them (criterion 2)."""
+    mesh = _grid(kind, perturbed)
+    table, geom = basis_table(kind), mesh.geometry
+    Jinv = _adjugate_inverse(_jacobians(mesh), geom.detJ)
+    assert geom.Jinv.tobytes() == Jinv.tobytes()
+    assert geom.gb.tobytes() == np.einsum("...pki,pk->...pi", Jinv, table.gb).tobytes()
+
+
+@pytest.mark.parametrize("kind, divisions, ratio", [(ElementKind.B8, 8, 1.66),
+                                                    (ElementKind.Q4, 40, 1.49)])
+def test_geometry_peak_memory_is_bounded_by_what_it_returns(kind, divisions, ratio):
+    """The traced peak of one element_geometry call, over the bytes of the
+    fields it returns, stays below that of the stacked-matmul kernel it
+    replaced (1.664 on B8 8^3, 1.505 on Q4 40^2)."""
+    mesh = generate_grid(kind, divisions)
+    table, coords = basis_table(kind), mesh.nodes[mesh.elements]
+    element_geometry(table, coords)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        geom = element_geometry(table, coords)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= ratio * sum(v.nbytes for v in vars(geom).values())
+
+
+@pytest.mark.parametrize("kind", [ElementKind.Q4, ElementKind.B8])
+def test_corner_detj_is_detj_at_the_corners(kind, rng):
+    coords = distorted_element(kind, rng, amount=0.2)
+    corners = REFERENCE_CORNERS[kind]
+    at_corners = element_geometry(tabulate(kind, corners, np.ones(len(corners))), coords)
+    assert np.allclose(corner_detJ(kind, coords), at_corners.detJ, rtol=1e-13, atol=0)
+    stack = np.stack([coords, coords * np.r_[-1.0, np.ones(kind.dim - 1)]])  # and mirrored
+    assert np.all(np.sign(corner_detJ(kind, stack)) == [[1], [-1]])
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)

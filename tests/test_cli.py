@@ -240,6 +240,23 @@ def test_mesh_file_validation_error_names_the_file(node_2, element, message, tmp
     assert capsys.readouterr().err == f"error: {path}: {message}\n"
 
 
+@pytest.mark.parametrize("kind, nodes, message", [
+    ("Q4", ["0 0", "1 0", "1 1", "0.5 0.45"],
+     "element 0 is inverted at node 3 (corner detJ=-1.250e-02)"),
+    ("B8", ["0 0 0", "1 0 0", "1 1 0", "0 1 0", "0 0 1", "1 0 1", "0.6 0.6 0.6", "0 1 1"],
+     "element 0 is inverted at node 6 (corner detJ=-2.500e-02)"),
+], ids=["Q4", "B8"])
+def test_mesh_file_folded_at_a_corner_is_refused(kind, nodes, message, tmp_path, capsys):
+    """Each element has detJ > 0 at every quadrature point (test_mesh.py),
+    but detJ < 0 at one corner node."""
+    path = tmp_path / "folded.mesh"
+    path.write_text("\n".join(["stokeslab-mesh v1", f"dim {len(nodes[0].split())}",
+                               f"kind {kind}", f"nodes {len(nodes)}", *nodes, "elements 1",
+                               " ".join(str(n) for n in range(len(nodes)))]) + "\n")
+    assert main(["mesh-info", "--mesh", str(path)]) == 2
+    assert capsys.readouterr() == ("", f"error: {path}: {message}\n")
+
+
 @pytest.mark.parametrize("argv", [["mesh-info"], ["run", "--case", "patch",
                                                 "--formulation", "svm"]],
                          ids=["mesh-info", "run"])

@@ -118,6 +118,21 @@ def test_inverted_simplex_named_by_index(kind):
         Mesh(nodes=mesh.nodes, elements=elements, kind=kind)
 
 
+@pytest.mark.parametrize("kind, node, moved", [(ElementKind.Q4, 3, (0.5, 0.45)),
+                                              (ElementKind.B8, 6, (0.6, 0.6, 0.6))])
+def test_element_folded_at_a_corner_is_refused(kind, node, moved):
+    """detJ is positive at every quadrature point of these elements, but
+    negative at one corner node: the corner test, not the points, refuses
+    them."""
+    mesh = generate_grid(kind, 1)
+    nodes = mesh.nodes.copy()
+    nodes[mesh.elements[0, node]] = moved
+    assert basis.element_geometry(basis_table(kind), nodes[mesh.elements]).detJ.min() > 0
+    with pytest.raises(MeshError, match=rf"^element 0 is inverted at node "
+                                        rf"{mesh.elements[0, node]} \(corner detJ=-"):
+        Mesh(nodes=nodes, elements=mesh.elements, kind=kind)
+
+
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_one_geometry_pass_per_mesh(kind, rng, monkeypatch):
     calls = []
