@@ -36,8 +36,8 @@ def solve_case(case: TestCase, mesh: Mesh, scheme: str, *,
     ``residual_rtol``), and always for galerkin and enriched, whose pivot
     diagnostics matter, the sparse LU of ``linalg.solve_direct`` solves it.
     ``solver`` and ``iterations`` on the result say which one ran.  The
-    cases pin one pressure, so the CG runs on all pressures, on the
-    quotient by the constants, and shifts p to the pin afterwards.
+    cases pin one pressure: the CG, preconditioned by the pressure mass,
+    solves for p - p_pin on all pressures and adds p_pin afterwards.
 
     ``pivot_rtol=0`` lets exactly singular-but-consistent systems (the
     enriched Q4/B8 patch test) run to completion so the unstable pressure

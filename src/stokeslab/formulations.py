@@ -193,8 +193,9 @@ def assemble(mesh: Mesh, config: FormulationConfig) -> tuple[LinearSystem, FineB
     rows on the pattern of the element nodes in another."""
     (Kvv, Kvp, Kpp), (fv, fp), fine = _element_stacks(mesh, config)
     dim = mesh.dim
-    stack = np.concatenate([Kvv[None], Kvp.transpose(2, 0, 1, 3), Kpp[None]])
-    sums = mesh.node_pattern.sum(stack.reshape(len(stack), -1))
+    # the stacked blocks are freed before the mesh's pressure mass is summed below
+    sums = mesh.node_pattern.sum(np.concatenate(
+        [Kvv[None], Kvp.transpose(2, 0, 1, 3), Kpp[None]]).reshape(2 + dim, -1))
     nodal = TripletPattern.build(mesh.n_nodes, 1, mesh.elements.ravel(),
                                  np.zeros(mesh.elements.size, dtype=np.intp))
     loads = nodal.sum(np.concatenate([fv.transpose(2, 0, 1), fp[None]]).reshape(dim + 1, -1))
@@ -202,7 +203,8 @@ def assemble(mesh: Mesh, config: FormulationConfig) -> tuple[LinearSystem, FineB
     velocity, pressure = split_dofs(rhs, dim)
     velocity[nodal.rows] += loads[:dim].T  # adding to +0.0 turns a -0.0 sum into +0.0
     pressure[nodal.rows] += loads[dim]
-    return LinearSystem(mesh.node_pattern, K=sums[0], G=sums[1:1 + dim], Kpp=sums[-1], rhs=rhs,
+    return LinearSystem(mesh.node_pattern, K=sums[0], G=sums[1:1 + dim], Kpp=sums[-1],
+                        M=mesh.pressure_mass, rhs=rhs, rhs0=rhs,
                         constraints=np.full(rhs.size, np.nan)), fine
 
 

@@ -190,7 +190,8 @@ class LinearSystem:
     entries, so LU sees the pattern of the whole element matrix.
 
     ``constraints`` holds the prescribed value of each dof, NaN where the
-    dof is free; only apply_constraints makes a system with any.
+    dof is free; only apply_constraints makes a system with any.  ``rhs0``
+    folds the pressure constraints in at 0, and M is the pressure mass.
     ``matrix`` is the monolithic matrix with the rows and columns of the
     constrained dofs replaced by identity rows and columns, built from the
     blocks on first use.
@@ -200,7 +201,9 @@ class LinearSystem:
     K: np.ndarray    # (nnz,)
     G: np.ndarray    # (dim, nnz)
     Kpp: np.ndarray  # (nnz,)
+    M: np.ndarray    # (nnz,)
     rhs: np.ndarray
+    rhs0: np.ndarray
     constraints: np.ndarray
 
     @property
@@ -250,8 +253,9 @@ def apply_constraints(system: LinearSystem, constraints) -> LinearSystem:
     if constraints.shape != (n,):
         raise ValueError(f"constraints have shape {constraints.shape}, want ({n},)")
     is_con = ~np.isnan(constraints)
-    cvals = np.where(is_con, constraints, 0.0)
-    rhs = np.array(system.rhs, dtype=float)
+    values = np.array([np.where(is_con, constraints, 0.0)] * 2)  # for rhs, and for rhs0
+    split_dofs(values[1], system.dim)[1][:] = 0.0  # with the pressures at 0
+    rhs = np.array([system.rhs] * 2, dtype=float)
     # only the blocks of a row node with a free dof and a column node with a
     # constrained dof hold terms that move
     con_v, con_p = split_dofs(is_con, system.dim)
@@ -262,9 +266,10 @@ def apply_constraints(system: LinearSystem, constraints) -> LinearSystem:
     moved = is_con[cols] & ~is_con[rows]
     r, c, v = rows[moved], cols[moved], vals[moved]
     at = np.argsort(r * n + c)  # each row takes its terms in column order
-    np.add.at(rhs, r[at], -v[at] * cvals[c[at]])
-    rhs[is_con] = cvals[is_con]
-    return replace(system, rhs=rhs, constraints=constraints)
+    for out, cvals in zip(rhs, values):
+        np.add.at(out, r[at], -v[at] * cvals[c[at]])
+    rhs[:, is_con] = values[:, is_con]
+    return replace(system, rhs=rhs[0], rhs0=rhs[1], constraints=constraints)
 
 
 def _check_tolerances(pivot_rtol, residual_rtol) -> None:
@@ -326,6 +331,16 @@ def solve_direct(system: LinearSystem, pivot_rtol: float = 1e-14,
     return x, res
 
 
+def _csr(pattern, vals, row_of, col_of, shape):
+    """The CSR of vals[i] at (row_of[i, r], col_of[i, c]) for each pattern entry
+    (r, c) where both are >= 0, broadcast over i; row_of increases with (i, r)."""
+    import scipy.sparse as sp
+    rows, cols = np.broadcast_arrays(row_of[:, pattern.rows], col_of[:, pattern.cols])
+    keep = (rows >= 0) & (cols >= 0)
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows[keep], minlength=shape[0]))])
+    return sp.csr_matrix((np.broadcast_to(vals, keep.shape)[keep], cols[keep], indptr), shape=shape)
+
+
 def solve_schur(system: LinearSystem, residual_rtol: float = 1e-10,
                 pivot_rtol: float = 1e-14):
     """Solve a stabilized Stokes system by CG on its pressure Schur
@@ -338,17 +353,18 @@ def solve_schur(system: LinearSystem, residual_rtol: float = 1e-10,
     once per component, or once for all of them when they have the same
     free nodes, as an LDL^T (no row pivoting);
     preconditioned CG then solves S p = g = B V^-1 f_v - f_p with
-    S = B V^-1 G - K_pp and the preconditioner
-    diag(B diag(V)^-1 B^T) - diag(K_pp), and v = V^-1 (f_v - G p).
+    S = B V^-1 G - K_pp, and v = V^-1 (f_v - G p).  As S ~ M / 2nu, M the
+    pressure mass, CG is preconditioned by three damped-Jacobi sweeps on M
+    from 0, omega = 1/2: z = p(D^-1 M) D^-1 r, p(t) = (1 - (1 - t/2)^3) / t > 0.
 
     CG always runs on all pressures.  When one pressure dof is constrained,
-    the pin's column goes back into f_v and f_p, its row of g is set so
-    that the entries of g sum to 0, and p is shifted afterwards to the
-    pinned value.  Where G 1 vanishes on the free velocity rows and
-    K_pp 1 = 0, the constants are the kernel of this S, and CG works on
-    the quotient by them without the small eigenvalue that a pin leaves.
-    Where they are not, the shifted p does not solve the constrained
-    system, and the residual check below refuses it.
+    CG solves for p - p_pin with the pin folded in at 0 (rhs0), the pin's
+    row of g is set so that the entries of g sum to 0, p is shifted to 0
+    at the pin, v is recovered, and p_pin is added.  Where G 1 vanishes on
+    the free velocity rows and K_pp 1 = 0, the constants are the kernel of
+    this S, and CG works on the quotient by them without the small
+    eigenvalue that a pin leaves.  Where they are not, the shifted p does
+    not solve the constrained system, and the residual check refuses it.
     CG stops when |r| <= CG_RTOL (| |B| |V^-1 f_v| | + |f_p|), a scale
     that does not cancel when the exact pressure lies in the kernel.
 
@@ -356,31 +372,32 @@ def solve_schur(system: LinearSystem, residual_rtol: float = 1e-10,
     of the constrained system.
     Returns None when more than one pressure dof or every velocity dof is
     constrained, a factor pivoted rows or has a pivot <= pivot_rtol
-    times its largest (V is not positive definite), the preconditioner or
-    q^T S q is not positive, CG has not converged after CG_MAXITER
-    iterations, x is not finite, or the residual exceeds residual_rtol.
+    times its largest (V is not positive definite), q^T S q is not
+    positive, CG has not converged after CG_MAXITER iterations, x is not
+    finite, or the residual exceeds residual_rtol.
     Raises ValueError as solve_direct does.
     """
     _check_tolerances(pivot_rtol, residual_rtol)
-    n, dim = system.pattern.n_rows, system.dim
+    pattern, n, dim = system.pattern, system.pattern.n_rows, system.dim
     b = np.asarray(system.rhs, dtype=float)
     free = np.isnan(system.constraints)
     free_v, free_p = split_dofs(free, dim)
-    nodes = [np.flatnonzero(free_v[:, c]) for c in range(dim)]  # free, per component
-    comps = [c for c in range(dim) if nodes[c].size]
-    p_nodes, pinned = np.flatnonzero(free_p), np.flatnonzero(~free_p)
+    comps = [c for c in range(dim) if free_v[:, c].any()]
+    pinned = np.flatnonzero(~free_p)
     if not comps or pinned.size > 1:
         return None
     import scipy.sparse as sp
     import scipy.sparse.linalg as spla
-    K = system.pattern.matrix(system.K).to_scipy()
-    Vs = [K[nodes[c]][:, nodes[c]] for c in comps]
-    shared = all(np.array_equal(nodes[comps[0]], nodes[c]) for c in comps)
+    nodes = free_v[:, comps].T  # each component's free nodes, numbered component-major
+    v_of = np.where(nodes, np.cumsum(nodes, dtype=np.int32).reshape(nodes.shape) - 1, -1)
+    starts = np.cumsum([0, *nodes.sum(1)])  # the first row of each component in V
+    V = _csr(pattern, system.K, v_of, v_of, (starts[-1],) * 2)
+    shared = (nodes == nodes[0]).all()
     lus = []
-    for k in Vs[:1] if shared else Vs:
+    for s, e in zip(starts[:1] if shared else starts[:-1], starts[1:]):
         try:
-            lu = spla.splu(k.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                           options=dict(SymmetricMode=True))
+            lu = spla.splu(V[s:e, s:e].tocsc(), permc_spec="MMD_AT_PLUS_A",
+                           diag_pivot_thresh=0.0, options=dict(SymmetricMode=True))
         except RuntimeError:
             return None
         pivots = lu.U.diagonal()  # D of the LDL^T, whose signs are V's inertia
@@ -392,68 +409,60 @@ def solve_schur(system: LinearSystem, residual_rtol: float = 1e-10,
         def v_solve(y):
             return lus[0].solve(y.reshape(len(comps), -1).T).T.ravel()
     else:
-        cuts = np.cumsum([nodes[c].size for c in comps])[:-1]
-
         def v_solve(y):
-            return np.concatenate([lu.solve(part)
-                                   for lu, part in zip(lus, np.split(y, cuts))])
+            return np.concatenate([lu.solve(y[s:e]) for lu, s, e in zip(lus, starts, starts[1:])])
 
-    pin = pinned[0] if pinned.size else None  # freed, as the docstring says
     dofs_v, dofs_p = split_dofs(np.arange(b.size), dim)
-    vf = np.concatenate([dofs_v[nodes[c], c] for c in comps])
-    G = sp.vstack([system.pattern.matrix(system.G[c]).to_scipy()[nodes[c]] for c in comps],
-                  format="csr")
+    vf = dofs_v.T[comps][nodes]
+    p_nodes = np.concatenate([np.flatnonzero(free_p), pinned])  # the pin, freed, comes last
+    p_of = np.argsort(p_nodes).astype(np.int32)[None]
+    G = _csr(pattern, system.G[comps], v_of, p_of, (vf.size, n))
     B = G.T.tocsr()
-    Kpp = system.pattern.matrix(system.Kpp).to_scipy()
-    d = (B.multiply(B) @ (1.0 / np.concatenate([K.diagonal()[nodes[c]] for c in comps]))
-         - Kpp.diagonal())
-    if not np.all(d > 0):
-        return None
-    f_v, f_p = b[vf], b[dofs_p]
-    if pin is not None:  # unfold the pin's column back into the right-hand side
-        u = np.zeros(n)
-        u[pin] = b[dofs_p[pin]]
-        f_p[pin] = 0.0
-        f_v, f_p = f_v + G @ u, f_p + Kpp @ u
+    Kpp, M = (_csr(pattern, vals, np.arange(n)[None], p_of, (n, n))[p_nodes]
+              for vals in (system.Kpp, system.M))
+    h = 0.5 / M.diagonal()  # omega D^-1
+
+    def precondition(r):  # three damped-Jacobi sweeps on M z = r
+        z = h * r
+        for _ in range(2):
+            z += h * (r - M @ z)
+        return z
+
+    f_v, f_p = system.rhs0[vf], system.rhs0[dofs_p[p_nodes]]  # the pin's f_p is 0
     with np.errstate(over="ignore", invalid="ignore"):
         w = v_solve(f_v)
         g = B @ w - f_p
         # |B| |w| does not cancel where the exact pressure lies in S's kernel
         scale = np.linalg.norm(_abs(B) @ np.abs(w)) + np.linalg.norm(f_p)
-        if pin is not None:  # the pin's row of g is unknown: make g orthogonal to 1
-            g[pin] = 0.0
-            g[pin] = -g.sum()
-    cg = _pcg(lambda q: B @ v_solve(G @ q) - Kpp @ q, g, 1.0 / d, scale)
+        if pinned.size:  # the pin's row of g is unknown: make g orthogonal to 1
+            g[-1] = -g[:-1].sum()
+    cg = _pcg(lambda q: B @ v_solve(G @ q) - Kpp @ q, g, precondition, scale)
     if cg is None:
         return None
     p, iterations = cg
-    if pin is not None:
-        p += u[pin] - p[pin]
-        p[pin] = u[pin]
+    p -= p[-1] if pinned.size else 0.0  # p - p_pin is 0 at the pin
     x = b.copy()  # constrained rows are identity rows
-    x[dofs_p] = p
     x[vf] = v_solve(f_v - G @ p)
+    x[dofs_p[p_nodes]] = p + (b[dofs_p[pinned[0]]] if pinned.size else 0.0)
     if not np.all(np.isfinite(x)):
         return None
-    if pin is not None:  # back to the free pressures of the constrained system
-        G, B, Kpp = G[:, p_nodes], B[p_nodes], Kpp[p_nodes][:, p_nodes]
     # the residual of the whole constrained matrix, its dofs permuted to
     # (vf, pf, constrained); every block is CSR, so bmat keeps each row's order
-    con = np.flatnonzero(~free)
-    pf = dofs_p[p_nodes]
-    sizes = (vf.size, pf.size, con.size)
-    M = [[sp.csr_matrix((r, c)) for c in sizes] for r in sizes]
-    M[0][:2], M[1][:2] = [sp.block_diag(Vs, format="csr"), G], [B, Kpp]
-    M[2][2] = sp.identity(con.size, format="csr")
-    perm = np.concatenate([vf, pf, con])
-    res = _residual(sp.bmat(M, format="csr"), x[perm], b[perm])
+    con, m = np.flatnonzero(~free), n - pinned.size
+    sizes = (vf.size, m, con.size)
+    A = [[sp.csr_matrix((r, c)) for c in sizes] for r in sizes]
+    G, B, Kpp = G[:, :m], B[:m], Kpp[:m, :m]  # and the CG's operators are freed
+    A[0][:2], A[1][:2] = [V, G], [B, Kpp]
+    A[2][2] = sp.identity(con.size, format="csr")
+    perm = np.concatenate([vf, dofs_p[p_nodes[:m]], con])
+    res = _residual(sp.bmat(A, format="csr"), x[perm], b[perm])
     if res > residual_rtol:
         return None
     return x, res, iterations
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _pcg(apply_S, g, d_inv, scale):
+def _pcg(apply_S, g, precondition, scale):
     """Preconditioned CG on S p = g from p = 0.  Returns (p, iterations), or
     None when q^T S q <= 0 or when |r| > CG_RTOL scale after CG_MAXITER steps;
     an overflow ends in one of the two, so numpy's warning is silenced.
@@ -465,7 +474,7 @@ def _pcg(apply_S, g, d_inv, scale):
     p, r = np.zeros_like(g), g
     if not g.any():
         return p, 0
-    z = d_inv * r
+    z = precondition(r)
     q, rz = z, r @ z
     for it in range(1, CG_MAXITER + 1):
         Sq = apply_S(q)
@@ -477,7 +486,7 @@ def _pcg(apply_S, g, d_inv, scale):
         r = r - alpha * Sq
         if np.linalg.norm(r) <= CG_RTOL * scale:
             return p, it
-        z = d_inv * r
+        z = precondition(r)
         rz, rz_old = r @ z, rz
         q = z + (rz / rz_old) * q
     return None

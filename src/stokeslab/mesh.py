@@ -115,6 +115,12 @@ class Mesh:
                                     np.repeat(self.elements, nen, axis=1).ravel(),
                                     np.tile(self.elements, nen).ravel())
 
+    @cached_property
+    def pressure_mass(self) -> np.ndarray:
+        """The nodal mass int(N_a N_b), summed once on node_pattern (nnz,)."""
+        N = basis_table(self.kind).N
+        return self.node_pattern.sum(np.einsum("ep,pa,pb->eab", self.geometry.wdet, N, N).ravel())
+
     @property
     def dim(self) -> int:
         return self.kind.dim

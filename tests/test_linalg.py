@@ -139,14 +139,14 @@ def test_split_dofs_dense_disjoint_and_writable_views(dim):
 
 def _stokes_system(K, G, Kpp, rhs):
     """Stokes system from dense node blocks: K and Kpp (n, n), G (dim, n, n),
-    every node pair in the pattern."""
+    every node pair in the pattern, with the identity as the pressure mass."""
     n = len(K)
     pattern = TripletPattern.build(n, n, np.repeat(np.arange(n), n), np.tile(np.arange(n), n))
     K, G = (np.asarray(a, dtype=float) for a in (K, G))
     rhs = np.asarray(rhs, dtype=float)
     return LinearSystem(pattern, K=K.ravel(), G=G.reshape(len(G), -1),
-                        Kpp=np.asarray(Kpp, dtype=float).ravel(), rhs=rhs,
-                        constraints=np.full(rhs.size, np.nan))
+                        Kpp=np.asarray(Kpp, dtype=float).ravel(), M=np.eye(n).ravel(), rhs=rhs,
+                        rhs0=rhs, constraints=np.full(rhs.size, np.nan))
 
 
 def _system_from_dense(A, b):

@@ -10,6 +10,7 @@ from conftest import perturb_interior
 from test_equivalence import _grid
 
 from stokeslab import linalg
+from stokeslab.analysis import error_norms, pressure_mass_matrix
 from stokeslab.cases import apply_case, case_by_name, case_constraints, pin_node
 from stokeslab.driver import solve_case
 from stokeslab.formulations import FormulationConfig, assemble
@@ -149,10 +150,69 @@ def test_constants_span_the_kernel_that_unpinning_relies_on(kind, scheme, case_n
 
 
 def test_unpinned_cg_iterations_on_the_q4_cavity():
-    # 68 iterations with the pressure pin held in the CG
-    sol = solve_case(case_by_name("lid_cavity", 2), generate_grid(ElementKind.Q4, 40), "svm")
+    # 68 iterations at 40x40 with the pressure pin held in the CG; 44, 46
+    # and 47 unpinned with the diagonal preconditioner; 28, 27 and 26 with
+    # the pressure mass, so the count does not grow with the mesh
+    for n in (20, 40, 80):
+        sol = solve_case(case_by_name("lid_cavity", 2), generate_grid(ElementKind.Q4, n), "svm")
+        assert sol.solver == "schur-cg"
+        assert sol.iterations <= 32, n
+
+
+def _preconditioner(system, monkeypatch):
+    """The dense matrix of the preconditioner solve_schur hands to its CG."""
+    grabbed = []
+    monkeypatch.setattr(linalg, "_pcg", lambda apply_S, g, precondition, scale:
+                        grabbed.append(precondition))
+    assert solve_schur(system) is None
+    return np.stack([grabbed[0](e) for e in np.eye(system.pattern.n_rows)], axis=1)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("kind", list(ElementKind), ids=lambda k: k.name)
+def test_preconditioner_is_spd_on_distorted_grids(kind, seed, monkeypatch):
+    # three damped-Jacobi sweeps on M: p(D^-1 M) D^-1 with p(t) > 0 for
+    # every t > 0 (two sweeps would not be, as D^-1 M reaches 3.4 on B8)
+    n = 6 if kind.dim == 2 else 3
+    mesh = perturb_interior(generate_grid(kind, n), 0.3 / n, seed)
+    P = _preconditioner(_constrained(case_by_name("lid_cavity", kind.dim), mesh, "wvm"),
+                        monkeypatch)
+    assert np.abs(P - P.T).max() <= 1e-12 * np.abs(P).max()
+    assert np.linalg.eigvalsh(0.5 * (P + P.T)).min() > 0  # r^T P r > 0 for every r
+
+
+@pytest.mark.parametrize("scheme", ["galerkin", "wvm", "svm", "enriched"])
+def test_the_solver_reads_the_one_pressure_mass_of_the_mesh(scheme):
+    mesh = generate_grid(ElementKind.Q4, 5)
+    system = assemble(mesh, FormulationConfig(scheme))[0]
+    assert system.M is mesh.pressure_mass  # summed once per mesh
+    dense = system.pattern.matrix(system.M).to_dense()
+    assert pressure_mass_matrix(mesh).tobytes() == dense.tobytes()
+
+
+@pytest.mark.parametrize("scheme", ["wvm", "svm"])
+def test_pin_value_does_not_reach_the_velocity_at_small_nu(scheme):
+    # CG solves for p - p_pin with the pin folded in at 0; with p_pin = 10
+    # folded into the velocity rows, the fold's roundoff (and G 1's, times
+    # p_pin) over 2 nu gave a velocity error of 4.9e3 at nu = 1e-20
+    case = case_by_name("patch_constant", 2)
+    mesh = generate_grid(ElementKind.Q4, 4)
+    sol = solve_case(case, mesh, scheme, nu=1e-20)
     assert sol.solver == "schur-cg"
-    assert sol.iterations <= 55
+    assert error_norms(sol, case, mesh).velocity_l2 < 1e-12
+    assert sol.pressure[pin_node(case, mesh)] == 10.0
+
+
+def test_rhs0_folds_the_pressure_constraints_at_zero():
+    case = case_by_name("patch_constant", 2)
+    mesh = generate_grid(ElementKind.Q4, 4)
+    system = assemble(mesh, FormulationConfig("svm"))[0]
+    constraints = case_constraints(case, mesh)
+    pressure = split_dofs(constraints, 2)[1]
+    pressure[~np.isnan(pressure)] = 0.0
+    folded = apply_case(case, mesh, system)
+    assert folded.rhs0.tobytes() == apply_constraints(system, constraints).rhs.tobytes()
+    assert folded.rhs.tobytes() != folded.rhs0.tobytes()
 
 
 def test_b8_patch_pressure_in_the_kernel_stops_at_once():
