@@ -10,9 +10,12 @@ per command, the exit code, the stdout text and its sha256, and the sha256
 and the text of every file the run wrote.  `--compare` prints every command
 whose record differs and exits 1 if there is any.  Where both records hold
 the text of a moved stdout or file, it prints the largest relative change
-among its numbers of size >= 1e-8 and the largest absolute change among the
-smaller ones, in place of the two records; records without the text
-compare by hash.
+among its numbers of size >= 1e-8, the largest absolute change among the
+smaller ones, and the largest normwise change: the largest change in a
+field over the largest |value| of that field, where a field is one section
+(POINTS, CELLS, CELL_TYPES or a named point field) of a VTK file, or the
+whole of any other text.  These replace the two records; records without
+the text compare by hash.
 """
 
 from __future__ import annotations
@@ -101,6 +104,28 @@ def record(src: Path) -> dict:
 
 _NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|[-+]?(?:nan|inf)")
 _SMALL = 1e-8
+_VTK_SECTIONS = ("POINTS", "CELLS", "CELL_TYPES", "VECTORS", "SCALARS")
+
+
+def _fields(text: str) -> dict:
+    """The numbers of each field of a text, by name: of each section of a
+    legacy VTK file (its data lines only), or of the whole of any other text."""
+    if not text.startswith("# vtk DataFile"):
+        return {"text": _NUMBER.findall(text)}
+    fields, name = {}, None
+    for line in text.splitlines():
+        head = line.split()
+        if head and head[0] in _VTK_SECTIONS:
+            name = head[1] if head[0] in ("VECTORS", "SCALARS") else head[0]
+            fields[name] = []
+        elif name is not None and not line[:1].isalpha():
+            fields[name] += _NUMBER.findall(line)
+    return fields
+
+
+def _nan_largest(change):
+    """The sort key of a (change, ...) tuple that ranks a NaN change above all."""
+    return change[0] != change[0], change[0]
 
 
 def text_change(a: str, b: str) -> str:
@@ -116,8 +141,16 @@ def text_change(a: str, b: str) -> str:
     parts = [f"{len(pairs)} of {len(numbers)} printed numbers moved"]
     for what, changes in (("relative", big), (f"absolute (|v| < {_SMALL:g})", small)):
         if changes:
-            change, x, y = max(changes, key=lambda c: (c[0] != c[0], c[0]))
+            change, x, y = max(changes, key=_nan_largest)
             parts.append(f"largest {what} change {change:.2e} ({x!r} -> {y!r})")
+    fields_a, fields_b, normwise = _fields(a), _fields(b), []
+    for name, xs in fields_a.items():
+        field = [(float(x), float(y)) for x, y in zip(xs, fields_b[name])]
+        scale = max((max(abs(x), abs(y)) for x, y in field), default=0.0)
+        normwise += [(abs(x - y) / scale, name) for x, y in field if x != y]
+    if normwise:
+        change, name = max(normwise, key=_nan_largest)
+        parts.append(f"largest normwise change {change:.2e} (of field {name})")
     return "; ".join(parts)
 
 

@@ -155,25 +155,15 @@ def split_dofs(x, dim):
     return x[:n * dim].reshape(n, dim), x[n * dim:]
 
 
-def _abs(csr):
-    """|csr| in csr's own index order; abs(csr) would sort unsorted indices."""
-    import scipy.sparse as sp
-    return sp.csr_matrix((np.abs(csr.data), csr.indices, csr.indptr), shape=csr.shape)
-
-
-def _norm_inf(csr) -> float:
-    if not csr.shape[0]:
-        return 0.0
-    # row sums as a product with ones: each row adds in its stored order
-    return float((_abs(csr) @ np.ones(csr.shape[1])).max())
-
-
 def _residual(csr, x, b) -> float:
     """max|A x - b| / (|A|_inf max|x| + max|b|), 0 when the denominator is
     0, and inf when the denominator or the quotient is not finite: a scale
-    that overflows would otherwise report a residual of 0."""
+    that overflows would otherwise report a residual of 0.  csr is
+    canonical (sorted, unique indices), so abs(csr) keeps its rows' order."""
     with np.errstate(over="ignore", invalid="ignore"):
-        denom = _norm_inf(csr) * np.abs(x).max() + np.abs(b).max()
+        # row sums as a product with ones: each row adds in its stored order
+        norm = (abs(csr) @ np.ones(csr.shape[1])).max()
+        denom = norm * np.abs(x).max() + np.abs(b).max()
         res = np.abs(csr @ x - b).max() / denom if denom != 0 else 0.0
     return float(res) if np.isfinite(denom) and np.isfinite(res) else math.inf
 
@@ -349,7 +339,8 @@ def solve_schur(system: LinearSystem, residual_rtol: float = 1e-10,
     On the free (unconstrained) velocity dofs, ordered component by
     component, and all pressures, the system reads
     [V G; B K_pp] [v; p] = [f_v; f_p], where V is K on each component's
-    free nodes, and B = G^T, the CSR of G's transpose.  K is factored
+    free nodes, and B = G^T, the CSR of G's transpose; every operator is
+    a canonical CSR (sorted, unique indices in each row).  K is factored
     once per component, or once for all of them when they have the same
     free nodes, as an LDL^T (no row pivoting);
     preconditioned CG then solves S p = g = B V^-1 f_v - f_p with
@@ -357,14 +348,15 @@ def solve_schur(system: LinearSystem, residual_rtol: float = 1e-10,
     pressure mass, CG is preconditioned by three damped-Jacobi sweeps on M
     from 0, omega = 1/2: z = p(D^-1 M) D^-1 r, p(t) = (1 - (1 - t/2)^3) / t > 0.
 
-    CG always runs on all pressures.  When one pressure dof is constrained,
-    CG solves for p - p_pin with the pin folded in at 0 (rhs0), the pin's
-    row of g is set so that the entries of g sum to 0, p is shifted to 0
-    at the pin, v is recovered, and p_pin is added.  Where G 1 vanishes on
-    the free velocity rows and K_pp 1 = 0, the constants are the kernel of
-    this S, and CG works on the quotient by them without the small
-    eigenvalue that a pin leaves.  Where they are not, the shifted p does
-    not solve the constrained system, and the residual check refuses it.
+    CG always runs on all pressures, in node order.  When one pressure dof
+    is constrained, its node is the pin, and CG solves for p - p_pin with
+    the pin folded in at 0 (rhs0): the pin's entry of g is set so that the
+    entries of g sum to 0, p is shifted to 0 at the pin, v is recovered,
+    and p_pin is added.  Where G 1 vanishes on the free velocity rows and
+    K_pp 1 = 0, the constants are the kernel of this S, and CG works on the
+    quotient by them without the small eigenvalue that a pin leaves.  Where
+    they are not, the shifted p does not solve the constrained system, and
+    the residual check refuses it.
     CG stops when |r| <= CG_RTOL (| |B| |V^-1 f_v| | + |f_p|), a scale
     that does not cancel when the exact pressure lies in the kernel.
 
@@ -414,12 +406,10 @@ def solve_schur(system: LinearSystem, residual_rtol: float = 1e-10,
 
     dofs_v, dofs_p = split_dofs(np.arange(b.size), dim)
     vf = dofs_v.T[comps][nodes]
-    p_nodes = np.concatenate([np.flatnonzero(free_p), pinned])  # the pin, freed, comes last
-    p_of = np.argsort(p_nodes).astype(np.int32)[None]
+    p_of = np.arange(n, dtype=np.int32)[None]
     G = _csr(pattern, system.G[comps], v_of, p_of, (vf.size, n))
     B = G.T.tocsr()
-    Kpp, M = (_csr(pattern, vals, np.arange(n)[None], p_of, (n, n))[p_nodes]
-              for vals in (system.Kpp, system.M))
+    Kpp, M = (_csr(pattern, vals, p_of, p_of, (n, n)) for vals in (system.Kpp, system.M))
     h = 0.5 / M.diagonal()  # omega D^-1
 
     def precondition(r):  # three damped-Jacobi sweeps on M z = r
@@ -428,33 +418,36 @@ def solve_schur(system: LinearSystem, residual_rtol: float = 1e-10,
             z += h * (r - M @ z)
         return z
 
-    f_v, f_p = system.rhs0[vf], system.rhs0[dofs_p[p_nodes]]  # the pin's f_p is 0
+    f_v, f_p = system.rhs0[vf], system.rhs0[dofs_p]  # the pin's f_p is 0
     with np.errstate(over="ignore", invalid="ignore"):
         w = v_solve(f_v)
         g = B @ w - f_p
         # |B| |w| does not cancel where the exact pressure lies in S's kernel
-        scale = np.linalg.norm(_abs(B) @ np.abs(w)) + np.linalg.norm(f_p)
-        if pinned.size:  # the pin's row of g is unknown: make g orthogonal to 1
-            g[-1] = -g[:-1].sum()
+        scale = np.linalg.norm(abs(B) @ np.abs(w)) + np.linalg.norm(f_p)
+        for pin in pinned:  # the pin's entry of g is unknown: make g orthogonal to 1
+            g[pin] = -np.delete(g, pin).sum()
     cg = _pcg(lambda q: B @ v_solve(G @ q) - Kpp @ q, g, precondition, scale)
     if cg is None:
         return None
     p, iterations = cg
-    p -= p[-1] if pinned.size else 0.0  # p - p_pin is 0 at the pin
+    p -= p[pinned].sum()  # p - p_pin is 0 at the pin; sums of at most one entry
     x = b.copy()  # constrained rows are identity rows
     x[vf] = v_solve(f_v - G @ p)
-    x[dofs_p[p_nodes]] = p + (b[dofs_p[pinned[0]]] if pinned.size else 0.0)
+    x[dofs_p] = p + b[dofs_p[pinned]].sum()  # and p_pin is added
     if not np.all(np.isfinite(x)):
         return None
     # the residual of the whole constrained matrix, its dofs permuted to
-    # (vf, pf, constrained); every block is CSR, so bmat keeps each row's order
-    con, m = np.flatnonzero(~free), n - pinned.size
-    sizes = (vf.size, m, con.size)
+    # (vf, pf, constrained), the pf blocks taken by the free_p mask; every
+    # block is CSR, so bmat keeps each row's order
+    con = np.flatnonzero(~free)
+    sizes = (vf.size, n - pinned.size, con.size)
     A = [[sp.csr_matrix((r, c)) for c in sizes] for r in sizes]
-    G, B, Kpp = G[:, :m], B[:m], Kpp[:m, :m]  # and the CG's operators are freed
+    G = G[:, free_p]  # and each of the CG's operators is freed in turn
+    B = B[free_p]
+    Kpp = Kpp[free_p][:, free_p]
     A[0][:2], A[1][:2] = [V, G], [B, Kpp]
     A[2][2] = sp.identity(con.size, format="csr")
-    perm = np.concatenate([vf, dofs_p[p_nodes[:m]], con])
+    perm = np.concatenate([vf, dofs_p[free_p], con])
     res = _residual(sp.bmat(A, format="csr"), x[perm], b[perm])
     if res > residual_rtol:
         return None

@@ -93,6 +93,19 @@ def test_bad_mesh_spec_is_usage_error():
                  "--mesh", "/no/such/file.mesh"]) == 2
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["run", "--case", "patch", "--mesh", "grid:Q4"],
+     "bad mesh spec 'grid:Q4'; want grid:KIND:NxM[xL]"),
+    (["run", "--case", "patch", "--mesh", "grid:Q4:4xa"], "bad division list in 'grid:Q4:4xa'"),
+    (["convergence", "--element", "q4", "--levels", "8,x"], "bad --levels '8,x'"),
+    (["run", "--case", "patch2d", "--mesh", "grid:B8:2x2x2"],
+     "case 'patch2d' does not match a 3-D mesh"),
+], ids=["grid-parts", "grid-divisions", "levels", "patch2d-on-3d"])
+def test_malformed_argument_is_usage_error(argv, message, capsys):
+    assert main([*argv, "--formulation", "svm"]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 def test_non_finite_mesh_coordinate_is_usage_error(tmp_path, capsys):
     from stokeslab.kinds import ElementKind
     from stokeslab.mesh import generate_grid, write_mesh
@@ -286,6 +299,15 @@ def test_convergence_emits_levels_and_slope(tmp_path, capsys):
     slope_v = float(lines[-1].split(",")[1])
     assert 1.5 < slope_v < 2.5
     assert csv.read_text().splitlines()[0] == "h,velocity_l2,pressure_h1semi"
+
+
+def test_convergence_of_an_exact_case_prints_an_exact_slope(capsys):
+    # the patch is solved to roundoff on every level, so no rate is fitted
+    assert main(["convergence", "--case", "patch", "--formulation", "svm",
+                 "--element", "q4", "--levels", "2,4,8"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 4
+    assert lines[-1] == "slope,exact,exact"
 
 
 def test_convergence_needs_three_levels(monkeypatch, capsys):

@@ -282,14 +282,27 @@ def test_bad_count_line_rejected(tmp_path, text, line, count):
     (_TRIANGLE + "nodeset all 2\n0 q\n", 11, "bad node index in nodeset all"),
     # the second block would otherwise replace the first without a word
     (_TRIANGLE + "nodeset all 3\n0 1 2\nnodeset all 1\n0\n", 12, "nodeset all is repeated"),
-], ids=["dim-negative", "dim-kind", "nodeset-index-q", "nodeset-repeated"])
+    # the end of the file has no line, so only the path is named
+    ("stokeslab-mesh v1\n", None, "unexpected end of file while reading dim"),
+    (_TRIANGLE.replace("dim 2", "dimension 2"), 2,
+     "expected 'dim <value>', got 'dimension 2'"),
+    (_TRIANGLE.replace("\n1 0\n", "\n1 x\n"), 6, "bad coordinate in node 1"),
+    (_TRIANGLE.replace("\n0 1 2\n", "\n0 1\n"), 9, "element 0 needs 3 node indices"),
+    (_TRIANGLE.replace("\n0 1 2\n", "\n0 1 z\n"), 9, "bad node index in element 0"),
+    (_TRIANGLE + "nodeset all\n", 10,
+     "expected 'nodeset <name> <count>', got 'nodeset all'"),
+    (_TRIANGLE + "nodeset all 1\n0 1\n", 11, "nodeset all has 2 indices, expected 1"),
+], ids=["dim-negative", "dim-kind", "nodeset-index-q", "nodeset-repeated", "eof-after-header",
+        "dim-key", "node-coordinate", "element-arity", "element-index", "nodeset-header",
+        "nodeset-size"])
 def test_bad_line_named_by_path_and_line(tmp_path, capsys, text, line, message):
     p = _write(tmp_path, text)
+    where = p if line is None else f"{p}:{line}"
     with pytest.raises(MeshError) as err:
         load_mesh(p)
-    assert str(err.value) == f"{p}:{line}: {message}"
+    assert str(err.value) == f"{where}: {message}"
     assert main(["mesh-info", "--mesh", str(p)]) == 2
-    assert capsys.readouterr().err == f"error: {p}:{line}: {message}\n"
+    assert capsys.readouterr().err == f"error: {where}: {message}\n"
 
 
 def test_nodeset_out_of_range_rejected(tmp_path):

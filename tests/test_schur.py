@@ -225,15 +225,53 @@ def test_b8_patch_pressure_in_the_kernel_stops_at_once():
     assert np.abs(sol.pressure - 10.0).max() < 1e-8
 
 
-def test_nonzero_pin_value_is_kept_exactly():
-    base = case_by_name("lid_cavity", 2)
-    case = dataclasses.replace(base, pressure_pin=(base.pressure_pin[0], 3.0))
+@pytest.mark.parametrize("scheme", ["svm", "wvm"])
+@pytest.mark.parametrize("point, node", [
+    ((0.0, 0.0), 0), ((0.5, 0.5), 144), ((1.0, 1.0), 288), ((0.0, 1.0), 272),
+], ids=["first", "middle", "last", "lid-corner"])
+def test_nonzero_pin_value_is_kept_exactly(point, node, scheme):
+    # the CG runs in node order with the pin held as one index: the pin's
+    # entry of g, the shift of p and p_pin all sit at that node.  Beside
+    # the moving lid the pin's row of g differs from the unconstrained one,
+    # so at the top-left corner, which is not the last node, setting the
+    # entry of g at any other node gives a wrong pressure
+    case = dataclasses.replace(case_by_name("lid_cavity", 2), pressure_pin=(point, 3.0))
     mesh = generate_grid(ElementKind.Q4, 16)
-    x_lu, _ = solve_direct(_constrained(case, mesh, "svm"))
-    sol = solve_case(case, mesh, "svm")
+    assert pin_node(case, mesh) == node
+    x_lu, _ = solve_direct(_constrained(case, mesh, scheme))
+    sol = solve_case(case, mesh, scheme)
     assert sol.solver == "schur-cg"
-    assert sol.pressure[pin_node(case, mesh)] == 3.0
+    assert sol.pressure[node] == 3.0
     assert _rel_diff(sol.values, x_lu) <= 1e-10
+
+
+def _strictly_increasing_rows(csr):
+    """Whether the column indices of each row of csr strictly increase."""
+    inside = np.ones(csr.nnz, dtype=bool)  # whether an entry follows one of its own row
+    inside[csr.indptr[:-1][np.diff(csr.indptr) > 0]] = False
+    return bool((np.diff(csr.indices)[inside[1:]] > 0).all())
+
+
+@pytest.mark.parametrize("scheme, options", [
+    ("svm", {}), ("wvm", {}), ("galerkin", {"bp_epsilon": 0.05}),
+    ("enriched", {"pivot_rtol": 0.0, "residual_rtol": np.inf}),
+], ids=["svm", "wvm", "galerkin-bp", "enriched"])
+@pytest.mark.parametrize("kind", list(ElementKind), ids=lambda k: k.name)
+def test_the_residual_receives_canonical_csrs(kind, scheme, options, monkeypatch):
+    # abs(csr) keeps the order and bytes of a canonical CSR, which is what
+    # lets the residual's |A|_inf add each row in its stored order
+    received = []
+    residual = linalg._residual
+    monkeypatch.setattr(linalg, "_residual",
+                        lambda csr, x, b: received.append(csr) or residual(csr, x, b))
+    mesh = generate_grid(kind, 6 if kind.dim == 2 else 3)
+    sol = solve_case(case_by_name("lid_cavity", kind.dim), mesh, scheme, **options)
+    assert sol.solver == ("schur-cg" if scheme in ("svm", "wvm") else "lu")
+    assert len(received) == 1
+    csr = received[0]
+    assert csr.format == "csr"
+    assert _strictly_increasing_rows(csr)
+    assert abs(csr).indices.tobytes() == csr.indices.tobytes()
 
 
 def _schur_or_lu(system):
@@ -265,6 +303,18 @@ def test_two_pressure_constraints_keep_the_constrained_free_set():
     x = _schur_or_lu(system)
     assert split_dofs(x, 2)[1][mesh.n_nodes // 2] == 0.5
     assert _rel_diff(x, x_lu) <= 1e-10
+
+
+def test_zero_data_returns_zero_without_an_iteration():
+    # a zero lid leaves g = 0, which the CG returns before its first step
+    base = case_by_name("lid_cavity", 2)
+    zero = base.dirichlet["bottom"]
+    case = dataclasses.replace(base, dirichlet={**base.dirichlet, "top": zero})
+    sol = solve_case(case, generate_grid(ElementKind.Q4, 6), "svm")
+    assert sol.solver == "schur-cg"
+    assert sol.iterations == 0
+    assert not sol.values.any()
+    assert sol.residual == 0.0
 
 
 def test_nan_body_force_is_a_solve_failure():
