@@ -12,10 +12,12 @@ whose record differs and exits 1 if there is any.  Where both records hold
 the text of a moved stdout or file, it prints the largest relative change
 among its numbers of size >= 1e-8, the largest absolute change among the
 smaller ones, and the largest normwise change: the largest change in a
-field over the largest |value| of that field, where a field is one section
-(POINTS, CELLS, CELL_TYPES or a named point field) of a VTK file, or the
-whole of any other text.  These replace the two records; records without
-the text compare by hash.
+field over the largest |value| of that field.  A field is one section
+(POINTS, CELLS, CELL_TYPES or a named point field) of a VTK file.  In any
+other text it is the value of one `key = value` line, or one CSV column,
+named by its header or else by its index; the lines that are neither make
+up the field `text`.  These replace the two records; records without the
+text compare by hash.
 """
 
 from __future__ import annotations
@@ -104,14 +106,33 @@ def record(src: Path) -> dict:
 
 _NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|[-+]?(?:nan|inf)")
 _SMALL = 1e-8
+_KEY = re.compile(r"#?\s*(\w+) = (.*)")
 _VTK_SECTIONS = ("POINTS", "CELLS", "CELL_TYPES", "VECTORS", "SCALARS")
 
 
 def _fields(text: str) -> dict:
     """The numbers of each field of a text, by name: of each section of a
-    legacy VTK file (its data lines only), or of the whole of any other text."""
+    legacy VTK file (its data lines only); else of the value of each
+    `key = value` line, by its key, of each CSV column, by its header (a
+    row with no number) or else its index, and of every other line, as
+    the field `text`."""
     if not text.startswith("# vtk DataFile"):
-        return {"text": _NUMBER.findall(text)}
+        fields, header = {}, []
+        for line in text.splitlines():
+            key, cells = _KEY.fullmatch(line), line.split(",")
+            if key:
+                parts = {key[1]: key[2]}
+            elif len(cells) == 1:
+                parts = {"text": line}
+            elif not any(_NUMBER.fullmatch(cell) for cell in cells):
+                header = cells
+                continue
+            else:
+                parts = {header[i] if i < len(header) else str(i): cell
+                         for i, cell in enumerate(cells)}
+            for name, part in parts.items():
+                fields.setdefault(name, []).extend(_NUMBER.findall(part))
+        return fields
     fields, name = {}, None
     for line in text.splitlines():
         head = line.split()

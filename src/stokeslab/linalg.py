@@ -25,7 +25,7 @@ from functools import cached_property
 import numpy as np
 
 
-# solve_schur: CG stops when its residual falls to CG_RTOL times the scale of
+# solve_schur: CG stops when its residual is below CG_RTOL times the scale of
 # the terms of the reduced right-hand side, and gives up after CG_MAXITER
 # iterations
 CG_RTOL = 1e-13
@@ -48,6 +48,10 @@ class SingularMatrixError(RuntimeError):
 
 class SolveAccuracyError(RuntimeError):
     """Raised when a solve fails its residual check or is not finite."""
+
+
+class _NotPositive(ArithmeticError):
+    """Raised by solve_schur's S where q^T S q <= 0, to stop scipy's CG."""
 
 
 @dataclass(frozen=True)
@@ -357,16 +361,18 @@ def solve_schur(system: LinearSystem, residual_rtol: float = 1e-10,
     quotient by them without the small eigenvalue that a pin leaves.  Where
     they are not, the shifted p does not solve the constrained system, and
     the residual check refuses it.
-    CG stops when |r| <= CG_RTOL (| |B| |V^-1 f_v| | + |f_p|), a scale
-    that does not cancel when the exact pressure lies in the kernel.
+    The CG is scipy's cg from p = 0.  It stops before a step where
+    |r| < CG_RTOL (| |B| |V^-1 f_v| | + |f_p|), a scale that does not cancel
+    when the exact pressure lies in the kernel, so a roundoff g takes no
+    step; and S raises to stop it on a direction q with q^T S q <= 0.
 
     Returns (x, residual, cg_iterations), the residual as in solve_direct,
     of the constrained system.
     Returns None when more than one pressure dof or every velocity dof is
     constrained, a factor pivoted rows or has a pivot <= pivot_rtol
-    times its largest (V is not positive definite), q^T S q is not
-    positive, CG has not converged after CG_MAXITER iterations, x is not
-    finite, or the residual exceeds residual_rtol.
+    times its largest (V is not positive definite), |g| underflows to 0
+    (cg would return g), q^T S q is not positive, CG takes CG_MAXITER
+    steps, x is not finite, or the residual exceeds residual_rtol.
     Raises ValueError as solve_direct does.
     """
     _check_tolerances(pivot_rtol, residual_rtol)
@@ -418,18 +424,32 @@ def solve_schur(system: LinearSystem, residual_rtol: float = 1e-10,
             z += h * (r - M @ z)
         return z
 
+    def apply_S(q):
+        Sq = B @ v_solve(G @ q) - Kpp @ q
+        if not q @ Sq > 0:
+            raise _NotPositive
+        return Sq
+
     f_v, f_p = system.rhs0[vf], system.rhs0[dofs_p]  # the pin's f_p is 0
-    with np.errstate(over="ignore", invalid="ignore"):
+    steps = []  # one entry per CG step
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
         w = v_solve(f_v)
         g = B @ w - f_p
         # |B| |w| does not cancel where the exact pressure lies in S's kernel
         scale = np.linalg.norm(abs(B) @ np.abs(w)) + np.linalg.norm(f_p)
         for pin in pinned:  # the pin's entry of g is unknown: make g orthogonal to 1
             g[pin] = -np.delete(g, pin).sum()
-    cg = _pcg(lambda q: B @ v_solve(G @ q) - Kpp @ q, g, precondition, scale)
-    if cg is None:
+        if g.any() and not np.linalg.norm(g) > 0:  # cg would return g as p
+            return None
+        try:
+            p, info = spla.cg(spla.LinearOperator((n, n), apply_S, dtype=float), g,
+                              rtol=0.0, atol=CG_RTOL * scale, maxiter=CG_MAXITER,
+                              M=spla.LinearOperator((n, n), precondition, dtype=float),
+                              callback=steps.append)
+        except _NotPositive:
+            return None
+    if info:
         return None
-    p, iterations = cg
     p -= p[pinned].sum()  # p - p_pin is 0 at the pin; sums of at most one entry
     x = b.copy()  # constrained rows are identity rows
     x[vf] = v_solve(f_v - G @ p)
@@ -451,38 +471,7 @@ def solve_schur(system: LinearSystem, residual_rtol: float = 1e-10,
     res = _residual(sp.bmat(A, format="csr"), x[perm], b[perm])
     if res > residual_rtol:
         return None
-    return x, res, iterations
-
-
-@np.errstate(over="ignore", invalid="ignore")
-def _pcg(apply_S, g, precondition, scale):
-    """Preconditioned CG on S p = g from p = 0.  Returns (p, iterations), or
-    None when q^T S q <= 0 or when |r| > CG_RTOL scale after CG_MAXITER steps;
-    an overflow ends in one of the two, so numpy's warning is silenced.
-
-    S may be singular if g is orthogonal to its kernel: r stays in S's
-    range, and p gains a component in the kernel that the caller removes.
-    scale is the size of the terms that make up g, so a g that cancels to
-    roundoff (a pressure in the kernel) stops after one step."""
-    p, r = np.zeros_like(g), g
-    if not g.any():
-        return p, 0
-    z = precondition(r)
-    q, rz = z, r @ z
-    for it in range(1, CG_MAXITER + 1):
-        Sq = apply_S(q)
-        qSq = q @ Sq
-        if not qSq > 0:
-            return None
-        alpha = rz / qSq
-        p = p + alpha * q
-        r = r - alpha * Sq
-        if np.linalg.norm(r) <= CG_RTOL * scale:
-            return p, it
-        z = precondition(r)
-        rz, rz_old = r @ z, rz
-        q = z + (rz / rz_old) * q
-    return None
+    return x, res, len(steps)
 
 
 def eig_sym_generalized(S, M):

@@ -155,11 +155,11 @@ def test_exactly_singular_factor_writes_nothing_to_stdout(tmp_path, capfd):
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("case, nu", [("patch", "1e160"), ("bodyforce", "1e-200")])
+@pytest.mark.parametrize("case, nu", [("cavity", "1e160"), ("bodyforce", "1e-200")])
 def test_overflowing_residual_scale_is_numerical_failure(case, nu, capsys):
-    # the residual scale |A|_inf max|x| + max|b| overflows to inf; these
-    # runs used to exit 0 with solve_residual = 0 and a wrong pressure
-    # (patch) or an infinite velocity error (bodyforce)
+    # the residual scale |A|_inf max|x| + max|b| overflows to inf, which
+    # refuses the Schur-CG solve; the bodyforce run used to exit 0 with
+    # solve_residual = 0 and an infinite velocity error
     code = main(["run", "--case", case, "--formulation", "svm",
                  "--mesh", "grid:Q4:4x4", "--nu", nu])
     out, err = capsys.readouterr()
@@ -169,9 +169,19 @@ def test_overflowing_residual_scale_is_numerical_failure(case, nu, capsys):
 
 
 def test_infinite_residual_tolerance_admits_an_overflowing_residual(capsys):
-    assert main(["run", "--case", "patch", "--formulation", "svm", "--mesh", "grid:Q4:4x4",
+    assert main(["run", "--case", "cavity", "--formulation", "svm", "--mesh", "grid:Q4:4x4",
                  "--nu", "1e160", "--residual-rtol", "inf"]) == 0
     assert _parse_kv(capsys.readouterr().out)["solve_residual"] == "inf"
+
+
+def test_patch_at_extreme_viscosity_is_solved_exactly(capsys):
+    # the reduced right-hand side of the constant-pressure patch is below the
+    # CG's stopping scale, so the CG takes no step and the pressure is p_pin
+    assert main(["run", "--case", "patch", "--formulation", "svm", "--mesh", "grid:Q4:4x4",
+                 "--nu", "1e160"]) == 0
+    out = _parse_kv(capsys.readouterr().out)
+    assert out["checkerboard_amplitude"] == "0"
+    assert out["pressure_h1semi_error"] == "0"
 
 
 @pytest.mark.parametrize("option, value", [

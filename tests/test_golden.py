@@ -4,6 +4,7 @@ import importlib.util
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from stokeslab.kinds import ElementKind
 from stokeslab.mesh import generate_grid
@@ -35,8 +36,23 @@ def test_normwise_change_is_taken_over_the_field_of_the_vtk_file(tmp_path):
 
 
 def test_normwise_change_of_a_text_is_taken_over_the_whole_text():
-    report = golden.text_change("n = 6561\nr = 0.5\n", "n = 6561\nr = 0.25\n")
+    # a text with no `key = value` line and no CSV row is one field
+    report = golden.text_change("n 6561\nr 0.5\n", "n 6561\nr 0.25\n")
     assert report.endswith("largest normwise change 3.81e-05 (of field text)")
+
+
+@pytest.mark.parametrize("a, b, field", [
+    ("n = 6561\nr = 0.5\n", "n = 6561\nr = 0.25\n", "r"),
+    ("# n = 6561\nsolved in 9 steps\nr = 0.5\n",
+     "# n = 6561\nsolved in 9 steps\nr = 0.25\n", "r"),
+    ("n,r\n6561,0.5\n", "n,r\n6561,0.25\n", "r"),
+    ("6561,0.5\n", "6561,0.25\n", "1"),
+], ids=["keys", "keys-and-text", "csv-header", "csv-index"])
+def test_normwise_change_is_taken_per_key_and_per_csv_column(a, b, field):
+    # each field has its own scale, so a count beside a value does not
+    # shrink the value's change (over the whole text: 3.81e-05)
+    report = golden.text_change(a, b)
+    assert report.endswith(f"largest normwise change 5.00e-01 (of field {field})")
 
 
 def test_texts_that_differ_beyond_their_numbers_have_no_figure():
