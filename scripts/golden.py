@@ -6,13 +6,15 @@
 Each command runs as `python -m stokeslab.cli ...` in a fresh child process
 and a fresh working directory, with PYTHONPATH=SRC (the directory that holds
 the `stokeslab` package) and BLAS capped at one thread.  The record holds,
-per command, the exit code, the stdout text and its sha256, and the sha256
-and the text of every file the run wrote.  `--compare` prints every command
-whose record differs and exits 1 if there is any.  Where both records hold
-the text of a moved stdout or file, it prints the largest relative change
-among its numbers of size >= 1e-8, the largest absolute change among the
-smaller ones, and the largest normwise change: the largest change in a
-field over the largest |value| of that field.  A field is one section
+per command, the exit code, the stdout text and its sha256, the stderr
+text (with SRC and the working directory written as {src} and {tmp}), and
+the sha256 and the text of every file the run wrote.  `--compare` prints
+every command whose record differs, with both stderr texts where they
+differ, and exits 1 if there is any.  Where both records hold the text of
+a moved stdout or file, it prints the largest relative change among its
+numbers of size >= 1e-8, the largest absolute change among the smaller
+ones, and the largest normwise change: the largest change in a field over
+the largest |value| of that field.  A field is one section
 (POINTS, CELLS, CELL_TYPES or a named point field) of a VTK file.  In any
 other text it is the value of one `key = value` line, or one CSV column,
 named by its header or else by its index; the lines that are neither make
@@ -75,6 +77,9 @@ COMMANDS = [
     # tensor-kind volumes through element_volumes
     "mesh-info --mesh grid:Q4:5x3",
     "mesh-info --mesh grid:B8:2x3x4",
+    # extreme nu: a term of the assembled system overflows, refused with exit 1
+    "run --case patch --formulation svm --mesh grid:Q4:4x4 --nu 1e308",
+    "run --case patch --formulation enriched --mesh grid:T3:4x4 --nu 1e200",
     # a usage error: refused with exit 2
     "run --case cavity --formulation svm --mesh grid:Q4:4x4 --pivot-rtol nan",
 ]
@@ -96,7 +101,8 @@ def record(src: Path) -> dict:
             proc = subprocess.run([sys.executable, "-m", "stokeslab.cli", *argv],
                                   cwd=tmp, env=env, capture_output=True)
             files = {p.name: p.read_bytes() for p in sorted(Path(tmp).iterdir())}
-        out[command] = {"exit": proc.returncode, "stdout": _sha(proc.stdout),
+        stderr = proc.stderr.decode().replace(str(src), "{src}").replace(tmp, "{tmp}")
+        out[command] = {"exit": proc.returncode, "stdout": _sha(proc.stdout), "stderr": stderr,
                         "files": {name: _sha(data) for name, data in files.items()},
                         "text": proc.stdout.decode(),
                         "file_text": {name: data.decode() for name, data in files.items()}}
@@ -193,6 +199,8 @@ def compare(a: dict, b: dict) -> list:
             lines.append(f"  exit {ra['exit']} -> {rb['exit']}")
         if ra["stdout"] != rb["stdout"]:
             lines.append(f"  stdout: {text_change(ra['text'], rb['text'])}")
+        if ra.get("stderr") != rb.get("stderr"):
+            lines.append(f"  stderr: {ra.get('stderr')!r} -> {rb.get('stderr')!r}")
         for name in sorted({*ra["files"], *rb["files"]}):
             if ra["files"].get(name) != rb["files"].get(name):
                 ta, tb = (r.get("file_text", {}).get(name) for r in (ra, rb))

@@ -34,7 +34,8 @@ import numpy as np
 
 from .basis import basis_table, element_geometry, integrate, tabulate
 from .kinds import ElementKind
-from .linalg import LinearSystem, SingularMatrixError, TripletPattern, split_dofs
+from .linalg import (LinearSystem, SingularMatrixError, SolveAccuracyError, TripletPattern,
+                     split_dofs)
 from .mesh import Mesh
 
 SCHEMES = ("galerkin", "wvm", "svm", "enriched")
@@ -190,15 +191,20 @@ def assemble(mesh: Mesh, config: FormulationConfig) -> tuple[LinearSystem, FineB
     """Global (unconstrained) system of the configured scheme, and the
     FineBlocks of the enriched scheme (else None).  The 2 + dim blocks are
     summed on the mesh's node pattern in one call, and the dim + 1 load
-    rows on the pattern of the element nodes in another."""
-    (Kvv, Kvp, Kpp), (fv, fp), fine = _element_stacks(mesh, config)
+    rows on the pattern of the element nodes in another.  A sum that is not
+    finite (nu overflows a term) raises SolveAccuracyError."""
     dim = mesh.dim
-    # the stacked blocks are freed before the mesh's pressure mass is summed below
-    sums = mesh.node_pattern.sum(np.concatenate(
-        [Kvv[None], Kvp.transpose(2, 0, 1, 3), Kpp[None]]).reshape(2 + dim, -1))
-    nodal = TripletPattern.build(mesh.n_nodes, 1, mesh.elements.ravel(),
-                                 np.zeros(mesh.elements.size, dtype=np.intp))
-    loads = nodal.sum(np.concatenate([fv.transpose(2, 0, 1), fp[None]]).reshape(dim + 1, -1))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # refused below
+        (Kvv, Kvp, Kpp), (fv, fp), fine = _element_stacks(mesh, config)
+        # the stacked blocks are freed before the mesh's pressure mass is summed below
+        sums = mesh.node_pattern.sum(np.concatenate(
+            [Kvv[None], Kvp.transpose(2, 0, 1, 3), Kpp[None]]).reshape(2 + dim, -1))
+        nodal = TripletPattern.build(mesh.n_nodes, 1, mesh.elements.ravel(),
+                                     np.zeros(mesh.elements.size, dtype=np.intp))
+        loads = nodal.sum(np.concatenate([fv.transpose(2, 0, 1), fp[None]]).reshape(dim + 1, -1))
+    if not (np.isfinite(sums).all() and np.isfinite(loads).all()):
+        raise SolveAccuracyError(
+            f"the assembled {config.scheme} system is not finite at nu = {config.nu!r}")
     rhs = np.zeros(mesh.n_nodes * (dim + 1))
     velocity, pressure = split_dofs(rhs, dim)
     velocity[nodal.rows] += loads[:dim].T  # adding to +0.0 turns a -0.0 sum into +0.0

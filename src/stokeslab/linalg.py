@@ -458,15 +458,14 @@ def solve_schur(system: LinearSystem, residual_rtol: float = 1e-10,
         return None
     # the residual of the whole constrained matrix, its dofs permuted to
     # (vf, pf, constrained), the pf blocks taken by the free_p mask; every
-    # block is CSR, so bmat keeps each row's order
+    # block is CSR, the zero ones too, so bmat stacks rows without a COO copy
     con = np.flatnonzero(~free)
     sizes = (vf.size, n - pinned.size, con.size)
     A = [[sp.csr_matrix((r, c)) for c in sizes] for r in sizes]
     G = G[:, free_p]  # and each of the CG's operators is freed in turn
     B = B[free_p]
     Kpp = Kpp[free_p][:, free_p]
-    A[0][:2], A[1][:2] = [V, G], [B, Kpp]
-    A[2][2] = sp.identity(con.size, format="csr")
+    A[0][:2], A[1][:2], A[2][2] = [V, G], [B, Kpp], sp.identity(con.size, format="csr")
     perm = np.concatenate([vf, dofs_p[free_p], con])
     res = _residual(sp.bmat(A, format="csr"), x[perm], b[perm])
     if res > residual_rtol:

@@ -58,64 +58,48 @@ def write_vtk(path, mesh: Mesh, point_data: dict) -> None:
 
 
 def read_vtk(path):
-    """Parse a file written by write_vtk.
-
-    Returns (points (n,3), cells (nel, nen), cell_type, point_data dict).
-    """
+    """Parse a file written by write_vtk into (points (n,3), cells (nel, nen),
+    cell_type, point_data dict).  Each section is a header line and the rows
+    it counts, one per point in a point field; a missing header or a section
+    cut short raises ValueError."""
     with open(path) as fh:
-        tokens_by_line = [line.split() for line in fh]
-    lines = tokens_by_line
+        lines = [line.split() for line in fh]
     if not lines or lines[0][:5] != "# vtk DataFile Version 3.0".split():
         raise ValueError(f"{path}: not a legacy VTK 3.0 file")
-    if lines[2] != ["ASCII"] or lines[3] != ["DATASET", "UNSTRUCTURED_GRID"]:
+    if lines[2:4] != [["ASCII"], ["DATASET", "UNSTRUCTURED_GRID"]]:
         raise ValueError(f"{path}: expected ASCII unstructured grid")
-    i = 4
-    if lines[i][0] != "POINTS":
-        raise ValueError(f"{path}: POINTS section missing")
-    n = int(lines[i][1])
-    i += 1
-    points = np.array([[float(t) for t in lines[i + k]] for k in range(n)])
-    i += n
-    if lines[i][0] != "CELLS":
-        raise ValueError(f"{path}: CELLS section missing")
-    nel = int(lines[i][1])
-    i += 1
-    cells = []
-    for k in range(nel):
-        row = [int(t) for t in lines[i + k]]
-        if len(row) != row[0] + 1:
+    at = 4  # the line of the next section's header
+
+    def section(name, count=None, skip=0):
+        """Header `name` at line `at` and its rows after `skip`; moves `at` on."""
+        nonlocal at
+        head = lines[at] if at < len(lines) else []
+        if head[:1] != [name] or len(head) < 2:
+            raise ValueError(f"{path}: {name} section missing")
+        start = at + 1 + skip
+        at = start + (int(head[1]) if count is None else count)
+        if at > len(lines):
+            raise ValueError(f"{path}: {name} section cut short")
+        return head, lines[start:at]
+
+    points = np.array([[float(t) for t in row] for row in section("POINTS")[1]])
+    cells = [[int(t) for t in row] for row in section("CELLS")[1]]
+    for k, row in enumerate(cells):
+        if row[:1] != [len(row) - 1]:
             raise ValueError(f"{path}: malformed cell row {k}")
-        cells.append(row[1:])
-    i += nel
-    if lines[i][0] != "CELL_TYPES":
-        raise ValueError(f"{path}: CELL_TYPES section missing")
-    i += 1
-    types = {int(lines[i + k][0]) for k in range(nel)}
+    types = {int(t) for row in section("CELL_TYPES")[1] for t in row}
     if len(types) != 1:
         raise ValueError(f"{path}: mixed cell types not supported")
-    i += nel
-    if lines[i][0] != "POINT_DATA":
-        raise ValueError(f"{path}: POINT_DATA section missing")
-    i += 1
+    section("POINT_DATA", 0)
     point_data = {}
-    while i < len(lines):
-        head = lines[i]
-        if not head:
-            i += 1
-            continue
-        if head[0] == "VECTORS":
-            vals = np.array(
-                [[float(t) for t in lines[i + 1 + k]] for k in range(n)]
-            )
-            point_data[head[1]] = vals
-            i += 1 + n
-        elif head[0] == "SCALARS":
-            vals = np.array([float(lines[i + 2 + k][0]) for k in range(n)])
-            point_data[head[1]] = vals
-            i += 2 + n
-        else:
-            raise ValueError(f"{path}: unsupported attribute {head[0]!r}")
-    return points, np.array(cells), types.pop(), point_data
+    while at < len(lines):
+        kind = (lines[at] or [""])[0]
+        if kind not in ("VECTORS", "SCALARS"):
+            raise ValueError(f"{path}: unsupported attribute {kind!r}")
+        head, rows = section(kind, len(points), kind == "SCALARS")
+        values = np.array([[float(t) for t in row] for row in rows])
+        point_data[head[1]] = values[:, 0] if kind == "SCALARS" else values
+    return points, np.array([row[1:] for row in cells]), types.pop(), point_data
 
 
 def write_csv(path, header, rows, comments=()) -> None:

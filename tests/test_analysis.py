@@ -96,6 +96,11 @@ def test_error_norms_require_exact_solution():
         error_norms(_field(mesh, v, np.zeros(mesh.n_nodes)), case, mesh)
 
 
+def test_convergence_study_requires_exact_solution_before_any_solve():
+    with pytest.raises(ValueError, match="^case 'lid_cavity' has no exact solution$"):
+        convergence_study(case_by_name("lid_cavity", 2), "svm", ElementKind.Q4, (2, 4, 8))
+
+
 def test_linear_fields_reproduced_exactly():
     mesh = generate_grid(ElementKind.T3, 4)
     base = case_by_name("patch_constant", 2)

@@ -26,6 +26,8 @@ def test_case_registry():
         case_by_name("body_force_cavity", dim=3)
     with pytest.raises(ValueError):
         case_by_name("patch_constant", dim=4)
+    with pytest.raises(ValueError, match="^dim must be 2 or 3$"):
+        case_by_name("lid_cavity", dim=4)
 
 
 # --------------------------------------------------------------- patch test

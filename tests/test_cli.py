@@ -155,17 +155,31 @@ def test_exactly_singular_factor_writes_nothing_to_stdout(tmp_path, capfd):
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("case, nu", [("cavity", "1e160"), ("bodyforce", "1e-200")])
+@pytest.mark.parametrize("case, nu", [("cavity", "1e160"), ("bodyforce", "1e-200"),
+                                      ("patch", "1e308"), ("patch", "1e-320")])
 def test_overflowing_residual_scale_is_numerical_failure(case, nu, capsys):
     # the residual scale |A|_inf max|x| + max|b| overflows to inf, which
     # refuses the Schur-CG solve; the bodyforce run used to exit 0 with
-    # solve_residual = 0 and an infinite velocity error
+    # solve_residual = 0 and an infinite velocity error.  At nu = 1e308 and
+    # 1e-320 a term of the assembled system overflows, which is refused
+    # before any solve
     code = main(["run", "--case", case, "--formulation", "svm",
                  "--mesh", "grid:Q4:4x4", "--nu", nu])
     out, err = capsys.readouterr()
     assert code == 1
     assert out == ""
     assert err.startswith("numerical failure:")
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_overflowing_enriched_condensation_is_numerical_failure(capsys):
+    # kff is finite at nu = 1e200, but the condensed s s^T / kff overflows
+    code = main(["run", "--case", "patch", "--formulation", "enriched",
+                 "--mesh", "grid:T3:4x4", "--nu", "1e200"])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert out == ""
+    assert err == "numerical failure: the assembled enriched system is not finite at nu = 1e+200\n"
 
 
 def test_infinite_residual_tolerance_admits_an_overflowing_residual(capsys):

@@ -57,3 +57,21 @@ def test_normwise_change_is_taken_per_key_and_per_csv_column(a, b, field):
 
 def test_texts_that_differ_beyond_their_numbers_have_no_figure():
     assert golden.text_change("a = 1\n", "b = 1\n") == "text differs beyond its numbers"
+
+
+def test_a_changed_stderr_is_reported():
+    record = {"exit": 1, "stdout": golden._sha(b""), "files": {}, "text": "", "file_text": {},
+              "stderr": "numerical failure: Factor is exactly singular\n"}
+    moved = dict(record, stderr="numerical failure: the assembled svm system is not finite\n")
+    assert golden.compare({"run": record}, {"run": dict(record)}) == []
+    assert golden.compare({"run": record}, {"run": moved}) == [
+        "run\n  stderr: 'numerical failure: Factor is exactly singular\\n'"
+        " -> 'numerical failure: the assembled svm system is not finite\\n'"]
+
+
+def test_the_record_holds_the_stderr_text(monkeypatch, capsys):
+    command = "run --case cavity --formulation svm --mesh grid:Q4:4x4 --pivot-rtol nan"
+    monkeypatch.setattr(golden, "COMMANDS", [command])
+    run = golden.record(Path(__file__).resolve().parents[1] / "src")[command]
+    assert run["exit"] == 2
+    assert run["stderr"] == "error: pivot_rtol must be >= 0, got nan\n"

@@ -341,6 +341,13 @@ def test_eig_reconstruction_and_m_orthonormality(rng):
     )
 
 
+@pytest.mark.parametrize("S, M", [(np.eye(2), np.eye(3)), (np.ones((2, 3)), np.ones((2, 3)))],
+                         ids=["mismatched", "not-square"])
+def test_eig_rejects_mismatched_or_non_square_shapes(S, M):
+    with pytest.raises(ValueError, match="square with matching shapes"):
+        eig_sym_generalized(S, M)
+
+
 def test_eig_rejects_asymmetric_s():
     S = np.array([[0.0, 1.0], [0.0, 0.0]])
     with pytest.raises(ValueError, match="symmetric"):

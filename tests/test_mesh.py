@@ -193,6 +193,23 @@ def test_zero_divisions_rejected():
         generate_grid(ElementKind.Q4, (0, 2))
 
 
+def test_wrong_division_count_rejected():
+    with pytest.raises(MeshError, match="^need 2 divisions for Q4$"):
+        generate_grid(ElementKind.Q4, (2, 2, 2))
+
+
+@pytest.mark.parametrize("nodes", [np.zeros((3, 3)), np.zeros(6)], ids=["3-D", "flat"])
+def test_nodes_of_the_wrong_shape_rejected(nodes):
+    with pytest.raises(MeshError, match=r"^nodes must be \(n_nodes, dim\)$"):
+        Mesh(nodes=nodes, elements=np.array([[0, 1, 2]]), kind=ElementKind.T3)
+
+
+def test_elements_of_the_wrong_arity_rejected():
+    nodes = np.array([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0)])
+    with pytest.raises(MeshError, match="^elements must have 3 nodes for T3$"):
+        Mesh(nodes=nodes, elements=np.array([[0, 1, 3, 2]]), kind=ElementKind.T3)
+
+
 # ------------------------------------------------------------------- file I/O
 
 @pytest.mark.parametrize("kind", ALL_KINDS)

@@ -173,6 +173,27 @@ def test_schur_refuses_when_cg_hits_its_cap(monkeypatch):
     assert solve_schur(system) is None
 
 
+def test_a_failed_ldlt_factor_sends_the_system_to_lu(monkeypatch):
+    # SuperLU raises RuntimeError on a V it cannot factor; solve_schur
+    # refuses the system, and solve_direct's own factor solves it
+    splu = linalg.spla.splu
+
+    def failing_ldlt(A, permc_spec=None, **options):
+        if permc_spec == "MMD_AT_PLUS_A":
+            raise RuntimeError("Factor is exactly singular")
+        return splu(A, permc_spec=permc_spec, **options)
+
+    monkeypatch.setattr(linalg.spla, "splu", failing_ldlt)
+    assert solve_case(case_by_name("lid_cavity", 2), generate_grid(ElementKind.Q4, 4),
+                      "svm").solver == "lu"
+
+
+def test_a_non_finite_cg_solution_is_refused(monkeypatch):
+    system = _constrained(case_by_name("lid_cavity", 2), generate_grid(ElementKind.Q4, 4), "svm")
+    monkeypatch.setattr(linalg.spla, "cg", lambda A, b, **options: (np.full_like(b, np.nan), 0))
+    assert solve_schur(system) is None
+
+
 def _constant_pressure_defect(system):
     """max|G 1| over the free velocity rows and max|K_pp 1|, each relative
     to the block's largest absolute row sum."""
