@@ -102,6 +102,11 @@ class TripletPattern:
         """vals[transpose] are the entry values of the transpose, for a symmetric pattern."""
         return np.lexsort((self.rows, self.cols))
 
+    @cached_property
+    def indptr(self) -> np.ndarray:
+        """The CSR row pointer: row r holds the entries indptr[r]:indptr[r + 1]."""
+        return np.searchsorted(self.rows, np.arange(self.n_rows + 1))
+
     def matrix(self, vals) -> "SparseMatrix":
         """The matrix with the entry values vals (nnz,)."""
         vals.setflags(write=False)
@@ -160,15 +165,17 @@ def split_dofs(x, dim):
 
 
 def _residual(csr, x, b) -> float:
-    """max|A x - b| / (|A|_inf max|x| + max|b|), 0 when the denominator is
-    0, and inf when the denominator or the quotient is not finite: a scale
-    that overflows would otherwise report a residual of 0.  csr is
-    canonical (sorted, unique indices), so abs(csr) keeps its rows' order."""
+    """_relative_residual of x for a canonical CSR, whose abs keeps its rows' order."""
     with np.errstate(over="ignore", invalid="ignore"):
-        # row sums as a product with ones: each row adds in its stored order
-        norm = (abs(csr) @ np.ones(csr.shape[1])).max()
-        denom = norm * np.abs(x).max() + np.abs(b).max()
-        res = np.abs(csr @ x - b).max() / denom if denom != 0 else 0.0
+        return _relative_residual(csr @ x, abs(csr) @ np.ones(csr.shape[1]), x, b)
+
+
+def _relative_residual(Ax, row_sums, x, b) -> float:
+    """max|A x - b| / (|A|_inf max|x| + max|b|), 0 when the denominator is 0,
+    and inf when the denominator or the quotient is not finite (the callers
+    ignore overflow): a scale that overflows would otherwise report 0."""
+    denom = row_sums.max() * np.abs(x).max() + np.abs(b).max()
+    res = np.abs(Ax - b).max() / denom if denom != 0 else 0.0
     return float(res) if np.isfinite(denom) and np.isfinite(res) else math.inf
 
 
@@ -343,8 +350,7 @@ def solve_schur(system: LinearSystem, residual_rtol: float = 1e-10,
     On the free (unconstrained) velocity dofs, ordered component by
     component, and all pressures, the system reads
     [V G; B K_pp] [v; p] = [f_v; f_p], where V is K on each component's
-    free nodes, and B = G^T, the CSR of G's transpose; every operator is
-    a canonical CSR (sorted, unique indices in each row).  K is factored
+    free nodes, and B = G^T, each read from the node pattern.  K is factored
     once per component, or once for all of them when they have the same
     free nodes, as an LDL^T (no row pivoting);
     preconditioned CG then solves S p = g = B V^-1 f_v - f_p with
@@ -367,7 +373,7 @@ def solve_schur(system: LinearSystem, residual_rtol: float = 1e-10,
     step; and S raises to stop it on a direction q with q^T S q <= 0.
 
     Returns (x, residual, cg_iterations), the residual as in solve_direct,
-    of the constrained system.
+    of the constrained system, whose rows are added as a CSR matvec adds them.
     Returns None when more than one pressure dof or every velocity dof is
     constrained, a factor pivoted rows or has a pivot <= pivot_rtol
     times its largest (V is not positive definite), |g| underflows to 0
@@ -380,21 +386,22 @@ def solve_schur(system: LinearSystem, residual_rtol: float = 1e-10,
     b = np.asarray(system.rhs, dtype=float)
     free = np.isnan(system.constraints)
     free_v, free_p = split_dofs(free, dim)
-    comps = [c for c in range(dim) if free_v[:, c].any()]
+    nodes = free_v.T  # each component's free nodes, numbered component-major
+    comps = [c for c in range(dim) if nodes[c].any()]
     pinned = np.flatnonzero(~free_p)
     if not comps or pinned.size > 1:
         return None
     import scipy.sparse as sp
     import scipy.sparse.linalg as spla
-    nodes = free_v[:, comps].T  # each component's free nodes, numbered component-major
     v_of = np.where(nodes, np.cumsum(nodes, dtype=np.int32).reshape(nodes.shape) - 1, -1)
-    starts = np.cumsum([0, *nodes.sum(1)])  # the first row of each component in V
-    V = _csr(pattern, system.K, v_of, v_of, (starts[-1],) * 2)
-    shared = (nodes == nodes[0]).all()
+    starts = np.cumsum([0, *nodes[comps].sum(1)])  # the first row of each component in V
+    shared = (nodes[comps] == nodes[comps[0]]).all()
     lus = []
-    for s, e in zip(starts[:1] if shared else starts[:-1], starts[1:]):
-        try:
-            lu = spla.splu(V[s:e, s:e].tocsc(), permc_spec="MMD_AT_PLUS_A",
+    for c, s, e in zip(comps[:1] if shared else comps, starts, starts[1:]):
+        local = v_of[c, None] - s  # numbered from 0
+        V = _csr(pattern, system.K[pattern.transpose], local, local, (e - s,) * 2)
+        try:  # the CSR of V^T is the CSC of V
+            lu = spla.splu(V.T, permc_spec="MMD_AT_PLUS_A",
                            diag_pivot_thresh=0.0, options=dict(SymmetricMode=True))
         except RuntimeError:
             return None
@@ -411,11 +418,11 @@ def solve_schur(system: LinearSystem, residual_rtol: float = 1e-10,
             return np.concatenate([lu.solve(y[s:e]) for lu, s, e in zip(lus, starts, starts[1:])])
 
     dofs_v, dofs_p = split_dofs(np.arange(b.size), dim)
-    vf = dofs_v.T[comps][nodes]
-    p_of = np.arange(n, dtype=np.int32)[None]
-    G = _csr(pattern, system.G[comps], v_of, p_of, (vf.size, n))
-    B = G.T.tocsr()
-    Kpp, M = (_csr(pattern, vals, p_of, p_of, (n, n)) for vals in (system.Kpp, system.M))
+    vf = dofs_v.T[nodes]
+    G = _csr(pattern, system.G, v_of, np.arange(n)[None], (vf.size, n))
+    B = G.T  # a CSC, whose matvec adds each row in the order of B's CSR
+    Kpp, M = (sp.csr_matrix((vals, pattern.cols, pattern.indptr), shape=(n, n))
+              for vals in (system.Kpp, system.M))
     h = 0.5 / M.diagonal()  # omega D^-1
 
     def precondition(r):  # three damped-Jacobi sweeps on M z = r
@@ -435,8 +442,13 @@ def solve_schur(system: LinearSystem, residual_rtol: float = 1e-10,
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
         w = v_solve(f_v)
         g = B @ w - f_p
-        # |B| |w| does not cancel where the exact pressure lies in S's kernel
-        scale = np.linalg.norm(abs(B) @ np.abs(w)) + np.linalg.norm(f_p)
+        # |B| |w| does not cancel where the exact pressure lies in S's kernel;
+        # G's entries in order add each row of B as its matvec does
+        scale = np.zeros(n)
+        for s in range(0, vf.size, 512):
+            e, counts = slice(*G.indptr[[s, min(s + 512, vf.size)]]), np.diff(G.indptr[s:s + 513])
+            np.add.at(scale, G.indices[e], np.abs(G.data[e] * w[s:s + 512].repeat(counts)))
+        scale = np.linalg.norm(scale) + np.linalg.norm(f_p)
         for pin in pinned:  # the pin's entry of g is unknown: make g orthogonal to 1
             g[pin] = -np.delete(g, pin).sum()
         if g.any() and not np.linalg.norm(g) > 0:  # cg would return g as p
@@ -456,18 +468,25 @@ def solve_schur(system: LinearSystem, residual_rtol: float = 1e-10,
     x[dofs_p] = p + b[dofs_p[pinned]].sum()  # and p_pin is added
     if not np.all(np.isfinite(x)):
         return None
-    # the residual of the whole constrained matrix, its dofs permuted to
-    # (vf, pf, constrained), the pf blocks taken by the free_p mask; every
-    # block is CSR, the zero ones too, so bmat stacks rows without a COO copy
-    con = np.flatnonzero(~free)
-    sizes = (vf.size, n - pinned.size, con.size)
-    A = [[sp.csr_matrix((r, c)) for c in sizes] for r in sizes]
-    G = G[:, free_p]  # and each of the CG's operators is freed in turn
-    B = B[free_p]
-    Kpp = Kpp[free_p][:, free_p]
-    A[0][:2], A[1][:2], A[2][2] = [V, G], [B, Kpp], sp.identity(con.size, format="csr")
-    perm = np.concatenate([vf, dofs_p[free_p], con])
-    res = _residual(sp.bmat(A, format="csr"), x[perm], b[perm])
+    # the constrained matrix is A = [K (x) I_dim, G; G^T, Kpp] on the free
+    # dofs (x = 0 on the others adds +-0 terms, which |A x - b| does not
+    # see) and identity rows.  np.add.at adds in index order: a chunk of rows
+    # at a time, each row in its CSR order: a velocity row K's terms, then
+    # G's; a pressure row G^T's, by component, then Kpp's
+    Ax, row_sums, step = np.zeros(b.size), np.zeros(b.size), max(1, 2048 * n // pattern.rows.size)
+    x_free, ones = np.where(free, x, 0.0), np.where(free, 1.0, 0.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for s in range(0, n, step):
+            e = slice(*pattern.indptr[[s, min(s + step, n)]])
+            rows, col_v, col_p = pattern.rows[e], dofs_v[pattern.cols[e]], dofs_p[pattern.cols[e]]
+            at = np.concatenate([*[dofs_v[rows].ravel()] * 2, *[dofs_p[rows]] * (dim + 1)])
+            cols = np.concatenate([col_v.ravel(), col_p.repeat(dim), col_v.T.ravel(), col_p])
+            vals = np.concatenate([system.K[e].repeat(dim), system.G[:, e].T.ravel(),
+                                   system.G[:, pattern.transpose[e]].ravel(), system.Kpp[e]])
+            np.add.at(Ax, at, vals * x_free[cols])
+            np.add.at(row_sums, at, np.abs(vals) * ones[cols])
+        Ax[~free], row_sums[~free] = x[~free], 1.0
+        res = _relative_residual(Ax, row_sums, x, b)
     if res > residual_rtol:
         return None
     return x, res, len(steps)

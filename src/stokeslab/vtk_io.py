@@ -60,8 +60,8 @@ def write_vtk(path, mesh: Mesh, point_data: dict) -> None:
 def read_vtk(path):
     """Parse a file written by write_vtk into (points (n,3), cells (nel, nen),
     cell_type, point_data dict).  Each section is a header line and the rows
-    it counts, one per point in a point field; a missing header or a section
-    cut short raises ValueError."""
+    it counts, one per point in a point field; a missing header, a section
+    cut short or a count that disagrees with another raises ValueError."""
     with open(path) as fh:
         lines = [line.split() for line in fh]
     if not lines or lines[0][:5] != "# vtk DataFile Version 3.0".split():
@@ -70,12 +70,15 @@ def read_vtk(path):
         raise ValueError(f"{path}: expected ASCII unstructured grid")
     at = 4  # the line of the next section's header
 
-    def section(name, count=None, skip=0):
-        """Header `name` at line `at` and its rows after `skip`; moves `at` on."""
+    def section(name, count=None, skip=0, want=None):
+        """Header `name` at line `at` counting `want` (if given), and its rows
+        after `skip`; moves `at` on."""
         nonlocal at
         head = lines[at] if at < len(lines) else []
         if head[:1] != [name] or len(head) < 2:
             raise ValueError(f"{path}: {name} section missing")
+        if want is not None and int(head[1]) != want:
+            raise ValueError(f"{path}: {name} count {head[1]} is not {want}")
         start = at + 1 + skip
         at = start + (int(head[1]) if count is None else count)
         if at > len(lines):
@@ -83,14 +86,17 @@ def read_vtk(path):
         return head, lines[start:at]
 
     points = np.array([[float(t) for t in row] for row in section("POINTS")[1]])
-    cells = [[int(t) for t in row] for row in section("CELLS")[1]]
+    head, rows = section("CELLS")
+    cells = [[int(t) for t in row] for row in rows]
     for k, row in enumerate(cells):
         if row[:1] != [len(row) - 1]:
             raise ValueError(f"{path}: malformed cell row {k}")
-    types = {int(t) for row in section("CELL_TYPES")[1] for t in row}
+    if head[2:] != [str(sum(map(len, cells)))]:
+        raise ValueError(f"{path}: CELLS size is not the count of integers in its rows")
+    types = {int(t) for row in section("CELL_TYPES", want=len(cells))[1] for t in row}
     if len(types) != 1:
         raise ValueError(f"{path}: mixed cell types not supported")
-    section("POINT_DATA", 0)
+    section("POINT_DATA", 0, want=len(points))
     point_data = {}
     while at < len(lines):
         kind = (lines[at] or [""])[0]

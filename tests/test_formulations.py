@@ -7,7 +7,7 @@ import pytest
 
 from conftest import (REFERENCE_CORNERS, enriched_full, fine_dofs_free, lexsort_sum,
                       perturb_interior, solve_reduced)
-from stokeslab.basis import basis_table, integrate
+from stokeslab.basis import basis_table, element_geometry, integrate
 from stokeslab.cases import case_by_name, case_constraints
 from stokeslab.formulations import (
     SCHEMES,
@@ -85,6 +85,16 @@ def test_svm_tau_scales_with_squared_element_size(kind):
     t1 = tau_at("svm", kind, coords, xi)
     t2 = tau_at("svm", kind, 2.0 * coords, xi)
     assert t2 / t1 == pytest.approx(4.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("kind", list(ElementKind))
+def test_wvm_coefficient_refuses_a_zero_bubble_energy(kind):
+    # a Mesh refuses such an element first, so its geometry is edited here
+    table = basis_table(kind)
+    geom = element_geometry(table, REFERENCE_CORNERS[kind][None])
+    assert _wvm_coefficient(table, geom) > 0
+    with pytest.raises(ValueError, match="degenerate element: zero bubble energy"):
+        _wvm_coefficient(table, dataclasses.replace(geom, gb=np.zeros_like(geom.gb)))
 
 
 # --------------------------------------------------------------- block structure

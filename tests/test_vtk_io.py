@@ -111,3 +111,24 @@ def test_vtk_reader_refuses_an_unsupported_attribute(tmp_path, line, name):
     lines = _q4_lines(tmp_path)
     lines.insert(59, line)
     assert _refusal(tmp_path, lines) == f"unsupported attribute {name!r}"
+
+
+def test_vtk_reader_refuses_fewer_cell_types_than_cells(tmp_path):
+    lines = _q4_lines(tmp_path)
+    lines[31] = "CELL_TYPES 8\n"
+    del lines[40]  # 8 type rows for the 9 cells
+    assert _refusal(tmp_path, lines) == "CELL_TYPES count 8 is not 9"
+
+
+def test_vtk_reader_refuses_point_data_for_another_point_count(tmp_path):
+    lines = _q4_lines(tmp_path)
+    lines[41] = "POINT_DATA 15\n"
+    assert _refusal(tmp_path, lines) == "POINT_DATA count 15 is not 16"
+
+
+@pytest.mark.parametrize("header", ["CELLS 9 44\n", "CELLS 9\n"])
+def test_vtk_reader_refuses_a_cells_size_that_is_not_its_rows(tmp_path, header):
+    lines = _q4_lines(tmp_path)
+    assert lines[21] == "CELLS 9 45\n"
+    lines[21] = header
+    assert _refusal(tmp_path, lines) == "CELLS size is not the count of integers in its rows"
