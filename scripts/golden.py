@@ -72,6 +72,8 @@ COMMANDS = [
     "run --case cavity --formulation svm --mesh grid:B8:6x6x3",
     # the 3-D Schur-CG at a size where the preconditioner sets the iteration count
     "run --case cavity --formulation svm --mesh grid:B8:8x8x8",
+    # a tetrahedral 3-D Schur-CG solve whose velocity components have different free nodes
+    "run --case cavity --formulation wvm --mesh grid:TET4:4x4x2",
     # B8 Galerkin and Brezzi-Pitkaranta blocks, with errors at roundoff level
     "run --case patch3d --formulation galerkin --mesh grid:B8:3x3x3 --bp-epsilon 0.1",
     # tensor-kind volumes through element_volumes

@@ -35,9 +35,9 @@ def solve_case(case: TestCase, mesh: Mesh, scheme: str, *,
     indefinite velocity block, no convergence, a residual above
     ``residual_rtol``), and always for galerkin and enriched, whose pivot
     diagnostics matter, the sparse LU of ``linalg.solve_direct`` solves it.
-    ``solver`` and ``iterations`` on the result say which one ran.  The
-    cases pin one pressure: the CG, preconditioned by the pressure mass,
-    solves for p - p_pin on all pressures and adds p_pin afterwards.
+    ``solver`` and ``iterations`` say which one ran; either reports as
+    ``residual`` the bits of the constrained matrix's CSR matvec.  With the
+    one pressure pin of the cases, the CG solves for p - p_pin.
 
     ``pivot_rtol=0`` lets exactly singular-but-consistent systems (the
     enriched Q4/B8 patch test) run to completion so the unstable pressure

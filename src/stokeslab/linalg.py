@@ -164,21 +164,6 @@ def split_dofs(x, dim):
     return x[:n * dim].reshape(n, dim), x[n * dim:]
 
 
-def _residual(csr, x, b) -> float:
-    """_relative_residual of x for a canonical CSR, whose abs keeps its rows' order."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _relative_residual(csr @ x, abs(csr) @ np.ones(csr.shape[1]), x, b)
-
-
-def _relative_residual(Ax, row_sums, x, b) -> float:
-    """max|A x - b| / (|A|_inf max|x| + max|b|), 0 when the denominator is 0,
-    and inf when the denominator or the quotient is not finite (the callers
-    ignore overflow): a scale that overflows would otherwise report 0."""
-    denom = row_sums.max() * np.abs(x).max() + np.abs(b).max()
-    res = np.abs(Ax - b).max() / denom if denom != 0 else 0.0
-    return float(res) if np.isfinite(denom) and np.isfinite(res) else math.inf
-
-
 @dataclass(frozen=True, eq=False)
 class LinearSystem:
     """An equal-order Stokes system as node-by-node blocks on one pattern,
@@ -273,6 +258,39 @@ def apply_constraints(system: LinearSystem, constraints) -> LinearSystem:
     return replace(system, rhs=rhs[0], rhs0=rhs[1], constraints=constraints)
 
 
+def _residual(system: LinearSystem, x) -> float:
+    """max|A x - b| / (|A|_inf max|x| + max|b|) of A = system.matrix and
+    b = system.rhs: 0 when the denominator is 0, and inf when it or the
+    quotient is not finite, where a scale that overflows would report 0.
+
+    A's rows are read from the blocks a chunk of nodes at a time and added
+    by np.add.at, in index order, as A's CSR matvec adds them: a velocity
+    row K's terms, then G's; a pressure row G^T's, node by node, then
+    Kpp's.  The constrained dofs' rows are identity rows; x = 0 in their
+    columns adds +-0 terms, which |A x - b| does not see.
+    """
+    pattern, n, dim, b = system.pattern, system.pattern.n_rows, system.dim, system.rhs
+    free = np.isnan(system.constraints)
+    dofs_v, dofs_p = split_dofs(np.arange(b.size), dim)
+    Ax, row_sums, step = np.zeros(b.size), np.zeros(b.size), max(1, 2048 * n // pattern.rows.size)
+    x_free, ones = np.where(free, x, 0.0), np.where(free, 1.0, 0.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for s in range(0, n, step):
+            e = slice(*pattern.indptr[[s, min(s + step, n)]])
+            row_v, row_p = dofs_v[pattern.rows[e]].ravel(), dofs_p[pattern.rows[e]]
+            col_v, col_p = dofs_v[pattern.cols[e]].ravel(), dofs_p[pattern.cols[e]]
+            at = np.concatenate([row_v, row_v, row_p.repeat(dim), row_p])
+            cols = np.concatenate([col_v, col_p.repeat(dim), col_v, col_p])
+            vals = np.concatenate([system.K[e].repeat(dim), system.G[:, e].T.ravel(),
+                                   system.G[:, pattern.transpose[e]].T.ravel(), system.Kpp[e]])
+            np.add.at(Ax, at, vals * x_free[cols])
+            np.add.at(row_sums, at, np.abs(vals) * ones[cols])
+        Ax[~free], row_sums[~free] = x[~free], 1.0
+        denom = row_sums.max() * np.abs(x).max() + np.abs(b).max()
+        res = np.abs(Ax - b).max() / denom if denom != 0 else 0.0
+    return float(res) if np.isfinite(denom) and np.isfinite(res) else math.inf
+
+
 def _check_tolerances(pivot_rtol, residual_rtol) -> None:
     """Refuse a NaN or negative tolerance: every comparison with NaN is
     false, so it would switch its check off.  inf is allowed."""
@@ -286,8 +304,8 @@ def solve_direct(system: LinearSystem, pivot_rtol: float = 1e-14,
     """Direct sparse-LU solve with a residual check.
 
     Returns the solution x and its relative residual
-    max|A x - b| / (|A|_inf max|x| + max|b|), the quantity checked against
-    residual_rtol (0 when the denominator is 0, inf when it overflows).
+    max|A x - b| / (|A|_inf max|x| + max|b|) for A = system.matrix, the
+    quantity checked against residual_rtol, as _residual computes it.
 
     Raises SingularMatrixError when a pivot falls below pivot_rtol times the
     largest pivot: the signature of a missing pressure constraint or of an
@@ -298,7 +316,7 @@ def solve_direct(system: LinearSystem, pivot_rtol: float = 1e-14,
     """
     _check_tolerances(pivot_rtol, residual_rtol)
     import scipy.sparse.linalg as spla
-    A = system.matrix.to_scipy()  # one CSR for the factor, matvecs and norm
+    A = system.matrix.to_scipy()  # one CSR for the factor and the refinement
     b = np.asarray(system.rhs, dtype=float)
     saved = os.dup(1)
     os.dup2(2, 1)  # SuperLU's BLAS calls print to fd 1 on an exactly singular factor
@@ -324,7 +342,7 @@ def solve_direct(system: LinearSystem, pivot_rtol: float = 1e-14,
         x = x + lu.solve(b - A @ x)
     if not np.all(np.isfinite(x)):
         raise SolveAccuracyError("solution is not finite")
-    res = _residual(A, x, b)
+    res = _residual(system, x)
     if res > residual_rtol:
         raise SolveAccuracyError(
             f"solve residual {res:.3e} exceeds {residual_rtol:.1e}"
@@ -347,12 +365,11 @@ def solve_schur(system: LinearSystem, residual_rtol: float = 1e-10,
     """Solve a stabilized Stokes system by CG on its pressure Schur
     complement, or return None where that route does not apply.
 
-    On the free (unconstrained) velocity dofs, ordered component by
-    component, and all pressures, the system reads
-    [V G; B K_pp] [v; p] = [f_v; f_p], where V is K on each component's
-    free nodes, and B = G^T, each read from the node pattern.  K is factored
-    once per component, or once for all of them when they have the same
-    free nodes, as an LDL^T (no row pivoting);
+    On the free (unconstrained) velocity dofs, ordered component by component,
+    and all pressures, the system reads [V G; B K_pp] [v; p] = [f_v; f_p],
+    where V is K on each component's free nodes, and B = G^T, each read from
+    the node pattern.  K is factored as an LDL^T (no row pivoting) once per
+    distinct set of free nodes, whose components are the columns of one solve;
     preconditioned CG then solves S p = g = B V^-1 f_v - f_p with
     S = B V^-1 G - K_pp, and v = V^-1 (f_v - G p).  As S ~ M / 2nu, M the
     pressure mass, CG is preconditioned by three damped-Jacobi sweeps on M
@@ -372,8 +389,8 @@ def solve_schur(system: LinearSystem, residual_rtol: float = 1e-10,
     when the exact pressure lies in the kernel, so a roundoff g takes no
     step; and S raises to stop it on a direction q with q^T S q <= 0.
 
-    Returns (x, residual, cg_iterations), the residual as in solve_direct,
-    of the constrained system, whose rows are added as a CSR matvec adds them.
+    Returns (x, residual, cg_iterations), the residual of the constrained
+    system with the bits that solve_direct reports for the same x.
     Returns None when more than one pressure dof or every velocity dof is
     constrained, a factor pivoted rows or has a pivot <= pivot_rtol
     times its largest (V is not positive definite), |g| underflows to 0
@@ -384,8 +401,7 @@ def solve_schur(system: LinearSystem, residual_rtol: float = 1e-10,
     _check_tolerances(pivot_rtol, residual_rtol)
     pattern, n, dim = system.pattern, system.pattern.n_rows, system.dim
     b = np.asarray(system.rhs, dtype=float)
-    free = np.isnan(system.constraints)
-    free_v, free_p = split_dofs(free, dim)
+    free_v, free_p = split_dofs(np.isnan(system.constraints), dim)
     nodes = free_v.T  # each component's free nodes, numbered component-major
     comps = [c for c in range(dim) if nodes[c].any()]
     pinned = np.flatnonzero(~free_p)
@@ -395,11 +411,12 @@ def solve_schur(system: LinearSystem, residual_rtol: float = 1e-10,
     import scipy.sparse.linalg as spla
     v_of = np.where(nodes, np.cumsum(nodes, dtype=np.int32).reshape(nodes.shape) - 1, -1)
     starts = np.cumsum([0, *nodes[comps].sum(1)])  # the first row of each component in V
-    shared = (nodes[comps] == nodes[comps[0]]).all()
-    lus = []
-    for c, s, e in zip(comps[:1] if shared else comps, starts, starts[1:]):
-        local = v_of[c, None] - s  # numbered from 0
-        V = _csr(pattern, system.K[pattern.transpose], local, local, (e - s,) * 2)
+    sets = {}  # per distinct set of free nodes: its numbering from 0, and its components' rows
+    for c, s, e in zip(comps, starts, starts[1:]):
+        sets.setdefault(nodes[c].tobytes(), (v_of[c, None] - s, []))[1].append(np.arange(s, e))
+    factors = []
+    for local, rows in sets.values():
+        V = _csr(pattern, system.K[pattern.transpose], local, local, (len(rows[0]),) * 2)
         try:  # the CSR of V^T is the CSC of V
             lu = spla.splu(V.T, permc_spec="MMD_AT_PLUS_A",
                            diag_pivot_thresh=0.0, options=dict(SymmetricMode=True))
@@ -409,13 +426,13 @@ def solve_schur(system: LinearSystem, residual_rtol: float = 1e-10,
         if (not np.array_equal(lu.perm_r, lu.perm_c)
                 or not pivots.min() > pivot_rtol * pivots.max()):
             return None
-        lus.append(lu)
-    if shared:
-        def v_solve(y):
-            return lus[0].solve(y.reshape(len(comps), -1).T).T.ravel()
-    else:
-        def v_solve(y):
-            return np.concatenate([lu.solve(y[s:e]) for lu, s, e in zip(lus, starts, starts[1:])])
+        factors.append((lu, np.array(rows)))
+
+    def v_solve(y):  # one solve per factor, a column per component
+        out = np.empty_like(y)
+        for lu, rows in factors:
+            out[rows] = lu.solve(y[rows].T).T
+        return out
 
     dofs_v, dofs_p = split_dofs(np.arange(b.size), dim)
     vf = dofs_v.T[nodes]
@@ -442,13 +459,8 @@ def solve_schur(system: LinearSystem, residual_rtol: float = 1e-10,
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
         w = v_solve(f_v)
         g = B @ w - f_p
-        # |B| |w| does not cancel where the exact pressure lies in S's kernel;
-        # G's entries in order add each row of B as its matvec does
-        scale = np.zeros(n)
-        for s in range(0, vf.size, 512):
-            e, counts = slice(*G.indptr[[s, min(s + 512, vf.size)]]), np.diff(G.indptr[s:s + 513])
-            np.add.at(scale, G.indices[e], np.abs(G.data[e] * w[s:s + 512].repeat(counts)))
-        scale = np.linalg.norm(scale) + np.linalg.norm(f_p)
+        # |B| |w| does not cancel where the exact pressure lies in S's kernel
+        scale = np.linalg.norm(abs(B) @ np.abs(w)) + np.linalg.norm(f_p)
         for pin in pinned:  # the pin's entry of g is unknown: make g orthogonal to 1
             g[pin] = -np.delete(g, pin).sum()
         if g.any() and not np.linalg.norm(g) > 0:  # cg would return g as p
@@ -468,25 +480,7 @@ def solve_schur(system: LinearSystem, residual_rtol: float = 1e-10,
     x[dofs_p] = p + b[dofs_p[pinned]].sum()  # and p_pin is added
     if not np.all(np.isfinite(x)):
         return None
-    # the constrained matrix is A = [K (x) I_dim, G; G^T, Kpp] on the free
-    # dofs (x = 0 on the others adds +-0 terms, which |A x - b| does not
-    # see) and identity rows.  np.add.at adds in index order: a chunk of rows
-    # at a time, each row in its CSR order: a velocity row K's terms, then
-    # G's; a pressure row G^T's, by component, then Kpp's
-    Ax, row_sums, step = np.zeros(b.size), np.zeros(b.size), max(1, 2048 * n // pattern.rows.size)
-    x_free, ones = np.where(free, x, 0.0), np.where(free, 1.0, 0.0)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for s in range(0, n, step):
-            e = slice(*pattern.indptr[[s, min(s + step, n)]])
-            rows, col_v, col_p = pattern.rows[e], dofs_v[pattern.cols[e]], dofs_p[pattern.cols[e]]
-            at = np.concatenate([*[dofs_v[rows].ravel()] * 2, *[dofs_p[rows]] * (dim + 1)])
-            cols = np.concatenate([col_v.ravel(), col_p.repeat(dim), col_v.T.ravel(), col_p])
-            vals = np.concatenate([system.K[e].repeat(dim), system.G[:, e].T.ravel(),
-                                   system.G[:, pattern.transpose[e]].ravel(), system.Kpp[e]])
-            np.add.at(Ax, at, vals * x_free[cols])
-            np.add.at(row_sums, at, np.abs(vals) * ones[cols])
-        Ax[~free], row_sums[~free] = x[~free], 1.0
-        res = _relative_residual(Ax, row_sums, x, b)
+    res = _residual(system, x)
     if res > residual_rtol:
         return None
     return x, res, len(steps)

@@ -134,36 +134,6 @@ def solve_reduced(matrix, rhs, constraints):
     return x
 
 
-def schur_stacked(system):
-    """The constrained matrix of a system that linalg.solve_schur accepts,
-    stacked by sp.bmat as the reference for its residual, and the order of
-    its dofs: [V G; B K_pp] on the free velocity dofs (component-major) and
-    the free pressures, then identity rows for the constrained dofs.  V is K
-    on each component's free nodes, G the free-pressure columns of G, and B
-    the CSR of G's transpose: every block a canonical CSR."""
-    import scipy.sparse as sp
-
-    from stokeslab.linalg import _csr
-
-    pattern, n, dim = system.pattern, system.pattern.n_rows, system.dim
-    free = np.isnan(system.constraints)
-    free_v, free_p = split_dofs(free, dim)
-    nodes = free_v.T  # numbered component-major
-    v_of = np.where(nodes, np.cumsum(nodes).reshape(nodes.shape) - 1, -1)
-    p_of = np.arange(n)[None]
-    dofs_v, dofs_p = split_dofs(np.arange(free.size), dim)
-    vf = dofs_v.T[nodes]
-    V = _csr(pattern, system.K, v_of, v_of, (vf.size,) * 2)
-    G = _csr(pattern, system.G, v_of, p_of, (vf.size, n))
-    B = G.T.tocsr()[free_p]
-    Kpp = _csr(pattern, system.Kpp, p_of, p_of, (n, n))[free_p][:, free_p]
-    con = np.flatnonzero(~free)
-    sizes = (vf.size, free_p.sum(), con.size)
-    A = [[sp.csr_matrix((r, c)) for c in sizes] for r in sizes]
-    A[0][:2], A[1][:2], A[2][2] = [V, G[:, free_p]], [B, Kpp], sp.identity(con.size, format="csr")
-    return sp.bmat(A, format="csr"), np.concatenate([vf, dofs_p[free_p], con])
-
-
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)

@@ -319,6 +319,17 @@ def test_locate_vortex_rigid_rotation():
     assert y == pytest.approx(0.7, abs=1e-12)
 
 
+def test_locate_vortex_skips_exact_zeros_at_the_top():
+    # v_x = y - 0.7 below a stagnant layer where it is exactly 0 (y = 0.9
+    # and 1 on the centerline): the zero pair at the top has no crossing to
+    # interpolate (0/0), and the topmost crossing is where the layer starts
+    mesh = generate_grid(ElementKind.Q4, 10)
+    y = mesh.nodes[:, 1]
+    v = np.stack([np.where(y > 0.85, 0.0, y - 0.7), np.zeros(mesh.n_nodes)], axis=1)
+    assert locate_vortex(_field(mesh, v, np.zeros(mesh.n_nodes)), mesh) == pytest.approx(
+        0.9, abs=1e-12)
+
+
 def test_locate_vortex_needs_centerline_and_sign_change():
     mesh = generate_grid(ElementKind.Q4, 10)
     case = case_by_name("lid_cavity", 2)

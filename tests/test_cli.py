@@ -517,3 +517,21 @@ def test_eigen_and_mesh_info_load_no_scipy():
     assert loaded["import"] == loaded["eigen"] == loaded["mesh-info"] == []
     assert "scipy.sparse.linalg" in loaded["run"]  # the first solve imports it
     assert result["solver"] == "schur-cg"
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["mesh-info", "--mesh", "grid:Q4:2x2"], 0),
+    (["run", "--case", "cavity", "--formulation", "svm", "--mesh", "grid:Q4:4x4",
+      "--pivot-rtol", "nan"], 2),
+], ids=["mesh-info", "nan-pivot-rtol"])
+def test_the_module_entry_point_exits_with_mains_code(argv, code):
+    # `python -m stokeslab.cli`, which scripts/golden.py runs, hands main's
+    # return value to sys.exit
+    env = dict(os.environ, PYTHONPATH=str(Path(stokeslab.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "stokeslab.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == code, proc.stderr
+    if code:
+        assert proc.stderr == "error: pivot_rtol must be >= 0, got nan\n"
+    else:
+        assert proc.stdout

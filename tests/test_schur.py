@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import perturb_interior, schur_stacked
+from conftest import perturb_interior
 from test_equivalence import _grid
 
 from stokeslab import linalg
@@ -26,8 +26,9 @@ COMBOS = [(kind, case_name)
           if not (case_name == "body_force_cavity" and kind.dim == 3)]
 
 
-def _constrained(case, mesh, scheme):
-    config = FormulationConfig(scheme=scheme, nu=case.nu, body_force=case.body_force)
+def _constrained(case, mesh, scheme, bp_epsilon=0.0):
+    config = FormulationConfig(scheme=scheme, nu=case.nu, bp_epsilon=bp_epsilon,
+                               body_force=case.body_force)
     return apply_case(case, mesh, assemble(mesh, config)[0])
 
 
@@ -50,7 +51,7 @@ def test_schur_cg_matches_lu(kind, case_name, scheme):
     mesh = generate_grid(kind, 8 if kind.dim == 2 else 3)
     case = case_by_name(case_name, kind.dim)
     constrained = _constrained(case, mesh, scheme)
-    x_lu, _ = solve_direct(constrained)
+    x_lu, res_lu = solve_direct(constrained)
     sol = solve_case(case, mesh, scheme)
     assert sol.solver == "schur-cg"
     if case_name == "patch_constant":
@@ -62,24 +63,48 @@ def test_schur_cg_matches_lu(kind, case_name, scheme):
         assert sol.iterations > 0
     assert sol.residual < 1e-12
     assert _rel_diff(sol.values, x_lu) <= 1e-10
-    # the residual read from the blocks is the monolithic matrix's, but
-    # B = G^T sums each pressure row in G's order, not the monolithic one:
-    # that moved the residual by at most 9.3e-4 of itself over these cases
-    A = constrained.matrix.to_scipy()
-    assert sol.residual == pytest.approx(linalg._residual(A, sol.values, constrained.rhs),
-                                         rel=1e-2, abs=0)
+    # both solvers report the residual of the same CSR matvec
+    assert sol.residual == _csr_residual(constrained, sol.values)
+    assert res_lu == _csr_residual(constrained, x_lu)
 
 
 @pytest.mark.parametrize("scheme", ["wvm", "svm"])
-def test_3d_cavity_with_different_free_sets_per_component(scheme):
+@pytest.mark.parametrize("kind, shape, factors", [
+    (ElementKind.Q4, 8, 1),
     # one element thick: the front/back faces constrain the z component of
-    # every node, the in-plane components stay free inside the square
-    mesh = generate_grid(ElementKind.B8, (10, 10, 1))
-    case = case_by_name("lid_cavity", 3)
+    # every node, and x and y share their free nodes
+    (ElementKind.B8, (10, 10, 1), 1),
+    # x and y are free on the front/back faces, z is not
+    (ElementKind.B8, 3, 2),
+], ids=["Q4-8x8", "B8-10x10x1", "B8-3x3x3"])
+def test_3d_cavity_with_different_free_sets_per_component(kind, shape, factors, scheme,
+                                                          monkeypatch):
+    mesh = generate_grid(kind, shape)
+    case = case_by_name("lid_cavity", kind.dim)
     x_lu, _ = solve_direct(_constrained(case, mesh, scheme))
+    ldlts, _ = _counting_v_solves(monkeypatch)
     sol = solve_case(case, mesh, scheme)
     assert sol.solver == "schur-cg"
+    assert len(ldlts) == factors  # one LDL^T of K per distinct set of free nodes
     assert _rel_diff(sol.values, x_lu) <= 1e-10
+
+
+def test_components_that_share_free_nodes_share_one_factor(monkeypatch):
+    # the front/back faces hold x at 0 as well as z: x and z are free on
+    # the interior nodes, y on the faces too, so x and z share a factor
+    mesh = generate_grid(ElementKind.B8, 4)
+    constraints = case_constraints(case_by_name("lid_cavity", 3), mesh)
+    velocity = split_dofs(constraints, 3)[0]
+    velocity[np.isnan(velocity[:, 0]) & ~np.isnan(velocity[:, 2]), 0] = 0.0
+    system = apply_constraints(assemble(mesh, FormulationConfig("wvm"))[0], constraints)
+    free = ~np.isnan(velocity.T)
+    assert (free[0] == free[2]).all() and not (free[0] == free[1]).all()
+    x_lu, _ = solve_direct(system)
+    ldlts, _ = _counting_v_solves(monkeypatch)
+    x, res, _ = solve_schur(system)
+    assert len(ldlts) == 2
+    assert _rel_diff(x, x_lu) <= 1e-10
+    assert res == _csr_residual(system, x)
 
 
 def test_indefinite_velocity_block_falls_back_to_lu():
@@ -99,9 +124,10 @@ def test_indefinite_velocity_block_falls_back_to_lu():
 
 
 def _counting_v_solves(monkeypatch):
-    """A list that gains one entry per V^-1 solve of solve_schur, for
-    systems whose velocity components share their free nodes."""
-    solves = []
+    """Two lists that gain one entry per LDL^T factor of V and one per
+    triangular solve with such a factor, which takes one column for each
+    component that shares the factor's free nodes."""
+    factors, solves = [], []
 
     class Counted:
         def __init__(self, lu):
@@ -114,9 +140,16 @@ def _counting_v_solves(monkeypatch):
             solves.append(1)
             return self.lu.solve(y)
 
+    def counted(A, permc_spec=None, **options):
+        lu = splu(A, permc_spec=permc_spec, **options)
+        if permc_spec != "MMD_AT_PLUS_A":  # solve_direct's LU
+            return lu
+        factors.append(1)
+        return Counted(lu)
+
     splu = linalg.spla.splu
-    monkeypatch.setattr(linalg.spla, "splu", lambda *a, **k: Counted(splu(*a, **k)))
-    return solves
+    monkeypatch.setattr(linalg.spla, "splu", counted)
+    return factors, solves
 
 
 def test_not_positive_q_S_q_refuses_the_cg_and_iterations_count_its_steps(monkeypatch):
@@ -132,7 +165,7 @@ def test_not_positive_q_S_q_refuses_the_cg_and_iterations_count_its_steps(monkey
     for c in range(2):
         free = free_v[:, c]
         assert np.linalg.eigvalsh(K[np.ix_(free, free)]).min() > 0
-    solves = _counting_v_solves(monkeypatch)
+    _, solves = _counting_v_solves(monkeypatch)
     assert solve_schur(svm) is None
     assert len(solves) == 9
     assert solve_case(case, mesh, "svm").solver == "lu"
@@ -327,43 +360,34 @@ def _strictly_increasing_rows(csr):
     return bool((np.diff(csr.indices)[inside[1:]] > 0).all())
 
 
+def _csr_residual(system, x):
+    """The relative residual of x that the solvers report, from scipy's CSR
+    matvecs of the constrained matrix, which add each row in column order."""
+    A = system.matrix.to_scipy()
+    assert _strictly_increasing_rows(A)
+    b = system.rhs
+    denom = (abs(A) @ np.ones(A.shape[1])).max() * np.abs(x).max() + np.abs(b).max()
+    return float(np.abs(A @ x - b).max() / denom)
+
+
 @pytest.mark.parametrize("scheme, options", [
+    ("svm", {}), ("wvm", {}),
     ("galerkin", {"bp_epsilon": 0.05}),
     ("enriched", {"pivot_rtol": 0.0, "residual_rtol": np.inf}),
-], ids=["galerkin-bp", "enriched"])
-@pytest.mark.parametrize("kind", list(ElementKind), ids=lambda k: k.name)
-def test_the_residual_receives_canonical_csrs(kind, scheme, options, monkeypatch):
-    # abs(csr) keeps the order and bytes of a canonical CSR, which is what
-    # lets the residual's |A|_inf add each row in its stored order
-    received = []
-    residual = linalg._residual
-    monkeypatch.setattr(linalg, "_residual",
-                        lambda csr, x, b: received.append(csr) or residual(csr, x, b))
+], ids=["svm", "wvm", "galerkin-bp", "enriched"])
+@pytest.mark.parametrize("kind, case_name", COMBOS,
+                         ids=[f"{k.name}-{c}" for k, c in COMBOS])
+def test_both_solvers_report_the_csr_matvec_residual_bit_for_bit(kind, case_name, scheme,
+                                                                 options):
+    # the Schur-CG and the LU share one residual, read from the blocks
+    # without forming A; the 3-D lid cavity's free nodes differ by component
+    case = case_by_name(case_name, kind.dim)
     mesh = generate_grid(kind, 6 if kind.dim == 2 else 3)
-    sol = solve_case(case_by_name("lid_cavity", kind.dim), mesh, scheme, **options)
-    assert sol.solver == "lu"
-    assert len(received) == 1
-    csr = received[0]
-    assert csr.format == "csr"
-    assert _strictly_increasing_rows(csr)
-    assert abs(csr).indices.tobytes() == csr.indices.tobytes()
-
-
-@pytest.mark.parametrize("scheme", ["svm", "wvm"])
-@pytest.mark.parametrize("case_name", ["lid_cavity", "patch_constant"])
-@pytest.mark.parametrize("kind", list(ElementKind), ids=lambda k: k.name)
-def test_the_schur_residual_is_the_stacked_matrix_residual_bit_for_bit(kind, case_name, scheme):
-    # solve_schur adds each row of the constrained matrix in its CSR order
-    # without stacking it; the 3-D lid cavity's free nodes differ by component
-    system = _constrained(case_by_name(case_name, kind.dim),
-                          generate_grid(kind, 6 if kind.dim == 2 else 3), scheme)
-    free_v, _ = split_dofs(np.isnan(system.constraints), kind.dim)
-    assert (free_v == free_v[:, :1]).all() == (kind.dim == 2 or case_name == "patch_constant")
-    x, res, _ = solve_schur(system)
-    A, perm = schur_stacked(system)
-    assert _strictly_increasing_rows(A)
-    assert res > 0
-    assert res.hex() == linalg._residual(A, x[perm], system.rhs[perm]).hex()
+    sol = solve_case(case, mesh, scheme, **options)
+    assert sol.solver == ("schur-cg" if scheme in ("svm", "wvm") else "lu")
+    system = _constrained(case, mesh, scheme, options.get("bp_epsilon", 0.0))
+    assert sol.residual > 0
+    assert sol.residual.hex() == _csr_residual(system, sol.values).hex()
 
 
 def test_schur_allocates_less_than_two_copies_of_the_system():
