@@ -135,16 +135,26 @@ def integrate(wdet, values) -> np.ndarray:
     return np.matmul(wdet[..., None, :], values[..., :, None])[..., 0, 0]
 
 
-def corner_detJ(kind: ElementKind, coords) -> np.ndarray:
-    """detJ of Q4/B8 elements (..., nen, dim) at their corners: the cross or
-    triple product of the half edges to corners a ^ (1, 3, 4).  detJ > 0 there
-    is exact on Q4 (detJ is affine in each variable), necessary only on B8."""
+def detJ_net(kind: ElementKind, detJ):
+    """Bernstein control net of det J on Q4/B8 elements, from its values
+    detJ (E, 3^dim) at the kind's Gauss tensor rule, with each element
+    divided by its largest |value|: (E, 5^dim) at the reference points
+    meshgrid(*[(-1, -1/2, 0, 1/2, 1)] * dim, indexing="ij"), and the columns
+    (nen,) of the corner nodes, whose entries are the (scaled) det J there.
+    det J of a bi/trilinear map has degree <= 2 in each variable, so the
+    Gauss values fix it, and it is > 0 on the whole element where every
+    entry is > 0 (Johnen, Remacle & Geuzaine, J. Comput. Phys. 233, 2013).
+    On Q4 each entry is a mean of corner values: the net is the corner test.
+    """
+    # per axis: the values at the 5 points, then the Bernstein coefficients of
+    # the halves [-1, 0] and [0, 1], a midpoint one 2 p(mid) - mean(p(ends))
+    t, g = np.linspace(-1, 1, 5)[:, None], np.sqrt(0.6)
+    half = np.hstack([t * (t - g) / 1.2, 1 - t**2 / 0.6, t * (t + g) / 1.2])
+    half[1::2] = 2 * half[1::2] - (half[:-1:2] + half[2::2]) / 2
     corners = _Q4_CORNERS if kind.dim == 2 else _B8_CORNERS
-    across = np.arange(len(corners))[:, None] ^ np.array([1, 3, 4][:kind.dim])
-    D = (coords[..., across, :] - coords[..., None, :]) * (-0.5 * corners)[..., None]
-    if kind.dim == 2:
-        return D[..., 0, 0] * D[..., 1, 1] - D[..., 0, 1] * D[..., 1, 0]
-    return (D[..., 0, :] * np.cross(D[..., 1, :], D[..., 2, :])).sum(axis=-1)
+    scaled = detJ / np.abs(detJ).max(axis=-1, keepdims=True)
+    net = scaled @ reduce(np.kron, [half] * kind.dim).T
+    return net, np.ravel_multi_index((2 * corners.T + 2).astype(int), (5,) * kind.dim)
 
 
 def element_geometry(table: BasisTable, coords) -> ElementGeometry:

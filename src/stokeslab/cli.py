@@ -14,7 +14,7 @@ import numpy as np
 from . import analysis
 from .cases import CASE_NAMES, case_by_name
 from .driver import solve_case
-from .formulations import SCHEMES, FormulationConfig
+from .formulations import FormulationConfig
 from .kinds import ElementKind, kind_from_name
 from .linalg import SingularMatrixError, SolveAccuracyError, _check_tolerances
 from .mesh import MAX_DOFS, MeshError, generate_grid, load_mesh
@@ -63,14 +63,6 @@ def _resolve_case(name: str, dim: int):
     return case_by_name(canonical, dim)
 
 
-def _resolve_scheme(name: str) -> str:
-    if name not in SCHEMES:
-        raise UsageError(
-            f"unknown formulation {name!r}; valid: {', '.join(SCHEMES)}"
-        )
-    return name
-
-
 def _resolve_mesh(spec: str):
     """grid:KIND:NxM[xL] or a mesh file path."""
     if spec.startswith("grid:"):
@@ -95,25 +87,25 @@ def _parse_element(spec: str):
     """'q4' or 'q4-enriched' -> (kind, scheme or None)."""
     base, sep, suffix = spec.partition("-")
     kind = kind_from_name(base)
-    scheme = _resolve_scheme(suffix) if sep else None
-    return kind, scheme
+    return kind, FormulationConfig(suffix).scheme if sep else None
 
 
 def cmd_run(args) -> int:
     # options and the case name are refused before the mesh is built (every
-    # case's own nu is valid), and a mesh the post-processing cannot read
-    # before the solve
+    # case's own nu is valid), and a mesh the post-processing cannot read or
+    # that lacks a boundary tag of the case before the solve
     _check_tolerances(args.pivot_rtol, args.residual_rtol)
     _case_name(args.case)
-    scheme = _resolve_scheme(args.formulation)
-    FormulationConfig(scheme, nu=1.0 if args.nu is None else args.nu,
+    FormulationConfig(args.formulation, nu=1.0 if args.nu is None else args.nu,
                       bp_epsilon=args.bp_epsilon)
     mesh = _resolve_mesh(args.mesh)
     case = _resolve_case(args.case, mesh.dim)
     if case.name == "lid_cavity":
         analysis.centerline_nodes(mesh)
+    for tag in case.dirichlet:
+        mesh.nodeset(tag)
     sol = solve_case(
-        case, mesh, scheme,
+        case, mesh, args.formulation,
         nu=args.nu, bp_epsilon=args.bp_epsilon,
         pivot_rtol=args.pivot_rtol, residual_rtol=args.residual_rtol,
     )
@@ -151,10 +143,9 @@ def cmd_convergence(args) -> int:
     kind = kind_from_name(args.element)
     _check_size(f"--levels {args.levels}", kind, (max(levels),) * kind.dim, MAX_DOFS)
     case = _resolve_case(args.case, kind.dim)
-    scheme = _resolve_scheme(args.formulation)
-    FormulationConfig(scheme, bp_epsilon=args.bp_epsilon)  # refused before any mesh
+    FormulationConfig(args.formulation, bp_epsilon=args.bp_epsilon)  # refused before any mesh
     rows, slopes = analysis.convergence_study(
-        case, scheme, kind, levels, bp_epsilon=args.bp_epsilon
+        case, args.formulation, kind, levels, bp_epsilon=args.bp_epsilon
     )
     out_rows = [(FLOAT_FMT % h, FLOAT_FMT % ev, FLOAT_FMT % ep)
                 for h, ev, ep in rows]
@@ -176,7 +167,7 @@ def cmd_eigen(args) -> int:
     kind, suffix = _parse_element(args.element)
     scheme = suffix or "galerkin"
     if args.formulation is not None:
-        scheme = _resolve_scheme(args.formulation)
+        scheme = FormulationConfig(args.formulation).scheme
         if suffix not in (None, scheme):
             raise UsageError(f"--formulation {scheme} conflicts with the scheme "
                              f"suffix of --element {args.element}")

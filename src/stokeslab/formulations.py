@@ -50,7 +50,8 @@ class FormulationConfig:
 
     def __post_init__(self):
         if self.scheme not in SCHEMES:
-            raise ValueError(f"unknown scheme {self.scheme!r}; valid: {SCHEMES}")
+            raise ValueError(f"unknown formulation {self.scheme!r}; "
+                             f"valid schemes: {', '.join(SCHEMES)}")
         if not (np.isfinite(self.nu) and self.nu > 0):
             raise ValueError(f"nu must be positive and finite, got {self.nu!r}")
         if not (np.isfinite(self.bp_epsilon) and self.bp_epsilon >= 0):

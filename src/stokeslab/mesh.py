@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .basis import SingularJacobianError, basis_table, corner_detJ, element_geometry
+from .basis import SingularJacobianError, basis_table, detJ_net, element_geometry
 from .kinds import ElementKind, kind_from_name
 from .linalg import TripletPattern
 
@@ -93,12 +93,21 @@ class Mesh:
             self.geometry
         except SingularJacobianError as exc:
             raise MeshError(str(exc)) from None
-        if not self.kind.is_simplex:  # a fold at a corner can have detJ > 0 at every point
-            corner = corner_detJ(self.kind, self.nodes[self.elements])
-            if (corner < 0).any():
-                e, a = np.argwhere(corner < 0)[0]
+        if not self.kind.is_simplex:  # detJ > 0 at the points, but certified between them?
+            detJ = self.geometry.detJ
+            net, corners = detJ_net(self.kind, detJ)
+            bad = net <= 0
+            if bad[:, corners].any():
+                e, a = np.argwhere(bad[:, corners])[0]
                 raise MeshError(f"element {e} is inverted at node {self.elements[e, a]} "
-                                f"(corner detJ={corner[e, a]:.3e})")
+                                f"(corner detJ={net[e, corners[a]] * detJ[e].max():.3e})")
+            if bad.any():
+                e = int(np.argmax(bad.any(axis=1)))
+                k = int(np.argmin(net[e]))
+                point = tuple((np.array(np.unravel_index(k, (5,) * self.dim)) / 2 - 1).tolist())
+                raise MeshError(f"element {e} may fold between its nodes: det J is not certified "
+                                f"positive near reference point {point} "
+                                f"(control net {net[e, k] * detJ[e].max():.3e})")
 
     @cached_property
     def geometry(self):

@@ -61,6 +61,13 @@ def distorted_element(kind, rng, amount=0.15):
     raise RuntimeError("could not build a valid distorted element")
 
 
+def folded_cube(draw):
+    """The unit B8 cube with each node moved by uniform(+-0.45), the draw-th
+    (1-based) of default_rng(1)."""
+    moves = np.random.default_rng(1).uniform(-0.45, 0.45, (draw, 8, 3))[-1]
+    return (_B8_CORNERS + 1) / 2 + moves
+
+
 def perturb_interior(mesh, amount, seed):
     """mesh with every interior node (outside the `all` node set) moved by
     uniform(-amount, amount) in each coordinate, drawn from default_rng(seed)."""

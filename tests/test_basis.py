@@ -9,11 +9,12 @@ import pytest
 
 from conftest import (REFERENCE_CORNERS, at_point, distorted_element, perturb_interior,
                       random_interior_point)
-from stokeslab.basis import (SingularJacobianError, basis_table, corner_detJ,
+from stokeslab.basis import (SingularJacobianError, basis_table, detJ_net,
                              element_geometry, tabulate)
 from stokeslab.formulations import tau_at
 from stokeslab.kinds import ElementKind
 from stokeslab.mesh import Mesh, MeshError, generate_grid
+from stokeslab.quadrature import rule_for
 
 ALL_KINDS = list(ElementKind)
 
@@ -489,14 +490,44 @@ def test_geometry_peak_memory_is_bounded_by_what_it_returns(kind, divisions, rat
     assert peak <= ratio * sum(v.nbytes for v in vars(geom).values())
 
 
+def _detJ(table, coords):
+    """det J of elements (..., nen, dim) at every point of a table, of either
+    sign (element_geometry refuses an inverted element)."""
+    return np.linalg.det(np.einsum("...na,pnb->...pab", coords, table.DN))
+
+
 @pytest.mark.parametrize("kind", [ElementKind.Q4, ElementKind.B8])
-def test_corner_detj_is_detj_at_the_corners(kind, rng):
+def test_tensor_rules_are_3_point_gauss_in_ij_order(kind):
+    # the control net of det J reads the Gauss values in this order
+    gauss = np.sqrt(0.6) * np.array([-1.0, 0.0, 1.0])
+    grids = np.meshgrid(*[gauss] * kind.dim, indexing="ij")
+    assert np.array_equal(rule_for(kind).points, np.stack([g.ravel() for g in grids], axis=-1))
+
+
+@pytest.mark.parametrize("kind", [ElementKind.Q4, ElementKind.B8])
+def test_control_net_corners_are_detj_at_the_corners(kind, rng):
     coords = distorted_element(kind, rng, amount=0.2)
     corners = REFERENCE_CORNERS[kind]
     at_corners = element_geometry(tabulate(kind, corners, np.ones(len(corners))), coords)
-    assert np.allclose(corner_detJ(kind, coords), at_corners.detJ, rtol=1e-13, atol=0)
+    detJ = _detJ(basis_table(kind), coords)
+    net, at = detJ_net(kind, detJ)
+    assert np.allclose(net[at] * detJ.max(), at_corners.detJ, rtol=1e-13, atol=0)
     stack = np.stack([coords, coords * np.r_[-1.0, np.ones(kind.dim - 1)]])  # and mirrored
-    assert np.all(np.sign(corner_detJ(kind, stack)) == [[1], [-1]])
+    assert np.all(np.sign(detJ_net(kind, _detJ(basis_table(kind), stack))[0][:, at])
+                  == [[1], [-1]])
+
+
+def test_q4_control_net_is_the_corner_test(rng):
+    """det J is bilinear on Q4, so the net refuses an element exactly where
+    det J at one of its corners is <= 0."""
+    kind, corners = ElementKind.Q4, REFERENCE_CORNERS[ElementKind.Q4]
+    coords = (corners + 1) / 2 + rng.uniform(-0.5, 0.5, (4000, *corners.shape))
+    at_corners = np.stack([_detJ(tabulate(kind, c[None], np.ones(1)), coords)[:, 0]
+                           for c in corners], axis=-1)
+    net, _ = detJ_net(kind, _detJ(basis_table(kind), coords))
+    refused = (at_corners <= 0).any(axis=1)
+    assert 0 < refused.sum() < len(coords)
+    assert np.array_equal((net <= 0).any(axis=1), refused)
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)

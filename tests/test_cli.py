@@ -10,8 +10,10 @@ import numpy as np
 import pytest
 
 import stokeslab
+from conftest import folded_cube
 from stokeslab.cli import main
-from stokeslab.mesh import wct_fixture_path
+from stokeslab.kinds import ElementKind
+from stokeslab.mesh import Mesh, generate_grid, wct_fixture_path, write_mesh
 from stokeslab.vtk_io import read_vtk
 
 
@@ -282,16 +284,33 @@ def test_mesh_file_validation_error_names_the_file(node_2, element, message, tmp
      "element 0 is inverted at node 3 (corner detJ=-1.250e-02)"),
     ("B8", ["0 0 0", "1 0 0", "1 1 0", "0 1 0", "0 0 1", "1 0 1", "0.6 0.6 0.6", "0 1 1"],
      "element 0 is inverted at node 6 (corner detJ=-2.500e-02)"),
-], ids=["Q4", "B8"])
+    ("B8", [" ".join(f"{c:.17g}" for c in p) for p in folded_cube(362)],
+     "element 0 may fold between its nodes: det J is not certified positive near "
+     "reference point (-0.5, -1.0, -1.0) (control net -8.108e-03)"),
+], ids=["Q4", "B8", "B8-between-corners"])
 def test_mesh_file_folded_at_a_corner_is_refused(kind, nodes, message, tmp_path, capsys):
     """Each element has detJ > 0 at every quadrature point (test_mesh.py),
-    but detJ < 0 at one corner node."""
+    but detJ < 0 at one corner node, or (the last) on a face between them."""
     path = tmp_path / "folded.mesh"
     path.write_text("\n".join(["stokeslab-mesh v1", f"dim {len(nodes[0].split())}",
                                f"kind {kind}", f"nodes {len(nodes)}", *nodes, "elements 1",
                                " ".join(str(n) for n in range(len(nodes)))]) + "\n")
     assert main(["mesh-info", "--mesh", str(path)]) == 2
     assert capsys.readouterr() == ("", f"error: {path}: {message}\n")
+
+
+def test_run_refuses_a_mesh_without_the_case_tags_before_the_solve(tmp_path, monkeypatch,
+                                                                   capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("solved before the boundary tags were checked")
+
+    monkeypatch.setattr("stokeslab.cli.solve_case", refuse)
+    grid = generate_grid(ElementKind.Q4, 4)
+    path = tmp_path / "all.mesh"
+    write_mesh(Mesh(grid.nodes, grid.elements, grid.kind,
+                    {"all": grid.boundary_sets["all"]}), path)
+    assert main(["run", "--case", "cavity", "--formulation", "svm", "--mesh", str(path)]) == 2
+    assert capsys.readouterr().err == "error: unknown boundary tag 'top'; have: all\n"
 
 
 @pytest.mark.parametrize("argv", [["mesh-info"], ["run", "--case", "patch",
@@ -505,6 +524,15 @@ assert cli.main(["run", "--case", "cavity", "--formulation", "svm",
 loaded["run"] = scipy_modules()
 print(json.dumps({"loaded": loaded, "solver": solvers[0].solver}))
 """
+
+
+def test_importing_the_package_loads_none_of_its_modules():
+    env = dict(os.environ, PYTHONPATH=str(Path(stokeslab.__file__).parents[1]))
+    probe = "import sys, stokeslab; print([m for m in sys.modules if m.startswith('stokeslab.')])"
+    proc = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_eigen_and_mesh_info_load_no_scipy():

@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+from conftest import folded_cube
 from stokeslab import basis
 from stokeslab.analysis import error_norms
 from stokeslab.basis import basis_table
@@ -131,6 +132,28 @@ def test_element_folded_at_a_corner_is_refused(kind, node, moved):
     with pytest.raises(MeshError, match=rf"^element 0 is inverted at node "
                                         rf"{mesh.elements[0, node]} \(corner detJ=-"):
         Mesh(nodes=nodes, elements=mesh.elements, kind=kind)
+
+
+@pytest.mark.parametrize("draw, point", [(362, "(-0.5, -1.0, -1.0)"),
+                                         (883, "(1.0, 1.0, 0.5)"),
+                                         (1496, "(1.0, -0.5, 1.0)"),
+                                         (1933, "(1.0, -0.5, -1.0)"),
+                                         (1937, "(-1.0, 0.5, 1.0)")])
+def test_element_folded_between_its_corners_is_refused(draw, point):
+    """detJ is positive at the corners and at every quadrature point of
+    these elements, but negative on a face (sampled on 17^3 points): the
+    control net of detJ, not the corner test, refuses them."""
+    nodes = folded_cube(draw)
+    assert basis.element_geometry(basis_table(ElementKind.B8), nodes).detJ.min() > 0
+    g = np.linspace(-1, 1, 17)
+    grid = np.stack(np.meshgrid(g, g, g, indexing="ij"), axis=-1).reshape(-1, 3)
+    DN = basis.tabulate(ElementKind.B8, grid, np.ones(len(grid))).DN
+    detJ = np.linalg.det(np.einsum("na,pnb->pab", nodes, DN))
+    assert detJ[(np.abs(grid) == 1).all(axis=1)].min() > 0 > detJ.min()
+    with pytest.raises(MeshError, match=rf"^element 0 may fold between its nodes: det J is not "
+                                        rf"certified positive near reference point "
+                                        rf"{re.escape(point)} \(control net -"):
+        Mesh(nodes=nodes, elements=np.arange(8)[None], kind=ElementKind.B8)
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
