@@ -4,7 +4,8 @@
 first and second parametric derivatives, and each kind's standard bubble,
 at a stack of reference points (a single point is a one-point table);
 `basis_table` caches it at the kind's quadrature rule.  `element_geometry`
-maps a table onto elements: Jacobians, div(J^-1) and physical Laplacians.
+maps a table onto elements: det J, div(J^-1), physical gradients and
+Laplacians.
 """
 
 from __future__ import annotations
@@ -115,10 +116,10 @@ def basis_table(kind: ElementKind) -> BasisTable:
 @dataclass(frozen=True)
 class ElementGeometry:
     """Per-quadrature-point geometric quantities of one element, or of a
-    stack of elements; a stack adds its leading axes to every field."""
+    stack of elements; a stack adds its leading axes to every field.  J^-1
+    is a work array of element_geometry and is not kept: G holds it."""
 
     detJ: np.ndarray      # (..., np)
-    Jinv: np.ndarray      # (..., np, dim, dim)
     divJinv: np.ndarray   # (..., np, dim)
     G: np.ndarray         # (..., np, dim, nen) physical shape gradients
     lapN: np.ndarray      # (..., np, nen) physical shape Laplacians
@@ -167,6 +168,8 @@ def element_geometry(table: BasisTable, coords) -> ElementGeometry:
     element 0): below it adj(J) / detJ loses digits.  detJ is numpy's det.
     Work arrays are component-major, (c..., np, E): each term is one product
     over all points added onto zeros; J, gb, x and G keep their einsum bits.
+    G, the largest field, is formed one point at a time straight into its
+    point-major output, so no component-major copy of it is ever whole.
     """
     coords = np.asarray(coords, dtype=float)
     lead, (nen, d), n_p = coords.shape[:-2], coords.shape[-2:], len(table.weights)
@@ -175,11 +178,11 @@ def element_geometry(table: BasisTable, coords) -> ElementGeometry:
                            for a in (table.N, table.DN, table.D2N, table.gb, table.Hb))
     buf = np.empty((n_p, X.shape[-1]))
 
-    def field(shape, terms, out=None):  # component c adds a * b over terms(*c) onto zeros
-        out = np.zeros(shape + buf.shape) if out is None else out
+    def field(shape, terms, out=None, tmp=buf):  # component c adds a * b over terms(*c) onto zeros
+        out = np.zeros(shape + tmp.shape) if out is None else out
         for c in np.ndindex(*shape):
             for a, b in terms(*c):
-                out[c] += np.multiply(a, b, out=buf)
+                out[c] += np.multiply(a, b, out=tmp)
         return out
 
     def point_major(a):  # as (..., np, c...), copied ~64 rows of E at a time: 3x faster
@@ -198,7 +201,7 @@ def element_geometry(table: BasisTable, coords) -> ElementGeometry:
         low = det[:, e].min()
         raise SingularJacobianError(f"element {e} is {'degenerate' if low >= 0 else 'inverted'} "
                                     f"(min detJ={low:.3e})")
-    # J^-1 = adj(J) / detJ; column k of a 3x3 adj(J) is row k+1 x row k+2 of J
+    # the work array J^-1 = adj(J) / detJ; column k of a 3x3 adj(J) is row k+1 x row k+2 of J
     if d == 2:
         Jinv = np.swapaxes(J[::-1, ::-1], 0, 1) * np.reshape([1.0, -1.0, -1.0, 1.0], (2, 2, 1, 1))
     else:
@@ -218,10 +221,10 @@ def element_geometry(table: BasisTable, coords) -> ElementGeometry:
     del JJT, C, H
     gb = field((d,), lambda i: zip(Jinv[:, i], gbh))
     x = field((d,), lambda i: zip(N, X[i]))
-    lapb, divJinv, gb, x = (point_major(a) for a in (lapb, divJinv, gb, x))  # G, the largest, last
-    G = field((d, nen), lambda i, n: zip(Jinv[:, i], DN[n]))
-    Jinv = point_major(Jinv)
-    return ElementGeometry(
-        detJ=detJ, Jinv=Jinv, divJinv=divJinv, G=point_major(G), lapN=lapN,
-        gb=gb, lapb=lapb, x=x, wdet=table.weights * detJ,
-    )
+    lapb, divJinv, gb, x = (point_major(a) for a in (lapb, divJinv, gb, x))
+    G, tmp = np.empty(buf.shape[::-1] + (d, nen)), np.empty((d, nen, X.shape[-1]))
+    for p in range(n_p):  # G[i, n] = sum over m of J^-1[m, i] DN[n, m], a point at a time
+        G[:, p] = np.moveaxis(field((), lambda: [(Jinv[m, :, None, p], DN[:, m, p])
+                                                 for m in range(d)], tmp=tmp), -1, 0)
+    return ElementGeometry(detJ=detJ, divJinv=divJinv, G=G.reshape(lead + G.shape[1:]),
+                           lapN=lapN, gb=gb, lapb=lapb, x=x, wdet=table.weights * detJ)

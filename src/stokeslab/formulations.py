@@ -103,19 +103,21 @@ def tau_at(scheme: str, kind: ElementKind, node_coords, xi) -> float:
 def _element_stacks(mesh, config):
     """Element blocks and loads of every element of the mesh at once.
 
-    Returns the blocks (Kvv (n_el, nen, nen), Kvp (n_el, nen, dim, nen),
-    Kpp (n_el, nen, nen)), where the element velocity block is Kvv (x) I_dim
-    and the pressure rows are Kvp^T, the loads (fv (n_el, nen, dim),
-    fp (n_el, nen)) and the FineBlocks of the enriched scheme (else None);
-    the enriched blocks and loads come with the fine scales condensed out.
+    Returns the blocks as one (2 + dim, n_el, nen, nen) array: Kvv, where
+    the element velocity block is Kvv (x) I_dim, the coupling of each
+    velocity component to the pressure, whose transpose is the pressure
+    rows, and Kpp; the loads (fv (n_el, nen, dim), fp (n_el, nen)) and the
+    FineBlocks of the enriched scheme (else None); the enriched blocks and
+    loads come with the fine scales condensed out.
 
     Every block and load is a stacked matmul over the flattened
     (quadrature, component) axis of G, a view of the geometry's
-    C-contiguous G as (e, np*dim, nen).  Every
-    scheme forms the same Galerkin part, to which wvm/svm add their terms
-    in place; the Brezzi-Pitkaranta term and the enriched fine blocks use
-    the same operands, multiplied separately rather than concatenated,
-    which would hold a second copy of G.
+    C-contiguous G as (e, np*dim, nen); the blocks are written into their
+    views of the one array, or added onto them, in place.  Every scheme
+    forms the same Galerkin part, to which wvm/svm add their terms; the
+    Brezzi-Pitkaranta term and the enriched fine blocks use the same
+    operands, multiplied separately rather than concatenated, which would
+    hold a second copy of G.
     """
     n_el, nen = mesh.elements.shape
     dim, geom, table, nu = mesh.dim, mesh.geometry, basis_table(mesh.kind), config.nu
@@ -126,14 +128,15 @@ def _element_stacks(mesh, config):
         bf = np.broadcast_to(np.asarray(config.body_force(geom.x), dtype=float),
                              geom.x.shape)
 
+    K = np.zeros((2 + dim, n_el, nen, nen))
+    Kvv, Kvp, Kpp = K[0], K[1:-1].transpose(1, 2, 0, 3), K[-1]  # Kvp: (e, nen, dim, nen)
     Gf = geom.G.reshape(n_el, -1, nen)  # (e, np*dim, nen)
-    wG = np.repeat(wdet, dim, axis=1)[:, :, None] * Gf
-    Kvv = np.swapaxes(wG, 1, 2) @ Gf
-    Kvp = -(np.swapaxes(wG.reshape(n_el, -1, dim * nen), 1, 2) @ N).reshape(
-        n_el, dim, nen, nen).transpose(0, 2, 1, 3)
+    wG = (wdet[:, :, None, None] * geom.G).reshape(Gf.shape)
+    np.matmul(np.swapaxes(wG, 1, 2), Gf, out=Kvv)
+    np.matmul(wG.reshape(n_el, -1, dim, nen).transpose(0, 2, 3, 1), N, out=K[1:-1].swapaxes(0, 1))
+    np.negative(Kvp, out=Kvp)
     del wG
-    fw = np.swapaxes(wdet[:, :, None] * N, 1, 2)  # (e, nen, np)
-    Kpp, fp = np.zeros((n_el, nen, nen)), np.zeros((n_el, nen))
+    fp, tl = np.zeros((n_el, nen)), None
     if config.scheme in ("wvm", "svm"):
         # Substituting v' = (1/2nu)*tau_eff*r into the coarse-scale problem
         # (momentum += c(w,v'), continuity += d(v',q)) gives identical terms
@@ -144,13 +147,17 @@ def _element_stacks(mesh, config):
         else:
             tau_eff = -(table.b / geom.lapb)
         tw = wdet * tau_eff
+        tG = np.swapaxes((tw[:, :, None, None] * geom.G).reshape(Gf.shape), 1, 2)
+        np.matmul(tG, Gf, out=Kpp)
+        Kpp *= -(1.0 / (2.0 * nu))
+        fp = -(1.0 / (2.0 * nu)) * (tG @ bf.reshape(n_el, -1, 1))[:, :, 0]
+        del tG
         tl = np.swapaxes(tw[:, :, None] * geom.lapN, 1, 2)  # (e, nen, np)
         Kvv -= tl @ geom.lapN
         Kvp += (tl @ Gf.reshape(n_el, -1, dim * nen)).reshape(n_el, nen, dim, nen)
-        tG = np.swapaxes(np.repeat(tw, dim, axis=1)[:, :, None] * Gf, 1, 2)  # (e, nen, np*dim)
-        Kpp = -(1.0 / (2.0 * nu)) * (tG @ Gf)
-        fw = fw + tl
-        fp = -(1.0 / (2.0 * nu)) * (tG @ bf.reshape(n_el, -1, 1))[:, :, 0]
+    fw = np.swapaxes(wdet[:, :, None] * N, 1, 2)  # (e, nen, np), formed after tG is freed
+    if tl is not None:
+        fw += tl
     Kvv *= 2.0 * nu
     fv = fw @ bf
 
@@ -158,7 +165,7 @@ def _element_stacks(mesh, config):
         # pressure-Laplacian stabilization, eps ~ h^2; negative because the
         # continuity row here carries b(v;q) = -(div v, q)
         eps = config.bp_epsilon * geom.detJ ** (2.0 / dim)
-        Kpp -= np.swapaxes(np.repeat(wdet * eps, dim, axis=1)[:, :, None] * Gf, 1, 2) @ Gf
+        Kpp -= np.swapaxes(((wdet * eps)[:, :, None, None] * geom.G).reshape(Gf.shape), 1, 2) @ Gf
 
     fine = None
     if config.scheme == "enriched":
@@ -185,21 +192,20 @@ def _element_stacks(mesh, config):
         Kpp -= np.matmul(Kpf_inv, Kpf.transpose(0, 2, 1))
         fv -= s_inv[:, :, None] * f_f[:, None, :]
         fp -= np.matmul(Kpf_inv, f_f[:, :, None])[:, :, 0]
-    return (Kvv, Kvp, Kpp), (fv, fp), fine
+    return K, (fv, fp), fine
 
 
 def assemble(mesh: Mesh, config: FormulationConfig) -> tuple[LinearSystem, FineBlocks | None]:
     """Global (unconstrained) system of the configured scheme, and the
-    FineBlocks of the enriched scheme (else None).  The 2 + dim blocks are
-    summed on the mesh's node pattern in one call, and the dim + 1 load
-    rows on the pattern of the element nodes in another.  A sum that is not
-    finite (nu overflows a term) raises SolveAccuracyError."""
+    FineBlocks of the enriched scheme (else None).  The one array of 2 + dim
+    blocks is summed on the mesh's node pattern, and the dim + 1 load rows
+    on the pattern of the element nodes.  A sum that is not finite (nu
+    overflows a term) raises SolveAccuracyError."""
     dim = mesh.dim
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # refused below
-        (Kvv, Kvp, Kpp), (fv, fp), fine = _element_stacks(mesh, config)
-        # the stacked blocks are freed before the mesh's pressure mass is summed below
-        sums = mesh.node_pattern.sum(np.concatenate(
-            [Kvv[None], Kvp.transpose(2, 0, 1, 3), Kpp[None]]).reshape(2 + dim, -1))
+        K, (fv, fp), fine = _element_stacks(mesh, config)
+        sums = mesh.node_pattern.sum(K.reshape(2 + dim, -1))
+        del K  # freed before the mesh's pressure mass is summed below
         nodal = TripletPattern.build(mesh.n_nodes, 1, mesh.elements.ravel(),
                                      np.zeros(mesh.elements.size, dtype=np.intp))
         loads = nodal.sum(np.concatenate([fv.transpose(2, 0, 1), fp[None]]).reshape(dim + 1, -1))

@@ -4,9 +4,9 @@ symmetric eigensolver.
 Triplets are summed in two phases.  The pattern phase (TripletPattern)
 depends only on the (row, col) positions: a stable argsort of the key
 row * n_cols + col puts each entry's duplicates next to each other.  The
-numeric phase sorts the values within each group and adds each group with
-one np.add.reduceat, so shuffled triplet order produces a bit-identical
-compressed matrix.  A mesh computes its node pattern once, and every block
+numeric phase sorts the values within each group of three or more and adds
+each group with one np.add.reduceat, so shuffled triplet order produces a
+bit-identical compressed matrix.  A mesh computes its node pattern once, and every block
 of an equal-order Stokes system (LinearSystem) is summed on it; the load
 vector is summed on the pattern of the element nodes, one column wide.
 
@@ -65,7 +65,7 @@ class TripletPattern:
     cols: np.ndarray
     order: np.ndarray    # the triplets in (row, col) order, ties in input order
     starts: np.ndarray   # (nnz,) where each entry's group starts in that order
-    groups: tuple        # one (n, c) array per size c > 1: positions of each group
+    groups: tuple        # one (n, c) array per size c > 2: positions of each group
 
     @classmethod
     def build(cls, n_rows, n_cols, rows, cols) -> "TripletPattern":
@@ -76,26 +76,31 @@ class TripletPattern:
         starts = np.flatnonzero(new_group)
         sizes = np.diff(starts, append=rows.size)
         groups = tuple(starts[sizes == c, None] + np.arange(c)
-                       for c in np.unique(sizes[sizes > 1]))
+                       for c in np.unique(sizes[sizes > 2]))
         rows, cols = rows[starts], cols[starts]
         for a in (rows, cols, order, starts, *groups):
             a.setflags(write=False)
         return cls(n_rows, n_cols, rows, cols, order, starts, groups)
 
     def sum(self, vals) -> np.ndarray:
-        """Entry values (..., nnz) summed from triplet values (..., n_triplets).
+        """Entry values (..., nnz) summed from triplet values (..., n_triplets),
+        one row of values at a time.
 
-        The groups of each size c sort as one (n, c) array, so nothing is
+        The groups of each size c > 2 sort as one (n, c) array, so nothing is
         padded however uneven the duplication.  The stable sort puts NaN
         last and keeps equal values (+0.0 and -0.0, NaNs) in input order.
+        A pair needs no sort: a + b == b + a to the bit unless both are NaN,
+        and two NaNs the sort would keep in input order.
         """
         vals = np.asarray(vals, dtype=float)
-        lead, m = vals.shape[:-1], self.order.size
-        v = vals[..., self.order].reshape(math.prod(lead), m)
-        for idx in self.groups:
-            v[:, idx] = np.sort(v[:, idx], axis=-1, kind="stable")
-        starts = (self.starts + m * np.arange(len(v))[:, None]).ravel()
-        return np.add.reduceat(v.ravel(), starts).reshape(lead + (self.rows.size,))
+        lead = vals.shape[:-1]
+        out = np.empty((math.prod(lead), self.rows.size))
+        for row, summed in zip(vals.reshape(len(out), vals.shape[-1]), out):
+            v = row[self.order]
+            for idx in self.groups:
+                v[idx] = np.sort(v[idx], axis=-1, kind="stable")
+            np.add.reduceat(v, self.starts, out=summed)
+        return out.reshape(lead + (self.rows.size,))
 
     @cached_property
     def transpose(self) -> np.ndarray:

@@ -6,7 +6,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from stokeslab.basis import _B8_CORNERS, _Q4_CORNERS, element_geometry, tabulate
+from stokeslab.basis import _B8_CORNERS, _Q4_CORNERS, basis_table, element_geometry, tabulate
 from stokeslab.formulations import assemble
 from stokeslab.kinds import ElementKind
 from stokeslab.linalg import SparseMatrix, split_dofs
@@ -42,6 +42,28 @@ def at_point(kind, xi, coords=None):
     def drop(obj):
         return SimpleNamespace(**{k: v[0] for k, v in vars(obj).items()})
     return drop(table), None if geom is None else drop(geom)
+
+
+def jacobians(mesh):
+    """J (..., p, dim, dim) at the quadrature points, by the einsum
+    element_geometry forms it with."""
+    return np.einsum("...ni,pnm->...pim", mesh.nodes[mesh.elements], basis_table(mesh.kind).DN)
+
+
+def adjugate_inverse(J, detJ):
+    """J^-1 = adj(J) / detJ, formed point by point on (..., p, dim, dim)
+    arrays: column k of a 3x3 adjugate is the cross product of rows k+1 and
+    k+2 of J.  Of jacobians(mesh) and the mesh's detJ it is the work array
+    of element_geometry, bit for bit, that G and gb are formed from."""
+    Jinv = np.empty_like(J)
+    if J.shape[-1] == 2:
+        np.multiply(np.swapaxes(J[..., ::-1, ::-1], -1, -2), [[1, -1], [-1, 1]], out=Jinv)
+    else:
+        for i, k in np.ndindex(3, 3):
+            a, b, m, n = J[..., (k + 1) % 3, :], J[..., (k + 2) % 3, :], (i + 1) % 3, (i + 2) % 3
+            np.subtract(a[..., m] * b[..., n], a[..., n] * b[..., m], out=Jinv[..., i, k])
+    Jinv /= detJ[..., None, None]
+    return Jinv
 
 
 def distorted_element(kind, rng, amount=0.15):

@@ -7,8 +7,8 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import (REFERENCE_CORNERS, at_point, distorted_element, perturb_interior,
-                      random_interior_point)
+from conftest import (REFERENCE_CORNERS, adjugate_inverse, at_point, distorted_element,
+                      jacobians, perturb_interior, random_interior_point)
 from stokeslab.basis import (SingularJacobianError, basis_table, detJ_net,
                              element_geometry, tabulate)
 from stokeslab.formulations import tau_at
@@ -140,9 +140,9 @@ def test_bubble_laplacian_negative_at_quadrature_points(kind):
 def test_rectangle_jacobian_constant():
     a, b = 1.5, 0.25
     coords = REFERENCE_CORNERS[ElementKind.Q4] * [a, b]
-    _, jac = at_point(ElementKind.Q4, (0.3, -0.7), coords)
+    point, jac = at_point(ElementKind.Q4, (0.3, -0.7), coords)
     assert jac.detJ == pytest.approx(a * b, rel=1e-14)
-    assert np.allclose(jac.Jinv, np.diag([1 / a, 1 / b]), rtol=1e-14, atol=0)
+    assert np.allclose(jac.G, np.diag([1 / a, 1 / b]) @ point.DN.T, rtol=1e-14, atol=0)
     assert np.allclose(jac.divJinv, 0.0, atol=1e-14)
 
 
@@ -178,13 +178,17 @@ def test_inverted_element_named_with_its_own_minimum():
         element_geometry(table, coords)
 
 
+def _jinv(kind, xi, coords):
+    """LAPACK's J^-1 of the element coords at reference point xi."""
+    return np.linalg.inv(coords.T @ at_point(kind, xi)[0].DN)
+
+
 def _invert_map(kind, coords, x_target, xi_guess):
     """Newton-invert the isoparametric map x(xi) = x_target."""
     z = np.array(xi_guess, dtype=float)
     for _ in range(60):
-        bz, jz = at_point(kind, z, coords)
-        r = coords.T @ bz.N - x_target
-        z = z - jz.Jinv @ r
+        r = coords.T @ at_point(kind, z)[0].N - x_target
+        z = z - _jinv(kind, z, coords) @ r
         if np.linalg.norm(r) < 1e-14:
             break
     return z
@@ -194,17 +198,14 @@ def _fd_divjinv(kind, coords, xi, h=1e-6):
     """Central finite difference of J^-1(x) columns along physical axes:
     d(Jinv[p,k])/dx_k, with the reference point found by exact map inversion."""
     d = kind.dim
-    b0, jac0 = at_point(kind, xi, coords)
-    x0 = coords.T @ b0.N
+    x0, Jinv0 = coords.T @ at_point(kind, xi)[0].N, _jinv(kind, xi, coords)
     out = np.zeros(d)
     for k in range(d):
         dx = np.zeros(d)
         dx[k] = h
-        xi_p = _invert_map(kind, coords, x0 + dx, xi + jac0.Jinv @ dx)
-        xi_m = _invert_map(kind, coords, x0 - dx, xi - jac0.Jinv @ dx)
-        Jp = at_point(kind, xi_p, coords)[1].Jinv
-        Jm = at_point(kind, xi_m, coords)[1].Jinv
-        out += (Jp[:, k] - Jm[:, k]) / (2 * h)
+        xi_p = _invert_map(kind, coords, x0 + dx, xi + Jinv0 @ dx)
+        xi_m = _invert_map(kind, coords, x0 - dx, xi - Jinv0 @ dx)
+        out += (_jinv(kind, xi_p, coords)[:, k] - _jinv(kind, xi_m, coords)[:, k]) / (2 * h)
     return out
 
 
@@ -234,19 +235,10 @@ def _fd_laplacian_of_mapped_scalar(kind, coords, xi, ref_fn, h=1e-4):
     """FD Laplacian in physical space of a scalar defined on the reference
     element, sampled through local inversion of the isoparametric map."""
     d = kind.dim
-    b0, jac0 = at_point(kind, xi, coords)
+    x0 = coords.T @ at_point(kind, xi)[0].N
 
     def value_at_physical_offset(dx):
-        # invert x(xi0) + dx by Newton iteration on the map
-        target = coords.T @ b0.N + dx
-        z = xi + jac0.Jinv @ dx
-        for _ in range(60):
-            bz, jz = at_point(kind, z, coords)
-            r = coords.T @ bz.N - target
-            z = z - jz.Jinv @ r
-            if np.linalg.norm(r) < 1e-14:
-                break
-        return ref_fn(z)
+        return ref_fn(_invert_map(kind, coords, x0 + dx, xi + _jinv(kind, xi, coords) @ dx))
 
     f0 = value_at_physical_offset(np.zeros(d))
     lap = 0.0
@@ -292,8 +284,8 @@ def test_tabulate_rows_are_one_point_tables(kind):
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_element_geometry_matches_pointwise_calculus(kind, rng):
-    """J, its inverse, the physical gradients and the mapped point, formed
-    point by point with numpy's det and inv."""
+    """det J, the physical gradients and the mapped point, formed point by
+    point with numpy's det and inv."""
     coords = distorted_element(kind, rng, amount=0.1)
     table = basis_table(kind)
     geom = element_geometry(table, coords)
@@ -301,7 +293,6 @@ def test_element_geometry_matches_pointwise_calculus(kind, rng):
         J = coords.T @ table.DN[p]
         Jinv = np.linalg.inv(J)
         assert geom.detJ[p] == pytest.approx(np.linalg.det(J), rel=1e-12)
-        assert np.allclose(geom.Jinv[p], Jinv, rtol=1e-12, atol=1e-12)
         assert np.allclose(geom.G[p], Jinv.T @ table.DN[p].T, rtol=1e-12, atol=1e-12)
         assert np.allclose(geom.gb[p], Jinv.T @ table.gb[p], rtol=1e-12, atol=1e-12)
         assert np.allclose(geom.x[p], coords.T @ table.N[p], rtol=1e-14, atol=1e-14)
@@ -316,7 +307,7 @@ def test_pointwise_calculus_is_element_geometry_bit_for_bit(kind, rng):
     geom = element_geometry(table, coords)
     for p, xi in enumerate(table.points):
         _, jac = at_point(kind, xi, coords)
-        for name in ("detJ", "Jinv", "divJinv", "G", "lapN", "gb", "lapb", "x"):
+        for name in ("detJ", "divJinv", "G", "lapN", "gb", "lapb", "x"):
             assert getattr(jac, name).tobytes() == getattr(geom, name)[p].tobytes(), name
 
 
@@ -336,7 +327,7 @@ def test_element_geometry_of_a_stack_matches_each_element(kind, rng):
     stack = element_geometry(table, coords)
     for e in range(len(coords)):
         alone = element_geometry(table, coords[e])
-        for name in ("detJ", "Jinv", "divJinv", "G", "lapN", "gb", "lapb", "x", "wdet"):
+        for name in ("detJ", "divJinv", "G", "lapN", "gb", "lapb", "x", "wdet"):
             assert getattr(stack, name)[e].tobytes() == getattr(alone, name).tobytes()
     coords[3, 0, 0] = np.nan
     with np.errstate(invalid="ignore"), pytest.raises(SingularJacobianError,
@@ -398,11 +389,6 @@ def _grid(kind, perturbed, divisions=None):
     return perturb_interior(mesh, 0.2 * h, seed=0)
 
 
-def _jacobians(mesh):
-    """J by the einsum element_geometry forms it with."""
-    return np.einsum("...ni,pnm->...pim", mesh.nodes[mesh.elements], basis_table(mesh.kind).DN)
-
-
 def _relative_error(got, want):
     """max |got - want| over each point's matrix, relative to max |want|."""
     return (np.abs(got - want).max(axis=(-1, -2)) / np.abs(want).max(axis=(-1, -2))).max()
@@ -411,9 +397,11 @@ def _relative_error(got, want):
 @pytest.mark.parametrize("perturbed", [False, True], ids=["regular", "perturbed"])
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_closed_form_inverse_matches_lapack(kind, perturbed):
+    """The adjugate inverse whose bits G and gb carry (next tests, and
+    test_formulations' G test) is as accurate as LAPACK's."""
     mesh = _grid(kind, perturbed)
-    J, Jinv = _jacobians(mesh), mesh.geometry.Jinv
-    assert Jinv.flags.c_contiguous and Jinv.shape == J.shape
+    J = jacobians(mesh)
+    Jinv = adjugate_inverse(J, mesh.geometry.detJ)
     assert _relative_error(Jinv, np.linalg.inv(J)) <= 1e-12
     assert np.abs(J @ Jinv - np.eye(kind.dim)).max() <= 1e-12
 
@@ -435,7 +423,7 @@ def test_first_order_geometry_keeps_the_lapack_det_bytes(kind, perturbed):
     from it and from the einsum of the mapped points."""
     mesh = _grid(kind, perturbed)
     table, geom = basis_table(kind), mesh.geometry
-    detJ = np.linalg.det(_jacobians(mesh))
+    detJ = np.linalg.det(jacobians(mesh))
     x = np.einsum("pn,...ni->...pi", table.N, mesh.nodes[mesh.elements])
     assert geom.detJ.tobytes() == detJ.tobytes()
     assert geom.wdet.tobytes() == (table.weights * detJ).tobytes()
@@ -443,31 +431,16 @@ def test_first_order_geometry_keeps_the_lapack_det_bytes(kind, perturbed):
     assert mesh.element_volumes().tobytes() == (detJ @ table.weights).tobytes()
 
 
-def _adjugate_inverse(J, detJ):
-    """J^-1 = adj(J) / detJ, formed point by point on (..., p, dim, dim)
-    arrays: column k of a 3x3 adjugate is the cross product of rows k+1 and
-    k+2 of J."""
-    Jinv = np.empty_like(J)
-    if J.shape[-1] == 2:
-        np.multiply(np.swapaxes(J[..., ::-1, ::-1], -1, -2), [[1, -1], [-1, 1]], out=Jinv)
-    else:
-        for i, k in np.ndindex(3, 3):
-            a, b, m, n = J[..., (k + 1) % 3, :], J[..., (k + 2) % 3, :], (i + 1) % 3, (i + 2) % 3
-            np.subtract(a[..., m] * b[..., n], a[..., n] * b[..., m], out=Jinv[..., i, k])
-    Jinv /= detJ[..., None, None]
-    return Jinv
-
-
 @pytest.mark.parametrize("perturbed", [False, True], ids=["regular", "perturbed"])
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_first_order_geometry_keeps_the_adjugate_and_einsum_bytes(kind, perturbed):
-    """J^-1 has the bits of the point-major adjugate of the einsum J, and gb
-    those of the einsum over it: the galerkin and enriched blocks rest on
-    them (criterion 2)."""
+    """G and gb have the bits of the einsums over the point-major adjugate
+    of the einsum J: the galerkin and enriched blocks rest on them
+    (criterion 2)."""
     mesh = _grid(kind, perturbed)
     table, geom = basis_table(kind), mesh.geometry
-    Jinv = _adjugate_inverse(_jacobians(mesh), geom.detJ)
-    assert geom.Jinv.tobytes() == Jinv.tobytes()
+    Jinv = adjugate_inverse(jacobians(mesh), geom.detJ)
+    assert geom.G.tobytes() == np.einsum("...pmi,pnm->...pin", Jinv, table.DN).tobytes()
     assert geom.gb.tobytes() == np.einsum("...pki,pk->...pi", Jinv, table.gb).tobytes()
 
 
@@ -533,8 +506,8 @@ def test_q4_control_net_is_the_corner_test(rng):
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_scaled_mesh_is_refused_or_inverted_accurately(kind):
     """A mesh scaled by 10^k either is refused, when its detJ overflows or
-    falls below the smallest normal number, or gets a J^-1 as accurate as
-    LAPACK's; no numpy warning is emitted on the way."""
+    falls below the smallest normal number, or gets a G as accurate as that
+    of LAPACK's J^-1; no numpy warning is emitted on the way."""
     base = _grid(kind, perturbed=True, divisions=3 if kind.dim == 2 else 2)
     accepted = []
     for k in range(-170, 171):
@@ -547,7 +520,9 @@ def test_scaled_mesh_is_refused_or_inverted_accurately(kind):
                 assert re.match(r"^element \d+ is degenerate \(min detJ=", str(exc)), str(exc)
                 continue
         accepted.append(k)
-        assert _relative_error(mesh.geometry.Jinv, np.linalg.inv(_jacobians(mesh))) <= 1e-12, k
+        lapack_G = np.einsum("...pmi,pnm->...pin", np.linalg.inv(jacobians(mesh)),
+                             basis_table(kind).DN)
+        assert _relative_error(mesh.geometry.G, lapack_G) <= 1e-12, k
     # the refused scales are the two ends of the sweep
     assert accepted == list(range(accepted[0], accepted[-1] + 1))
     assert accepted[0] < -90 and accepted[-1] > 90

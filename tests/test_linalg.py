@@ -67,6 +67,20 @@ def test_triplet_order_permutation_invariance(seed):
     assert np.array_equal(A.rows, B.rows)
     assert np.array_equal(A.cols, B.cols)
     assert A.vals.tobytes() == B.vals.tobytes()
+    # a pattern whose duplicates are all pairs, which sum without a sort;
+    # two NaNs add in input order, so they are left out
+    keys = np.repeat(rng.choice(n * n, size=rng.integers(1, 30), replace=False), 2)
+    rows, cols = keys // n, keys % n
+    vals = np.where(rng.random(keys.size) < 0.5,
+                    rng.choice(SPECIAL[~np.isnan(SPECIAL)], keys.size),
+                    rng.standard_normal(keys.size))
+    assert TripletPattern.build(n, n, rows, cols).groups == ()
+    perm = rng.permutation(keys.size)
+    with np.errstate(invalid="ignore"):  # inf + -inf
+        A = SparseMatrix.from_triplets(n, n, rows, cols, vals)
+        B = SparseMatrix.from_triplets(n, n, rows[perm], cols[perm], vals[perm])
+        _assert_same(lexsort_sum(rows, cols, vals), A.rows, A.cols, A.vals)
+    _assert_same((A.rows, A.cols, A.vals), B.rows, B.cols, B.vals)
 
 
 # values that sort and add in awkward ways: signed zeros, NaNs of either
