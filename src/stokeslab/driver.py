@@ -31,10 +31,10 @@ def solve_case(case: TestCase, mesh: Mesh, scheme: str, *,
     """Assemble, constrain, and solve one benchmark problem.
 
     wvm and svm systems are solved by CG on the pressure Schur complement
-    (``linalg.solve_schur``); where that route refuses the system (an
-    indefinite velocity block, no convergence, a residual above
+    (``linalg.solve_schur``); where that route refuses the system (the band
+    Cholesky of the velocity block fails, no convergence, a residual above
     ``residual_rtol``), and always for galerkin and enriched, whose pivot
-    diagnostics matter, the sparse LU of ``linalg.solve_direct`` solves it.
+    diagnostics matter, the SuperLU factor of ``linalg.solve_direct`` solves it.
     ``solver`` and ``iterations`` say which one ran; either reports as
     ``residual`` the bits of the constrained matrix's CSR matvec.  With the
     one pressure pin of the cases, the CG solves for p - p_pin.

@@ -1,5 +1,5 @@
-"""Sparse assembly, direct and Schur-complement solves, and a generalized
-symmetric eigensolver.
+"""Sparse assembly, direct (SuperLU) and Schur-complement (CG, with a band
+Cholesky of the velocity block) solves, and a generalized symmetric eigensolver.
 
 Triplets are summed in two phases.  The pattern phase (TripletPattern)
 depends only on the (row, col) positions: a stable argsort of the key
@@ -10,9 +10,8 @@ bit-identical compressed matrix.  A mesh computes its node pattern once, and eve
 of an equal-order Stokes system (LinearSystem) is summed on it; the load
 vector is summed on the pattern of the element nodes, one column wide.
 
-scipy.sparse and scipy.sparse.linalg are imported by the functions that use
-them, so that importing stokeslab loads no scipy; ``linalg.sp`` and
-``linalg.spla`` still name the two modules.
+scipy is imported by the functions that use it, so that importing stokeslab
+loads no scipy; ``linalg.sp`` and ``linalg.spla`` still name the two modules.
 """
 
 from __future__ import annotations
@@ -355,16 +354,6 @@ def solve_direct(system: LinearSystem, pivot_rtol: float = 1e-14,
     return x, res
 
 
-def _csr(pattern, vals, row_of, col_of, shape):
-    """The CSR of vals[i] at (row_of[i, r], col_of[i, c]) for each pattern entry
-    (r, c) where both are >= 0, broadcast over i; row_of increases with (i, r)."""
-    import scipy.sparse as sp
-    rows, cols = np.broadcast_arrays(row_of[:, pattern.rows], col_of[:, pattern.cols])
-    keep = (rows >= 0) & (cols >= 0)
-    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows[keep], minlength=shape[0]))])
-    return sp.csr_matrix((np.broadcast_to(vals, keep.shape)[keep], cols[keep], indptr), shape=shape)
-
-
 def solve_schur(system: LinearSystem, residual_rtol: float = 1e-10,
                 pivot_rtol: float = 1e-14):
     """Solve a stabilized Stokes system by CG on its pressure Schur
@@ -373,10 +362,14 @@ def solve_schur(system: LinearSystem, residual_rtol: float = 1e-10,
     On the free (unconstrained) velocity dofs, ordered component by component,
     and all pressures, the system reads [V G; B K_pp] [v; p] = [f_v; f_p],
     where V is K on each component's free nodes, and B = G^T, each read from
-    the node pattern.  K is factored as an LDL^T (no row pivoting) once per
-    distinct set of free nodes, whose components are the columns of one solve;
-    preconditioned CG then solves S p = g = B V^-1 f_v - f_p with
-    S = B V^-1 G - K_pp, and v = V^-1 (f_v - G p).  As S ~ M / 2nu, M the
+    the node pattern.  V is factored by LAPACK's band Cholesky V = U^T U
+    (dpbtrf) once per distinct set of free nodes, whose components are the
+    columns of one band solve (dpbtrs).  The band holds K's upper triangle
+    (r <= c in node numbering; K's triangles differ in their last bits), in
+    the set's node order unless the reverse Cuthill-McKee order of the node
+    pattern, restricted to the set, gives a narrower band.  Preconditioned CG
+    then solves S p = g = B V^-1 f_v - f_p with S = B V^-1 G - K_pp, and
+    v = V^-1 (f_v - G p).  As S ~ M / 2nu, M the
     pressure mass, CG is preconditioned by three damped-Jacobi sweeps on M
     from 0, omega = 1/2: z = p(D^-1 M) D^-1 r, p(t) = (1 - (1 - t/2)^3) / t > 0.
 
@@ -397,9 +390,9 @@ def solve_schur(system: LinearSystem, residual_rtol: float = 1e-10,
     Returns (x, residual, cg_iterations), the residual of the constrained
     system with the bits that solve_direct reports for the same x.
     Returns None when more than one pressure dof or every velocity dof is
-    constrained, a factor pivoted rows or has a pivot <= pivot_rtol
-    times its largest (V is not positive definite), |g| underflows to 0
-    (cg would return g), q^T S q is not positive, CG takes CG_MAXITER
+    constrained, a band Cholesky fails (V is not positive definite) or has
+    a pivot D = diag(U)^2 <= pivot_rtol times its largest, |g| underflows
+    to 0 (cg would return g), q^T S q is not positive, CG takes CG_MAXITER
     steps, x is not finite, or the residual exceeds residual_rtol.
     Raises ValueError as solve_direct does.
     """
@@ -414,37 +407,44 @@ def solve_schur(system: LinearSystem, residual_rtol: float = 1e-10,
         return None
     import scipy.sparse as sp
     import scipy.sparse.linalg as spla
-    v_of = np.where(nodes, np.cumsum(nodes, dtype=np.int32).reshape(nodes.shape) - 1, -1)
-    starts = np.cumsum([0, *nodes[comps].sum(1)])  # the first row of each component in V
-    sets = {}  # per distinct set of free nodes: its numbering from 0, and its components' rows
-    for c, s, e in zip(comps, starts, starts[1:]):
-        sets.setdefault(nodes[c].tobytes(), (v_of[c, None] - s, []))[1].append(np.arange(s, e))
+    from scipy.linalg.lapack import dpbtrf, dpbtrs
+    from scipy.sparse.csgraph import reverse_cuthill_mckee
+    Kpp, M = (sp.csr_matrix((vals, pattern.cols, pattern.indptr), shape=(n, n))
+              for vals in (system.Kpp, system.M))
+    rcm = reverse_cuthill_mckee(M, symmetric_mode=True)  # M has the node pattern
+    sets = nodes[comps]  # the free nodes of each component that has any
+    starts = np.cumsum([0, *sets.sum(1)])  # the first row of each component in V
+    first = (sets[:, None] == sets).all(-1).argmax(1)  # the first component with the same set
     factors = []
-    for local, rows in sets.values():
-        V = _csr(pattern, system.K[pattern.transpose], local, local, (len(rows[0]),) * 2)
-        try:  # the CSR of V^T is the CSC of V
-            lu = spla.splu(V.T, permc_spec="MMD_AT_PLUS_A",
-                           diag_pivot_thresh=0.0, options=dict(SymmetricMode=True))
-        except RuntimeError:
+    for k in np.unique(first):  # one factor per distinct set of free nodes
+        free = sets[k]
+        e = np.flatnonzero(free[pattern.rows] & free[pattern.cols] & (pattern.rows <= pattern.cols))
+        at = min((np.cumsum(free) - 1, np.cumsum(free[rcm])[np.argsort(rcm)] - 1),
+                 key=lambda at: np.abs(at[pattern.rows[e]] - at[pattern.cols[e]]).max())
+        lo, hi = np.sort([at[pattern.rows[e]], at[pattern.cols[e]]], axis=0)
+        bw = (hi - lo).max()
+        band = np.zeros((bw + 1, free.sum()), order="F")  # LAPACK's upper band storage
+        band[bw + lo - hi, hi] = system.K[e]
+        U, info = dpbtrf(band, overwrite_ab=1)
+        pivots = U[bw] ** 2  # the D of V = L D L^T, L unit lower triangular
+        if info or not pivots.min() > pivot_rtol * pivots.max():
             return None
-        pivots = lu.U.diagonal()  # D of the LDL^T, whose signs are V's inertia
-        if (not np.array_equal(lu.perm_r, lu.perm_c)
-                or not pivots.min() > pivot_rtol * pivots.max()):
-            return None
-        factors.append((lu, np.array(rows)))
+        # the V rows of the components that share the set, in band order
+        factors.append((U, np.add.outer(starts[:-1][first == k], np.argsort(at[free]))))
 
-    def v_solve(y):  # one solve per factor, a column per component
+    def v_solve(y):  # one band solve per factor, a column per component
         out = np.empty_like(y)
-        for lu, rows in factors:
-            out[rows] = lu.solve(y[rows].T).T
+        for U, in_band in factors:
+            out[in_band] = dpbtrs(U, y[in_band].T)[0].T
         return out
 
     dofs_v, dofs_p = split_dofs(np.arange(b.size), dim)
     vf = dofs_v.T[nodes]
-    G = _csr(pattern, system.G, v_of, np.arange(n)[None], (vf.size, n))
+    keep = nodes[:, pattern.rows]  # G's entries in CSR order: by component, then by node
+    cols = np.broadcast_to(pattern.cols, keep.shape)[keep]
+    indptr = np.r_[0, np.diff(pattern.indptr)[nodes.nonzero()[1]].cumsum()]
+    G = sp.csr_matrix((system.G[keep], cols, indptr), shape=(vf.size, n))
     B = G.T  # a CSC, whose matvec adds each row in the order of B's CSR
-    Kpp, M = (sp.csr_matrix((vals, pattern.cols, pattern.indptr), shape=(n, n))
-              for vals in (system.Kpp, system.M))
     h = 0.5 / M.diagonal()  # omega D^-1
 
     def precondition(r):  # three damped-Jacobi sweeps on M z = r

@@ -14,8 +14,8 @@ from .basis import SingularJacobianError, basis_table, detJ_net, element_geometr
 from .kinds import ElementKind, kind_from_name
 from .linalg import TripletPattern
 
-# Dof limit at the largest run measured (2-vCPU machine): the B8 32x32x32 svm
-# patch, 143,748 dofs at 1.48 GB peak RSS.
+# Dof limit at the largest runs measured (2-vCPU machine, fresh process): B8 32x32x32
+# svm, 143,748 dofs; the patch 5.1-5.3 s at 797 MB, the lid cavity 8.7 s at 1,040 MB.
 MAX_DOFS = 143_748
 
 # Boundary tags of a box: the low and the high side of each axis.

@@ -6,6 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.linalg import lapack
 
 from conftest import perturb_interior
 from test_equivalence import _grid
@@ -82,11 +83,58 @@ def test_3d_cavity_with_different_free_sets_per_component(kind, shape, factors, 
     mesh = generate_grid(kind, shape)
     case = case_by_name("lid_cavity", kind.dim)
     x_lu, _ = solve_direct(_constrained(case, mesh, scheme))
-    ldlts, _ = _counting_v_solves(monkeypatch)
+    bands, _ = _counting_v_solves(monkeypatch)
     sol = solve_case(case, mesh, scheme)
     assert sol.solver == "schur-cg"
-    assert len(ldlts) == factors  # one LDL^T of K per distinct set of free nodes
+    assert len(bands) == factors  # one band Cholesky of K per distinct set of free nodes
     assert _rel_diff(sol.values, x_lu) <= 1e-10
+
+
+@pytest.mark.parametrize("kind, shape, case_name, bandwidth", [
+    (ElementKind.Q4, 80, "lid_cavity", 80),
+    (ElementKind.B8, 16, "patch_constant", 241),
+], ids=["Q4-80x80-cavity", "B8-16x16x16-patch"])
+def test_the_band_of_v_is_the_grid_node_order(kind, shape, case_name, bandwidth, monkeypatch):
+    # a grid numbers its nodes row by row, so a free node's neighbours lie
+    # within one row (Q4) or one layer and a row (B8) of it; the reverse
+    # Cuthill-McKee order of these grids is wider (157 and 631)
+    system = _constrained(case_by_name(case_name, kind.dim), generate_grid(kind, shape), "svm")
+    bandwidths, _ = _counting_v_solves(monkeypatch)
+    assert solve_schur(system) is not None
+    assert bandwidths == [bandwidth]
+
+
+def _renumbered(mesh, seed):
+    """mesh with its nodes numbered in a random order, and the new number
+    of each old node."""
+    old = np.random.default_rng(seed).permutation(mesh.n_nodes)
+    new = np.argsort(old)
+    sets = {tag: frozenset(new[sorted(nodes)].tolist())
+            for tag, nodes in mesh.boundary_sets.items()}
+    return dataclasses.replace(mesh, nodes=mesh.nodes[old], elements=new[mesh.elements],
+                               boundary_sets=sets), new
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("kind, shape", [(ElementKind.Q4, 24), (ElementKind.B8, 6)],
+                         ids=["Q4-24x24", "B8-6x6x6"])
+def test_randomly_numbered_nodes_solve_on_the_rcm_band(kind, shape, seed, monkeypatch):
+    # shuffled, the free nodes' own order spans nearly the whole set; the
+    # RCM order brings the band back to within 3 times the grid's own
+    # (Q4 24 -> 45, B8 31 and 31 -> 70 and 61)
+    case = case_by_name("lid_cavity", kind.dim)
+    mesh = generate_grid(kind, shape)
+    bandwidths, _ = _counting_v_solves(monkeypatch)
+    sol = solve_case(case, mesh, "svm")
+    grid_bandwidths = bandwidths[:]
+    bandwidths.clear()
+    renumbered, new = _renumbered(mesh, seed)
+    shuffled = solve_case(case, renumbered, "svm")
+    assert shuffled.solver == "schur-cg"
+    assert len(bandwidths) == len(grid_bandwidths)
+    assert max(bandwidths) <= 3 * max(grid_bandwidths)
+    back = np.concatenate([shuffled.velocity[new].ravel(), shuffled.pressure[new]])
+    assert np.linalg.norm(back - sol.values) <= 1e-10 * np.linalg.norm(sol.values)
 
 
 def test_components_that_share_free_nodes_share_one_factor(monkeypatch):
@@ -100,9 +148,9 @@ def test_components_that_share_free_nodes_share_one_factor(monkeypatch):
     free = ~np.isnan(velocity.T)
     assert (free[0] == free[2]).all() and not (free[0] == free[1]).all()
     x_lu, _ = solve_direct(system)
-    ldlts, _ = _counting_v_solves(monkeypatch)
+    bands, _ = _counting_v_solves(monkeypatch)
     x, res, _ = solve_schur(system)
-    assert len(ldlts) == 2
+    assert len(bands) == 2
     assert _rel_diff(x, x_lu) <= 1e-10
     assert res == _csr_residual(system, x)
 
@@ -124,31 +172,22 @@ def test_indefinite_velocity_block_falls_back_to_lu():
 
 
 def _counting_v_solves(monkeypatch):
-    """Two lists that gain one entry per LDL^T factor of V and one per
-    triangular solve with such a factor, which takes one column for each
-    component that shares the factor's free nodes."""
+    """Two lists that gain one entry per band Cholesky factor of V, its
+    bandwidth, and one per band solve with such a factor, which takes one
+    column for each component that shares the factor's free nodes."""
     factors, solves = [], []
+    dpbtrf, dpbtrs = lapack.dpbtrf, lapack.dpbtrs
 
-    class Counted:
-        def __init__(self, lu):
-            self.lu = lu
+    def counted_factor(ab, **options):
+        factors.append(len(ab) - 1)
+        return dpbtrf(ab, **options)
 
-        def __getattr__(self, name):
-            return getattr(self.lu, name)
+    def counted_solve(U, y, **options):
+        solves.append(1)
+        return dpbtrs(U, y, **options)
 
-        def solve(self, y):
-            solves.append(1)
-            return self.lu.solve(y)
-
-    def counted(A, permc_spec=None, **options):
-        lu = splu(A, permc_spec=permc_spec, **options)
-        if permc_spec != "MMD_AT_PLUS_A":  # solve_direct's LU
-            return lu
-        factors.append(1)
-        return Counted(lu)
-
-    splu = linalg.spla.splu
-    monkeypatch.setattr(linalg.spla, "splu", counted)
+    monkeypatch.setattr(lapack, "dpbtrf", counted_factor)
+    monkeypatch.setattr(lapack, "dpbtrs", counted_solve)
     return factors, solves
 
 
@@ -208,18 +247,38 @@ def test_schur_refuses_when_cg_hits_its_cap(monkeypatch):
 
 
 def test_a_failed_ldlt_factor_sends_the_system_to_lu(monkeypatch):
-    # SuperLU raises RuntimeError on a V it cannot factor; solve_schur
-    # refuses the system, and solve_direct's own factor solves it
-    splu = linalg.spla.splu
+    # LAPACK's band Cholesky reports info > 0 on a V that is not positive
+    # definite, here the negated V; solve_schur refuses the system, and
+    # solve_direct's own factor solves it
+    dpbtrf, failed = lapack.dpbtrf, []
 
-    def failing_ldlt(A, permc_spec=None, **options):
-        if permc_spec == "MMD_AT_PLUS_A":
-            raise RuntimeError("Factor is exactly singular")
-        return splu(A, permc_spec=permc_spec, **options)
+    def failing_factor(ab, **options):
+        U, info = dpbtrf(-ab, **options)
+        failed.append(info)
+        return U, info
 
-    monkeypatch.setattr(linalg.spla, "splu", failing_ldlt)
+    monkeypatch.setattr(lapack, "dpbtrf", failing_factor)
     assert solve_case(case_by_name("lid_cavity", 2), generate_grid(ElementKind.Q4, 4),
                       "svm").solver == "lu"
+    assert failed == [1]
+
+
+def test_a_v_pivot_below_pivot_rtol_refuses_the_cg(monkeypatch):
+    # the pivots are the D of V = L D L^T, the squares of U's diagonal
+    system = _constrained(case_by_name("lid_cavity", 2), generate_grid(ElementKind.Q4, 6), "svm")
+    dpbtrf, diagonals = lapack.dpbtrf, []
+
+    def factor(ab, **options):
+        U, info = dpbtrf(ab, **options)
+        diagonals.append(U[-1].copy())
+        return U, info
+
+    monkeypatch.setattr(lapack, "dpbtrf", factor)
+    assert solve_schur(system) is not None
+    D = diagonals[0] ** 2
+    ratio = D.min() / D.max()
+    assert solve_schur(system, pivot_rtol=0.99 * ratio) is not None
+    assert solve_schur(system, pivot_rtol=1.01 * ratio) is None
 
 
 def test_a_non_finite_cg_solution_is_refused(monkeypatch):
