@@ -84,10 +84,10 @@ def _resolve_mesh(spec: str):
 
 
 def _parse_element(spec: str):
-    """'q4' or 'q4-enriched' -> (kind, scheme or None)."""
+    """'q4' or 'q4-enriched' -> (kind, scheme), galerkin without a suffix."""
     base, sep, suffix = spec.partition("-")
     kind = kind_from_name(base)
-    return kind, FormulationConfig(suffix).scheme if sep else None
+    return kind, FormulationConfig(suffix).scheme if sep else "galerkin"
 
 
 def cmd_run(args) -> int:
@@ -164,13 +164,7 @@ def cmd_convergence(args) -> int:
 def cmd_eigen(args) -> int:
     if args.n < 2:
         raise UsageError("--n must be >= 2")
-    kind, suffix = _parse_element(args.element)
-    scheme = suffix or "galerkin"
-    if args.formulation is not None:
-        scheme = FormulationConfig(args.formulation).scheme
-        if suffix not in (None, scheme):
-            raise UsageError(f"--formulation {scheme} conflicts with the scheme "
-                             f"suffix of --element {args.element}")
+    kind, scheme = _parse_element(args.element)
     _check_size(f"--n {args.n}", kind, (args.n,) * kind.dim, MAX_DENSE_DOFS)
     mesh = generate_grid(kind, (args.n,) * kind.dim)
     report = analysis.lbb_spectrum(mesh, scheme)
@@ -208,8 +202,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    def common(p, formulation="galerkin"):
-        p.add_argument("--formulation", default=formulation)
+    def common(p):
+        p.add_argument("--formulation", default="galerkin")
         p.add_argument("--csv", default=None)
 
     run = sub.add_parser("run", help="solve one case and export fields")
@@ -238,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
     eig.add_argument("--element", required=True,
                      help="kind with optional scheme suffix, e.g. q4-enriched")
     eig.add_argument("--n", type=int, required=True)
-    common(eig, formulation=None)  # None: the --element suffix, else galerkin
+    eig.add_argument("--csv", default=None)
     eig.set_defaults(func=cmd_eigen)
 
     info = sub.add_parser("mesh-info", help="mesh statistics")

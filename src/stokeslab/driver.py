@@ -35,8 +35,8 @@ def solve_case(case: TestCase, mesh: Mesh, scheme: str, *,
     Cholesky of the velocity block fails, no convergence, a residual above
     ``residual_rtol``), and always for galerkin and enriched, whose pivot
     diagnostics matter, the SuperLU factor of ``linalg.solve_direct`` solves it.
-    ``solver`` and ``iterations`` say which one ran; either reports as
-    ``residual`` the bits of the constrained matrix's CSR matvec.  With the
+    ``solver`` and ``iterations`` say which one ran; both report as
+    ``residual`` the one block-matvec residual (``linalg._residual``).  With the
     one pressure pin of the cases, the CG solves for p - p_pin.
 
     ``pivot_rtol=0`` lets exactly singular-but-consistent systems (the

@@ -106,13 +106,9 @@ class TripletPattern:
         """vals[transpose] are the entry values of the transpose, for a symmetric pattern."""
         return np.lexsort((self.rows, self.cols))
 
-    @cached_property
-    def indptr(self) -> np.ndarray:
-        """The CSR row pointer: row r holds the entries indptr[r]:indptr[r + 1]."""
-        return np.searchsorted(self.rows, np.arange(self.n_rows + 1))
-
     def matrix(self, vals) -> "SparseMatrix":
-        """The matrix with the entry values vals (nnz,)."""
+        """The matrix with the entry values vals (nnz,), by a read-only view of them."""
+        vals = vals.view()
         vals.setflags(write=False)
         return SparseMatrix(self.n_rows, self.n_cols, self.rows, self.cols, vals)
 
@@ -145,10 +141,12 @@ class SparseMatrix:
         return self.vals.size
 
     def to_scipy(self) -> "scipy.sparse.csr_matrix":
+        """The CSR of the entries, which are unique and sorted by (row, col):
+        their values and columns as they are, and the row pointer by
+        np.searchsorted.  Every scipy CSR of stokeslab is built here."""
         import scipy.sparse as sp
-        return sp.csr_matrix(
-            (self.vals, (self.rows, self.cols)), shape=(self.n_rows, self.n_cols)
-        )
+        indptr = np.searchsorted(self.rows, np.arange(self.n_rows + 1))
+        return sp.csr_matrix((self.vals, self.cols, indptr), shape=(self.n_rows, self.n_cols))
 
     def to_dense(self) -> np.ndarray:
         A = np.zeros((self.n_rows, self.n_cols))
@@ -267,28 +265,25 @@ def _residual(system: LinearSystem, x) -> float:
     b = system.rhs: 0 when the denominator is 0, and inf when it or the
     quotient is not finite, where a scale that overflows would report 0.
 
-    A's rows are read from the blocks a chunk of nodes at a time and added
-    by np.add.at, in index order, as A's CSR matvec adds them: a velocity
-    row K's terms, then G's; a pressure row G^T's, node by node, then
-    Kpp's.  The constrained dofs' rows are identity rows; x = 0 in their
-    columns adds +-0 terms, which |A x - b| does not see.
+    A x and the row sums of |A| are CSR matvecs of the node blocks, with x
+    set to 0 in the constrained columns: a velocity row of component c is
+    K x_c + G_c p, and a pressure row is G_0^T x_0 + ... + K_pp p, where
+    G_c^T x_c is the CSC matvec of G_c's transpose, which adds each row in
+    column order as G_c^T's CSR would.  The constrained dofs' rows are
+    identity rows.
     """
-    pattern, n, dim, b = system.pattern, system.pattern.n_rows, system.dim, system.rhs
+    pattern, dim, b = system.pattern, system.dim, system.rhs
     free = np.isnan(system.constraints)
-    dofs_v, dofs_p = split_dofs(np.arange(b.size), dim)
-    Ax, row_sums, step = np.zeros(b.size), np.zeros(b.size), max(1, 2048 * n // pattern.rows.size)
-    x_free, ones = np.where(free, x, 0.0), np.where(free, 1.0, 0.0)
+    Ax, row_sums = np.zeros(b.size), np.zeros(b.size)
     with np.errstate(over="ignore", invalid="ignore"):
-        for s in range(0, n, step):
-            e = slice(*pattern.indptr[[s, min(s + step, n)]])
-            row_v, row_p = dofs_v[pattern.rows[e]].ravel(), dofs_p[pattern.rows[e]]
-            col_v, col_p = dofs_v[pattern.cols[e]].ravel(), dofs_p[pattern.cols[e]]
-            at = np.concatenate([row_v, row_v, row_p.repeat(dim), row_p])
-            cols = np.concatenate([col_v, col_p.repeat(dim), col_v, col_p])
-            vals = np.concatenate([system.K[e].repeat(dim), system.G[:, e].T.ravel(),
-                                   system.G[:, pattern.transpose[e]].T.ravel(), system.Kpp[e]])
-            np.add.at(Ax, at, vals * x_free[cols])
-            np.add.at(row_sums, at, np.abs(vals) * ones[cols])
+        for out, y, f in ((Ax, np.where(free, x, 0.0), np.asarray), (row_sums, free * 1.0, np.abs)):
+            (out_v, out_p), (y_v, y_p) = split_dofs(out, dim), split_dofs(y, dim)
+            out_v += pattern.matrix(f(system.K)).to_scipy() @ y_v
+            for c, G_c in enumerate(system.G):
+                G = pattern.matrix(f(G_c)).to_scipy()
+                out_v[:, c] += G @ y_p
+                out_p += G.T @ y_v[:, c]
+            out_p += pattern.matrix(f(system.Kpp)).to_scipy() @ y_p
         Ax[~free], row_sums[~free] = x[~free], 1.0
         denom = row_sums.max() * np.abs(x).max() + np.abs(b).max()
         res = np.abs(Ax - b).max() / denom if denom != 0 else 0.0
@@ -388,7 +383,7 @@ def solve_schur(system: LinearSystem, residual_rtol: float = 1e-10,
     step; and S raises to stop it on a direction q with q^T S q <= 0.
 
     Returns (x, residual, cg_iterations), the residual of the constrained
-    system with the bits that solve_direct reports for the same x.
+    system that solve_direct reports for the same x (_residual).
     Returns None when more than one pressure dof or every velocity dof is
     constrained, a band Cholesky fails (V is not positive definite) or has
     a pivot D = diag(U)^2 <= pivot_rtol times its largest, |g| underflows
@@ -409,8 +404,7 @@ def solve_schur(system: LinearSystem, residual_rtol: float = 1e-10,
     import scipy.sparse.linalg as spla
     from scipy.linalg.lapack import dpbtrf, dpbtrs
     from scipy.sparse.csgraph import reverse_cuthill_mckee
-    Kpp, M = (sp.csr_matrix((vals, pattern.cols, pattern.indptr), shape=(n, n))
-              for vals in (system.Kpp, system.M))
+    Kpp, M = (pattern.matrix(vals).to_scipy() for vals in (system.Kpp, system.M))
     rcm = reverse_cuthill_mckee(M, symmetric_mode=True)  # M has the node pattern
     sets = nodes[comps]  # the free nodes of each component that has any
     starts = np.cumsum([0, *sets.sum(1)])  # the first row of each component in V
@@ -440,10 +434,8 @@ def solve_schur(system: LinearSystem, residual_rtol: float = 1e-10,
 
     dofs_v, dofs_p = split_dofs(np.arange(b.size), dim)
     vf = dofs_v.T[nodes]
-    keep = nodes[:, pattern.rows]  # G's entries in CSR order: by component, then by node
-    cols = np.broadcast_to(pattern.cols, keep.shape)[keep]
-    indptr = np.r_[0, np.diff(pattern.indptr)[nodes.nonzero()[1]].cumsum()]
-    G = sp.csr_matrix((system.G[keep], cols, indptr), shape=(vf.size, n))
+    G = sp.vstack([pattern.matrix(G_c).to_scipy()[free] for G_c, free in zip(system.G, nodes)],
+                  format="csr")  # by component, then by node
     B = G.T  # a CSC, whose matvec adds each row in the order of B's CSR
     h = 0.5 / M.diagonal()  # omega D^-1
 

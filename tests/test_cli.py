@@ -411,19 +411,20 @@ def test_eigen_element_suffix_selects_scheme(tmp_path, capsys):
     assert csv.read_text().startswith("# zero_count = 1")
 
 
-@pytest.mark.parametrize("element", ["q4", "q4-svm"])
-def test_eigen_formulation_selects_or_matches_the_suffix(element, capsys):
-    assert main(["eigen", "--element", element, "--n", "5", "--formulation", "svm"]) == 0
-    assert "# zero_count = 1" in capsys.readouterr().out
+def test_eigen_element_without_suffix_is_galerkin(capsys):
+    assert main(["eigen", "--element", "q4", "--n", "4"]) == 0
+    bare = capsys.readouterr().out
+    assert main(["eigen", "--element", "q4-galerkin", "--n", "4"]) == 0
+    assert bare == capsys.readouterr().out
+    assert "# checkerboard_present = True" in bare
 
 
-@pytest.mark.parametrize("formulation, message", [
-    ("bogus", "unknown formulation 'bogus'"),
-    ("svm", "--formulation svm conflicts with the scheme suffix of --element q4-enriched"),
+@pytest.mark.parametrize("element, message", [
+    ("q4-bogus", "unknown formulation 'bogus'"),
+    ("q4-", "unknown formulation ''"),
 ])
-def test_eigen_formulation_against_the_suffix_is_usage_error(formulation, message, capsys):
-    argv = ["eigen", "--element", "q4-enriched", "--n", "4", "--formulation", formulation]
-    assert main(argv) == 2
+def test_eigen_unknown_scheme_suffix_is_usage_error(element, message, capsys):
+    assert main(["eigen", "--element", element, "--n", "4"]) == 2
     assert message in capsys.readouterr().err
 
 
@@ -473,6 +474,7 @@ def test_oversized_grid_is_refused_before_allocation(argv, spec, monkeypatch, ca
     ["convergence", "--element", "q4", "--levels", "4,8,16", "--nu", "7"],
     ["eigen", "--element", "q4-svm", "--n", "4", "--nu", "9"],
     ["eigen", "--element", "q4-svm", "--n", "4", "--bp-epsilon", "0.5"],
+    ["eigen", "--element", "q4", "--n", "4", "--formulation", "svm"],
 ])
 def test_options_a_verb_ignores_are_refused(argv, capsys):
     assert main(argv) == 2

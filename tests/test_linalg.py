@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -114,6 +115,10 @@ def test_pattern_sum_matches_lexsort_reference(seed):
     n, rows, cols, vals = _awkward_triplets(np.random.default_rng(seed))
     A = SparseMatrix.from_triplets(n, n, rows, cols, vals)
     _assert_same(lexsort_sum(rows, cols, vals), A.rows, A.cols, A.vals)
+    csr, coo = A.to_scipy(), sp.csr_matrix((A.vals, (A.rows, A.cols)), shape=(n, n))
+    assert csr.has_canonical_format
+    assert all(getattr(csr, a).tobytes() == getattr(coo, a).tobytes()
+               for a in ("indptr", "indices", "data"))
 
 
 @pytest.mark.filterwarnings("ignore:invalid value encountered")  # inf + -inf
