@@ -3,12 +3,13 @@ Cholesky of the velocity block) solves, and a generalized symmetric eigensolver.
 
 Triplets are summed in two phases.  The pattern phase (TripletPattern)
 depends only on the (row, col) positions: a stable argsort of the key
-row * n_cols + col puts each entry's duplicates next to each other.  The
-numeric phase sorts the values within each group of three or more and adds
-each group with one np.add.reduceat, so shuffled triplet order produces a
-bit-identical compressed matrix.  A mesh computes its node pattern once, and every block
-of an equal-order Stokes system (LinearSystem) is summed on it; the load
-vector is summed on the pattern of the element nodes, one column wide.
+row * n_cols + col puts each entry's duplicates next to each other, and the
+row pointer of every CSR on the pattern is found once.  The numeric phase
+sorts the values within each group of three or more and adds each group with
+one np.add.reduceat, so shuffled triplet order produces a bit-identical
+compressed matrix.  A mesh computes its node pattern once, and every block of
+an equal-order Stokes system (LinearSystem) is summed and constrained on it;
+the load vector is summed on the pattern of the element nodes, one column wide.
 
 scipy is imported by the functions that use it, so that importing stokeslab
 loads no scipy; ``linalg.sp`` and ``linalg.spla`` still name the two modules.
@@ -62,6 +63,7 @@ class TripletPattern:
     n_cols: int
     rows: np.ndarray     # (nnz,) entries, sorted by (row, col)
     cols: np.ndarray
+    indptr: np.ndarray   # (n_rows + 1,) where each row's entries start: the CSR row pointer
     order: np.ndarray    # the triplets in (row, col) order, ties in input order
     starts: np.ndarray   # (nnz,) where each entry's group starts in that order
     groups: tuple        # one (n, c) array per size c > 2: positions of each group
@@ -77,9 +79,10 @@ class TripletPattern:
         groups = tuple(starts[sizes == c, None] + np.arange(c)
                        for c in np.unique(sizes[sizes > 2]))
         rows, cols = rows[starts], cols[starts]
-        for a in (rows, cols, order, starts, *groups):
+        indptr = np.searchsorted(rows, np.arange(n_rows + 1))
+        for a in (rows, cols, indptr, order, starts, *groups):
             a.setflags(write=False)
-        return cls(n_rows, n_cols, rows, cols, order, starts, groups)
+        return cls(n_rows, n_cols, rows, cols, indptr, order, starts, groups)
 
     def sum(self, vals) -> np.ndarray:
         """Entry values (..., nnz) summed from triplet values (..., n_triplets),
@@ -110,7 +113,7 @@ class TripletPattern:
         """The matrix with the entry values vals (nnz,), by a read-only view of them."""
         vals = vals.view()
         vals.setflags(write=False)
-        return SparseMatrix(self.n_rows, self.n_cols, self.rows, self.cols, vals)
+        return SparseMatrix(self.n_rows, self.n_cols, self.rows, self.cols, self.indptr, vals)
 
 
 @dataclass(frozen=True)
@@ -121,6 +124,7 @@ class SparseMatrix:
     n_cols: int
     rows: np.ndarray
     cols: np.ndarray
+    indptr: np.ndarray  # the CSR row pointer of rows
     vals: np.ndarray
 
     @classmethod
@@ -142,11 +146,10 @@ class SparseMatrix:
 
     def to_scipy(self) -> "scipy.sparse.csr_matrix":
         """The CSR of the entries, which are unique and sorted by (row, col):
-        their values and columns as they are, and the row pointer by
-        np.searchsorted.  Every scipy CSR of stokeslab is built here."""
+        their values and columns as they are, and the row pointer that their
+        pattern formed once.  Every scipy CSR of stokeslab is built here."""
         import scipy.sparse as sp
-        indptr = np.searchsorted(self.rows, np.arange(self.n_rows + 1))
-        return sp.csr_matrix((self.vals, self.cols, indptr), shape=(self.n_rows, self.n_cols))
+        return sp.csr_matrix((self.vals, self.cols, self.indptr), shape=(self.n_rows, self.n_cols))
 
     def to_dense(self) -> np.ndarray:
         A = np.zeros((self.n_rows, self.n_cols))
@@ -182,7 +185,7 @@ class LinearSystem:
     folds the pressure constraints in at 0, and M is the pressure mass.
     ``matrix`` is the monolithic matrix with the rows and columns of the
     constrained dofs replaced by identity rows and columns, built from the
-    blocks on first use.
+    blocks on first use; only the sparse LU reads it.
     """
 
     pattern: TripletPattern  # n_nodes x n_nodes, symmetric
@@ -198,33 +201,23 @@ class LinearSystem:
     def dim(self) -> int:
         return len(self.G)
 
-    def triplets(self, entries=slice(None)):
-        """The monolithic matrix as unique (rows, cols, vals) triplets, or
-        the triplets of the node-by-node blocks at the given pattern entries,
-        in the same order."""
-        n, d = self.pattern.n_rows, self.dim
-        velocity, pressure = split_dofs(np.arange(n * (d + 1)), d)
-        dofs = np.concatenate([velocity, pressure[:, None]], 1)  # (n, d + 1) per node
-        K = self.K[entries]
-        vals = np.zeros((K.size, d + 1, d + 1))
-        vals[:, range(d), range(d)] = K[:, None]
-        vals[:, :d, d] = self.G[:, entries].T
-        vals[:, d, :d] = self.G[:, self.pattern.transpose[entries]].T
-        vals[:, d, d] = self.Kpp[entries]
-        return (np.broadcast_to(dofs[self.pattern.rows[entries]][:, :, None], vals.shape).ravel(),
-                np.broadcast_to(dofs[self.pattern.cols[entries]][:, None, :], vals.shape).ravel(),
-                vals.ravel())
-
     @cached_property
     def matrix(self) -> SparseMatrix:
-        rows, cols, vals = self.triplets()
-        n = self.rhs.size
+        n, d, pattern = self.rhs.size, self.dim, self.pattern
+        velocity, pressure = split_dofs(np.arange(n), d)
+        dofs = np.concatenate([velocity, pressure[:, None]], 1)  # (n_nodes, d + 1)
+        vals = np.zeros((self.K.size, d + 1, d + 1))
+        vals[:, range(d), range(d)] = self.K[:, None]
+        vals[:, :d, d] = self.G.T
+        vals[:, d, :d] = self.G[:, pattern.transpose].T
+        vals[:, d, d] = self.Kpp
+        rows = np.broadcast_to(dofs[pattern.rows][:, :, None], vals.shape).ravel()
+        cols = np.broadcast_to(dofs[pattern.cols][:, None, :], vals.shape).ravel()
         is_con = ~np.isnan(self.constraints)
-        con = np.flatnonzero(is_con)
-        keep = ~(is_con[rows] | is_con[cols])
+        con, keep = np.flatnonzero(is_con), ~(is_con[rows] | is_con[cols])
         return SparseMatrix.from_triplets(n, n, np.concatenate([rows[keep], con]),
                                           np.concatenate([cols[keep], con]),
-                                          np.concatenate([vals[keep], np.ones(con.size)]))
+                                          np.concatenate([vals.ravel()[keep], np.ones(con.size)]))
 
 
 def apply_constraints(system: LinearSystem, constraints) -> LinearSystem:
@@ -234,28 +227,34 @@ def apply_constraints(system: LinearSystem, constraints) -> LinearSystem:
 
     Constrained rows become identity rows with the prescribed value on the
     right-hand side; columns are eliminated into the rhs so the reduced
-    problem is exactly the constrained problem.
+    problem is exactly the constrained problem.  Each free row subtracts its
+    terms from b in the monolithic matrix's column order, read off the node
+    blocks: a velocity row of component k those of K, then of G_k; a pressure
+    row those of G^T node-major, the components interleaved, then of K_pp.
     """
-    n = len(system.rhs)
+    n, dim, pattern = len(system.rhs), system.dim, system.pattern
     constraints = np.asarray(constraints, dtype=float)
     if constraints.shape != (n,):
         raise ValueError(f"constraints have shape {constraints.shape}, want ({n},)")
     is_con = ~np.isnan(constraints)
     values = np.array([np.where(is_con, constraints, 0.0)] * 2)  # for rhs, and for rhs0
-    split_dofs(values[1], system.dim)[1][:] = 0.0  # with the pressures at 0
+    split_dofs(values[1], dim)[1][:] = 0.0  # with the pressures at 0
     rhs = np.array([system.rhs] * 2, dtype=float)
-    # only the blocks of a row node with a free dof and a column node with a
-    # constrained dof hold terms that move
-    con_v, con_p = split_dofs(is_con, system.dim)
+    # only the entries of a row node with a free dof and a column node with a constrained one move
+    con_v, con_p = split_dofs(is_con, dim)
     any_free, any_con = ~(con_v.all(1) & con_p), con_v.any(1) | con_p
-    pattern = system.pattern
-    rows, cols, vals = system.triplets(
-        np.flatnonzero(any_free[pattern.rows] & any_con[pattern.cols]))
-    moved = is_con[cols] & ~is_con[rows]
-    r, c, v = rows[moved], cols[moved], vals[moved]
-    at = np.argsort(r * n + c)  # each row takes its terms in column order
-    for out, cvals in zip(rhs, values):
-        np.add.at(out, r[at], -v[at] * cvals[c[at]])
+    e = np.flatnonzero(any_free[pattern.rows] & any_con[pattern.cols])
+    dofs_v, dofs_p = split_dofs(np.arange(n), dim)
+    # (row dofs, column dofs, values, entries) of each block, in the order a row takes them
+    for rows, cols, vals, at in ((dofs_v, dofs_v, system.K[None], e),
+                                 (dofs_v, dofs_p[:, None], system.G, e),
+                                 (dofs_p[:, None], dofs_v, system.G, pattern.transpose[e]),
+                                 (dofs_p[:, None], dofs_p[:, None], system.Kpp[None], e)):
+        rows, cols, vals = rows[pattern.rows[e]], cols[pattern.cols[e]], vals[:, at].T
+        moved = is_con[cols] & ~is_con[rows]
+        rows, cols, vals = (np.broadcast_to(a, moved.shape)[moved] for a in (rows, cols, vals))
+        for out, cvals in zip(rhs, values):
+            np.add.at(out, rows, -vals * cvals[cols])
     rhs[:, is_con] = values[:, is_con]
     return replace(system, rhs=rhs[0], rhs0=rhs[1], constraints=constraints)
 

@@ -136,6 +136,17 @@ def test_one_pattern_sums_many_value_arrays(seed):
         assert pattern.sum(v).tobytes() == summed.tobytes()
 
 
+def test_pattern_forms_the_read_only_row_pointer_its_csrs_share():
+    # rows 0, 2 and 4 are empty; row 3 has a duplicate
+    pattern = TripletPattern.build(5, 5, np.array([3, 1, 3, 1, 3]), np.array([1, 2, 4, 0, 1]))
+    assert pattern.indptr.tolist() == [0, 0, 2, 2, 4, 4]
+    assert not pattern.indptr.flags.writeable
+    A = pattern.matrix(pattern.sum([1.0, 2.0, 3.0, 4.0, 5.0]))
+    assert A.indptr is pattern.indptr
+    assert A.to_scipy().indptr.tolist() == [0, 0, 2, 2, 4, 4]
+    assert A.to_dense()[3].tolist() == [0.0, 6.0, 0.0, 0.0, 3.0]
+
+
 # ------------------------------------------------------------------ dof layout
 
 @pytest.mark.parametrize("dim", [2, 3])
