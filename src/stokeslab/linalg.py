@@ -8,8 +8,9 @@ row pointer of every CSR on the pattern is found once.  The numeric phase
 sorts the values within each group of three or more and adds each group with
 one np.add.reduceat, so shuffled triplet order produces a bit-identical
 compressed matrix.  A mesh computes its node pattern once, and every block of
-an equal-order Stokes system (LinearSystem) is summed and constrained on it;
-the load vector is summed on the pattern of the element nodes, one column wide.
+an equal-order Stokes system (LinearSystem) is summed and constrained on it,
+its pressure rows G^T read off the mirrored entries of G; the load vector is
+summed on the pattern of the element nodes, one column wide.
 
 scipy is imported by the functions that use it, so that importing stokeslab
 loads no scipy; ``linalg.sp`` and ``linalg.spla`` still name the two modules.
@@ -104,11 +105,6 @@ class TripletPattern:
             np.add.reduceat(v, self.starts, out=summed)
         return out.reshape(lead + (self.rows.size,))
 
-    @cached_property
-    def transpose(self) -> np.ndarray:
-        """vals[transpose] are the entry values of the transpose, for a symmetric pattern."""
-        return np.lexsort((self.rows, self.cols))
-
     def matrix(self, vals) -> "SparseMatrix":
         """The matrix with the entry values vals (nnz,), by a read-only view of them."""
         vals = vals.view()
@@ -176,8 +172,8 @@ class LinearSystem:
 
     With the dofs ordered velocity (node-major, dim components), then
     pressure, the matrix is [K (x) I_dim, G; G^T, Kpp]: G[i] couples velocity
-    component i (rows) to pressure, stored once, as the pressure rows are
-    its transpose.  The cross-component velocity entries are explicit +0.0
+    component i (rows) to pressure, stored once: the pressure rows are its
+    mirrored entries.  The cross-component velocity entries are explicit +0.0
     entries, so LU sees the pattern of the whole element matrix.
 
     ``constraints`` holds the prescribed value of each dof, NaN where the
@@ -208,15 +204,15 @@ class LinearSystem:
         dofs = np.concatenate([velocity, pressure[:, None]], 1)  # (n_nodes, d + 1)
         vals = np.zeros((self.K.size, d + 1, d + 1))
         vals[:, range(d), range(d)] = self.K[:, None]
-        vals[:, :d, d] = self.G.T
-        vals[:, d, :d] = self.G[:, pattern.transpose].T
+        vals[:, :d, d] = vals[:, d, :d] = self.G.T
         vals[:, d, d] = self.Kpp
-        rows = np.broadcast_to(dofs[pattern.rows][:, :, None], vals.shape).ravel()
-        cols = np.broadcast_to(dofs[pattern.cols][:, None, :], vals.shape).ravel()
+        rows = np.broadcast_to(dofs[pattern.rows][:, :, None], vals.shape).copy()
+        cols = np.broadcast_to(dofs[pattern.cols][:, None, :], vals.shape).copy()
+        rows[:, d, :d], cols[:, d, :d] = cols[:, :d, d], rows[:, :d, d]  # G^T: G mirrored
         is_con = ~np.isnan(self.constraints)
-        con, keep = np.flatnonzero(is_con), ~(is_con[rows] | is_con[cols])
-        return SparseMatrix.from_triplets(n, n, np.concatenate([rows[keep], con]),
-                                          np.concatenate([cols[keep], con]),
+        con, keep = np.flatnonzero(is_con), ~(is_con[rows] | is_con[cols]).ravel()
+        return SparseMatrix.from_triplets(n, n, np.concatenate([rows.ravel()[keep], con]),
+                                          np.concatenate([cols.ravel()[keep], con]),
                                           np.concatenate([vals.ravel()[keep], np.ones(con.size)]))
 
 
@@ -230,7 +226,8 @@ def apply_constraints(system: LinearSystem, constraints) -> LinearSystem:
     problem is exactly the constrained problem.  Each free row subtracts its
     terms from b in the monolithic matrix's column order, read off the node
     blocks: a velocity row of component k those of K, then of G_k; a pressure
-    row those of G^T node-major, the components interleaved, then of K_pp.
+    row those of G^T node-major, the components interleaved, then of K_pp,
+    where the G^T terms are G's mirrored entries, sorted by column node.
     """
     n, dim, pattern = len(system.rhs), system.dim, system.pattern
     constraints = np.asarray(constraints, dtype=float)
@@ -244,13 +241,16 @@ def apply_constraints(system: LinearSystem, constraints) -> LinearSystem:
     con_v, con_p = split_dofs(is_con, dim)
     any_free, any_con = ~(con_v.all(1) & con_p), con_v.any(1) | con_p
     e = np.flatnonzero(any_free[pattern.rows] & any_con[pattern.cols])
+    m = np.flatnonzero(any_con[pattern.rows] & any_free[pattern.cols])  # their mirrors
     dofs_v, dofs_p = split_dofs(np.arange(n), dim)
-    # (row dofs, column dofs, values, entries) of each block, in the order a row takes them
-    for rows, cols, vals, at in ((dofs_v, dofs_v, system.K[None], e),
-                                 (dofs_v, dofs_p[:, None], system.G, e),
-                                 (dofs_p[:, None], dofs_v, system.G, pattern.transpose[e]),
-                                 (dofs_p[:, None], dofs_p[:, None], system.Kpp[None], e)):
-        rows, cols, vals = rows[pattern.rows[e]], cols[pattern.cols[e]], vals[:, at].T
+    rc, cr, p = (pattern.rows, pattern.cols), (pattern.cols, pattern.rows), dofs_p[:, None]
+    # (row dofs, column dofs, values, entries, their row and column nodes) of each block,
+    # in the order a row takes them; G^T's are the mirrors, the row and column swapped
+    for rows, cols, vals, at, (r, c) in ((dofs_v, dofs_v, system.K[None], e, rc),
+                                         (dofs_v, p, system.G, e, rc),
+                                         (p, dofs_v, system.G, m, cr),
+                                         (p, p, system.Kpp[None], e, rc)):
+        rows, cols, vals = rows[r[at]], cols[c[at]], vals[:, at].T
         moved = is_con[cols] & ~is_con[rows]
         rows, cols, vals = (np.broadcast_to(a, moved.shape)[moved] for a in (rows, cols, vals))
         for out, cvals in zip(rhs, values):

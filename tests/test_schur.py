@@ -437,6 +437,7 @@ def _block_residual(system, x):
     the constrained columns, and the constrained rows are identity rows."""
     pattern, dim, b = system.pattern, system.dim, system.rhs
     free = np.isnan(system.constraints)
+    transpose = np.lexsort((pattern.rows, pattern.cols))  # G_c[transpose]: G_c^T on the pattern
 
     def csr(vals):
         return sp.csr_matrix((vals, (pattern.rows, pattern.cols)),
@@ -449,7 +450,7 @@ def _block_residual(system, x):
                            for c, G_c in enumerate(system.G)], 1)
         rows_p = np.zeros(y_p.size)
         for c, G_c in enumerate(system.G):
-            rows_p += csr(f(G_c[pattern.transpose])) @ y_v[:, c]
+            rows_p += csr(f(G_c[transpose])) @ y_v[:, c]
         rows_p += csr(f(system.Kpp)) @ y_p
         out.append(np.concatenate([rows_v.ravel(), rows_p]))
     Ax, row_sums = out
